@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ndtensor as nd
-from .dtw import dtw_distance
+from .dtw import dtw_batch, first_nonfinite
 from .pipeline import Window, corpus_data
 from .rng import make_rng
 from .t2v import T2VLayer
@@ -206,20 +206,47 @@ class ScoreCalibration:
         self.stds = np.asarray(self.stds, dtype=np.float64)
 
 
+SCORE_CHUNK = 64   # windows per forward pass + DTW sweep; bounds the im2col and DTW buffers
+
+
+def score_components_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
+    """(B, 3) raw MSE, MAE and DTW of each window in `data` (B, N, F) against
+    its reconstruction, computed SCORE_CHUNK windows at a time.
+
+    Raises ValueError naming the first window whose values, or whose
+    reconstruction, hold a NaN or Inf: such a score compares False against
+    any threshold and would silently read as normal.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 3 or data.shape[1:] != (model.n, model.f):
+        raise ValueError(f"windows are {data.shape}, model expects (B, {model.n}, {model.f})")
+    bad = first_nonfinite(data)
+    if bad is not None:
+        raise ValueError(f"window {bad} contains NaN/Inf")
+    comps = np.empty((len(data), 3))
+    for start in range(0, len(data), SCORE_CHUNK):
+        x = data[start:start + SCORE_CHUNK]
+        xhat = model.stack.forward(x)
+        bad = first_nonfinite(xhat)
+        if bad is not None:
+            raise ValueError(f"reconstruction of window {start + bad} contains NaN/Inf")
+        diff = (xhat - x).reshape(len(x), -1)
+        out = comps[start:start + len(x)]
+        out[:, 0] = np.mean(diff * diff, axis=1)
+        out[:, 1] = np.mean(np.abs(diff), axis=1)
+        out[:, 2] = dtw_batch(x, xhat)
+    return comps
+
+
 def score_components(model: TrainedModel, window: Window | np.ndarray) -> np.ndarray:
+    """MSE, MAE and DTW of one window: `score_components_many` with B=1."""
     x = window.data if isinstance(window, Window) else np.asarray(window, dtype=np.float64)
-    xhat = reconstruct(model, x)
-    diff = xhat - x
-    return np.array([
-        float(np.mean(diff * diff)),
-        float(np.mean(np.abs(diff))),
-        dtw_distance(x, xhat),
-    ])
+    return score_components_many(model, x[None])[0]
 
 
 def calibrate(model: TrainedModel, train_windows: list[Window],
               threshold_quantile: float = 0.99) -> ScoreCalibration:
-    comps = np.stack([score_components(model, w) for w in train_windows])
+    comps = score_components_many(model, corpus_data(train_windows))
     means = comps.mean(axis=0)
     stds = np.maximum(comps.std(axis=0), 1e-12)
     z = (comps - means) / stds
@@ -229,11 +256,14 @@ def calibrate(model: TrainedModel, train_windows: list[Window],
                             threshold_quantile)
 
 
-def combine_components(comps: np.ndarray, calib: ScoreCalibration) -> float:
-    """z-normalize each raw component by training stats and sum them."""
+def combine_components(comps: np.ndarray, calib: ScoreCalibration):
+    """z-normalize each raw component by training stats and sum them.
+
+    One (3,) row gives a float; a (B, 3) batch gives a (B,) array."""
     if calib is None:
         raise ValueError("missing score calibration")
-    return float(((np.asarray(comps, dtype=np.float64) - calib.means) / calib.stds).sum())
+    z = ((np.asarray(comps, dtype=np.float64) - calib.means) / calib.stds).sum(axis=-1)
+    return float(z) if z.ndim == 0 else z
 
 
 def recon_score(model: TrainedModel, window: Window | np.ndarray,
@@ -272,7 +302,7 @@ class SearchResult:
 
 def validation_dtw(model: TrainedModel, windows: list[Window]) -> float:
     """Mean DTW between each window and its reconstruction."""
-    return float(np.mean([dtw_distance(w.data, reconstruct(model, w)) for w in windows]))
+    return float(np.mean(score_components_many(model, corpus_data(windows))[:, 2]))
 
 
 def _sample_config(variant: str, space: SearchSpace, rng, seed: int) -> AEConfig:

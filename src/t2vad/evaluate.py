@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import detect
-from .autoenc import ScoreCalibration, TrainedModel, embed_many, recon_score
+from .autoenc import (ScoreCalibration, TrainedModel, combine_components, embed_many,
+                      score_components_many)
 from .inject import TestSuite
+from .pipeline import corpus_data
 
 METHOD_BASELINE = "recon_ae"
 
@@ -106,8 +108,10 @@ def run_benchmark(suite: TestSuite, t2v_model: TrainedModel, recon_model: Traine
         labels = [w.label for w in windows]
         composition[key] = _set_composition(windows)
 
-        base_preds = ["anomalous" if recon_score(recon_model, w, recon_calib)
-                      > recon_calib.threshold else "normal" for w in windows]
+        base_scores = combine_components(
+            score_components_many(recon_model, corpus_data(windows)), recon_calib)
+        base_preds = ["anomalous" if s > recon_calib.threshold else "normal"
+                      for s in base_scores]
         results[METHOD_BASELINE][key] = _entry(confusion(base_preds, labels))
 
         embeddings = embed_many(t2v_model, windows)

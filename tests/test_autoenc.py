@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from t2vad import ndtensor as nd
-from t2vad.autoenc import (AEConfig, ScoreCalibration, SearchSpace, build_recon_ae,
-                           build_t2v_ae, bottleneck_length, calibrate,
+from t2vad.autoenc import (SCORE_CHUNK, AEConfig, ScoreCalibration, SearchSpace,
+                           build_recon_ae, build_t2v_ae, bottleneck_length, calibrate,
                            combine_components, embed, embed_many,
                            feasible_encoder_layers, hyper_search, recon_score,
-                           reconstruct, score_components, train, validation_dtw)
+                           reconstruct, score_components, score_components_many, train,
+                           validation_dtw)
 from t2vad.dtw import dtw_distance
-from t2vad.pipeline import Window
+from t2vad.pipeline import Window, corpus_data
 from t2vad.rng import make_rng
 
 TINY_SPACE = SearchSpace(k=(2, 4), layers=(1, 2), kernels=(3,), filters=(4,),
@@ -272,6 +273,56 @@ def test_score_components_are_mse_mae_dtw(small_e2e):
     assert comps[0] == pytest.approx(np.mean((xhat - w.data) ** 2))
     assert comps[1] == pytest.approx(np.mean(np.abs(xhat - w.data)))
     assert comps[2] == pytest.approx(dtw_distance(w.data, xhat))
+
+
+def chunk_spanning_windows(corpus, n=2 * SCORE_CHUNK + 5):
+    """n distinct windows: the corpus windows, repeated with a growing offset."""
+    data = corpus_data(corpus.windows)
+    return [Window(data[i % len(data)] + 0.01 * (i // len(data))) for i in range(n)]
+
+
+def test_score_components_many_equals_per_window_rows(small_e2e):
+    model = small_e2e["recon_model"]
+    windows = chunk_spanning_windows(small_e2e["corpus"])
+    batched = score_components_many(model, corpus_data(windows))
+    alone = np.stack([score_components(model, w) for w in windows])
+    assert batched.shape == (2 * SCORE_CHUNK + 5, 3)
+    assert np.array_equal(batched, alone)
+
+
+def test_calibrate_threshold_independent_of_chunking(small_e2e):
+    model = small_e2e["recon_model"]
+    windows = chunk_spanning_windows(small_e2e["corpus"])
+    calib = calibrate(model, windows)
+    comps = np.stack([score_components(model, w) for w in windows])
+    means = comps.mean(axis=0)
+    stds = np.maximum(comps.std(axis=0), 1e-12)
+    scores = ((comps - means) / stds).sum(axis=1)
+    assert calib.threshold == float(np.quantile(scores, 0.99))
+    assert np.array_equal(calib.means, means) and np.array_equal(calib.stds, stds)
+    assert np.array_equal(combine_components(comps, calib),
+                          [recon_score(model, w, calib) for w in windows])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_score_components_many_rejects_non_finite_window(small_e2e, value):
+    data = corpus_data(chunk_spanning_windows(small_e2e["corpus"]))
+    data[SCORE_CHUNK + 3, 40, 2] = value
+    data[SCORE_CHUNK + 9, 0, 0] = value
+    with pytest.raises(ValueError, match=f"window {SCORE_CHUNK + 3} contains NaN/Inf"):
+        score_components_many(small_e2e["recon_model"], data)
+
+
+def test_score_components_many_rejects_non_finite_reconstruction():
+    model = build_recon_ae(AEConfig(variant="reconstruction", seed=3), 100, 6)
+    model.stack.layers[-1].params()["bias"][...] = np.inf
+    with pytest.raises(ValueError, match="reconstruction of window 0"):
+        score_components_many(model, np.zeros((2, 100, 6)))
+
+
+def test_score_components_many_rejects_wrong_shape(small_e2e):
+    with pytest.raises(ValueError, match="model expects"):
+        score_components_many(small_e2e["recon_model"], np.zeros((2, 50, 6)))
 
 
 # ---------------------------------------------------------------------------

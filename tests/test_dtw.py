@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from t2vad.dtw import DTWParams, dtw_bruteforce, dtw_distance, mean_dtw
+from t2vad.dtw import DTWParams, dtw_batch, dtw_bruteforce, dtw_distance, mean_dtw
 from t2vad.rng import make_rng
 
 
@@ -58,6 +58,21 @@ def test_full_band_equals_default():
     assert dtw_distance(a, b, DTWParams(band_radius=10)) == dtw_distance(a, b)
 
 
+def test_zero_band_on_equal_lengths_is_the_diagonal_path():
+    rng = make_rng(6)
+    a, b = rng.normal(size=(9, 3)), rng.normal(size=(9, 3))
+    pointwise = np.linalg.norm(a - b, axis=1).sum()
+    assert dtw_distance(a, b, DTWParams(band_radius=0)) == pytest.approx(pointwise, abs=1e-12)
+
+
+def test_narrower_band_never_costs_less():
+    rng = make_rng(7)
+    a, b = rng.normal(size=(12, 2)), rng.normal(size=(7, 2))
+    costs = [dtw_distance(a, b, DTWParams(band_radius=r)) for r in (0, 1, 2, 4, 12)]
+    assert costs == sorted(costs, reverse=True)
+    assert costs[-1] == dtw_distance(a, b)
+
+
 # ---------------------------------------------------------------------------
 # bruteforce oracle
 # ---------------------------------------------------------------------------
@@ -109,6 +124,62 @@ def test_scaling_homogeneity(seed, c):
     a, b = random_pair(rng, max_len=8)
     assert dtw_distance(c * a, c * b) == pytest.approx(abs(c) * dtw_distance(a, b),
                                                        abs=1e-9, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# batched sweep
+# ---------------------------------------------------------------------------
+
+@given(st.integers(1, 5), st.integers(1, 8), st.integers(1, 8), st.integers(1, 4),
+       st.one_of(st.none(), st.integers(0, 3)), st.integers(0, 10_000))
+@example(1, 1, 1, 1, None, 0)
+@example(3, 2, 7, 1, None, 1)
+@example(3, 7, 2, 3, 1, 2)
+@settings(max_examples=60, deadline=None)
+def test_batch_equals_each_pair_alone(n_pairs, na, nb, f, radius, seed):
+    rng = make_rng(seed)
+    a, b = rng.normal(size=(n_pairs, na, f)), rng.normal(size=(n_pairs, nb, f))
+    params = DTWParams(radius)
+    alone = [dtw_batch(a[k:k + 1], b[k:k + 1], params)[0] for k in range(n_pairs)]
+    assert dtw_batch(a, b, params).tolist() == alone
+    assert [dtw_distance(a[k], b[k], params) for k in range(n_pairs)] == alone
+
+
+def test_batch_matches_bruteforce_on_small_equal_shape_pairs():
+    rng = make_rng(8)
+    for na, nb, f in ((1, 1, 1), (3, 3, 2), (4, 6, 3), (8, 8, 1), (5, 2, 4)):
+        a, b = rng.normal(size=(6, na, f)), rng.normal(size=(6, nb, f))
+        expected = [dtw_bruteforce(x, y) for x, y in zip(a, b)]
+        np.testing.assert_allclose(dtw_batch(a, b), expected, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_batch_rejects_non_finite_naming_the_pair(side, value):
+    rng = make_rng(9)
+    pairs = {"a": rng.normal(size=(5, 6, 2)), "b": rng.normal(size=(5, 4, 2))}
+    pairs[side][3, 2, 1] = value
+    pairs[side][4, 0, 0] = value
+    with pytest.raises(ValueError, match=rf"{side}\[3\] contains NaN/Inf"):
+        dtw_batch(pairs["a"], pairs["b"])
+
+
+def test_distance_rejects_non_finite():
+    a = np.zeros((4, 2))
+    a[1, 0] = np.nan
+    with pytest.raises(ValueError, match="NaN/Inf"):
+        dtw_distance(a, np.zeros((4, 2)))
+
+
+def test_batch_shape_checks():
+    with pytest.raises(ValueError, match="batch sizes"):
+        dtw_batch(np.zeros((2, 3, 1)), np.zeros((3, 3, 1)))
+    with pytest.raises(ValueError, match="feature counts"):
+        dtw_batch(np.zeros((2, 3, 1)), np.zeros((2, 3, 2)))
+    with pytest.raises(ValueError, match="empty"):
+        dtw_batch(np.zeros((2, 0, 1)), np.zeros((2, 3, 1)))
+    with pytest.raises(ValueError, match="B, N, F"):
+        dtw_batch(np.zeros((3, 1)), np.zeros((3, 1)))
 
 
 def test_mean_dtw_divides_by_pair_count():
