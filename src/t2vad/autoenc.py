@@ -158,9 +158,7 @@ def train(model: TrainedModel, windows: list[Window], cfg: AEConfig | None = Non
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch}")
-            _, layer_grads = model.stack.backward(tape, dy)
-            params, grads = nd.stack_param_dicts(model.stack, layer_grads)
-            nd.adam_step(adam, params, grads)
+            nd.adam_step(adam, model.stack.params, model.stack.backward(tape, dy))
             epoch_loss += loss * len(idx)
         model.loss_curve.append(epoch_loss / n)
     return model

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..dtw import first_nonfinite
 from ..rng import derive_seed, make_rng
 from .deepsvdd import fit_deep_svdd, score_deep_svdd
 from .ee import fit_ee, score_ee
@@ -81,8 +82,16 @@ def _standardize(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray
     return (x - mean) / std
 
 
+def _finite_rows(x: np.ndarray) -> np.ndarray:
+    """x unchanged; a NaN/Inf row raises instead of scoring NaN or "normal"."""
+    bad = first_nonfinite(x)
+    if bad is not None:
+        raise ValueError(f"embedding row {bad} contains NaN/Inf")
+    return x
+
+
 def _transform(model: DetectorModel, x: np.ndarray) -> np.ndarray:
-    z = _standardize(np.atleast_2d(np.asarray(x, dtype=np.float64)),
+    z = _standardize(_finite_rows(np.atleast_2d(np.asarray(x, dtype=np.float64))),
                      model.scaler_mean, model.scaler_std)
     if model.pca_basis is not None:
         z = pca_transform(z, model.pca_basis, model.pca_mean)
@@ -96,6 +105,7 @@ def fit(kind: str, x: np.ndarray, cfg: DetectorConfig = DetectorConfig()) -> Det
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("training data must be (n, d)")
+    _finite_rows(x)
     n, d = x.shape
     seed = derive_seed(cfg.seed, f"detector/{kind}")
     rng = make_rng(seed)

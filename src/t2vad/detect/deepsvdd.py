@@ -48,12 +48,9 @@ def fit_deep_svdd(x: np.ndarray, widths, epochs: int, batch: int, lr: float,
             xb = x[order[start:start + batch]]
             y, tape = net.forward_tape(xb)
             dy = 2.0 * (y - center) / len(xb)
-            _, layer_grads = net.backward(tape, dy)
-            params, grads = nd.stack_param_dicts(net, layer_grads)
-            for key, p in params.items():
-                if key.endswith(".weight"):
-                    grads[key] = grads[key] + 2.0 * weight_decay * p
-            nd.adam_step(adam, params, grads)
+            grads = net.backward(tape, dy)
+            grads += 2.0 * weight_decay * net.params     # bias-free: every parameter is a weight
+            nd.adam_step(adam, net.params, grads)
     return {"net": net, "center": center, "widths": list(widths)}
 
 

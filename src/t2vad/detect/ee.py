@@ -29,7 +29,7 @@ def _mahalanobis_sq(x: np.ndarray, mu: np.ndarray, cov: np.ndarray) -> np.ndarra
         except np.linalg.LinAlgError:
             ridge = max(ridge * 10, 1e-10)
     centered = x - mu
-    return np.einsum("ij,jk,ik->i", centered, inv, centered)
+    return ((centered @ inv) * centered).sum(axis=1)
 
 
 def _log_det(cov: np.ndarray) -> float:

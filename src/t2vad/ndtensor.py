@@ -14,7 +14,7 @@ helpers are the single-window entry points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -44,20 +44,6 @@ def check_finite(arr: Tensor, context: str = "tensor") -> Tensor:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{context} contains NaN/Inf")
     return arr
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """Declarative description of one layer application."""
-
-    kind: str
-    in_shape: tuple[int, ...]
-    out_shape: tuple[int, ...]
-    hyperparams: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -121,22 +107,30 @@ def _conv1d_batch(x: Tensor, kernels: Tensor, bias: Tensor, stride: int):
     return y, cols
 
 
-def _conv1d_batch_backward(grad_y, cols, kernels, stride, in_len):
-    """Gradients of the batched conv. Returns (grad_x, grad_kernels, grad_bias)."""
+def _conv1d_batch_backward(grad_y, cols, kernels, stride, in_len, input_grad=True):
+    """Gradients of the batched conv. Returns (grad_x, grad_kernels, grad_bias).
+
+    grad_x is None when input_grad is False. Otherwise it is the "same"
+    convolution of grad_y, zero-dilated back to the input length when the
+    stride is above 1, with the kernels flipped in time and with input and
+    output channels swapped: one im2col and one matmul.
+    """
     c_out, c_in, k = kernels.shape
     b, n_out, _ = grad_y.shape
-    kmat = kernels.transpose(2, 1, 0).reshape(k * c_in, c_out)
     flat_cols = cols.reshape(b * n_out, k * c_in)
     flat_gy = grad_y.reshape(b * n_out, c_out)
     grad_kmat = flat_cols.T @ flat_gy                  # (k*C_in, C_out)
     grad_kernels = grad_kmat.reshape(k, c_in, c_out).transpose(2, 1, 0)
     grad_bias = flat_gy.sum(axis=0)
-    grad_cols = (flat_gy @ kmat.T).reshape(b, n_out, k, c_in)
-    pad = (k - 1) // 2
-    grad_xp = np.zeros((b, in_len + 2 * pad, c_in))
-    for t in range(k):
-        grad_xp[:, t:t + stride * n_out:stride, :] += grad_cols[:, :, t, :]
-    return grad_xp[:, pad:pad + in_len, :], grad_kernels, grad_bias
+    if not input_grad:
+        return None, grad_kernels, grad_bias
+    if stride > 1:
+        dilated = np.zeros((b, in_len, c_out))
+        dilated[:, ::stride] = grad_y
+        grad_y = dilated
+    kflip = kernels[:, :, ::-1].transpose(2, 0, 1).reshape(k * c_out, c_in)
+    grad_x = _im2col(grad_y, k, 1).reshape(b, in_len, k * c_out) @ kflip
+    return grad_x, grad_kernels, grad_bias
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +138,12 @@ def _conv1d_batch_backward(grad_y, cols, kernels, stride, in_len):
 # ---------------------------------------------------------------------------
 
 class Layer:
-    """Forward/backward contract shared by the fixed layer vocabulary."""
+    """Forward/backward contract shared by the fixed layer vocabulary.
+
+    ``backward(cache, grad_out)`` returns ``(grad_in, param_grads)``. With
+    ``input_grad=False`` a layer with parameters skips ``grad_in`` and
+    returns None in its place.
+    """
 
     kind: str = ""
 
@@ -154,10 +153,7 @@ class Layer:
     def forward(self, x: Tensor):
         raise NotImplementedError
 
-    def backward(self, cache, grad_out: Tensor):
-        raise NotImplementedError
-
-    def spec(self) -> LayerSpec:
+    def backward(self, cache, grad_out: Tensor, input_grad: bool = True):
         raise NotImplementedError
 
     def hyperparams(self) -> dict[str, Any]:
@@ -188,17 +184,14 @@ class Conv1d(Layer):
         y, cols = _conv1d_batch(x, self.kernels, self.bias, self.stride)
         return y, (cols, x.shape[1])
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, input_grad=True):
         cols, in_len = cache
-        gx, gk, gb = _conv1d_batch_backward(grad_out, cols, self.kernels, self.stride, in_len)
+        gx, gk, gb = _conv1d_batch_backward(grad_out, cols, self.kernels, self.stride,
+                                            in_len, input_grad)
         return gx, {"kernels": gk, "bias": gb}
 
     def hyperparams(self):
         return {"c_in": self.c_in, "c_out": self.c_out, "k": self.k, "stride": self.stride}
-
-    def spec(self):
-        return LayerSpec("conv1d", ("B", -1, self.c_in), ("B", -1, self.c_out),
-                         self.hyperparams())
 
 
 class Dense(Layer):
@@ -228,18 +221,15 @@ class Dense(Layer):
             y = y + self.bias
         return y, x
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, input_grad=True):
         x = cache
         grads = {"weight": x.T @ grad_out}
         if self.use_bias:
             grads["bias"] = grad_out.sum(axis=0)
-        return grad_out @ self.weight.T, grads
+        return (grad_out @ self.weight.T if input_grad else None), grads
 
     def hyperparams(self):
         return {"d_in": self.d_in, "d_out": self.d_out, "use_bias": self.use_bias}
-
-    def spec(self):
-        return LayerSpec("dense", ("B", self.d_in), ("B", self.d_out), self.hyperparams())
 
 
 class ReLU(Layer):
@@ -248,11 +238,8 @@ class ReLU(Layer):
     def forward(self, x):
         return np.maximum(x, 0.0), x
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, input_grad=True):
         return grad_out * (cache > 0), {}
-
-    def spec(self):
-        return LayerSpec("relu", ("any",), ("any",))
 
 
 class Sin(Layer):
@@ -261,12 +248,9 @@ class Sin(Layer):
     def forward(self, x):
         return np.sin(x), x
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, input_grad=True):
         # d sin(z)/dz = cos(z) at the cached pre-activation
         return grad_out * np.cos(cache), {}
-
-    def spec(self):
-        return LayerSpec("sin", ("any",), ("any",))
 
 
 class Flatten(Layer):
@@ -278,12 +262,9 @@ class Flatten(Layer):
         b, n, k = x.shape
         return x.reshape(b, n * k), (n, k)
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, input_grad=True):
         n, k = cache
         return grad_out.reshape(grad_out.shape[0], n, k), {}
-
-    def spec(self):
-        return LayerSpec("flatten", ("B", -1, -1), ("B", -1))
 
 
 class Reshape(Layer):
@@ -299,15 +280,11 @@ class Reshape(Layer):
             raise ValueError(f"cannot reshape {x.shape[1]} to ({self.n},{self.k})")
         return x.reshape(x.shape[0], self.n, self.k), None
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, input_grad=True):
         return grad_out.reshape(grad_out.shape[0], self.n * self.k), {}
 
     def hyperparams(self):
         return {"n": self.n, "k": self.k}
-
-    def spec(self):
-        return LayerSpec("reshape", ("B", self.n * self.k), ("B", self.n, self.k),
-                         self.hyperparams())
 
 
 class Upsample(Layer):
@@ -323,15 +300,12 @@ class Upsample(Layer):
     def forward(self, x):
         return np.repeat(x, self.factor, axis=1), None
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, input_grad=True):
         b, n_out, c = grad_out.shape
         return grad_out.reshape(b, n_out // self.factor, self.factor, c).sum(axis=2), {}
 
     def hyperparams(self):
         return {"factor": self.factor}
-
-    def spec(self):
-        return LayerSpec("upsample", ("B", -1, -1), ("B", -1, -1), self.hyperparams())
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +313,31 @@ class Upsample(Layer):
 # ---------------------------------------------------------------------------
 
 class LayerStack:
-    """Ordered layer pipeline with explicit tape-based backprop."""
+    """Ordered layer pipeline with explicit tape-based backprop.
+
+    The stack owns one flat parameter vector ``params`` and one flat
+    gradient vector ``grads``. Every layer parameter becomes a view into
+    ``params`` (its current values are copied in), so an optimizer step on
+    the vector updates the layers, and ``backward`` fills ``grads`` in the
+    same order.
+    """
 
     def __init__(self, layers: list[Layer]):
         self.layers = list(layers)
+        size = sum(arr.size for layer in self.layers for arr in layer.params().values())
+        self.params = np.empty(size)
+        self.grads = np.zeros(size)
+        self._grad_views: list[dict[str, Tensor]] = []
+        offset = 0
+        for layer in self.layers:
+            views = {}
+            for name, arr in layer.params().items():
+                span = slice(offset, offset + arr.size)
+                self.params[span] = arr.ravel()
+                setattr(layer, name, self.params[span].reshape(arr.shape))
+                views[name] = self.grads[span].reshape(arr.shape)
+                offset += arr.size
+            self._grad_views.append(views)
 
     def forward(self, x: Tensor) -> Tensor:
         for layer in self.layers:
@@ -365,70 +360,67 @@ class LayerStack:
                 return x
         raise ValueError(f"stack has no {stop_kind!r} layer")
 
-    def backward(self, tape, grad_out: Tensor):
-        """Reverse traversal of the tape; one gradient dict per layer."""
+    def backward(self, tape, grad_out: Tensor) -> Tensor:
+        """Reverse traversal of the tape into ``grads``, which it returns.
+
+        The first layer's input gradient is never computed: nothing reads it.
+        """
         if len(tape) != len(self.layers):
             raise ValueError("tape does not match layer stack")
-        grads: list[dict[str, Tensor]] = [{} for _ in self.layers]
         g = grad_out
         for idx in range(len(self.layers) - 1, -1, -1):
-            g, pgrads = self.layers[idx].backward(tape[idx], g)
-            grads[idx] = pgrads
-        return g, grads
-
-    def named_params(self):
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.params().items():
-                yield f"{i}.{layer.kind}.{name}", arr
-
-    def n_params(self) -> int:
-        return sum(arr.size for _, arr in self.named_params())
+            g, pgrads = self.layers[idx].backward(tape[idx], g, input_grad=idx > 0)
+            for name, view in self._grad_views[idx].items():
+                view[...] = pgrads[name]
+        return self.grads
 
 
 @dataclass
 class AdamState:
-    """Per-parameter Adam moments plus a shared step counter."""
+    """Adam moments over a flat parameter vector plus the step counter."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    moments: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)
+    m: Tensor | None = None
+    v: Tensor | None = None
+    scratch: Tensor | None = None     # two preallocated temporaries
 
 
-def adam_step(state: AdamState, params: dict[str, Tensor], grads: dict[str, Tensor]) -> None:
-    """One Adam update with bias correction; mutates params in place."""
+def adam_step(state: AdamState, params: Tensor, grads: Tensor) -> None:
+    """One Adam update with bias correction (Kingma & Ba 2015).
+
+    params and grads are flat vectors; params is updated in place. The
+    arithmetic is m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+    p -= lr m_hat / (sqrt(v_hat) + eps), written as in-place operations on
+    preallocated temporaries.
+    """
+    if grads.shape != params.shape:
+        raise ValueError(f"gradient shape {grads.shape} != param shape {params.shape}")
+    if not np.isfinite(grads).all():
+        raise NonFiniteError("non-finite gradient")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+        state.scratch = np.empty((2, *params.shape))
     state.step_count += 1
     t = state.step_count
-    for key, p in params.items():
-        g = grads[key]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {key}")
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"non-finite gradient for {key}")
-        if key not in state.moments:
-            state.moments[key] = (np.zeros_like(p), np.zeros_like(p))
-        m, v = state.moments[key]
-        m *= state.beta1
-        m += (1 - state.beta1) * g
-        v *= state.beta2
-        v += (1 - state.beta2) * g * g
-        m_hat = m / (1 - state.beta1 ** t)
-        v_hat = v / (1 - state.beta2 ** t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
-def stack_param_dicts(stack: LayerStack, layer_grads):
-    """Align stack parameters with per-layer gradient dicts for adam_step."""
-    params: dict[str, Tensor] = {}
-    grads: dict[str, Tensor] = {}
-    for i, layer in enumerate(stack.layers):
-        for name, arr in layer.params().items():
-            key = f"{i}.{layer.kind}.{name}"
-            params[key] = arr
-            grads[key] = layer_grads[i][name]
-    return params, grads
+    m, v, (a, b) = state.m, state.v, state.scratch
+    m *= state.beta1
+    np.multiply(grads, 1 - state.beta1, out=a)
+    m += a
+    v *= state.beta2
+    np.multiply(grads, 1 - state.beta2, out=a)
+    a *= grads
+    v += a
+    np.divide(m, 1 - state.beta1 ** t, out=a)       # m_hat
+    a *= state.lr
+    np.divide(v, 1 - state.beta2 ** t, out=b)       # v_hat
+    np.sqrt(b, out=b)
+    b += state.eps
+    a /= b
+    params -= a
 
 
 def mse_loss_grad(y: Tensor, target: Tensor):
@@ -447,22 +439,19 @@ def grad_check(stack: LayerStack, x: Tensor, target: Tensor, h: float = 1e-5) ->
     """
     y, tape = stack.forward_tape(x)
     _, dy = mse_loss_grad(y, target)
-    _, layer_grads = stack.backward(tape, dy)
+    analytic = stack.backward(tape, dy).copy()
 
     worst = 0.0
-    for i, layer in enumerate(stack.layers):
-        for name, arr in layer.params().items():
-            analytic = layer_grads[i][name]
-            flat = arr.ravel()
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + h
-                lp, _ = mse_loss_grad(stack.forward(x), target)
-                flat[j] = orig - h
-                lm, _ = mse_loss_grad(stack.forward(x), target)
-                flat[j] = orig
-                numeric = (lp - lm) / (2 * h)
-                a = analytic.ravel()[j]
-                rel = abs(a - numeric) / (abs(a) + abs(numeric) + 1e-12)
-                worst = max(worst, rel)
+    flat = stack.params
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + h
+        lp, _ = mse_loss_grad(stack.forward(x), target)
+        flat[j] = orig - h
+        lm, _ = mse_loss_grad(stack.forward(x), target)
+        flat[j] = orig
+        numeric = (lp - lm) / (2 * h)
+        a = analytic[j]
+        rel = abs(a - numeric) / (abs(a) + abs(numeric) + 1e-12)
+        worst = max(worst, rel)
     return worst

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .ndtensor import Layer, LayerSpec, Tensor, as_tensor
+from .ndtensor import Layer, Tensor, as_tensor
 
 
 class T2VLayer(Layer):
@@ -49,25 +49,23 @@ class T2VLayer(Layer):
         y = np.concatenate([linear, np.sin(pre)], axis=2)
         return y, (x, pre)
 
-    def backward(self, cache, grad_out: Tensor):
+    def backward(self, cache, grad_out: Tensor, input_grad: bool = True):
         x, pre = cache
         g_lin = grad_out[:, :, :1]               # (B, N, 1)
         g_pre = grad_out[:, :, 1:] * np.cos(pre)  # chain through the sine
+        rows_t = x.reshape(-1, self.f).T          # (F, B*N)
         grads = {
-            "w0": np.einsum("bnf,bnj->fj", x, g_lin),
+            "w0": rows_t @ g_lin.reshape(-1, 1),
             "b0": g_lin.sum(axis=0),
-            "w": np.einsum("bnf,bnk->fk", x, g_pre),
+            "w": rows_t @ g_pre.reshape(-1, self.k - 1),
             "b": g_pre.sum(axis=0),
         }
-        grad_x = g_lin @ self.w0.T + g_pre @ self.w.T
-        return grad_x, grads
+        if not input_grad:
+            return None, grads
+        return g_lin @ self.w0.T + g_pre @ self.w.T, grads
 
     def hyperparams(self):
         return {"n": self.n, "f": self.f, "k": self.k}
-
-    def spec(self):
-        return LayerSpec("t2v", ("B", self.n, self.f), ("B", self.n, self.k),
-                         self.hyperparams())
 
 
 def t2v_forward(layer: T2VLayer, x: Tensor) -> Tensor:

@@ -284,3 +284,30 @@ def test_unknown_kind_rejected():
 def test_detector_model_validates_kind():
     with pytest.raises(ValueError, match="unknown detector kind"):
         DetectorModel("nope", np.zeros(2), np.ones(2), {}, 0.0, 0.99, np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# non-finite embeddings
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", detect.KINDS)
+def test_fit_rejects_non_finite_embedding_row(kind, value):
+    x = gaussian_blob(n=48, d=6, seed=30)
+    x[17, 3] = value
+    x[30, 0] = value
+    with pytest.raises(ValueError, match="embedding row 17 contains NaN/Inf"):
+        detect.fit(kind, x, CFG)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", detect.KINDS)
+def test_score_rejects_non_finite_embedding_row(small_e2e, kind, value):
+    model = small_e2e["detectors"][kind]
+    x = np.tile(model.scaler_mean, (4, 1))
+    x[2, 5] = value
+    for fn in (detect.score_many, detect.predict_many):
+        with pytest.raises(ValueError, match="embedding row 2 contains NaN/Inf"):
+            fn(model, x)
+    with pytest.raises(ValueError, match="embedding row 0 contains NaN/Inf"):
+        detect.score(model, x[2])

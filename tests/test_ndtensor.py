@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from t2vad import ndtensor as nd
 from t2vad.rng import make_rng
@@ -216,7 +218,7 @@ def test_backward_shape_mismatch_detected():
 def test_adam_zero_gradient_is_identity():
     state = nd.AdamState(lr=0.1)
     p = np.array([1.0, -2.0])
-    nd.adam_step(state, {"p": p}, {"p": np.zeros(2)})
+    nd.adam_step(state, p, np.zeros(2))
     np.testing.assert_array_equal(p, [1.0, -2.0])
 
 
@@ -224,32 +226,32 @@ def test_adam_first_step_hand_computed():
     # g=1: m_hat = 1, v_hat = 1 after bias correction, so the step is ~lr
     state = nd.AdamState(lr=0.1)
     p = np.array([5.0])
-    nd.adam_step(state, {"p": p}, {"p": np.array([1.0])})
+    nd.adam_step(state, p, np.array([1.0]))
     assert abs((5.0 - p[0]) - 0.1) < 1e-8
 
 
 def test_adam_is_stateful_not_lr_scaling():
     p1 = np.array([1.0])
     s1 = nd.AdamState(lr=0.1)
-    nd.adam_step(s1, {"p": p1}, {"p": np.array([1.0])})
-    nd.adam_step(s1, {"p": p1}, {"p": np.array([1.0])})
+    nd.adam_step(s1, p1, np.array([1.0]))
+    nd.adam_step(s1, p1, np.array([1.0]))
     p2 = np.array([1.0])
     s2 = nd.AdamState(lr=0.2)
-    nd.adam_step(s2, {"p": p2}, {"p": np.array([1.0])})
+    nd.adam_step(s2, p2, np.array([1.0]))
     assert p1[0] != p2[0]
 
 
 def test_adam_rejects_nonfinite_gradient():
     state = nd.AdamState()
     with pytest.raises(nd.NonFiniteError):
-        nd.adam_step(state, {"p": np.array([1.0])}, {"p": np.array([np.nan])})
+        nd.adam_step(state, np.array([1.0]), np.array([np.nan]))
 
 
 def test_adam_step_counter_increases():
     state = nd.AdamState()
     p = np.array([1.0])
     for expected in (1, 2, 3):
-        nd.adam_step(state, {"p": p}, {"p": np.array([0.5])})
+        nd.adam_step(state, p, np.array([0.5]))
         assert state.step_count == expected
 
 
@@ -290,3 +292,174 @@ def test_upsample_then_strided_conv_roundtrip_shapes():
     assert down.shape == (2, 4, 4)
     up, _ = nd.Upsample(2).forward(down)
     assert up.shape == (2, 8, 4)
+
+
+# ---------------------------------------------------------------------------
+# training kernels against the formulations they replaced
+# ---------------------------------------------------------------------------
+
+def scatter_conv_input_grad(grad_y, kernels, stride, in_len):
+    """Conv input gradient by per-tap scatter onto the padded input (reference)."""
+    c_out, c_in, k = kernels.shape
+    b, n_out, _ = grad_y.shape
+    kmat = kernels.transpose(2, 1, 0).reshape(k * c_in, c_out)
+    grad_cols = (grad_y.reshape(b * n_out, c_out) @ kmat.T).reshape(b, n_out, k, c_in)
+    pad = (k - 1) // 2
+    grad_xp = np.zeros((b, in_len + 2 * pad, c_in))
+    for t in range(k):
+        grad_xp[:, t:t + stride * n_out:stride, :] += grad_cols[:, :, t, :]
+    return grad_xp[:, pad:pad + in_len, :]
+
+
+def conv_input_grad(x, layer, grad_y):
+    _, cache = layer.forward(x)
+    grad_x, _ = layer.backward(cache, grad_y)
+    return grad_x
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_input_grad_matches_scatter_at_default_shapes(k, stride):
+    rng = make_rng(40 + k + stride)
+    layer = nd.Conv1d(6, 16, k, stride=stride, rng=rng)
+    x = rng.normal(size=(32, 100, 6))
+    grad_y = rng.normal(size=(32, 100 // stride, 16))
+    got = conv_input_grad(x, layer, grad_y)
+    assert got.shape == x.shape
+    ref = scatter_conv_input_grad(grad_y, layer.kernels, stride, 100)
+    assert np.max(np.abs(got - ref)) < 1e-12
+
+
+@given(st.integers(1, 3), st.integers(1, 9), st.sampled_from([1, 3, 5, 7]),
+       st.integers(1, 4), st.integers(1, 4), st.sampled_from([1, 2, 3]),
+       st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+@example(1, 1, 1, 1, 1, 1, 0)
+@example(2, 1, 7, 2, 3, 1, 1)
+def test_conv_input_grad_matches_scatter_property(b, m, k, c_in, c_out, stride, seed):
+    rng = make_rng(seed)
+    n = m * stride
+    layer = nd.Conv1d(c_in, c_out, k, stride=stride, rng=rng)
+    grad_y = rng.normal(size=(b, m, c_out))
+    got = conv_input_grad(rng.normal(size=(b, n, c_in)), layer, grad_y)
+    ref = scatter_conv_input_grad(grad_y, layer.kernels, stride, n)
+    assert np.max(np.abs(got - ref), initial=0.0) < 1e-12
+
+
+def per_parameter_adam(state, params, grads):
+    """Adam over a dict of parameter blocks, one moment pair per block (reference)."""
+    state["t"] += 1
+    t = state["t"]
+    for key, p in params.items():
+        g = grads[key]
+        m, v = state["moments"].setdefault(key, (np.zeros_like(p), np.zeros_like(p)))
+        m *= 0.9
+        m += (1 - 0.9) * g
+        v *= 0.999
+        v += (1 - 0.999) * g * g
+        m_hat = m / (1 - 0.9 ** t)
+        v_hat = v / (1 - 0.999 ** t)
+        p -= state["lr"] * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def layerwise_param_grads(stack, tape, grad_out):
+    """Per-layer gradient dicts from a full backward, input gradients included."""
+    grads, g = {}, grad_out
+    for idx in range(len(stack.layers) - 1, -1, -1):
+        g, pgrads = stack.layers[idx].backward(tape[idx], g)
+        assert g is not None
+        for name, arr in pgrads.items():
+            grads[(idx, name)] = arr
+    return grads
+
+
+def keyed_params(stack):
+    return {(idx, name): arr for idx, layer in enumerate(stack.layers)
+            for name, arr in layer.params().items()}
+
+
+def t2v_stack(seed):
+    rng = make_rng(seed)
+    return nd.LayerStack([T2VLayer(12, 3, 4, rng=rng), nd.Flatten(), nd.Reshape(12, 4),
+                          nd.Conv1d(4, 5, 5, rng=rng), nd.ReLU(),
+                          nd.Conv1d(5, 3, 3, rng=rng)]), (6, 12, 3)
+
+
+def recon_stack(seed):
+    rng = make_rng(seed)
+    return nd.LayerStack([nd.Conv1d(3, 5, 5, stride=2, rng=rng), nd.ReLU(),
+                          nd.Conv1d(5, 5, 3, stride=2, rng=rng), nd.ReLU(),
+                          nd.Upsample(2), nd.Conv1d(5, 5, 3, rng=rng), nd.ReLU(),
+                          nd.Upsample(2), nd.Conv1d(5, 3, 5, rng=rng)]), (6, 12, 3)
+
+
+def svdd_stack(seed):
+    from t2vad.detect.deepsvdd import build_network
+    return build_network(10, (16, 4), make_rng(seed)), (6, 10)
+
+
+STACKS = {"t2v": t2v_stack, "recon": recon_stack, "svdd": svdd_stack}
+
+
+@pytest.mark.parametrize("name", sorted(STACKS))
+def test_stack_backward_skipping_first_input_grad_is_bitwise_full(name):
+    stack, shape = STACKS[name](50)
+    rng = make_rng(51)
+    x = rng.normal(size=shape)
+    y, tape = stack.forward_tape(x)
+    grad_out = rng.normal(size=y.shape)
+    full = layerwise_param_grads(stack, tape, grad_out)
+    flat = stack.backward(tape, grad_out)
+    assert np.array_equal(flat, np.concatenate([full[key].ravel() for key in keyed_params(stack)]))
+    for key, arr in full.items():
+        view = stack._grad_views[key[0]][key[1]]
+        assert np.array_equal(view, arr)
+
+
+# weight decay applies to the bias-free Deep SVDD net only
+@pytest.mark.parametrize("name, weight_decay",
+                         [("t2v", 0.0), ("recon", 0.0), ("svdd", 0.0), ("svdd", 1e-2)])
+def test_flat_adam_is_bitwise_per_parameter_adam(name, weight_decay):
+    flat_stack, shape = STACKS[name](60)
+    ref_stack, _ = STACKS[name](60)
+    rng = make_rng(61)
+    adam = nd.AdamState(lr=1e-2)
+    ref_state = {"t": 0, "lr": 1e-2, "moments": {}}
+    for _ in range(25):
+        x = rng.normal(size=shape)
+        target = rng.normal(size=flat_stack.forward(x).shape)
+
+        y, tape = flat_stack.forward_tape(x)
+        grads = flat_stack.backward(tape, nd.mse_loss_grad(y, target)[1])
+        grads += 2.0 * weight_decay * flat_stack.params
+        nd.adam_step(adam, flat_stack.params, grads)
+
+        y, tape = ref_stack.forward_tape(x)
+        ref_grads = layerwise_param_grads(ref_stack, tape, nd.mse_loss_grad(y, target)[1])
+        ref_params = keyed_params(ref_stack)
+        ref_grads = {key: g + 2.0 * weight_decay * ref_params[key]
+                     for key, g in ref_grads.items()}
+        per_parameter_adam(ref_state, ref_params, ref_grads)
+
+        for key, p in keyed_params(flat_stack).items():
+            assert np.array_equal(p, ref_params[key]), key
+    assert adam.step_count == 25
+
+
+def test_layer_params_are_views_into_the_stack_vector():
+    stack, _ = t2v_stack(70)
+    assert stack.params.size == sum(arr.size for arr in keyed_params(stack).values())
+    for arr in keyed_params(stack).values():
+        assert np.shares_memory(arr, stack.params)
+    stack.params[:] = 0.5
+    assert np.all(stack.layers[0].w0 == 0.5) and np.all(stack.layers[-1].bias == 0.5)
+
+
+def test_adam_rejects_shape_mismatch_and_leaves_params_on_nan():
+    state = nd.AdamState()
+    with pytest.raises(ValueError, match="shape"):
+        nd.adam_step(state, np.zeros(3), np.zeros(2))
+    p = np.array([1.0, 2.0])
+    with pytest.raises(nd.NonFiniteError):
+        nd.adam_step(state, p, np.array([0.5, np.inf]))
+    assert np.array_equal(p, [1.0, 2.0]) and state.step_count == 0

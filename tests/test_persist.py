@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from t2vad import detect
-from t2vad.autoenc import embed, recon_score
+from t2vad.autoenc import embed, recon_score, train
 from t2vad.persist import (ChecksumError, SchemaError, decode_array, encode_array,
                            load_corpus, load_detector, load_model, load_testsuite,
                            save_corpus, save_detector, save_model, save_testsuite)
@@ -113,3 +114,15 @@ def test_detector_roundtrip_scores_bit_identical(tmp_path, small_e2e, kind):
     np.testing.assert_array_equal(detect.score_many(loaded, probes),
                                   detect.score_many(model, probes))
     assert loaded.threshold == model.threshold
+
+
+def test_loaded_model_layers_train_through_the_flat_vector(tmp_path, small_e2e):
+    path = tmp_path / "model.json"
+    save_model(path, small_e2e["t2v_model"])
+    loaded, _ = load_model(path)
+    before = [arr.copy() for layer in loaded.stack.layers for arr in layer.params().values()]
+    one_step = replace(loaded.config, epochs=1, batch=len(small_e2e["corpus"].train_windows))
+    train(loaded, small_e2e["corpus"].train_windows, one_step)
+    after = [arr for layer in loaded.stack.layers for arr in layer.params().values()]
+    assert all(np.shares_memory(arr, loaded.stack.params) for arr in after)
+    assert all(not np.array_equal(a, b) for a, b in zip(before, after))
