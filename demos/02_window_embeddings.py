@@ -9,15 +9,16 @@ the sine columns stay in [-1, 1].
 import numpy as np
 
 from t2vad.rng import make_rng
-from t2vad.t2v import T2VLayer, t2v_flatten, t2v_forward, t2v_forward_reference
+from t2vad.t2v import T2VLayer, t2v_forward_reference
 
 rng = make_rng(3)
 layer = T2VLayer(n=100, f=6, k=7, rng=rng)
 window = rng.normal(size=(100, 6))
 
-emb = t2v_forward(layer, window)
+# the layer works on batches; one window is a batch of one
+emb = layer.forward(window[None])[0][0]
 print(f"window {window.shape} -> embedding matrix {emb.shape}")
-print(f"flattened vector length: {t2v_flatten(emb).shape[0]} (= 100 * 7)")
+print(f"flattened vector length: {emb.reshape(-1).shape[0]} (= 100 * 7)")
 
 # the matrix form agrees with a plain per-entry evaluation
 ref = t2v_forward_reference(layer, window)
@@ -30,7 +31,7 @@ print(f"sine columns range:   [{emb[:, 1:].min():+.2f}, {emb[:, 1:].max():+.2f}]
 # a step anomaly shifts the affine column exactly after its onset
 stepped = window.copy()
 stepped[60:, :] += 3.0 * window.std(axis=0)
-emb_step = t2v_forward(layer, stepped)
+emb_step = layer.forward(stepped[None])[0][0]
 delta = np.abs(emb_step - emb)[:, 0]
 print(f"\nstep at row 60: affine-column shift before onset {delta[:60].max():.3f}, "
       f"after onset {delta[60:].mean():.3f}")

@@ -1,7 +1,8 @@
 """The two window autoencoders and their training loop.
 
-Embedding AE: time-embedding layer -> flatten (the N*K embedding) ->
-reshape -> stack of same-padding 1-D conv blocks decoding back to N x F.
+Embedding AE: time-embedding layer -> stack of same-padding 1-D conv
+blocks decoding its N x K output back to N x F. A window's embedding is
+that N x K output flattened row-major to N*K.
 Baseline AE: strided conv encoder that halves the time axis per block,
 mirrored by upsample+conv decoder blocks. Both train with minibatch Adam
 on elementwise MSE; DTW is used only to score candidate configurations
@@ -72,15 +73,11 @@ class TrainedModel:
 
 
 def build_t2v_ae(cfg: AEConfig, n: int, f: int) -> TrainedModel:
-    """Untrained embedding AE: t2v -> flatten -> reshape -> conv decoder."""
+    """Untrained embedding AE: t2v -> conv decoder."""
     if cfg.variant != "t2v":
         raise ValueError(f"config variant is {cfg.variant!r}, expected 't2v'")
     rng = make_rng(cfg.seed)
-    layers: list[nd.Layer] = [
-        T2VLayer(n, f, cfg.k, rng=rng),
-        nd.Flatten(),
-        nd.Reshape(n, cfg.k),
-    ]
+    layers: list[nd.Layer] = [T2VLayer(n, f, cfg.k, rng=rng)]
     channels = [cfg.k] + [cfg.filters] * (cfg.decoder_layers - 1) + [f]
     for i in range(cfg.decoder_layers):
         layers.append(nd.Conv1d(channels[i], channels[i + 1], cfg.kernel, rng=rng))
@@ -164,25 +161,38 @@ def train(model: TrainedModel, windows: list[Window], cfg: AEConfig | None = Non
     return model
 
 
-def embed(model: TrainedModel, window: Window | np.ndarray) -> np.ndarray:
-    """N*K embedding of one window: output of the flatten stage."""
+def _finite_windows(data: np.ndarray) -> np.ndarray:
+    """data unchanged; a NaN/Inf window raises instead of leaking NaN downstream."""
+    bad = first_nonfinite(data)
+    if bad is not None:
+        raise ValueError(f"window {bad} contains NaN/Inf")
+    return data
+
+
+def _embed(model: TrainedModel, data: np.ndarray) -> np.ndarray:
+    """(B, N*K): the t2v layer's (B, N, K) output, each window flattened row-major."""
     if model.config.variant != "t2v":
         raise ValueError("embeddings come from the t2v variant only")
+    return model.stack.layers[0].forward(_finite_windows(data))[0].reshape(len(data), -1)
+
+
+def embed(model: TrainedModel, window: Window | np.ndarray) -> np.ndarray:
+    """N*K embedding of one window: `embed_many` with B=1."""
     x = window.data if isinstance(window, Window) else np.asarray(window, dtype=np.float64)
-    return model.stack.forward_until(x[None], "flatten")[0]
+    return _embed(model, x[None])[0]
 
 
 def embed_many(model: TrainedModel, windows: list[Window]) -> np.ndarray:
-    if model.config.variant != "t2v":
-        raise ValueError("embeddings come from the t2v variant only")
-    return model.stack.forward_until(corpus_data(windows), "flatten")
+    """(B, N*K) embeddings of `windows`; raises ValueError naming the first
+    window that holds a NaN or Inf."""
+    return _embed(model, corpus_data(windows))
 
 
 def reconstruct(model: TrainedModel, window: Window | np.ndarray) -> np.ndarray:
     x = window.data if isinstance(window, Window) else np.asarray(window, dtype=np.float64)
     if x.shape != (model.n, model.f):
         raise ValueError(f"window is {x.shape}, model expects {(model.n, model.f)}")
-    return model.stack.forward(x[None])[0]
+    return model.stack.forward(_finite_windows(x[None]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +228,7 @@ def score_components_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 3 or data.shape[1:] != (model.n, model.f):
         raise ValueError(f"windows are {data.shape}, model expects (B, {model.n}, {model.f})")
-    bad = first_nonfinite(data)
-    if bad is not None:
-        raise ValueError(f"window {bad} contains NaN/Inf")
+    _finite_windows(data)
     comps = np.empty((len(data), 3))
     for start in range(0, len(data), SCORE_CHUNK):
         x = data[start:start + SCORE_CHUNK]

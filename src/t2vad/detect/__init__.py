@@ -11,6 +11,7 @@ scores.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,38 @@ from .lof import fit_lof, score_lof
 from .ocsvm import default_gamma, fit_ocsvm, rbf_kernel, score_ocsvm
 from .pca import pca_fit, pca_transform
 
-KINDS = ("iforest", "lof", "ocsvm", "ee", "deep_svdd")
+
+class Kind(NamedTuple):
+    """How one detector kind fits, scores and reports its training scores."""
+
+    fit: Callable          # (z, cfg, rng, seed) -> state
+    score: Callable        # (state, z) -> scores, higher = more anomalous
+    train_scores: Callable | None = None   # (state, z) -> scores; None: score(state, z)
+    pca_dims: Callable | None = None       # cfg -> PCA dimensions to reduce to first
+
+
+# The fit entries look `fit_<kind>` up in this module when called, so a
+# wrapper later bound to that name (a profiler's, say) sees every fit.
+KINDS = {
+    "iforest": Kind(
+        lambda z, cfg, rng, seed: fit_iforest(z, cfg.iforest_trees, cfg.iforest_subsample, rng),
+        score_iforest),
+    "lof": Kind(
+        lambda z, cfg, rng, seed: fit_lof(z, cfg.lof_k),
+        score_lof, train_scores=lambda state, z: state["train_lof"]),
+    "ocsvm": Kind(
+        lambda z, cfg, rng, seed: fit_ocsvm(z, cfg.ocsvm_nu, cfg.ocsvm_gamma, cfg.ocsvm_tol,
+                                            cfg.ocsvm_max_passes),
+        score_ocsvm),
+    "ee": Kind(
+        lambda z, cfg, rng, seed: fit_ee(z, cfg.ee_support_fraction, cfg.ee_n_starts, rng),
+        score_ee, pca_dims=lambda cfg: cfg.ee_pca_dims),
+    "deep_svdd": Kind(
+        lambda z, cfg, rng, seed: fit_deep_svdd(z, cfg.svdd_widths, cfg.svdd_epochs,
+                                                cfg.svdd_batch, cfg.svdd_lr,
+                                                cfg.svdd_weight_decay, seed),
+        score_deep_svdd),
+}
 
 __all__ = [
     "KINDS", "DetectorConfig", "DetectorModel", "fit", "score", "score_many",
@@ -114,30 +146,14 @@ def fit(kind: str, x: np.ndarray, cfg: DetectorConfig = DetectorConfig()) -> Det
     std = np.maximum(x.std(axis=0), 1e-12)
     z = _standardize(x, mean, std)
 
+    spec = KINDS[kind]
     pca_basis = pca_mean = None
-    if kind == "ee":
-        n_dims = min(cfg.ee_pca_dims, d)
-        pca_basis, pca_mean = pca_fit(z, n_dims)
+    if spec.pca_dims is not None:
+        pca_basis, pca_mean = pca_fit(z, min(spec.pca_dims(cfg), d))
         z = pca_transform(z, pca_basis, pca_mean)
 
-    if kind == "iforest":
-        state = fit_iforest(z, cfg.iforest_trees, cfg.iforest_subsample, rng)
-        raw = score_iforest(state, z)
-    elif kind == "lof":
-        state = fit_lof(z, cfg.lof_k)
-        raw = state["train_lof"]
-    elif kind == "ocsvm":
-        state = fit_ocsvm(z, cfg.ocsvm_nu, cfg.ocsvm_gamma, cfg.ocsvm_tol,
-                          cfg.ocsvm_max_passes)
-        raw = score_ocsvm(state, z)
-    elif kind == "ee":
-        state = fit_ee(z, cfg.ee_support_fraction, cfg.ee_n_starts, rng)
-        raw = score_ee(state, z)
-    else:
-        state = fit_deep_svdd(z, cfg.svdd_widths, cfg.svdd_epochs, cfg.svdd_batch,
-                              cfg.svdd_lr, cfg.svdd_weight_decay, seed)
-        raw = score_deep_svdd(state, z)
-
+    state = spec.fit(z, cfg, rng, seed)
+    raw = (spec.train_scores or spec.score)(state, z)
     train_scores = np.asarray(raw, dtype=np.float64)
     threshold = float(np.quantile(train_scores, cfg.threshold_quantile))
     return DetectorModel(kind, mean, std, state, threshold, cfg.threshold_quantile,
@@ -145,16 +161,7 @@ def fit(kind: str, x: np.ndarray, cfg: DetectorConfig = DetectorConfig()) -> Det
 
 
 def score_many(model: DetectorModel, x: np.ndarray) -> np.ndarray:
-    z = _transform(model, x)
-    if model.kind == "iforest":
-        return score_iforest(model.state, z)
-    if model.kind == "lof":
-        return score_lof(model.state, z)
-    if model.kind == "ocsvm":
-        return score_ocsvm(model.state, z)
-    if model.kind == "ee":
-        return score_ee(model.state, z)
-    return score_deep_svdd(model.state, z)
+    return KINDS[model.kind].score(model.state, _transform(model, x))
 
 
 def score(model: DetectorModel, x: np.ndarray) -> float:

@@ -51,10 +51,10 @@ def fit_deep_svdd(x: np.ndarray, widths, epochs: int, batch: int, lr: float,
             grads = net.backward(tape, dy)
             grads += 2.0 * weight_decay * net.params     # bias-free: every parameter is a weight
             nd.adam_step(adam, net.params, grads)
-    return {"net": net, "center": center, "widths": list(widths)}
+    return {"layers": net, "center": center, "widths": list(widths)}
 
 
 def score_deep_svdd(state: dict, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    diff = state["net"].forward(x) - state["center"]
+    diff = state["layers"].forward(x) - state["center"]
     return (diff * diff).sum(axis=1)

@@ -1,15 +1,14 @@
 """Minimal dense numeric core for the window autoencoders.
 
-Tensors are plain float64 numpy arrays (1-3 dims, row-major). The layer
-vocabulary is fixed: t2v, conv1d, dense, relu, sin, flatten, reshape,
-upsample. Each layer implements an explicit forward that returns a cache and
-a backward that consumes it, so a :class:`LayerStack` can record a tape and
-replay it in exact reverse order. Gradients are checked against central
-finite differences by :func:`grad_check`.
+Tensors are plain float64 numpy arrays, row-major. The layer vocabulary is
+fixed: conv1d, dense, relu and upsample here, plus the t2v layer in
+:mod:`t2vad.t2v`. Each layer implements an explicit forward that returns a
+cache and a backward that consumes it, so a :class:`LayerStack` can record
+a tape and replay it in exact reverse order. Gradients are checked against
+central finite differences by :func:`grad_check`.
 
-Layers operate on batches: time-series layers take ``(B, N, C)``, dense
-layers take ``(B, D)``. The module-level ``matmul`` / ``conv1d_forward``
-helpers are the single-window entry points.
+Layers operate on batches only: time-series layers take ``(B, N, C)``,
+dense layers take ``(B, D)``. A single window is a batch with B=1.
 """
 
 from __future__ import annotations
@@ -21,65 +20,14 @@ import numpy as np
 
 Tensor = np.ndarray
 
-LAYER_KINDS = ("t2v", "conv1d", "dense", "relu", "sin", "flatten", "reshape", "upsample")
-
 
 class NonFiniteError(FloatingPointError):
     """A tensor left the finite domain (NaN or Inf)."""
 
 
-def as_tensor(data, shape: tuple[int, ...] | None = None) -> Tensor:
-    """Coerce to a float64 array of 1-3 dims, optionally checking shape."""
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim > 3:
-        raise ValueError(f"tensors are 1-3 dimensional, got ndim={arr.ndim}")
-    if shape is not None and arr.shape != tuple(shape):
-        raise ValueError(f"expected shape {tuple(shape)}, got {arr.shape}")
-    return arr
-
-
-def check_finite(arr: Tensor, context: str = "tensor") -> Tensor:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{context} contains NaN/Inf")
-    return arr
-
-
 # ---------------------------------------------------------------------------
-# free functions (single-window API)
+# batched conv kernels
 # ---------------------------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Standard matrix product with explicit inner-dimension check."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-D tensors")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def conv1d_forward(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
-    """1-D convolution over the time axis with "same" zero padding.
-
-    x: (N, C_in); kernels: (C_out, C_in, k) with k odd; bias: (C_out,).
-    Output length is N // stride (N when stride is 1).
-    """
-    x = as_tensor(x)
-    kernels = as_tensor(kernels)
-    bias = as_tensor(bias)
-    if x.ndim != 2 or kernels.ndim != 3:
-        raise ValueError("conv1d_forward expects x (N,C_in) and kernels (C_out,C_in,k)")
-    c_out, c_in, k = kernels.shape
-    if x.shape[1] != c_in:
-        raise ValueError(f"input has {x.shape[1]} channels, kernels expect {c_in}")
-    if bias.shape != (c_out,):
-        raise ValueError(f"bias must have shape ({c_out},)")
-    y, _ = _conv1d_batch(x[None], kernels, bias, stride)
-    return y[0]
-
 
 def _im2col(x: Tensor, k: int, stride: int) -> Tensor:
     """(B, N, C) -> (B, N_out, k, C) sliding windows over zero-padded time axis."""
@@ -97,8 +45,6 @@ def _im2col(x: Tensor, k: int, stride: int) -> Tensor:
 
 def _conv1d_batch(x: Tensor, kernels: Tensor, bias: Tensor, stride: int):
     c_out, c_in, k = kernels.shape
-    if k % 2 == 0:
-        raise ValueError(f"kernel size must be odd for same padding, got {k}")
     if stride < 1 or x.shape[1] % stride != 0:
         raise ValueError(f"time axis {x.shape[1]} not divisible by stride {stride}")
     cols = _im2col(x, k, stride)                      # (B, N_out, k, C_in)
@@ -242,51 +188,6 @@ class ReLU(Layer):
         return grad_out * (cache > 0), {}
 
 
-class Sin(Layer):
-    kind = "sin"
-
-    def forward(self, x):
-        return np.sin(x), x
-
-    def backward(self, cache, grad_out, input_grad=True):
-        # d sin(z)/dz = cos(z) at the cached pre-activation
-        return grad_out * np.cos(cache), {}
-
-
-class Flatten(Layer):
-    """(B, N, K) -> (B, N*K), row-major."""
-
-    kind = "flatten"
-
-    def forward(self, x):
-        b, n, k = x.shape
-        return x.reshape(b, n * k), (n, k)
-
-    def backward(self, cache, grad_out, input_grad=True):
-        n, k = cache
-        return grad_out.reshape(grad_out.shape[0], n, k), {}
-
-
-class Reshape(Layer):
-    """(B, N*K) -> (B, N, K)."""
-
-    kind = "reshape"
-
-    def __init__(self, n: int, k: int):
-        self.n, self.k = n, k
-
-    def forward(self, x):
-        if x.shape[1] != self.n * self.k:
-            raise ValueError(f"cannot reshape {x.shape[1]} to ({self.n},{self.k})")
-        return x.reshape(x.shape[0], self.n, self.k), None
-
-    def backward(self, cache, grad_out, input_grad=True):
-        return grad_out.reshape(grad_out.shape[0], self.n * self.k), {}
-
-    def hyperparams(self):
-        return {"n": self.n, "k": self.k}
-
-
 class Upsample(Layer):
     """Nearest-neighbor repetition along the time axis by an integer factor."""
 
@@ -351,14 +252,6 @@ class LayerStack:
             x, cache = layer.forward(x)
             tape.append(cache)
         return x, tape
-
-    def forward_until(self, x: Tensor, stop_kind: str) -> Tensor:
-        """Forward through layers up to and including the first `stop_kind` layer."""
-        for layer in self.layers:
-            x, _ = layer.forward(x)
-            if layer.kind == stop_kind:
-                return x
-        raise ValueError(f"stack has no {stop_kind!r} layer")
 
     def backward(self, tape, grad_out: Tensor) -> Tensor:
         """Reverse traversal of the tape into ``grads``, which it returns.

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import ndtensor as nd
 from .autoenc import AEConfig, ScoreCalibration, TrainedModel
-from .detect import DetectorConfig, DetectorModel
+from .detect import KINDS, DetectorConfig, DetectorModel
 from .evaluate import EvalReport
 from .inject import TestSuite
 from .pipeline import Corpus, Window
@@ -89,6 +89,8 @@ def load_json_checked(path: str, expected_kind: str) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ChecksumError(f"{path}: not a valid document ({exc})") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     if doc.get("kind") != expected_kind:
         raise SchemaError(f"{path}: expected a {expected_kind} file, got {doc.get('kind')!r}")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -168,6 +170,9 @@ def load_testsuite(path: str) -> TestSuite:
 # models
 # ---------------------------------------------------------------------------
 
+LAYERS = {cls.kind: cls for cls in (T2VLayer, nd.Conv1d, nd.Dense, nd.ReLU, nd.Upsample)}
+
+
 def _layer_doc(layer: nd.Layer) -> dict:
     return {
         "kind": layer.kind,
@@ -177,29 +182,20 @@ def _layer_doc(layer: nd.Layer) -> dict:
 
 
 def _layer_from_doc(doc: dict) -> nd.Layer:
-    kind = doc["kind"]
-    hp = doc["hyperparams"]
-    if kind == "t2v":
-        layer: nd.Layer = T2VLayer(hp["n"], hp["f"], hp["k"])
-    elif kind == "conv1d":
-        layer = nd.Conv1d(hp["c_in"], hp["c_out"], hp["k"], hp["stride"])
-    elif kind == "dense":
-        layer = nd.Dense(hp["d_in"], hp["d_out"], hp["use_bias"])
-    elif kind == "relu":
-        layer = nd.ReLU()
-    elif kind == "sin":
-        layer = nd.Sin()
-    elif kind == "flatten":
-        layer = nd.Flatten()
-    elif kind == "reshape":
-        layer = nd.Reshape(hp["n"], hp["k"])
-    elif kind == "upsample":
-        layer = nd.Upsample(hp["factor"])
-    else:
-        raise SchemaError(f"unknown layer kind {kind!r}")
+    """Rebuild a layer as ``cls(**hyperparams)`` and fill in its parameters."""
+    cls = LAYERS.get(doc["kind"])
+    if cls is None:
+        raise SchemaError(f"unknown layer kind {doc['kind']!r}")
+    try:
+        layer = cls(**doc["hyperparams"])
+    except TypeError as exc:
+        raise SchemaError(f"bad {doc['kind']} hyperparameters: {exc}") from None
+    params = layer.params()
+    if set(doc["params"]) != set(params):
+        raise SchemaError(f"{doc['kind']} layer has parameters {sorted(doc['params'])}, "
+                          f"expected {sorted(params)}")
     for name, enc in doc["params"].items():
-        arr = layer.params()[name]
-        arr[...] = decode_array(enc)
+        params[name][...] = decode_array(enc)
     return layer
 
 
@@ -244,42 +240,23 @@ def load_model(path: str) -> tuple[TrainedModel, ScoreCalibration | None]:
 # detectors
 # ---------------------------------------------------------------------------
 
-def _detector_state_doc(kind: str, state: dict) -> dict:
-    if kind == "iforest":
-        return {"trees": state["trees"], "subsample": state["subsample"]}
-    if kind == "lof":
-        return {"x": encode_array(state["x"]), "k": state["k"],
-                "kdist": encode_array(state["kdist"]), "lrd": encode_array(state["lrd"]),
-                "train_lof": encode_array(state["train_lof"])}
-    if kind == "ocsvm":
-        return {"sv": encode_array(state["sv"]), "alpha": encode_array(state["alpha"]),
-                "alpha_full": encode_array(state["alpha_full"]), "rho": state["rho"],
-                "gamma": state["gamma"], "nu": state["nu"], "box": state["box"],
-                "iterations": state["iterations"]}
-    if kind == "ee":
-        return {"mu": encode_array(state["mu"]), "cov": encode_array(state["cov"]),
-                "h": state["h"]}
-    return {"widths": state["widths"], "center": encode_array(state["center"]),
-            "layers": [_layer_doc(layer) for layer in state["net"].layers]}
+def _encode_value(value):
+    """One rule for every detector state: arrays become encoded blocks, a layer
+    stack becomes its layer docs, anything else is stored as is."""
+    if isinstance(value, np.ndarray):
+        return encode_array(value)
+    if isinstance(value, nd.LayerStack):
+        return [_layer_doc(layer) for layer in value.layers]
+    return value
 
 
-def _detector_state_from_doc(kind: str, doc: dict) -> dict:
-    if kind == "iforest":
-        return {"trees": doc["trees"], "subsample": doc["subsample"]}
-    if kind == "lof":
-        return {"x": decode_array(doc["x"]), "k": doc["k"],
-                "kdist": decode_array(doc["kdist"]), "lrd": decode_array(doc["lrd"]),
-                "train_lof": decode_array(doc["train_lof"])}
-    if kind == "ocsvm":
-        return {"sv": decode_array(doc["sv"]), "alpha": decode_array(doc["alpha"]),
-                "alpha_full": decode_array(doc["alpha_full"]), "rho": doc["rho"],
-                "gamma": doc["gamma"], "nu": doc["nu"], "box": doc["box"],
-                "iterations": doc["iterations"]}
-    if kind == "ee":
-        return {"mu": decode_array(doc["mu"]), "cov": decode_array(doc["cov"]),
-                "h": doc["h"]}
-    return {"widths": doc["widths"], "center": decode_array(doc["center"]),
-            "net": nd.LayerStack([_layer_from_doc(d) for d in doc["layers"]])}
+def _decode_value(value):
+    """Inverse of `_encode_value`."""
+    if isinstance(value, dict) and set(value) == {"shape", "dtype", "data"}:
+        return decode_array(value)
+    if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+        return nd.LayerStack([_layer_from_doc(d) for d in value])
+    return value
 
 
 def save_detector(path: str, model: DetectorModel) -> None:
@@ -296,7 +273,7 @@ def save_detector(path: str, model: DetectorModel) -> None:
         "train_scores": encode_array(model.train_scores),
         "config": asdict(model.config),
         "seed": model.seed,
-        "state": _detector_state_doc(model.kind, model.state),
+        "state": {key: _encode_value(value) for key, value in model.state.items()},
     }
     atomic_write_json(path, doc)
 
@@ -304,13 +281,15 @@ def save_detector(path: str, model: DetectorModel) -> None:
 def load_detector(path: str) -> DetectorModel:
     doc = load_json_checked(path, "detector")
     kind = doc["detector"]
+    if kind not in KINDS:
+        raise SchemaError(f"{path}: unknown detector kind {kind!r}")
     cfg_dict = dict(doc["config"])
     cfg_dict["svdd_widths"] = tuple(cfg_dict["svdd_widths"])
     return DetectorModel(
         kind,
         decode_array(doc["scaler_mean"]),
         decode_array(doc["scaler_std"]),
-        _detector_state_from_doc(kind, doc["state"]),
+        {key: _decode_value(value) for key, value in doc["state"].items()},
         doc["threshold"],
         doc["threshold_quantile"],
         decode_array(doc["train_scores"]),

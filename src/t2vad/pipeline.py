@@ -60,8 +60,9 @@ class Window:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.shape != (WINDOW_STEPS, self.data.shape[1]):
-            raise ValueError(f"window must have {WINDOW_STEPS} rows, got {self.data.shape}")
+        if self.data.ndim != 2 or len(self.data) != WINDOW_STEPS:
+            raise ValueError(f"window must be {WINDOW_STEPS} rows x F features, "
+                             f"got shape {self.data.shape}")
         self.tags = frozenset(self.tags)
         expected = "anomalous" if self.tags & ANOMALY_TAGS else "normal"
         if self.label != expected:

@@ -4,7 +4,8 @@ Maps an N x F window X to an N x K matrix: column 0 is the affine map
 X w0 + b0 (non-periodic part), columns 1..K-1 are sin(X w + b) elementwise
 (periodic part), with w0 (F x 1), b0 (N x 1), w (F x (K-1)) and b
 (N x (K-1)). Flattened row-major, the matrix becomes the N*K embedding
-vector consumed by the one-class detectors.
+vector consumed by the one-class detectors: the embedding AE's window
+embedding is this layer's output reshaped, with nothing in between.
 
 Biases are timestep-dependent (one row per step); that is what makes the
 embedding sensitive to where in the window a pattern occurs.
@@ -16,11 +17,15 @@ import math
 
 import numpy as np
 
-from .ndtensor import Layer, Tensor, as_tensor
+from .ndtensor import Layer, Tensor
 
 
 class T2VLayer(Layer):
-    """Batched time-embedding layer; single-window ops below delegate here."""
+    """Batched time-embedding layer: (B, N, F) windows -> (B, N, K) matrices.
+
+    A single window is the B=1 case; `t2v_forward_reference` is the
+    entrywise oracle for one window.
+    """
 
     kind = "t2v"
 
@@ -66,40 +71,6 @@ class T2VLayer(Layer):
 
     def hyperparams(self):
         return {"n": self.n, "f": self.f, "k": self.k}
-
-
-def t2v_forward(layer: T2VLayer, x: Tensor) -> Tensor:
-    """Embed one N x F window as an N x K matrix."""
-    x = as_tensor(x, (layer.n, layer.f))
-    y, _ = layer.forward(x[None])
-    return y[0]
-
-
-def t2v_backward(layer: T2VLayer, x: Tensor, upstream: Tensor):
-    """Gradients of a scalar loss w.r.t. the window and all four parameter blocks.
-
-    Returns (grad_x, grad_w0, grad_b0, grad_w, grad_b).
-    """
-    x = as_tensor(x, (layer.n, layer.f))
-    upstream = as_tensor(upstream, (layer.n, layer.k))
-    _, cache = layer.forward(x[None])
-    grad_x, grads = layer.backward(cache, upstream[None])
-    return grad_x[0], grads["w0"], grads["b0"], grads["w"], grads["b"]
-
-
-def t2v_flatten(m: Tensor) -> Tensor:
-    """Row-major flattening of an N x K embedding matrix to length N*K."""
-    m = as_tensor(m)
-    if m.ndim != 2:
-        raise ValueError(f"t2v_flatten expects a 2-D tensor, got ndim={m.ndim}")
-    return m.reshape(-1)
-
-
-def t2v_unflatten(v: Tensor, n: int, k: int) -> Tensor:
-    v = as_tensor(v)
-    if v.ndim != 1 or v.size != n * k:
-        raise ValueError(f"cannot unflatten length {v.size} to ({n},{k})")
-    return v.reshape(n, k)
 
 
 def t2v_forward_reference(layer: T2VLayer, x: Tensor) -> Tensor:

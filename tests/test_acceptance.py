@@ -22,7 +22,7 @@ from t2vad.dtw import dtw_bruteforce, dtw_distance
 from t2vad.evaluate import Confusion, prf1
 from t2vad.pipeline import RawSeries, clean, split, windowize, Window
 from t2vad.rng import make_rng
-from t2vad.t2v import T2VLayer, t2v_flatten, t2v_forward
+from t2vad.t2v import T2VLayer
 
 
 def report_pass(num, text):
@@ -117,13 +117,13 @@ def test_criterion_3_embedding_conformance():
         layer.b0[...] = rng.normal(size=(n, 1))
         layer.b[...] = rng.normal(size=(n, k - 1))
         x = rng.normal(size=(n, f))
-        out = t2v_forward(layer, x)
+        out = layer.forward(x[None])[0][0]
         worst = max(worst, float(np.max(np.abs(out - entrywise_embedding(layer, x)))))
         assert np.all(out[:, 1:] >= -1.0) and np.all(out[:, 1:] <= 1.0)
     assert worst < 1e-12, worst
 
     ref = T2VLayer(100, 6, 7, rng=make_rng(89))
-    emb = t2v_flatten(t2v_forward(ref, make_rng(90).normal(size=(100, 6))))
+    emb = ref.forward(make_rng(90).normal(size=(1, 100, 6)))[0].reshape(-1)
     assert emb.shape == (700,)
     report_pass(3, f"embedding matches entrywise oracle on 100 instances "
                    f"(max diff {worst:.1e} < 1e-12); sine columns in [-1,1]; "

@@ -174,6 +174,31 @@ def test_embed_many_matches_single(small_e2e):
         np.testing.assert_array_equal(batch[i], embed(model, w))
 
 
+def test_embed_many_is_the_t2v_output_reshaped_row_major(small_e2e):
+    model = small_e2e["t2v_model"]
+    ws = small_e2e["corpus"].test_windows[:5]
+    t2v_out, _ = model.stack.layers[0].forward(corpus_data(ws))
+    assert np.array_equal(embed_many(model, ws), t2v_out.reshape(len(ws), -1))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_embed_many_rejects_non_finite_window(small_e2e, value):
+    ws = [Window(w.data.copy()) for w in small_e2e["corpus"].train_windows[:6]]
+    ws[2].data[17, 3] = value
+    ws[4].data[0, 0] = value
+    with pytest.raises(ValueError, match="window 2 contains NaN/Inf"):
+        embed_many(small_e2e["t2v_model"], ws)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_reconstruct_rejects_non_finite_window(small_e2e, value):
+    x = small_e2e["corpus"].train_windows[0].data.copy()
+    x[50, 1] = value
+    for model in (small_e2e["t2v_model"], small_e2e["recon_model"]):
+        with pytest.raises(ValueError, match="window 0 contains NaN/Inf"):
+            reconstruct(model, x)
+
+
 def test_padded_rows_differ_only_via_bias_terms():
     """Rows holding the same (padded) value get identical X*w products, so any
     difference between their embedding rows traces back to the row biases."""

@@ -87,6 +87,14 @@ def test_evaluate_and_report(workdir, capsys):
     assert "Reconstruction AE (baseline)" in text and "AN-4F" in text
 
 
+@pytest.mark.parametrize("text", ["[]", "3", "null"])
+def test_report_on_a_non_object_document_exits_1(tmp_path, capsys, text):
+    path = tmp_path / "x.json"
+    path.write_text(text)
+    assert run(["report", "--report", path]) == 1
+    assert "expected a JSON object" in capsys.readouterr().err
+
+
 def test_evaluate_requires_calibrated_baseline(workdir, capsys):
     code = run(["evaluate", "--suite", workdir / "suite.json",
                 "--t2v-model", workdir / "t2v.json",

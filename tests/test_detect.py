@@ -311,3 +311,29 @@ def test_score_rejects_non_finite_embedding_row(small_e2e, kind, value):
             fn(model, x)
     with pytest.raises(ValueError, match="embedding row 0 contains NaN/Inf"):
         detect.score(model, x[2])
+
+
+# ---------------------------------------------------------------------------
+# the kind table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", detect.KINDS)
+def test_fit_calls_the_module_level_fit_function_bound_at_call_time(monkeypatch, kind):
+    """Rebinding `detect.fit_<kind>` (as a tracer does) reaches `detect.fit`."""
+    original = getattr(detect, f"fit_{kind}")
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kind)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(detect, f"fit_{kind}", recording)
+    model = detect.fit(kind, gaussian_blob(n=48, d=6, seed=31),
+                       DetectorConfig(iforest_trees=5, svdd_epochs=1, ee_n_starts=2))
+    assert calls == [kind]
+    assert model.train_scores.shape == (48,)
+
+
+def test_lof_training_scores_are_the_fitted_lof_values():
+    model = detect.fit("lof", gaussian_blob(n=48, d=6, seed=32), CFG)
+    assert np.array_equal(model.train_scores, model.state["train_lof"])

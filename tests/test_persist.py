@@ -6,9 +6,10 @@ import pytest
 
 from t2vad import detect
 from t2vad.autoenc import embed, recon_score, train
-from t2vad.persist import (ChecksumError, SchemaError, decode_array, encode_array,
-                           load_corpus, load_detector, load_model, load_testsuite,
-                           save_corpus, save_detector, save_model, save_testsuite)
+from t2vad.persist import (ChecksumError, SchemaError, atomic_write_json, decode_array,
+                           encode_array, load_corpus, load_detector, load_model,
+                           load_report, load_testsuite, save_corpus, save_detector,
+                           save_model, save_testsuite)
 
 
 def test_array_codec_roundtrip():
@@ -126,3 +127,59 @@ def test_loaded_model_layers_train_through_the_flat_vector(tmp_path, small_e2e):
     after = [arr for layer in loaded.stack.layers for arr in layer.params().values()]
     assert all(np.shares_memory(arr, loaded.stack.params) for arr in after)
     assert all(not np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def rewrite(path, edit):
+    """Apply `edit` to the stored document and re-checksum it."""
+    doc = json.loads(path.read_text())
+    edit(doc)
+    atomic_write_json(str(path), doc)
+
+
+def test_non_object_document_is_a_schema_error(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("[]")
+    with pytest.raises(SchemaError, match="JSON object"):
+        load_report(path)
+
+
+def test_unknown_detector_kind_is_a_schema_error(tmp_path, small_e2e):
+    path = tmp_path / "det.json"
+    save_detector(path, small_e2e["detectors"]["lof"])
+    rewrite(path, lambda doc: doc.update(detector="bogus"))
+    with pytest.raises(SchemaError, match="unknown detector kind 'bogus'"):
+        load_detector(path)
+
+
+def test_model_with_a_flatten_layer_is_a_schema_error(tmp_path, small_e2e):
+    # the t2v AE used to run t2v -> flatten -> reshape -> conv
+    path = tmp_path / "model.json"
+    save_model(path, small_e2e["t2v_model"])
+    old_layers = [{"kind": "flatten", "hyperparams": {}, "params": {}},
+                  {"kind": "reshape", "hyperparams": {"n": 100, "k": 7}, "params": {}}]
+
+    def insert_old_layers(doc):
+        doc["layers"][1:1] = old_layers
+
+    rewrite(path, insert_old_layers)
+    with pytest.raises(SchemaError, match="unknown layer kind 'flatten'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("section", ["hyperparams", "params"])
+def test_layer_doc_with_an_unknown_parameter_name_is_a_schema_error(
+        tmp_path, small_e2e, section):
+    path = tmp_path / "model.json"
+    save_model(path, small_e2e["t2v_model"])
+    extra = 3 if section == "hyperparams" else encode_array(np.zeros(2))
+    rewrite(path, lambda doc: doc["layers"][1][section].update(bogus=extra))
+    with pytest.raises(SchemaError, match="bogus"):
+        load_model(path)
+
+
+def test_layer_doc_missing_a_parameter_is_a_schema_error(tmp_path, small_e2e):
+    path = tmp_path / "model.json"
+    save_model(path, small_e2e["t2v_model"])
+    rewrite(path, lambda doc: doc["layers"][0]["params"].pop("w0"))
+    with pytest.raises(SchemaError, match="w0"):
+        load_model(path)

@@ -254,6 +254,12 @@ def test_window_requires_100_rows():
         Window(np.zeros((90, 6)))
 
 
+@pytest.mark.parametrize("shape", [(100,), (100, 6, 1), ()])
+def test_window_requires_2d_data(shape):
+    with pytest.raises(ValueError, match="100 rows x F features"):
+        Window(np.zeros(shape))
+
+
 def test_corpus_split_validated():
     ws = make_windows(10)
     with pytest.raises(ValueError, match="disjoint"):

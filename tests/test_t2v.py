@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from t2vad import ndtensor as nd
+from t2vad.autoenc import AEConfig, build_t2v_ae, embed
 from t2vad.rng import make_rng
-from t2vad.t2v import (T2VLayer, t2v_backward, t2v_flatten, t2v_forward,
-                       t2v_unflatten)
+from t2vad.t2v import T2VLayer
 
 
 def entrywise_oracle(layer, x):
@@ -22,6 +22,18 @@ def entrywise_oracle(layer, x):
                 + layer.b[row, col]
             out[row, col + 1] = math.sin(pre)
     return out
+
+
+def t2v_forward(layer, x):
+    """N x K embedding matrix of one N x F window: the layer with B=1."""
+    return layer.forward(x[None])[0][0]
+
+
+def t2v_backward(layer, x, upstream):
+    """Input and parameter gradients of sum(upstream * embedding) for one window."""
+    _, cache = layer.forward(x[None])
+    grad_x, grads = layer.backward(cache, upstream[None])
+    return grad_x[0], grads
 
 
 def random_layer(seed, n=5, f=3, k=4):
@@ -59,7 +71,7 @@ def test_forward_matches_entrywise_oracle(seed):
 
 def test_forward_shape_mismatch():
     layer = T2VLayer(5, 3, 4)
-    with pytest.raises(ValueError, match="expected shape"):
+    with pytest.raises(ValueError, match="t2v expects"):
         t2v_forward(layer, np.zeros((4, 3)))
 
 
@@ -89,29 +101,30 @@ def test_column0_additivity():
 
 def test_embedding_dim_invariant_across_inputs():
     layer, rng = random_layer(4)
-    sizes = {t2v_flatten(t2v_forward(layer, rng.normal(size=(5, 3)))).size
+    sizes = {t2v_forward(layer, rng.normal(size=(5, 3))).reshape(-1).size
              for _ in range(5)}
     assert sizes == {5 * 4}
 
 
 # ---------------------------------------------------------------------------
-# flatten
+# flattened embedding
 # ---------------------------------------------------------------------------
 
 def test_flatten_row_major():
-    np.testing.assert_array_equal(
-        t2v_flatten(np.array([[1.0, 2.0], [3.0, 4.0]])), [1.0, 2.0, 3.0, 4.0])
-
-
-def test_flatten_unflatten_roundtrip():
-    rng = make_rng(5)
-    m = rng.normal(size=(100, 7))
-    np.testing.assert_array_equal(t2v_unflatten(t2v_flatten(m), 100, 7), m)
+    # a window's embedding lists the t2v output row by row: entry r*K + c is (r, c)
+    model = build_t2v_ae(AEConfig(variant="t2v", k=3, decoder_layers=1, seed=5), 4, 2)
+    x = make_rng(5).normal(size=(4, 2))
+    out = t2v_forward(model.stack.layers[0], x)
+    emb = embed(model, x)
+    assert emb.shape == (12,)
+    for r in range(4):
+        for c in range(3):
+            assert emb[r * 3 + c] == out[r, c]
 
 
 def test_reference_config_embedding_length():
     layer = T2VLayer(100, 6, 7, rng=make_rng(6))
-    emb = t2v_flatten(t2v_forward(layer, make_rng(7).normal(size=(100, 6))))
+    emb = t2v_forward(layer, make_rng(7).normal(size=(100, 6))).reshape(-1)
     assert emb.shape == (700,)
 
 
@@ -122,8 +135,8 @@ def test_reference_config_embedding_length():
 def test_backward_zero_upstream():
     layer, rng = random_layer(8)
     x = rng.normal(size=(5, 3))
-    grads = t2v_backward(layer, x, np.zeros((5, 4)))
-    for g in grads:
+    grad_x, grads = t2v_backward(layer, x, np.zeros((5, 4)))
+    for g in (grad_x, *grads.values()):
         assert np.array_equal(g, np.zeros_like(g))
 
 
@@ -134,9 +147,9 @@ def test_backward_linear_column_identity():
     x = rng.normal(size=(5, 3))
     upstream = np.zeros((5, 2))
     upstream[:, 0] = rng.normal(size=5)
-    _, grad_w0, grad_b0, _, _ = t2v_backward(layer, x, upstream)
-    np.testing.assert_allclose(grad_w0, x.T @ upstream[:, :1], atol=1e-12)
-    np.testing.assert_allclose(grad_b0, upstream[:, :1], atol=1e-12)
+    _, grads = t2v_backward(layer, x, upstream)
+    np.testing.assert_allclose(grads["w0"], x.T @ upstream[:, :1], atol=1e-12)
+    np.testing.assert_allclose(grads["b0"], upstream[:, :1], atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
