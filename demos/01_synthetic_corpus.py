@@ -7,13 +7,13 @@ would follow: forward fill, quantile fencing, resampling, windowing.
 
 import numpy as np
 
-from t2vad.pipeline import (RawSeries, SynthParams, clean, corpus_data, resample,
-                            split, synth_generate, windowize)
+from t2vad.pipeline import (RawSeries, SynthParams, WindowSet, clean, resample, split,
+                            synth_generate, windowize)
 
 # --- synthetic corpus -------------------------------------------------------
 
 corpus = synth_generate(SynthParams(n_windows=200), seed=7)
-data = corpus_data(corpus.windows)
+data = corpus.windows.data          # one (n, N, F) array
 print(f"generated {data.shape[0]} windows of shape {data.shape[1]}x{data.shape[2]}")
 print(f"split: {len(corpus.train_idx)} train / {len(corpus.test_idx)} test")
 
@@ -40,12 +40,13 @@ resampled = resample(cleaned, window_seconds=2)
 print(f"resample(2s): {len(cleaned)} rows -> {len(resampled)} rows")
 
 windows = windowize(cleaned)
-tags = [sorted(w.tags) for w in windows]
-print(f"windowize: {len(windows)} windows of 100 steps each, tags per window: {tags}")
+tags = [sorted(t) for t in windows.tags]
+print(f"windowize: {windows.data.shape} array, tags per window: {tags}, "
+      f"origins: {windows.origins}")
 
 # the final short remainder was padded by repeating its last row
-padded = windows[-1]
-print("padded tail is constant:", bool(np.all(padded.data[-1] == padded.data[-10])))
+padded = windows.data[-1]
+print("padded tail is constant:", bool(np.all(padded[-1] == padded[-10])))
 
-corpus2 = split(windows * 4, test_fraction=0.10, seed=1)
+corpus2 = split(WindowSet.concat([windows] * 4), test_fraction=0.10, seed=1)
 print(f"split 10%: {len(corpus2.train_idx)} train / {len(corpus2.test_idx)} test")

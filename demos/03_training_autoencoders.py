@@ -25,19 +25,19 @@ from t2vad.rng import make_rng
 corpus = synth_generate(SynthParams(n_windows=120), seed=11)
 
 t2v_cfg = AEConfig(variant="t2v", k=7, decoder_layers=3, epochs=12, batch=16, seed=1)
-t2v_model = train(build_t2v_ae(t2v_cfg, 100, 6), corpus.train_windows)
+t2v_model = train(build_t2v_ae(t2v_cfg, 100, 6), corpus.train_windows.data)
 print(f"embedding AE   loss: {t2v_model.loss_curve[0]:.4f} -> "
       f"{t2v_model.loss_curve[-1]:.4f} over {t2v_cfg.epochs} epochs")
 
 recon_cfg = AEConfig(variant="reconstruction", encoder_layers=2, epochs=12,
                      batch=16, seed=2)
-recon_model = train(build_recon_ae(recon_cfg, 100, 6), corpus.train_windows)
+recon_model = train(build_recon_ae(recon_cfg, 100, 6), corpus.train_windows.data)
 print(f"baseline AE    loss: {recon_model.loss_curve[0]:.4f} -> "
       f"{recon_model.loss_curve[-1]:.4f} "
       f"(bottleneck {bottleneck_length(recon_model)} steps)")
 
-w = corpus.test_windows[0]
-err = np.mean(np.abs(reconstruct(t2v_model, w) - w.data))
+w = corpus.test_windows.data[0]
+err = np.mean(np.abs(reconstruct(t2v_model, w) - w))
 print(f"mean |reconstruction error| on a held-out window: {err:.4f}")
 
 # the backward passes are exact: finite differences agree at toy size

@@ -1,8 +1,10 @@
 """The injection protocol behind the four evaluation sets.
 
-Two anomaly kinds get a window labeled anomalous: a persistent step and
+Two anomaly kinds make a window anomalous: a persistent step and
 periodic spikes with mixture-sampled amplitudes. Two noise kinds leave
-the label at normal; a detector is supposed to ignore them. The suites
+it normal; a detector is supposed to ignore them. Each injector maps one
+(N, F) array to another; the set builder records the injection as a tag
+beside the window, and the tags alone decide `anomalous`. The suites
 A-6F / AN-6F / A-4F / AN-4F combine these over all six features or only
 the four non-flat ones, without or with noise.
 """
@@ -15,29 +17,30 @@ from t2vad.inject import GMMSpec
 from t2vad.pipeline import SynthParams, synth_generate
 
 corpus = synth_generate(SynthParams(n_windows=150, test_fraction=0.2), seed=13)
-w = corpus.test_windows[0]
-sigma = w.data.std(axis=0)
+w = corpus.test_windows.data[0]
+sigma = w.std(axis=0)
 
 stepped = inject_step(w, features=[0, 1], onset=40, magnitude_per_feature=3 * sigma[:2])
-print(f"step:        label={stepped.label}, tags={sorted(stepped.tags)}, "
-      f"rows changed: {int((stepped.data != w.data).any(axis=1).sum())} (from onset 40)")
+print(f"step:        rows changed: {int((stepped != w).any(axis=1).sum())} (from onset 40)")
 
 spiked = inject_spikes(w, features=[2], period=10, gmm=GMMSpec(), seed=99)
-rows = np.flatnonzero(spiked.data[:, 2] != w.data[:, 2])
-print(f"spikes:      label={spiked.label}, spike rows: {rows.tolist()}")
+rows = np.flatnonzero(spiked[:, 2] != w[:, 2])
+print(f"spikes:      spike rows: {rows.tolist()}")
 
 point = inject_point_noise(w, seed=100)
-print(f"point noise: label={point.label} (stays normal), "
-      f"cells changed: {int((point.data != w.data).sum())}")
+print(f"point noise: cells changed: {int((point != w).sum())}")
 
 salted = inject_saltpepper(w, point_prob=0.02, seed=101)
-print(f"salt-pepper: label={salted.label} (stays normal), "
-      f"cells changed: {int((salted.data != w.data).sum())} of {w.data.size}")
+print(f"salt-pepper: cells changed: {int((salted != w).sum())} of {w.size}")
 
 suite = build_testsets(corpus.test_windows, InjectionSpec(seed=21))
 print("\nsuite composition:")
-for key in suite.KEYS:
-    windows = suite.sets[key]
-    n_anom = sum(1 for x in windows if x.label == "anomalous")
-    n_noise = sum(1 for x in windows if x.tags & {"point_noise", "salt_pepper"})
-    print(f"  {key:6s}: {len(windows)} windows, {n_anom} anomalous, {n_noise} noisy")
+for key, windows in suite.sets.items():
+    n_noise = sum(bool(t & {"point_noise", "salt_pepper"}) for t in windows.tags)
+    print(f"  {key:6s}: {len(windows)} windows, {windows.anomalous.sum()} anomalous, "
+          f"{n_noise} noisy")
+
+an = suite.sets["AN-6F"]
+noisy_normal = next(i for i, t in enumerate(an.tags) if t and not an.anomalous[i])
+print(f"window {an.origins[noisy_normal]} in AN-6F: tags {sorted(an.tags[noisy_normal])}, "
+      f"anomalous={an.anomalous[noisy_normal]} (noise never makes a window anomalous)")

@@ -17,16 +17,17 @@ from t2vad.pipeline import SynthParams, synth_generate
 corpus = synth_generate(SynthParams(n_windows=300), seed=23)
 print(f"corpus: {len(corpus.train_idx)} train / {len(corpus.test_idx)} test windows")
 
+train_data = corpus.train_windows.data    # (n, 100, 6)
 t2v_model = train(build_t2v_ae(AEConfig(variant="t2v", epochs=15, seed=1), 100, 6),
-                  corpus.train_windows)
+                  train_data)
 recon_model = train(build_recon_ae(AEConfig(variant="reconstruction", epochs=15,
                                             seed=2), 100, 6),
-                    corpus.train_windows)
+                    train_data)
 print(f"embedding AE loss {t2v_model.loss_curve[0]:.3f} -> {t2v_model.loss_curve[-1]:.3f}; "
       f"baseline AE loss {recon_model.loss_curve[0]:.3f} -> {recon_model.loss_curve[-1]:.3f}")
 
-calib = calibrate(recon_model, corpus.train_windows)
-embeddings = embed_many(t2v_model, corpus.train_windows)
+calib = calibrate(recon_model, train_data)
+embeddings = embed_many(t2v_model, train_data)
 cfg = detect.DetectorConfig(svdd_epochs=40, seed=3)
 detectors = {kind: detect.fit(kind, embeddings, cfg) for kind in detect.KINDS}
 

@@ -11,7 +11,7 @@ from .autoenc import AEConfig, TrainedModel, build_recon_ae, build_t2v_ae, train
 from .detect import DetectorConfig, DetectorModel, fit
 from .dtw import dtw_distance
 from .inject import InjectionSpec, TestSuite, build_testsets
-from .pipeline import Corpus, SynthParams, Window, synth_generate
+from .pipeline import Corpus, SynthParams, WindowSet, synth_generate
 from .evaluate import EvalReport, prf1, run_benchmark
 
 __version__ = "0.1.0"
@@ -23,7 +23,7 @@ __all__ = [
     "DetectorConfig", "DetectorModel", "fit",
     "dtw_distance",
     "InjectionSpec", "TestSuite", "build_testsets",
-    "Corpus", "SynthParams", "Window", "synth_generate",
+    "Corpus", "SynthParams", "WindowSet", "synth_generate",
     "EvalReport", "prf1", "run_benchmark",
     "__version__",
 ]

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import ndtensor as nd
 from .dtw import dtw_batch, first_nonfinite
-from .pipeline import Window, corpus_data
 from .rng import make_rng
 from .t2v import T2VLayer
 
@@ -131,16 +130,17 @@ def bottleneck_length(model: TrainedModel) -> int:
     return length
 
 
-def train(model: TrainedModel, windows: list[Window], cfg: AEConfig | None = None) -> TrainedModel:
-    """Minibatch Adam on mean squared reconstruction error.
+def train(model: TrainedModel, data: np.ndarray, cfg: AEConfig | None = None) -> TrainedModel:
+    """Minibatch Adam on mean squared reconstruction error over the windows
+    `data` (n, N, F).
 
     Deterministic given cfg.seed: batch order, initialization and updates
     all derive from it. Appends one mean loss per epoch to the loss curve.
     """
     cfg = cfg or model.config
-    data = corpus_data(windows)
-    if data.shape[1:] != (model.n, model.f):
-        raise ValueError(f"windows are {data.shape[1:]}, model expects {(model.n, model.f)}")
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 3 or len(data) == 0 or data.shape[1:] != (model.n, model.f):
+        raise ValueError(f"windows are {data.shape}, model expects (n > 0, {model.n}, {model.f})")
     n = len(data)
     rng = make_rng(cfg.seed + 1)  # offset: init used cfg.seed
     adam = nd.AdamState(lr=cfg.lr)
@@ -169,27 +169,23 @@ def _finite_windows(data: np.ndarray) -> np.ndarray:
     return data
 
 
-def _embed(model: TrainedModel, data: np.ndarray) -> np.ndarray:
-    """(B, N*K): the t2v layer's (B, N, K) output, each window flattened row-major."""
+def embed_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
+    """(B, N*K) embeddings of the windows `data` (B, N, F): the t2v layer's
+    (B, N, K) output, each window flattened row-major. Raises ValueError
+    naming the first window that holds a NaN or Inf."""
     if model.config.variant != "t2v":
         raise ValueError("embeddings come from the t2v variant only")
-    return model.stack.layers[0].forward(_finite_windows(data))[0].reshape(len(data), -1)
+    data = _finite_windows(np.asarray(data, dtype=np.float64))
+    return model.stack.layers[0].forward(data)[0].reshape(len(data), -1)
 
 
-def embed(model: TrainedModel, window: Window | np.ndarray) -> np.ndarray:
-    """N*K embedding of one window: `embed_many` with B=1."""
-    x = window.data if isinstance(window, Window) else np.asarray(window, dtype=np.float64)
-    return _embed(model, x[None])[0]
+def embed(model: TrainedModel, x: np.ndarray) -> np.ndarray:
+    """N*K embedding of one (N, F) window: `embed_many` with B=1."""
+    return embed_many(model, np.asarray(x)[None])[0]
 
 
-def embed_many(model: TrainedModel, windows: list[Window]) -> np.ndarray:
-    """(B, N*K) embeddings of `windows`; raises ValueError naming the first
-    window that holds a NaN or Inf."""
-    return _embed(model, corpus_data(windows))
-
-
-def reconstruct(model: TrainedModel, window: Window | np.ndarray) -> np.ndarray:
-    x = window.data if isinstance(window, Window) else np.asarray(window, dtype=np.float64)
+def reconstruct(model: TrainedModel, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.n, model.f):
         raise ValueError(f"window is {x.shape}, model expects {(model.n, model.f)}")
     return model.stack.forward(_finite_windows(x[None]))[0]
@@ -244,15 +240,15 @@ def score_components_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
     return comps
 
 
-def score_components(model: TrainedModel, window: Window | np.ndarray) -> np.ndarray:
-    """MSE, MAE and DTW of one window: `score_components_many` with B=1."""
-    x = window.data if isinstance(window, Window) else np.asarray(window, dtype=np.float64)
-    return score_components_many(model, x[None])[0]
+def score_components(model: TrainedModel, x: np.ndarray) -> np.ndarray:
+    """MSE, MAE and DTW of one (N, F) window: `score_components_many` with B=1."""
+    return score_components_many(model, np.asarray(x)[None])[0]
 
 
-def calibrate(model: TrainedModel, train_windows: list[Window],
+def calibrate(model: TrainedModel, data: np.ndarray,
               threshold_quantile: float = 0.99) -> ScoreCalibration:
-    comps = score_components_many(model, corpus_data(train_windows))
+    """Component statistics and threshold from the training windows `data`."""
+    comps = score_components_many(model, data)
     means = comps.mean(axis=0)
     stds = np.maximum(comps.std(axis=0), 1e-12)
     z = (comps - means) / stds
@@ -272,10 +268,9 @@ def combine_components(comps: np.ndarray, calib: ScoreCalibration):
     return float(z) if z.ndim == 0 else z
 
 
-def recon_score(model: TrainedModel, window: Window | np.ndarray,
-                calib: ScoreCalibration) -> float:
+def recon_score(model: TrainedModel, x: np.ndarray, calib: ScoreCalibration) -> float:
     """Sum of z-normalized MSE/MAE/DTW components; higher = more anomalous."""
-    return combine_components(score_components(model, window), calib)
+    return combine_components(score_components(model, x), calib)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +301,9 @@ class SearchResult:
         return self.trials[self.best_index][1]
 
 
-def validation_dtw(model: TrainedModel, windows: list[Window]) -> float:
-    """Mean DTW between each window and its reconstruction."""
-    return float(np.mean(score_components_many(model, corpus_data(windows))[:, 2]))
+def validation_dtw(model: TrainedModel, data: np.ndarray) -> float:
+    """Mean DTW between each window of `data` and its reconstruction."""
+    return float(np.mean(score_components_many(model, data)[:, 2]))
 
 
 def _sample_config(variant: str, space: SearchSpace, rng, seed: int) -> AEConfig:
@@ -325,23 +320,22 @@ def _sample_config(variant: str, space: SearchSpace, rng, seed: int) -> AEConfig
     )
 
 
-def hyper_search(windows: list[Window], variant: str, n_trials: int,
+def hyper_search(data: np.ndarray, variant: str, n_trials: int,
                  master_seed: int, space: SearchSpace = SearchSpace()) -> SearchResult:
     """Seeded random search over the tunable set, scored by validation DTW.
 
     Training minimizes MSE; candidate ranking uses mean DTW on a chronological
-    90/10 validation split of the given windows.
+    90/10 validation split of the windows `data` (n, N, F).
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    n_val = max(1, len(windows) // 10)
-    train_windows = windows[:-n_val]
-    val_windows = windows[-n_val:]
-    if not train_windows:
+    n_val = max(1, len(data) // 10)
+    train_data, val_data = data[:-n_val], data[-n_val:]
+    if not len(train_data):
         raise ValueError("not enough windows for a 90/10 split")
-    n, f = train_windows[0].data.shape
+    n, f = data.shape[1:]
 
     trials = []
     for t in range(n_trials):
@@ -351,9 +345,8 @@ def hyper_search(windows: list[Window], variant: str, n_trials: int,
             # sampled layer counts must keep the time axis divisible
             cfg = replace(cfg, encoder_layers=feasible_encoder_layers(
                 n, cfg.encoder_stride, cfg.encoder_layers))
-        model = train(build_model(cfg, n, f), train_windows)
-        score = validation_dtw(model, val_windows)
-        model.val_dtw = score
+        model = train(build_model(cfg, n, f), train_data)
+        score = validation_dtw(model, val_data)
         trials.append((cfg, score))
     best = int(np.argmin([s for _, s in trials]))
     return SearchResult(trials, best)

@@ -27,8 +27,8 @@ from .persist import (atomic_write_json, config_digest, load_corpus, load_detect
                       load_model, load_report, load_testsuite, save_corpus,
                       save_detector, save_embeddings, save_model, save_report,
                       save_testsuite)
-from .pipeline import (SynthParams, auto_resample_width, clean, load_csv, resample,
-                       split, synth_generate, windowize)
+from .pipeline import (SynthParams, WindowSet, auto_resample_width, clean, load_csv,
+                       resample, split, synth_generate, windowize)
 from .evaluate import format_report_table, run_benchmark
 from .rng import derive_seed
 
@@ -93,15 +93,16 @@ def cmd_preprocess(args) -> int:
     features = [c.strip() for c in args.features.split(",") if c.strip()]
     if not features:
         raise CommandError("no feature columns given")
-    windows = []
+    sets = []
     for path in args.inputs:
         series = load_csv(_require(path, "input CSV"), features, args.timestamp_column)
         series = clean(series, args.fence_k)
         width = auto_resample_width(len(series)) if args.auto_resample else args.resample
         if width > 1:
             series = resample(series, width)
-        windows.extend(windowize(series))
-    if not windows:
+        sets.append(windowize(series))
+    windows = WindowSet.concat(sets)
+    if not len(windows):
         raise CommandError("preprocessing produced no windows")
     corpus = split(windows, args.test_fraction, seed=derive_seed(args.seed, "split"),
                    provenance={"source_files": list(args.inputs),
@@ -115,7 +116,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_search(args) -> int:
     corpus = load_corpus(_require(args.corpus, "corpus"))
-    result = hyper_search(corpus.train_windows, args.variant, args.trials,
+    result = hyper_search(corpus.train_windows.data, args.variant, args.trials,
                           master_seed=derive_seed(args.seed, f"search/{args.variant}"))
     doc = {
         "schema_version": 1,
@@ -135,15 +136,16 @@ def cmd_search(args) -> int:
 
 def cmd_train(args) -> int:
     corpus = load_corpus(_require(args.corpus, "corpus"))
-    n, f = corpus.windows[0].data.shape
+    n, f = corpus.windows.data.shape[1:]
     cfg = AEConfig(variant=args.variant, k=args.k, decoder_layers=args.decoder_layers,
                    encoder_layers=args.encoder_layers, filters=args.filters,
                    kernel=args.kernel, epochs=args.epochs, batch=args.batch,
                    lr=args.lr, seed=derive_seed(args.seed, f"train/{args.variant}"))
-    model = train(build_model(cfg, n, f), corpus.train_windows)
+    data = corpus.train_windows.data
+    model = train(build_model(cfg, n, f), data)
     calib = None
     if args.variant == "reconstruction":
-        calib = calibrate(model, corpus.train_windows, args.threshold_quantile)
+        calib = calibrate(model, data, args.threshold_quantile)
     save_model(_out_path(args.out), model, calib)
     print(f"trained {args.variant} AE: loss {model.loss_curve[0]:.5f} -> "
           f"{model.loss_curve[-1]:.5f} over {cfg.epochs} epochs")
@@ -155,7 +157,7 @@ def cmd_embed(args) -> int:
     model, _ = load_model(_require(args.model, "model"))
     windows = {"train": corpus.train_windows, "test": corpus.test_windows,
                "all": corpus.windows}[args.split]
-    emb = embed_many(model, windows)
+    emb = embed_many(model, windows.data)
     save_embeddings(_out_path(args.out), emb,
                     {"split": args.split, "n": len(windows), "dim": emb.shape[1],
                      "effective_config": _effective(args)})
@@ -166,7 +168,7 @@ def cmd_embed(args) -> int:
 def cmd_fit_detector(args) -> int:
     corpus = load_corpus(_require(args.corpus, "corpus"))
     model, _ = load_model(_require(args.model, "model"))
-    emb = embed_many(model, corpus.train_windows)
+    emb = embed_many(model, corpus.train_windows.data)
     kinds = list(detect.KINDS) if args.kind == "all" else [args.kind]
     cfg = detect.DetectorConfig(threshold_quantile=args.threshold_quantile,
                                 seed=args.seed)
@@ -194,10 +196,8 @@ def cmd_build_testsets(args) -> int:
                          seed=derive_seed(args.seed, "inject"))
     suite = build_testsets(corpus.test_windows, spec)
     save_testsuite(_out_path(args.out), suite)
-    for key in suite.KEYS:
-        ws = suite.sets[key]
-        n_anom = sum(1 for w in ws if w.label == "anomalous")
-        print(f"{key}: {len(ws)} windows, {n_anom} anomalous")
+    for key, ws in suite.sets.items():
+        print(f"{key}: {len(ws)} windows, {ws.anomalous.sum()} anomalous")
     return 0
 
 
@@ -351,10 +351,7 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(args, args.parser)
         return args.func(args)
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CommandError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

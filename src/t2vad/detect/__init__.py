@@ -5,7 +5,7 @@ statistics, stored with the model). Scores are oriented so that higher
 means more anomalous, and the decision threshold is a quantile of the
 training scores, the same rule for every kind, so comparisons between
 methods are apples-to-apples. `predict` flags strictly above-threshold
-scores.
+scores: True = anomalous.
 """
 
 from __future__ import annotations
@@ -172,14 +172,14 @@ def score(model: DetectorModel, x: np.ndarray) -> float:
     return float(score_many(model, x[None])[0])
 
 
-def predict(model: DetectorModel, x: np.ndarray) -> str:
-    """'anomalous' iff score strictly exceeds the threshold."""
-    return "anomalous" if score(model, x) > model.threshold else "normal"
+def predict(model: DetectorModel, x: np.ndarray) -> bool:
+    """True (anomalous) iff the score strictly exceeds the threshold."""
+    return bool(score(model, x) > model.threshold)
 
 
-def predict_many(model: DetectorModel, x: np.ndarray) -> list[str]:
-    return ["anomalous" if s > model.threshold else "normal"
-            for s in score_many(model, x)]
+def predict_many(model: DetectorModel, x: np.ndarray) -> np.ndarray:
+    """(n,) bool: True where the score strictly exceeds the threshold."""
+    return score_many(model, x) > model.threshold
 
 
 def with_threshold_quantile(model: DetectorModel, quantile: float) -> DetectorModel:

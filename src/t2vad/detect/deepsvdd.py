@@ -55,6 +55,5 @@ def fit_deep_svdd(x: np.ndarray, widths, epochs: int, batch: int, lr: float,
 
 
 def score_deep_svdd(state: dict, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     diff = state["layers"].forward(x) - state["center"]
     return (diff * diff).sum(axis=1)

@@ -77,5 +77,4 @@ def fit_ee(x: np.ndarray, support_fraction: float | None, n_starts: int, rng) ->
 
 
 def score_ee(state: dict, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     return np.sqrt(np.maximum(_mahalanobis_sq(x, state["mu"], state["cov"]), 0.0))

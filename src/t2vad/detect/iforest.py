@@ -72,7 +72,6 @@ def _path_lengths(node: list, x: np.ndarray, idx: np.ndarray, depth: int,
 
 
 def score_iforest(state: dict, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     paths = np.zeros(len(x))
     idx = np.arange(len(x))
     for tree in state["trees"]:

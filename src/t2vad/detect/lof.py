@@ -32,7 +32,6 @@ def fit_lof(x: np.ndarray, k: int) -> dict:
 
 
 def score_lof(state: dict, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     k = state["k"]
     d = _cross_distances(x, state["x"])
     order = np.argsort(d, axis=1, kind="stable")

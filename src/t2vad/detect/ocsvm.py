@@ -92,6 +92,5 @@ def fit_ocsvm(x: np.ndarray, nu: float, gamma: float | None, tol: float,
 
 
 def score_ocsvm(state: dict, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     k = rbf_kernel(x, state["sv"], state["gamma"])
     return state["rho"] - k @ state["alpha"]

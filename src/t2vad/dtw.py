@@ -140,15 +140,3 @@ def dtw_bruteforce(a, b) -> float:
         if i + 1 < na and j + 1 < nb:
             stack.append((i + 1, j + 1, acc + cost[i + 1, j + 1]))
     return float(best)
-
-
-def mean_dtw(pairs) -> float:
-    """Mean DTW over (a, b) pairs; divides by pair count only."""
-    total = 0.0
-    count = 0
-    for a, b in pairs:
-        total += dtw_distance(a, b)
-        count += 1
-    if count == 0:
-        raise ValueError("no pairs")
-    return total / count

@@ -2,20 +2,23 @@
 
 Compares the baseline composite-reconstruction detector against the
 embedding path (each one-class detector on top of the embedding AE) over
-the four evaluation sets. Anomalous is the positive class. The report is
-a pure function of its inputs: same suite, models, detectors and config
-give an identical report.
+the four evaluation sets. Anomalous is the positive class: True in each
+set's `anomalous` array and in every method's boolean predictions. The
+report is a pure function of its inputs: same suite, models, detectors
+and config give an identical report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import detect
 from .autoenc import (ScoreCalibration, TrainedModel, combine_components, embed_many,
                       score_components_many)
 from .inject import TestSuite
-from .pipeline import corpus_data
+from .pipeline import WindowSet
 
 METHOD_BASELINE = "recon_ae"
 
@@ -48,24 +51,13 @@ class EvalReport:
 
 
 def confusion(preds, labels) -> Confusion:
-    """Tally counts with 'anomalous' as the positive class."""
-    preds = list(preds)
-    labels = list(labels)
-    if len(preds) != len(labels):
-        raise ValueError(f"length mismatch: {len(preds)} preds vs {len(labels)} labels")
-    tp = fp = tn = fn = 0
-    for p, l in zip(preds, labels):
-        pa = p == "anomalous"
-        la = l == "anomalous"
-        if pa and la:
-            tp += 1
-        elif pa and not la:
-            fp += 1
-        elif not pa and la:
-            fn += 1
-        else:
-            tn += 1
-    return Confusion(tp, fp, tn, fn)
+    """Tally boolean predictions against boolean labels; True = anomalous."""
+    p = np.asarray(preds, dtype=bool)
+    t = np.asarray(labels, dtype=bool)
+    if p.shape != t.shape:
+        raise ValueError(f"length mismatch: {len(p)} preds vs {len(t)} labels")
+    return Confusion(int(np.sum(p & t)), int(np.sum(p & ~t)), int(np.sum(~p & ~t)),
+                     int(np.sum(~p & t)))
 
 
 def prf1(c: Confusion) -> tuple[float, float, float]:
@@ -76,12 +68,11 @@ def prf1(c: Confusion) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def _set_composition(windows) -> dict:
+def _set_composition(windows: WindowSet) -> dict:
     return {
         "n": len(windows),
-        "anomalous": sum(1 for w in windows if w.label == "anomalous"),
-        "noise_tagged": sum(1 for w in windows
-                            if w.tags & {"point_noise", "salt_pepper"}),
+        "anomalous": int(windows.anomalous.sum()),
+        "noise_tagged": sum(bool(t & {"point_noise", "salt_pepper"}) for t in windows.tags),
     }
 
 
@@ -105,16 +96,15 @@ def run_benchmark(suite: TestSuite, t2v_model: TrainedModel, recon_model: Traine
 
     for key in TestSuite.KEYS:
         windows = suite.sets[key]
-        labels = [w.label for w in windows]
+        labels = windows.anomalous
         composition[key] = _set_composition(windows)
 
         base_scores = combine_components(
-            score_components_many(recon_model, corpus_data(windows)), recon_calib)
-        base_preds = ["anomalous" if s > recon_calib.threshold else "normal"
-                      for s in base_scores]
-        results[METHOD_BASELINE][key] = _entry(confusion(base_preds, labels))
+            score_components_many(recon_model, windows.data), recon_calib)
+        results[METHOD_BASELINE][key] = _entry(
+            confusion(base_scores > recon_calib.threshold, labels))
 
-        embeddings = embed_many(t2v_model, windows)
+        embeddings = embed_many(t2v_model, windows.data)
         for kind in detect.KINDS:
             preds = detect.predict_many(detectors[kind], embeddings)
             results[f"t2v_{kind}"][key] = _entry(confusion(preds, labels))

@@ -3,10 +3,11 @@
 Two anomaly kinds model typical machinery faults: a persistent step offset
 and periodic spikes with amplitudes drawn from a 3-component Gaussian
 mixture. Two noise kinds (single-point offset, salt-and-pepper extremes)
-are deliberately labeled normal: a detector should ignore them. From one
+are deliberately left normal: a detector should ignore them. From one
 clean test split, `build_testsets` derives the four evaluation sets
 A-6F / AN-6F / A-4F / AN-4F (anomalies on all six or only the four
-non-flat features, with or without noise).
+non-flat features, with or without noise). Each injector maps an (N, F)
+array to a new one; the set builders put its tag beside the window.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pipeline import Window
+from .pipeline import WindowSet
 from .rng import make_rng
 
 
@@ -32,8 +33,6 @@ class GMMSpec:
             raise ValueError("GMM component lists must have equal length")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("GMM weights must sum to 1")
-        if all(s == 0 for s in self.stds) and all(w == 0 for w in self.weights):
-            raise ValueError("degenerate GMM")
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class InjectionSpec:
 class TestSuite:
     """The four labeled evaluation sets keyed A-6F / AN-6F / A-4F / AN-4F."""
 
-    sets: dict[str, list[Window]]
+    sets: dict[str, WindowSet]
     seed: int
 
     KEYS = ("A-6F", "AN-6F", "A-4F", "AN-4F")
@@ -72,24 +71,20 @@ class TestSuite:
             raise ValueError(f"missing test sets: {missing}")
 
 
-def _feature_std(data: np.ndarray) -> np.ndarray:
-    return data.std(axis=0)
-
-
-def inject_step(w: Window, features, onset: int, magnitude_per_feature) -> Window:
+def inject_step(x: np.ndarray, features, onset: int, magnitude_per_feature) -> np.ndarray:
     """Add a persistent offset to every row >= onset of the selected features."""
     features = list(features)
     if not features:
         raise ValueError("empty feature set")
-    n = w.data.shape[0]
+    n = x.shape[0]
     if not 0 <= onset < n:
         raise ValueError(f"onset must be in [0, {n}), got {onset}")
     magnitude = np.broadcast_to(np.asarray(magnitude_per_feature, dtype=np.float64),
                                 (len(features),))
-    data = w.data.copy()
+    data = x.copy()
     for f, m in zip(features, magnitude):
         data[onset:, f] += m
-    return Window(data, label="anomalous", tags=w.tags | {"step"}, origin=w.origin)
+    return data
 
 
 def sample_spike_amplitudes(gmm: GMMSpec, n: int, rng: np.random.Generator):
@@ -100,7 +95,7 @@ def sample_spike_amplitudes(gmm: GMMSpec, n: int, rng: np.random.Generator):
     return amps, signs
 
 
-def inject_spikes(w: Window, features, period: int, gmm: GMMSpec, seed: int) -> Window:
+def inject_spikes(x: np.ndarray, features, period: int, gmm: GMMSpec, seed: int) -> np.ndarray:
     """Additive spikes at rows {period, 2*period, ...} of the selected features.
 
     Per spike and feature: mixture component by weight, amplitude from that
@@ -112,85 +107,78 @@ def inject_spikes(w: Window, features, period: int, gmm: GMMSpec, seed: int) -> 
     if period < 2:
         raise ValueError(f"period must be >= 2, got {period}")
     rng = make_rng(seed)
-    n = w.data.shape[0]
-    rows = np.arange(period, n, period)
-    sigma = _feature_std(w.data)
-    data = w.data.copy()
+    rows = np.arange(period, x.shape[0], period)
+    sigma = x.std(axis=0)
+    data = x.copy()
     for f in features:
         amps, signs = sample_spike_amplitudes(gmm, len(rows), rng)
         data[rows, f] += signs * amps * sigma[f]
-    return Window(data, label="anomalous", tags=w.tags | {"spikes"}, origin=w.origin)
+    return data
 
 
-def inject_point_noise(w: Window, seed: int) -> Window:
-    """Offset one uniformly chosen cell by 6 per-feature stds; label unchanged."""
+def inject_point_noise(x: np.ndarray, seed: int) -> np.ndarray:
+    """Offset one uniformly chosen cell by 6 per-feature stds."""
     rng = make_rng(seed)
-    n, f = w.data.shape
+    n, f = x.shape
     row = int(rng.integers(n))
     col = int(rng.integers(f))
     sign = float(rng.choice([-1.0, 1.0]))
-    data = w.data.copy()
-    data[row, col] += sign * 6.0 * _feature_std(w.data)[col]
-    return Window(data, label=w.label, tags=w.tags | {"point_noise"}, origin=w.origin)
+    data = x.copy()
+    data[row, col] += sign * 6.0 * x.std(axis=0)[col]
+    return data
 
 
-def inject_saltpepper(w: Window, point_prob: float, seed: int,
-                      feature_min=None, feature_max=None) -> Window:
+def inject_saltpepper(x: np.ndarray, point_prob: float, seed: int,
+                      feature_min=None, feature_max=None) -> np.ndarray:
     """Independently set each cell, with prob `point_prob`, to the feature's
     extreme value (min or max, 50/50). Extremes default to the window's own;
-    pass corpus-level extremes for the benchmark protocol. Label unchanged.
+    pass corpus-level extremes for the benchmark protocol.
     """
     if not 0 < point_prob < 1:
         raise ValueError("point_prob must be in (0, 1)")
     rng = make_rng(seed)
-    data = w.data.copy()
-    lo = w.data.min(axis=0) if feature_min is None else np.asarray(feature_min, dtype=np.float64)
-    hi = w.data.max(axis=0) if feature_max is None else np.asarray(feature_max, dtype=np.float64)
-    hit = rng.random(data.shape) < point_prob
-    salt = rng.random(data.shape) < 0.5
-    data = np.where(hit, np.where(salt, hi, lo), data)
-    return Window(data, label=w.label, tags=w.tags | {"salt_pepper"}, origin=w.origin)
+    lo = x.min(axis=0) if feature_min is None else np.asarray(feature_min, dtype=np.float64)
+    hi = x.max(axis=0) if feature_max is None else np.asarray(feature_max, dtype=np.float64)
+    hit = rng.random(x.shape) < point_prob
+    salt = rng.random(x.shape) < 0.5
+    return np.where(hit, np.where(salt, hi, lo), x)
 
 
-def _inject_anomalies(windows, spec: InjectionSpec, features, rng) -> list[Window]:
+def _inject_anomalies(windows: WindowSet, spec: InjectionSpec, features, rng) -> WindowSet:
     n = len(windows)
-    n_anom = int(round(spec.anomaly_fraction * n))
-    chosen = set(int(i) for i in rng.permutation(n)[:n_anom])
-    out = []
-    for i, w in enumerate(windows):
-        if i not in chosen:
-            out.append(Window(w.data.copy(), label=w.label, tags=w.tags, origin=w.origin))
-            continue
-        use_step = rng.random() < 0.5
-        if use_step:
+    data, tags = windows.data.copy(), list(windows.tags)
+    for i in np.sort(rng.permutation(n)[:int(round(spec.anomaly_fraction * n))]):
+        if rng.random() < 0.5:
             onset = int(rng.integers(spec.step_onset_range[0], spec.step_onset_range[1] + 1))
-            magnitude = spec.step_alpha * _feature_std(w.data)[list(features)]
-            out.append(inject_step(w, features, onset, magnitude))
+            magnitude = spec.step_alpha * data[i].std(axis=0)[features]
+            data[i] = inject_step(data[i], features, onset, magnitude)
+            tags[i] |= {"step"}
         else:
             period = int(rng.integers(spec.spike_period_range[0],
                                       spec.spike_period_range[1] + 1))
-            out.append(inject_spikes(w, features, period, spec.gmm,
-                                     seed=int(rng.integers(2 ** 62))))
-    return out
+            data[i] = inject_spikes(data[i], features, period, spec.gmm,
+                                    seed=int(rng.integers(2 ** 62)))
+            tags[i] |= {"spikes"}
+    return WindowSet(data, tags, windows.origins)
 
 
-def _inject_noise(windows, spec: InjectionSpec, extremes, rng) -> list[Window]:
+def _inject_noise(windows: WindowSet, spec: InjectionSpec, extremes, rng) -> WindowSet:
     n = len(windows)
-    n_noise = int(np.floor(spec.noise_fraction * n))
-    chosen = [int(i) for i in rng.permutation(n)[:n_noise]]
-    out = [Window(w.data.copy(), label=w.label, tags=w.tags, origin=w.origin) for w in windows]
+    data, tags = windows.data.copy(), list(windows.tags)
     lo, hi = extremes
-    for i in chosen:
+    for i in rng.permutation(n)[:int(np.floor(spec.noise_fraction * n))]:
         if rng.random() < 0.5:
-            out[i] = inject_point_noise(out[i], seed=int(rng.integers(2 ** 62)))
+            data[i] = inject_point_noise(data[i], seed=int(rng.integers(2 ** 62)))
+            tags[i] |= {"point_noise"}
         else:
-            out[i] = inject_saltpepper(out[i], spec.salt_pepper_prob,
-                                       seed=int(rng.integers(2 ** 62)),
-                                       feature_min=lo, feature_max=hi)
-    return out
+            data[i] = inject_saltpepper(data[i], spec.salt_pepper_prob,
+                                        seed=int(rng.integers(2 ** 62)),
+                                        feature_min=lo, feature_max=hi)
+            tags[i] |= {"salt_pepper"}
+    return WindowSet(data, tags, windows.origins)
 
 
-def build_testsets(clean_test: list[Window], spec: InjectionSpec = InjectionSpec()) -> TestSuite:
+def build_testsets(clean_test: WindowSet, spec: InjectionSpec = InjectionSpec()) -> TestSuite:
     """Construct the four evaluation sets from a clean, all-normal test split.
 
     A-6F injects step/spikes (50/50) into `anomaly_fraction` of windows over
@@ -200,13 +188,11 @@ def build_testsets(clean_test: list[Window], spec: InjectionSpec = InjectionSpec
     """
     if len(clean_test) < 10:
         raise ValueError(f"need at least 10 test windows, got {len(clean_test)}")
-    if any(w.label != "normal" for w in clean_test):
-        raise ValueError("clean test windows must all be labeled normal")
-    n_features = clean_test[0].data.shape[1]
-    all_features = list(range(n_features))
+    if clean_test.anomalous.any():
+        raise ValueError("clean test windows must all be normal")
+    all_features = list(range(clean_test.data.shape[2]))
     four = [f for f in all_features if f not in spec.flat_features]
-    stacked = np.stack([w.data for w in clean_test])
-    extremes = (stacked.min(axis=(0, 1)), stacked.max(axis=(0, 1)))
+    extremes = (clean_test.data.min(axis=(0, 1)), clean_test.data.max(axis=(0, 1)))
 
     sets = {}
     for key, features in (("A-6F", all_features), ("A-4F", four)):

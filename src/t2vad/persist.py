@@ -24,7 +24,7 @@ from .autoenc import AEConfig, ScoreCalibration, TrainedModel
 from .detect import KINDS, DetectorConfig, DetectorModel
 from .evaluate import EvalReport
 from .inject import TestSuite
-from .pipeline import Corpus, Window
+from .pipeline import Corpus, WindowSet
 from .t2v import T2VLayer
 
 SCHEMA_VERSION = 1
@@ -112,22 +112,43 @@ def config_digest(config: dict) -> str:
 # corpus / test suite
 # ---------------------------------------------------------------------------
 
-def _windows_block(windows: list[Window]) -> dict:
+def _field(doc, key: str, kind: type):
+    """doc[key]; a SchemaError unless `doc` is an object holding a `kind` there."""
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(value, kind):
+        raise SchemaError(f"field {key!r} is missing or not a {kind.__name__}")
+    return value
+
+
+def _labels(windows: WindowSet) -> list[str]:
+    return ["anomalous" if a else "normal" for a in windows.anomalous]
+
+
+def _windows_block(windows: WindowSet) -> dict:
     return {
-        "labels": [w.label for w in windows],
-        "tags": [sorted(w.tags) for w in windows],
-        "origins": [w.origin for w in windows],
-        "payload": encode_array(np.stack([w.data for w in windows])),
+        "labels": _labels(windows),
+        "tags": [sorted(t) for t in windows.tags],
+        "origins": windows.origins,
+        "payload": encode_array(windows.data),
     }
 
 
-def _windows_from_block(block: dict) -> list[Window]:
-    data = decode_array(block["payload"])
-    return [
-        Window(data[i], label=block["labels"][i], tags=frozenset(block["tags"][i]),
-               origin=block["origins"][i])
-        for i in range(len(data))
-    ]
+def _strings(values) -> bool:
+    return isinstance(values, list) and all(isinstance(v, str) for v in values)
+
+
+def _windows_from_block(block) -> WindowSet:
+    data = decode_array(_field(block, "payload", dict))
+    labels, tags, origins = (_field(block, key, list) for key in ("labels", "tags", "origins"))
+    if not (len(labels) == len(tags) == len(origins) == len(data)
+            and _strings(labels) and _strings(origins) and all(map(_strings, tags))):
+        raise SchemaError(f"labels, tags and origins must hold a string, a string list "
+                          f"and a string for each of the {len(data)} windows")
+    windows = WindowSet(data, tags, origins)
+    for i, (stored, derived) in enumerate(zip(labels, _labels(windows))):
+        if stored != derived:
+            raise SchemaError(f"window {i}: label {stored!r} inconsistent with tags {tags[i]}")
+    return windows
 
 
 def save_corpus(path: str, corpus: Corpus) -> None:
@@ -135,8 +156,8 @@ def save_corpus(path: str, corpus: Corpus) -> None:
         "schema_version": SCHEMA_VERSION,
         "kind": "corpus",
         "n_windows": len(corpus.windows),
-        "steps": corpus.windows[0].data.shape[0],
-        "features": corpus.windows[0].data.shape[1],
+        "steps": corpus.windows.data.shape[1],
+        "features": corpus.windows.data.shape[2],
         "provenance": corpus.provenance,
         "split": {"train": corpus.train_idx, "test": corpus.test_idx},
         "windows": _windows_block(corpus.windows),
@@ -146,8 +167,11 @@ def save_corpus(path: str, corpus: Corpus) -> None:
 
 def load_corpus(path: str) -> Corpus:
     doc = load_json_checked(path, "corpus")
-    return Corpus(_windows_from_block(doc["windows"]),
-                  doc["split"]["train"], doc["split"]["test"], doc["provenance"])
+    split = [_field(_field(doc, "split", dict), side, list) for side in ("train", "test")]
+    if not all(type(i) is int for side in split for i in side):
+        raise SchemaError(f"{path}: split indices must be integers")
+    return Corpus(_windows_from_block(_field(doc, "windows", dict)), *split,
+                  _field(doc, "provenance", dict))
 
 
 def save_testsuite(path: str, suite: TestSuite) -> None:
@@ -162,8 +186,8 @@ def save_testsuite(path: str, suite: TestSuite) -> None:
 
 def load_testsuite(path: str) -> TestSuite:
     doc = load_json_checked(path, "testsuite")
-    return TestSuite({k: _windows_from_block(b) for k, b in doc["sets"].items()},
-                     seed=doc["seed"])
+    return TestSuite({k: _windows_from_block(b) for k, b in _field(doc, "sets", dict).items()},
+                     seed=_field(doc, "seed", int))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ rows, fence outliers on per-column quantiles, mean-resample long files,
 cut consecutive non-overlapping 100-step windows and pad short remainders
 by repeating the last row. The synthetic generator stands in for plant
 data: four correlated trend+sinusoid features and two near-flat ones.
+A window set is one `WindowSet`: an (n, N, F) array plus one tag set and
+one origin per window; other modules work on its arrays.
 """
 
 from __future__ import annotations
@@ -49,29 +51,52 @@ class RawSeries:
 
 
 @dataclass
-class Window:
-    """Fixed-size labeled window. Anomalous iff a step or spikes tag is set;
-    noise tags never flip the label."""
+class WindowSet:
+    """n fixed-size windows: `data` (n, N, F), one tag set and one origin per
+    window. A window is anomalous iff a step or spikes tag is set; noise
+    tags never make it so."""
 
     data: np.ndarray
-    label: str = "normal"
-    tags: frozenset = frozenset()
-    origin: str = ""
+    tags: list | None = None        # default: no tags
+    origins: list | None = None     # default: empty origins
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2 or len(self.data) != WINDOW_STEPS:
-            raise ValueError(f"window must be {WINDOW_STEPS} rows x F features, "
+        if self.data.ndim != 3 or self.data.shape[1] != WINDOW_STEPS:
+            raise ValueError(f"windows must be (n, {WINDOW_STEPS}, F), "
                              f"got shape {self.data.shape}")
-        self.tags = frozenset(self.tags)
-        expected = "anomalous" if self.tags & ANOMALY_TAGS else "normal"
-        if self.label != expected:
-            raise ValueError(f"label {self.label!r} inconsistent with tags {set(self.tags)}")
+        n = len(self.data)
+        self.tags = [frozenset(t) for t in self.tags] if self.tags is not None \
+            else [frozenset()] * n
+        self.origins = list(self.origins) if self.origins is not None else [""] * n
+        if len(self.tags) != n or len(self.origins) != n:
+            raise ValueError(f"{n} windows need {n} tag sets and origins, "
+                             f"got {len(self.tags)} and {len(self.origins)}")
+
+    def __len__(self):
+        return len(self.data)
+
+    @property
+    def anomalous(self) -> np.ndarray:
+        """(n,) bool: True where a step or spikes tag is set."""
+        return np.array([bool(t & ANOMALY_TAGS) for t in self.tags], dtype=bool)
+
+    def subset(self, idx) -> WindowSet:
+        """The windows at `idx`, in that order."""
+        return WindowSet(self.data[list(idx)], [self.tags[i] for i in idx],
+                         [self.origins[i] for i in idx])
+
+    @staticmethod
+    def concat(sets) -> WindowSet:
+        """All windows of the (non-empty) sequence `sets`, one after another."""
+        return WindowSet(np.concatenate([s.data for s in sets]),
+                         [t for s in sets for t in s.tags],
+                         [o for s in sets for o in s.origins])
 
 
 @dataclass
 class Corpus:
-    windows: list[Window]
+    windows: WindowSet
     train_idx: list[int]
     test_idx: list[int]
     provenance: dict = field(default_factory=dict)
@@ -82,12 +107,12 @@ class Corpus:
             raise ValueError("split must be disjoint and exhaustive")
 
     @property
-    def train_windows(self) -> list[Window]:
-        return [self.windows[i] for i in self.train_idx]
+    def train_windows(self) -> WindowSet:
+        return self.windows.subset(self.train_idx)
 
     @property
-    def test_windows(self) -> list[Window]:
-        return [self.windows[i] for i in self.test_idx]
+    def test_windows(self) -> WindowSet:
+        return self.windows.subset(self.test_idx)
 
 
 def load_csv(path, feature_columns, timestamp_column: str = "timestamp") -> RawSeries:
@@ -194,7 +219,7 @@ def auto_resample_width(n_rows: int, target: int = WINDOW_STEPS) -> int:
     return max(1, math.ceil(n_rows / target))
 
 
-def windowize(s: RawSeries) -> list[Window]:
+def windowize(s: RawSeries) -> WindowSet:
     """Cut consecutive non-overlapping 100-step windows.
 
     The final short remainder (and any series shorter than 100 steps) is
@@ -203,27 +228,24 @@ def windowize(s: RawSeries) -> list[Window]:
     """
     if len(s) == 0:
         raise ValueError("cannot windowize an empty series")
-    values = s.values
-    windows = []
-    n_full = len(values) // WINDOW_STEPS
-    for i in range(n_full):
-        chunk = values[i * WINDOW_STEPS:(i + 1) * WINDOW_STEPS]
-        windows.append(Window(chunk.copy(), origin=f"{s.source_id}#{i}"))
-    rem = values[n_full * WINDOW_STEPS:]
-    if len(rem) >= MIN_REMAINDER:
-        pad = np.repeat(rem[-1][None, :], WINDOW_STEPS - len(rem), axis=0)
-        windows.append(Window(np.concatenate([rem, pad]), tags={"padded"},
-                              origin=f"{s.source_id}#{n_full}"))
-    return windows
+    n_full, rem = divmod(len(s), WINDOW_STEPS)
+    n = n_full + (rem >= MIN_REMAINDER)
+    kept = s.values[:n * WINDOW_STEPS]
+    pad = np.repeat(kept[-1:], n * WINDOW_STEPS - len(kept), axis=0)
+    return WindowSet(np.concatenate([kept, pad]).reshape(n, WINDOW_STEPS, s.values.shape[1]),
+                     [frozenset()] * n_full + [frozenset({"padded"})] * (n - n_full),
+                     [f"{s.source_id}#{i}" for i in range(n)])
 
 
-def split(windows: list[Window], test_fraction: float = 0.10, seed: int = 0,
+def split(windows: WindowSet, test_fraction: float = 0.10, seed: int = 0,
           provenance: dict | None = None) -> Corpus:
     """Seeded uniform train/test split; test size is round(n * fraction)."""
     n = len(windows)
     if n < 10:
         raise ValueError(f"need at least 10 windows to split, got {n}")
     n_test = int(round(n * test_fraction))
+    if not 0 < n_test < n:
+        raise ValueError(f"test fraction {test_fraction} of {n} windows leaves a side empty")
     rng = make_rng(seed)
     perm = rng.permutation(n)
     test_idx = sorted(int(i) for i in perm[:n_test])
@@ -265,8 +287,8 @@ def synth_generate(params: SynthParams = SynthParams(), seed: int = 0) -> Corpus
     flat_levels = rng.uniform(-1.0, 1.0, size=len(params.flat_features))
 
     t = np.arange(WINDOW_STEPS) / WINDOW_STEPS
-    windows = []
-    for i in range(params.n_windows):
+    windows = np.zeros((params.n_windows, WINDOW_STEPS, params.n_features))
+    for data in windows:
         freq = rng.uniform(1.0, 3.0, size=2)
         phase = rng.uniform(0.0, 2 * np.pi, size=2)
         amp = rng.uniform(0.6, 1.4, size=2)
@@ -277,12 +299,10 @@ def synth_generate(params: SynthParams = SynthParams(), seed: int = 0) -> Corpus
             for j in range(2)
         ], axis=1)                                   # (N, 2)
 
-        data = np.zeros((WINDOW_STEPS, params.n_features))
         data[:, active] = latents @ mix.T + offsets
         data[:, active] += rng.normal(0.0, params.noise_std, size=(WINDOW_STEPS, n_active))
         for j, f in enumerate(params.flat_features):
             data[:, f] = flat_levels[j] + rng.normal(0.0, params.flat_noise_std, WINDOW_STEPS)
-        windows.append(Window(data, origin=f"synth#{i}"))
 
     provenance = {
         "generator": "synth",
@@ -293,9 +313,6 @@ def synth_generate(params: SynthParams = SynthParams(), seed: int = 0) -> Corpus
         "noise_std": params.noise_std,
         "flat_noise_std": params.flat_noise_std,
     }
-    return split(windows, params.test_fraction, seed=seed, provenance=provenance)
-
-
-def corpus_data(windows: list[Window]) -> np.ndarray:
-    """Stack windows into one (n, N, F) array."""
-    return np.stack([w.data for w in windows])
+    origins = [f"synth#{i}" for i in range(params.n_windows)]
+    return split(WindowSet(windows, origins=origins), params.test_fraction, seed=seed,
+                 provenance=provenance)

@@ -21,7 +21,3 @@ def derive_seed(master_seed: int, stage: str) -> int:
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def stage_rng(master_seed: int, stage: str) -> np.random.Generator:
-    return make_rng(derive_seed(master_seed, stage))

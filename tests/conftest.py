@@ -18,13 +18,14 @@ def small_corpus():
 def small_e2e(small_corpus):
     """Tiny but complete pipeline: both AEs, calibration, detectors, suite."""
     corpus = small_corpus
+    train_data = corpus.train_windows.data
     t2v_model = train(build_t2v_ae(AEConfig(variant="t2v", epochs=4, seed=7), 100, 6),
-                      corpus.train_windows)
+                      train_data)
     recon_model = train(
         build_recon_ae(AEConfig(variant="reconstruction", epochs=4, seed=8), 100, 6),
-        corpus.train_windows)
-    calib = calibrate(recon_model, corpus.train_windows)
-    emb = embed_many(t2v_model, corpus.train_windows)
+        train_data)
+    calib = calibrate(recon_model, train_data)
+    emb = embed_many(t2v_model, train_data)
     cfg = detect.DetectorConfig(svdd_epochs=10, ee_n_starts=10, seed=9)
     detectors = {kind: detect.fit(kind, emb, cfg) for kind in detect.KINDS}
     suite = build_testsets(corpus.test_windows, InjectionSpec(seed=10))

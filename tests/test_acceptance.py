@@ -20,7 +20,7 @@ from t2vad.cli import main
 from t2vad.detect.deepsvdd import build_network
 from t2vad.dtw import dtw_bruteforce, dtw_distance
 from t2vad.evaluate import Confusion, prf1
-from t2vad.pipeline import RawSeries, clean, split, windowize, Window
+from t2vad.pipeline import RawSeries, WindowSet, clean, split, windowize
 from t2vad.rng import make_rng
 from t2vad.t2v import T2VLayer
 
@@ -144,12 +144,12 @@ def test_criterion_4_pipeline_conformance():
     assert filled.values[:, 0].tolist() == [1.0, 1.0, 3.0]
 
     ws = windowize(RawSeries(np.arange(250), np.arange(250.0)[:, None], "w"))
-    assert len(ws) == 3 and "padded" in ws[2].tags
-    assert np.all(ws[2].data[50:, 0] == 249.0)
+    assert len(ws) == 3 and "padded" in ws.tags[2]
+    assert np.all(ws.data[2, 50:, 0] == 249.0)
     short = windowize(RawSeries(np.arange(90), np.arange(90.0)[:, None], "s"))
-    assert len(short) == 1 and "padded" in short[0].tags
+    assert len(short) == 1 and "padded" in short.tags[0]
 
-    corpus = split([Window(np.zeros((100, 6))) for _ in range(2950)], 0.10, seed=3)
+    corpus = split(WindowSet(np.zeros((2950, 100, 6))), 0.10, seed=3)
     assert len(corpus.train_idx) == 2655 and len(corpus.test_idx) == 295
     report_pass(4, "quantile fence keeps {4,5,6,7}; forward fill; 100-step "
                    "windowing pads with the last row; 2950 -> 2655/295 split")
@@ -165,7 +165,7 @@ def test_criterion_5_detector_sanity():
     directions = rng.normal(size=(25, 16))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     outliers = rng.normal(size=(25, 16)) + 10.0 * directions
-    labels = ["normal"] * 500 + ["anomalous"] * 25
+    labels = [False] * 500 + [True] * 25
     x_all = np.concatenate([inliers, outliers])
 
     cfg = detect.DetectorConfig(seed=42)
@@ -175,7 +175,7 @@ def test_criterion_5_detector_sanity():
         preds = detect.predict_many(model, x_all)
         tally = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
         for p, l in zip(preds, labels):
-            key = ("t" if p == l else "f") + ("p" if p == "anomalous" else "n")
+            key = ("t" if p == l else "f") + ("p" if p else "n")
             tally[key] += 1
         _, _, f1 = prf1(Confusion(**tally))
         f1_by_kind[kind] = f1

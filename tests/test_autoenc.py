@@ -9,15 +9,14 @@ from t2vad.autoenc import (SCORE_CHUNK, AEConfig, ScoreCalibration, SearchSpace,
                            reconstruct, score_components, score_components_many, train,
                            validation_dtw)
 from t2vad.dtw import dtw_distance
-from t2vad.pipeline import Window, corpus_data
 from t2vad.rng import make_rng
 
 TINY_SPACE = SearchSpace(k=(2, 4), layers=(1, 2), kernels=(3,), filters=(4,),
                          epochs=(2, 3), batches=(8,))
 
 
-def constant_window(value=0.7, f=6):
-    return Window(np.full((100, f), value))
+def constant_windows(n, value=0.7, f=6):
+    return np.full((n, 100, f), value)
 
 
 def zero_all_params(stack):
@@ -101,16 +100,15 @@ def test_recon_ae_output_shape_various_configs():
 # ---------------------------------------------------------------------------
 
 def test_train_constant_corpus_reaches_small_loss():
-    windows = [constant_window() for _ in range(50)]
     cfg = AEConfig(variant="t2v", k=3, decoder_layers=1, filters=4, epochs=200,
                    batch=8, seed=7)
-    model = train(build_t2v_ae(cfg, 100, 6), windows)
+    model = train(build_t2v_ae(cfg, 100, 6), constant_windows(50))
     assert model.loss_curve[-1] < 1e-3
 
 
 def test_train_halves_loss_on_synthetic_corpus(small_corpus):
     cfg = AEConfig(variant="t2v", epochs=20, batch=8, seed=8)
-    model = train(build_t2v_ae(cfg, 100, 6), small_corpus.train_windows)
+    model = train(build_t2v_ae(cfg, 100, 6), small_corpus.train_windows.data)
     assert model.loss_curve[-1] < 0.5 * model.loss_curve[0]
     assert len(model.loss_curve) == cfg.epochs
 
@@ -118,7 +116,7 @@ def test_train_halves_loss_on_synthetic_corpus(small_corpus):
 def test_train_deterministic(small_corpus):
     def run():
         cfg = AEConfig(variant="t2v", epochs=3, seed=9)
-        return train(build_t2v_ae(cfg, 100, 6), small_corpus.train_windows).loss_curve
+        return train(build_t2v_ae(cfg, 100, 6), small_corpus.train_windows.data).loss_curve
     assert run() == run()
 
 
@@ -126,23 +124,29 @@ def test_train_rejects_wrong_window_shape():
     cfg = AEConfig(variant="t2v", seed=10)
     model = build_t2v_ae(cfg, 100, 6)
     with pytest.raises(ValueError, match="expects"):
-        train(model, [Window(np.zeros((100, 4)))])
+        train(model, np.zeros((1, 100, 4)))
+
+
+@pytest.mark.parametrize("shape", [(0, 100, 6), (100, 6)])
+def test_train_rejects_an_empty_or_unbatched_array(shape):
+    model = build_t2v_ae(AEConfig(variant="t2v", seed=10), 100, 6)
+    with pytest.raises(ValueError, match=r"expects \(n > 0, 100, 6\)"):
+        train(model, np.zeros(shape))
 
 
 def test_train_aborts_on_nonfinite_loss():
     from t2vad.autoenc import TrainingDiverged
     cfg = AEConfig(variant="t2v", k=3, decoder_layers=1, epochs=2, seed=12)
     model = build_t2v_ae(cfg, 100, 6)
-    bad = np.zeros((100, 6))
-    bad[0, 0] = np.nan
-    windows = [Window(bad)] * 4
+    windows = np.zeros((4, 100, 6))
+    windows[:, 0, 0] = np.nan
     with pytest.raises(TrainingDiverged, match="epoch 0"):
         train(model, windows)
 
 
 def test_loss_curve_smoothed_non_increasing(small_corpus):
     cfg = AEConfig(variant="reconstruction", epochs=20, seed=11)
-    model = train(build_recon_ae(cfg, 100, 6), small_corpus.train_windows)
+    model = train(build_recon_ae(cfg, 100, 6), small_corpus.train_windows.data)
     curve = np.array(model.loss_curve)
     means = curve.reshape(4, 5).mean(axis=1)
     assert np.all(np.diff(means) <= 1e-12)
@@ -154,7 +158,7 @@ def test_loss_curve_smoothed_non_increasing(small_corpus):
 
 def test_embed_reference_length_and_purity(small_e2e):
     model = small_e2e["t2v_model"]
-    w = small_e2e["corpus"].windows[0]
+    w = small_e2e["corpus"].windows.data[0]
     e1 = embed(model, w)
     e2 = embed(model, w)
     assert e1.shape == (700,)
@@ -163,12 +167,12 @@ def test_embed_reference_length_and_purity(small_e2e):
 
 def test_embed_rejects_reconstruction_variant(small_e2e):
     with pytest.raises(ValueError, match="t2v variant"):
-        embed(small_e2e["recon_model"], small_e2e["corpus"].windows[0])
+        embed(small_e2e["recon_model"], small_e2e["corpus"].windows.data[0])
 
 
 def test_embed_many_matches_single(small_e2e):
     model = small_e2e["t2v_model"]
-    ws = small_e2e["corpus"].test_windows[:3]
+    ws = small_e2e["corpus"].test_windows.data[:3]
     batch = embed_many(model, ws)
     for i, w in enumerate(ws):
         np.testing.assert_array_equal(batch[i], embed(model, w))
@@ -176,23 +180,23 @@ def test_embed_many_matches_single(small_e2e):
 
 def test_embed_many_is_the_t2v_output_reshaped_row_major(small_e2e):
     model = small_e2e["t2v_model"]
-    ws = small_e2e["corpus"].test_windows[:5]
-    t2v_out, _ = model.stack.layers[0].forward(corpus_data(ws))
+    ws = small_e2e["corpus"].test_windows.data[:5]
+    t2v_out, _ = model.stack.layers[0].forward(ws)
     assert np.array_equal(embed_many(model, ws), t2v_out.reshape(len(ws), -1))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_embed_many_rejects_non_finite_window(small_e2e, value):
-    ws = [Window(w.data.copy()) for w in small_e2e["corpus"].train_windows[:6]]
-    ws[2].data[17, 3] = value
-    ws[4].data[0, 0] = value
+    ws = small_e2e["corpus"].train_windows.data[:6].copy()
+    ws[2, 17, 3] = value
+    ws[4, 0, 0] = value
     with pytest.raises(ValueError, match="window 2 contains NaN/Inf"):
         embed_many(small_e2e["t2v_model"], ws)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_reconstruct_rejects_non_finite_window(small_e2e, value):
-    x = small_e2e["corpus"].train_windows[0].data.copy()
+    x = small_e2e["corpus"].train_windows.data[0].copy()
     x[50, 1] = value
     for model in (small_e2e["t2v_model"], small_e2e["recon_model"]):
         with pytest.raises(ValueError, match="window 0 contains NaN/Inf"):
@@ -209,8 +213,7 @@ def test_padded_rows_differ_only_via_bias_terms():
     t2v.b[...] = rng.normal(size=(100, 3))
     data = rng.normal(size=(100, 6))
     data[90:] = data[89]              # padded tail
-    w = Window(data, tags={"padded"})
-    emb = embed(model, w).reshape(100, 4)
+    emb = embed(model, data).reshape(100, 4)
     for row in range(91, 100):
         base = data[90] @ t2v.w0[:, 0]
         assert emb[row, 0] - emb[90, 0] == pytest.approx(
@@ -223,23 +226,23 @@ def test_padded_rows_differ_only_via_bias_terms():
 
 def test_trained_model_beats_untrained_on_dtw(small_corpus):
     cfg = AEConfig(variant="reconstruction", epochs=8, seed=14)
-    trained = train(build_recon_ae(cfg, 100, 6), small_corpus.train_windows)
+    trained = train(build_recon_ae(cfg, 100, 6), small_corpus.train_windows.data)
     untrained = build_recon_ae(AEConfig(variant="reconstruction", seed=15), 100, 6)
-    probe = small_corpus.test_windows[:6]
+    probe = small_corpus.test_windows.data[:6]
     assert validation_dtw(trained, probe) < validation_dtw(untrained, probe)
 
 
 def test_trained_on_constant_reconstructs_constant():
-    windows = [constant_window(0.3) for _ in range(40)]
+    windows = constant_windows(40, 0.3)
     cfg = AEConfig(variant="t2v", k=3, decoder_layers=1, filters=4, epochs=150,
                    batch=16, seed=16)
     model = train(build_t2v_ae(cfg, 100, 6), windows)
     xhat = reconstruct(model, windows[0])
-    assert np.mean(np.abs(xhat - windows[0].data)) < 0.05
+    assert np.mean(np.abs(xhat - windows[0])) < 0.05
 
 
 def test_reconstruct_finite_on_corpus(small_e2e):
-    for w in small_e2e["corpus"].test_windows:
+    for w in small_e2e["corpus"].test_windows.data:
         assert np.all(np.isfinite(reconstruct(small_e2e["t2v_model"], w)))
 
 
@@ -249,8 +252,8 @@ def test_reconstruct_finite_on_corpus(small_e2e):
 
 def test_recon_score_zero_at_component_means(small_e2e):
     model = small_e2e["recon_model"]
-    w = small_e2e["corpus"].train_windows[0]
-    calib = calibrate(model, [w])    # single window: means are its components
+    w = small_e2e["corpus"].train_windows.data[0]
+    calib = calibrate(model, w[None])    # single window: means are its components
     assert recon_score(model, w, calib) == pytest.approx(0.0, abs=1e-6)
 
 
@@ -258,7 +261,7 @@ def test_recon_score_training_mean_near_zero(small_e2e):
     model = small_e2e["recon_model"]
     calib = small_e2e["calib"]
     scores = [recon_score(model, w, calib)
-              for w in small_e2e["corpus"].train_windows]
+              for w in small_e2e["corpus"].train_windows.data]
     assert abs(np.mean(scores)) < 0.1
 
 
@@ -274,42 +277,42 @@ def test_recon_score_monotone_in_each_component():
 
 def test_recon_score_requires_calibration(small_e2e):
     with pytest.raises(ValueError, match="calibration"):
-        recon_score(small_e2e["recon_model"], small_e2e["corpus"].windows[0], None)
+        recon_score(small_e2e["recon_model"], small_e2e["corpus"].windows.data[0], None)
 
 
 def test_big_step_scores_above_training_quantile(small_e2e):
     model = small_e2e["recon_model"]
     calib = small_e2e["calib"]
     corpus = small_e2e["corpus"]
-    w = corpus.test_windows[0]
-    sigma = w.data.std(axis=0)
+    w = corpus.test_windows.data[0]
+    sigma = w.std(axis=0)
     from t2vad.inject import inject_step
     spiked = inject_step(w, list(range(6)), onset=30,
                          magnitude_per_feature=10.0 * sigma)
-    train_scores = [recon_score(model, tw, calib) for tw in corpus.train_windows]
+    train_scores = [recon_score(model, tw, calib) for tw in corpus.train_windows.data]
     assert recon_score(model, spiked, calib) > np.quantile(train_scores, 0.99)
 
 
 def test_score_components_are_mse_mae_dtw(small_e2e):
     model = small_e2e["recon_model"]
-    w = small_e2e["corpus"].test_windows[0]
+    w = small_e2e["corpus"].test_windows.data[0]
     comps = score_components(model, w)
     xhat = reconstruct(model, w)
-    assert comps[0] == pytest.approx(np.mean((xhat - w.data) ** 2))
-    assert comps[1] == pytest.approx(np.mean(np.abs(xhat - w.data)))
-    assert comps[2] == pytest.approx(dtw_distance(w.data, xhat))
+    assert comps[0] == pytest.approx(np.mean((xhat - w) ** 2))
+    assert comps[1] == pytest.approx(np.mean(np.abs(xhat - w)))
+    assert comps[2] == pytest.approx(dtw_distance(w, xhat))
 
 
 def chunk_spanning_windows(corpus, n=2 * SCORE_CHUNK + 5):
     """n distinct windows: the corpus windows, repeated with a growing offset."""
-    data = corpus_data(corpus.windows)
-    return [Window(data[i % len(data)] + 0.01 * (i // len(data))) for i in range(n)]
+    data = corpus.windows.data
+    return np.stack([data[i % len(data)] + 0.01 * (i // len(data)) for i in range(n)])
 
 
 def test_score_components_many_equals_per_window_rows(small_e2e):
     model = small_e2e["recon_model"]
     windows = chunk_spanning_windows(small_e2e["corpus"])
-    batched = score_components_many(model, corpus_data(windows))
+    batched = score_components_many(model, windows)
     alone = np.stack([score_components(model, w) for w in windows])
     assert batched.shape == (2 * SCORE_CHUNK + 5, 3)
     assert np.array_equal(batched, alone)
@@ -331,7 +334,7 @@ def test_calibrate_threshold_independent_of_chunking(small_e2e):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_score_components_many_rejects_non_finite_window(small_e2e, value):
-    data = corpus_data(chunk_spanning_windows(small_e2e["corpus"]))
+    data = chunk_spanning_windows(small_e2e["corpus"])
     data[SCORE_CHUNK + 3, 40, 2] = value
     data[SCORE_CHUNK + 9, 0, 0] = value
     with pytest.raises(ValueError, match=f"window {SCORE_CHUNK + 3} contains NaN/Inf"):
@@ -355,21 +358,21 @@ def test_score_components_many_rejects_wrong_shape(small_e2e):
 # ---------------------------------------------------------------------------
 
 def test_search_single_trial_is_best(small_corpus):
-    windows = small_corpus.train_windows[:20]
+    windows = small_corpus.train_windows.data[:20]
     res = hyper_search(windows, "t2v", n_trials=1, master_seed=17, space=TINY_SPACE)
     assert res.best_index == 0
     assert res.best_score == res.trials[0][1]
 
 
 def test_search_deterministic(small_corpus):
-    windows = small_corpus.train_windows[:20]
+    windows = small_corpus.train_windows.data[:20]
     a = hyper_search(windows, "t2v", 3, master_seed=18, space=TINY_SPACE)
     b = hyper_search(windows, "t2v", 3, master_seed=18, space=TINY_SPACE)
     assert [(c, s) for c, s in a.trials] == [(c, s) for c, s in b.trials]
 
 
 def test_search_argmin_at_most_median(small_corpus):
-    windows = small_corpus.train_windows[:20]
+    windows = small_corpus.train_windows.data[:20]
     res = hyper_search(windows, "t2v", 6, master_seed=19, space=TINY_SPACE)
     scores = [s for _, s in res.trials]
     assert res.best_score <= np.median(scores)
@@ -377,7 +380,7 @@ def test_search_argmin_at_most_median(small_corpus):
 
 
 def test_search_reconstruction_variant_clamps_layers(small_corpus):
-    windows = small_corpus.train_windows[:20]
+    windows = small_corpus.train_windows.data[:20]
     space = SearchSpace(k=(2, 3), layers=(3, 4), kernels=(3,), filters=(4,),
                         epochs=(2, 2), batches=(8,))
     res = hyper_search(windows, "reconstruction", 2, master_seed=20, space=space)
@@ -387,7 +390,7 @@ def test_search_reconstruction_variant_clamps_layers(small_corpus):
 
 def test_search_rejects_bad_trial_count(small_corpus):
     with pytest.raises(ValueError, match="n_trials"):
-        hyper_search(small_corpus.train_windows[:20], "t2v", 0, master_seed=0)
+        hyper_search(small_corpus.train_windows.data[:20], "t2v", 0, master_seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -411,3 +414,13 @@ def test_grad_check_full_recon_ae_toy():
     rng = make_rng(1005)
     assert nd.grad_check(model.stack, rng.normal(size=(1, 12, 2)),
                          rng.normal(size=(1, 12, 2))) < 1e-4
+
+
+def test_autoenc_takes_arrays_and_never_imports_pipeline():
+    import ast
+    import inspect
+
+    import t2vad.autoenc as autoenc
+    tree = ast.parse(inspect.getsource(autoenc))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "pipeline" not in imported and "t2vad.pipeline" not in imported

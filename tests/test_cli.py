@@ -152,17 +152,61 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "env.json").exists()
 
 
-def test_preprocess_command(tmp_path):
-    csv = tmp_path / "plant.csv"
-    cols = ",".join(f"s{i}" for i in range(6))
+COLS = ",".join(f"s{i}" for i in range(6))
+
+
+def write_plant_csv(path, n_rows):
     rows = [f"{t}," + ",".join(f"{np.sin(t / 10.0 + i):.4f}" for i in range(6))
-            for t in range(1150)]
-    csv.write_text(f"timestamp,{cols}\n" + "\n".join(rows) + "\n")
+            for t in range(n_rows)]
+    path.write_text(f"timestamp,{COLS}\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def test_preprocess_command(tmp_path):
+    csv = write_plant_csv(tmp_path / "plant.csv", 1150)
     out = tmp_path / "corpus.json"
-    code = run(["preprocess", "--inputs", csv, "--features", cols,
+    code = run(["preprocess", "--inputs", csv, "--features", COLS,
                 "--seed", 4, "--fence-k", 10.0, "--out", out])
     assert code == 0
     corpus = load_corpus(out)
-    assert len(corpus.windows) == 12           # 11 full + one padded remainder
-    assert all(w.data.shape == (100, 6) for w in corpus.windows)
-    assert "padded" in corpus.windows[-1].tags
+    assert corpus.windows.data.shape == (12, 100, 6)   # 11 full + one padded remainder
+    assert "padded" in corpus.windows.tags[-1]
+    assert not corpus.windows.anomalous.any()
+
+
+def test_preprocess_appends_files_in_order(tmp_path):
+    a = write_plant_csv(tmp_path / "a.csv", 1150)
+    b = write_plant_csv(tmp_path / "b.csv", 5)     # below the 10-row minimum: no window
+    c = write_plant_csv(tmp_path / "c.csv", 250)
+    out = tmp_path / "corpus.json"
+    assert run(["preprocess", "--inputs", a, b, c, "--features", COLS, "--seed", 4,
+                "--fence-k", 10.0, "--out", out]) == 0
+    windows = load_corpus(out).windows
+    assert windows.origins == [f"{a}#{i}" for i in range(12)] + [f"{c}#{i}" for i in range(3)]
+    assert [sorted(t) for t in windows.tags] == (
+        [[]] * 11 + [["padded"]] + [[], [], ["padded"]])
+
+
+def test_preprocess_with_no_windows_exits_1(tmp_path, capsys):
+    csv = write_plant_csv(tmp_path / "short.csv", 5)
+    assert run(["preprocess", "--inputs", csv, "--features", COLS,
+                "--out", tmp_path / "corpus.json"]) == 1
+    assert "produced no windows" in capsys.readouterr().err
+    assert not (tmp_path / "corpus.json").exists()
+
+
+@pytest.mark.parametrize("windows, fraction", [(40, "-0.1"), (40, "1.5"), (10, "0.01")])
+def test_generate_rejects_a_test_fraction_that_empties_a_side(tmp_path, capsys, windows,
+                                                              fraction):
+    out = tmp_path / "corpus.json"
+    assert run(["generate", "--windows", windows, "--test-fraction", fraction,
+                "--out", out]) == 1
+    assert "leaves a side empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_preprocess_rejects_a_test_fraction_that_empties_a_side(tmp_path, capsys):
+    csv = write_plant_csv(tmp_path / "plant.csv", 1150)
+    assert run(["preprocess", "--inputs", csv, "--features", COLS, "--fence-k", 10.0,
+                "--test-fraction", "0.01", "--out", tmp_path / "corpus.json"]) == 1
+    assert "leaves a side empty" in capsys.readouterr().err

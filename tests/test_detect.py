@@ -244,12 +244,14 @@ def test_score_at_threshold_predicts_normal():
     model = detect.fit("iforest", x, CFG)
     probe = x[3]
     model.threshold = detect.score(model, probe)
-    assert detect.predict(model, probe) == "normal"
+    assert detect.predict(model, probe) is False
+    model.threshold = np.nextafter(model.threshold, -np.inf)
+    assert detect.predict(model, probe) is True
 
 
 def test_raising_quantile_never_increases_detections(small_e2e):
     from t2vad.autoenc import embed_many
-    emb = embed_many(small_e2e["t2v_model"], small_e2e["corpus"].test_windows)
+    emb = embed_many(small_e2e["t2v_model"], small_e2e["corpus"].test_windows.data)
     for kind, model in small_e2e["detectors"].items():
         loose = with_threshold_quantile(model, 0.95)
         strict = with_threshold_quantile(model, 0.999)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from t2vad.dtw import DTWParams, dtw_batch, dtw_bruteforce, dtw_distance, mean_dtw
+from t2vad.dtw import DTWParams, dtw_batch, dtw_bruteforce, dtw_distance
 from t2vad.rng import make_rng
 
 
@@ -180,10 +180,3 @@ def test_batch_shape_checks():
         dtw_batch(np.zeros((2, 0, 1)), np.zeros((2, 3, 1)))
     with pytest.raises(ValueError, match="B, N, F"):
         dtw_batch(np.zeros((3, 1)), np.zeros((3, 1)))
-
-
-def test_mean_dtw_divides_by_pair_count():
-    rng = make_rng(4)
-    pairs = [random_pair(rng) for _ in range(4)]
-    expected = sum(dtw_distance(a, b) for a, b in pairs) / 4
-    assert mean_dtw(pairs) == pytest.approx(expected)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,30 +13,41 @@ from t2vad.inject import TestSuite
 # ---------------------------------------------------------------------------
 
 def test_confusion_all_correct():
-    c = confusion(["anomalous", "normal"], ["anomalous", "normal"])
+    c = confusion([True, False], [True, False])
     assert (c.tp, c.fp, c.tn, c.fn) == (1, 0, 1, 0)
 
 
 def test_confusion_constant_normal_predictor():
-    labels = ["anomalous"] * 5 + ["normal"] * 5
-    c = confusion(["normal"] * 10, labels)
+    labels = [True] * 5 + [False] * 5
+    c = confusion([False] * 10, labels)
     assert c.fn == 5 and c.tn == 5 and c.tp == 0 and c.fp == 0
 
 
 def test_confusion_hand_tallied_eight_elements():
-    preds = ["anomalous", "normal", "anomalous", "normal",
-             "anomalous", "anomalous", "normal", "normal"]
-    labels = ["anomalous", "anomalous", "normal", "normal",
-              "anomalous", "normal", "anomalous", "normal"]
+    preds = np.array([True, False, True, False, True, True, False, False])
+    labels = np.array([True, True, False, False, True, False, True, False])
     # manual tally: tp rows 0,4; fp rows 2,5; fn rows 1,6; tn rows 3,7
     c = confusion(preds, labels)
     assert (c.tp, c.fp, c.tn, c.fn) == (2, 2, 2, 2)
     assert c.total == 8
+    assert all(type(n) is int for n in (c.tp, c.fp, c.tn, c.fn))
 
 
 def test_confusion_length_mismatch():
     with pytest.raises(ValueError, match="length mismatch"):
-        confusion(["normal"], ["normal", "normal"])
+        confusion([False], [False, False])
+
+
+@given(st.lists(st.tuples(st.booleans(), st.booleans()), max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_confusion_counts_match_a_per_element_tally(pairs):
+    preds = [p for p, _ in pairs]
+    labels = [t for _, t in pairs]
+    c = confusion(preds, labels)
+    assert c.tp == sum(p and t for p, t in pairs)
+    assert c.fp == sum(p and not t for p, t in pairs)
+    assert c.fn == sum(t and not p for p, t in pairs)
+    assert c.total == len(pairs)
 
 
 def test_confusion_rejects_negative():
@@ -133,7 +145,8 @@ def test_benchmark_embeds_suite_composition(small_e2e):
     for key in TestSuite.KEYS:
         comp = report.composition[key]
         assert comp["n"] == len(small_e2e["suite"].sets[key])
-        assert comp["anomalous"] > 0
+        assert comp["anomalous"] == small_e2e["suite"].sets[key].anomalous.sum() > 0
+        assert type(comp["anomalous"]) is int
     assert report.composition["AN-6F"]["noise_tagged"] >= 1
     assert report.composition["A-6F"]["noise_tagged"] == 0
 

@@ -6,8 +6,10 @@ import pytest
 from t2vad.inject import (GMMSpec, InjectionSpec, TestSuite, build_testsets,
                           inject_point_noise, inject_saltpepper, inject_spikes,
                           inject_step, sample_spike_amplitudes)
-from t2vad.pipeline import Window
+from t2vad.pipeline import WindowSet
 from t2vad.rng import make_rng
+
+NOISE_TAGS = {"point_noise", "salt_pepper"}
 
 
 def make_window(seed=0, flat=(4, 5)):
@@ -15,34 +17,43 @@ def make_window(seed=0, flat=(4, 5)):
     data = rng.normal(size=(100, 6))
     for f in flat:
         data[:, f] = 0.5 + rng.normal(scale=0.001, size=100)
-    return Window(data, origin=f"w{seed}")
+    return data
 
 
 # ---------------------------------------------------------------------------
 # step
 # ---------------------------------------------------------------------------
 
-def test_step_zero_magnitude_changes_only_tags():
+def test_step_zero_magnitude_returns_an_equal_copy():
     w = make_window(1)
     out = inject_step(w, [0, 1], onset=30, magnitude_per_feature=[0.0, 0.0])
-    assert np.array_equal(out.data, w.data)
-    assert out.label == "anomalous" and "step" in out.tags
+    assert np.array_equal(out, w) and out is not w
+
+
+def test_injectors_leave_their_input_untouched():
+    w = make_window(1)
+    before = w.copy()
+    inject_step(w, [0], 10, [5.0])
+    inject_spikes(w, [0], 5, GMMSpec(), seed=1)
+    inject_point_noise(w, seed=2)
+    inject_saltpepper(w, 0.5, seed=3)
+    assert np.array_equal(w, before)
 
 
 def test_step_definition():
     w = make_window(2)
     out = inject_step(w, [0], onset=50, magnitude_per_feature=[1.0])
-    assert np.array_equal(out.data[:50], w.data[:50])
-    np.testing.assert_allclose(out.data[50:, 0] - w.data[50:, 0], 1.0)
-    assert np.array_equal(out.data[:, 1:], w.data[:, 1:])
+    assert np.array_equal(out[:50], w[:50])
+    np.testing.assert_allclose(out[50:, 0] - w[50:, 0], 1.0)
+    assert np.array_equal(out[:, 1:], w[:, 1:])
 
 
 def test_step_default_alpha_shifts_mean_by_3_sigma():
     w = make_window(3)
-    sigma = w.data[:, 0].std()
+    sigma = w[:, 0].std()
     out = inject_step(w, [0], onset=40, magnitude_per_feature=[3.0 * sigma])
-    pre = out.data[:40, 0].mean() - w.data[:40, 0].mean()
-    post = out.data[40:, 0].mean() - w.data[40:, 0].mean()
+    pre = out[:40, 0].mean() - w[:40, 0].mean()
+    post = out[40:, 0].mean() - w[40:, 0].mean()
     assert pre == 0.0
     assert post == pytest.approx(3.0 * sigma, rel=1e-9)
 
@@ -64,14 +75,14 @@ def test_step_onset_bounds():
 def test_spikes_period_100_at_most_one_row():
     w = make_window(6)
     out = inject_spikes(w, [0], period=100, gmm=GMMSpec(), seed=1)
-    changed = np.flatnonzero((out.data != w.data).any(axis=1))
+    changed = np.flatnonzero((out != w).any(axis=1))
     assert len(changed) <= 1
 
 
 def test_spikes_period_10_exactly_nine_rows():
     w = make_window(7)
     out = inject_spikes(w, [0], period=10, gmm=GMMSpec(), seed=2)
-    changed = np.flatnonzero(out.data[:, 0] != w.data[:, 0])
+    changed = np.flatnonzero(out[:, 0] != w[:, 0])
     np.testing.assert_array_equal(changed, np.arange(10, 100, 10))
 
 
@@ -81,7 +92,7 @@ def test_spikes_off_period_rows_untouched():
     rows = np.arange(7, 100, 7)
     mask = np.ones(100, dtype=bool)
     mask[rows] = False
-    assert np.array_equal(out.data[mask], w.data[mask])
+    assert np.array_equal(out[mask], w[mask])
 
 
 def test_spikes_period_validation():
@@ -119,42 +130,41 @@ def test_spike_amplitudes_match_mixture_cdf():
 def test_point_noise_changes_exactly_one_cell():
     w = make_window(10)
     out = inject_point_noise(w, seed=5)
-    assert (out.data != w.data).sum() == 1
-    assert out.label == "normal" and "point_noise" in out.tags
+    assert (out != w).sum() == 1
 
 
 def test_point_noise_deterministic():
     w = make_window(11)
     a = inject_point_noise(w, seed=6)
     b = inject_point_noise(w, seed=6)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
 
 
 def test_point_noise_offset_is_six_sigma():
     w = make_window(12)
     out = inject_point_noise(w, seed=7)
-    row, col = np.argwhere(out.data != w.data)[0]
-    delta = abs(out.data[row, col] - w.data[row, col])
-    assert delta == pytest.approx(6.0 * w.data[:, col].std(), rel=1e-9)
+    row, col = np.argwhere(out != w)[0]
+    delta = abs(out[row, col] - w[row, col])
+    assert delta == pytest.approx(6.0 * w[:, col].std(), rel=1e-9)
 
 
 def test_saltpepper_expected_cell_count():
     # 600 cells at p=0.02 -> 12 expected; mean over 1000 seeds within +/-10%
     w = make_window(13)
-    counts = [(inject_saltpepper(w, 0.02, seed=s).data != w.data).sum()
+    counts = [(inject_saltpepper(w, 0.02, seed=s) != w).sum()
               for s in range(1000)]
     assert 10.8 <= np.mean(counts) <= 13.2
 
 
 def test_saltpepper_values_are_extremes():
     w = make_window(14)
-    lo = w.data.min(axis=0)
-    hi = w.data.max(axis=0)
+    lo = w.min(axis=0)
+    hi = w.max(axis=0)
     out = inject_saltpepper(w, 0.05, seed=8)
-    rows, cols = np.nonzero(out.data != w.data)
+    rows, cols = np.nonzero(out != w)
+    assert len(rows) > 0
     for r, c in zip(rows, cols):
-        assert out.data[r, c] in (lo[c], hi[c])
-    assert out.label == "normal" and "salt_pepper" in out.tags
+        assert out[r, c] in (lo[c], hi[c])
 
 
 def test_saltpepper_prob_validation():
@@ -166,9 +176,14 @@ def test_saltpepper_prob_validation():
 # build_testsets
 # ---------------------------------------------------------------------------
 
+def make_windows(seeds):
+    return WindowSet(np.stack([make_window(s) for s in seeds]),
+                     origins=[f"w{s}" for s in seeds])
+
+
 @pytest.fixture(scope="module")
 def clean_295():
-    return [make_window(1000 + i) for i in range(295)]
+    return make_windows(range(1000, 1295))
 
 
 @pytest.fixture(scope="module")
@@ -178,32 +193,37 @@ def suite_295(clean_295):
 
 def test_testsets_anomaly_counts(suite_295):
     for key in TestSuite.KEYS:
-        n_anom = sum(1 for w in suite_295.sets[key] if w.label == "anomalous")
-        assert n_anom in (147, 148)
+        assert suite_295.sets[key].anomalous.sum() in (147, 148)
 
 
 def test_anomaly_only_sets_have_no_noise(suite_295):
     for key in ("A-6F", "A-4F"):
-        for w in suite_295.sets[key]:
-            assert not (w.tags & {"point_noise", "salt_pepper"})
+        assert not any(tags & NOISE_TAGS for tags in suite_295.sets[key].tags)
 
 
 def test_noise_count_is_floor_ten_percent(suite_295):
     for key in ("AN-6F", "AN-4F"):
-        tagged = sum(1 for w in suite_295.sets[key]
-                     if w.tags & {"point_noise", "salt_pepper"})
-        assert tagged == 29
+        assert sum(bool(tags & NOISE_TAGS) for tags in suite_295.sets[key].tags) == 29
 
 
 def test_noise_only_windows_stay_normal(suite_295):
-    for w in suite_295.sets["AN-6F"]:
-        if w.tags & {"point_noise", "salt_pepper"} and not w.tags & {"step", "spikes"}:
-            assert w.label == "normal"
+    ws = suite_295.sets["AN-6F"]
+    for tags, anomalous in zip(ws.tags, ws.anomalous):
+        if tags & NOISE_TAGS and not tags & {"step", "spikes"}:
+            assert not anomalous
+
+
+def test_every_changed_window_carries_its_tag(clean_295, suite_295):
+    for key in ("A-6F", "AN-6F"):
+        ws = suite_295.sets[key]
+        changed = (ws.data != clean_295.data).any(axis=(1, 2))
+        tagged = np.array([bool(t) for t in ws.tags])
+        np.testing.assert_array_equal(changed, tagged)
+        assert ws.origins == clean_295.origins
 
 
 def test_flat_features_untouched_in_4f(clean_295, suite_295):
-    for orig, inj in zip(clean_295, suite_295.sets["A-4F"]):
-        assert np.array_equal(orig.data[:, 4:], inj.data[:, 4:])
+    assert np.array_equal(clean_295.data[:, :, 4:], suite_295.sets["A-4F"].data[:, :, 4:])
 
 
 def test_testsets_pure_function(clean_295):
@@ -211,27 +231,27 @@ def test_testsets_pure_function(clean_295):
     a = build_testsets(clean_295, spec)
     b = build_testsets(clean_295, spec)
     for key in TestSuite.KEYS:
-        for wa, wb in zip(a.sets[key], b.sets[key]):
-            assert np.array_equal(wa.data, wb.data)
-            assert wa.tags == wb.tags and wa.label == wb.label
+        assert np.array_equal(a.sets[key].data, b.sets[key].data)
+        assert a.sets[key].tags == b.sets[key].tags
 
 
 def test_testsets_require_clean_normals():
-    ws = [make_window(i) for i in range(12)]
-    ws[0] = inject_step(ws[0], [0], 10, [1.0])
+    ws = make_windows(range(12))
+    ws.tags[0] = frozenset({"step"})
     with pytest.raises(ValueError, match="normal"):
         build_testsets(ws, InjectionSpec(seed=0))
 
 
 def test_testsets_minimum_size():
     with pytest.raises(ValueError, match="at least 10"):
-        build_testsets([make_window(i) for i in range(5)], InjectionSpec(seed=0))
+        build_testsets(make_windows(range(5)), InjectionSpec(seed=0))
 
 
 def test_step_windows_untouched_before_onset(suite_295, clean_295):
-    for orig, inj in zip(clean_295, suite_295.sets["A-6F"]):
-        if "step" in inj.tags:
-            diff = np.flatnonzero((inj.data != orig.data).any(axis=1))
+    ws = suite_295.sets["A-6F"]
+    for orig, inj, tags in zip(clean_295.data, ws.data, ws.tags):
+        if "step" in tags:
+            diff = np.flatnonzero((inj != orig).any(axis=1))
             onset = diff[0]
-            assert np.array_equal(inj.data[:onset], orig.data[:onset])
+            assert np.array_equal(inj[:onset], orig[:onset])
             assert 20 <= onset <= 60

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from t2vad import detect
 from t2vad.autoenc import embed, recon_score, train
+from t2vad.cli import main
 from t2vad.persist import (ChecksumError, SchemaError, atomic_write_json, decode_array,
                            encode_array, load_corpus, load_detector, load_model,
                            load_report, load_testsuite, save_corpus, save_detector,
@@ -24,9 +26,10 @@ def test_corpus_roundtrip(tmp_path, small_corpus):
     loaded = load_corpus(path)
     assert loaded.train_idx == small_corpus.train_idx
     assert loaded.test_idx == small_corpus.test_idx
-    for a, b in zip(loaded.windows, small_corpus.windows):
-        assert np.array_equal(a.data, b.data)
-        assert a.tags == b.tags and a.label == b.label and a.origin == b.origin
+    assert loaded.windows.data.tobytes() == small_corpus.windows.data.tobytes()
+    assert loaded.windows.tags == small_corpus.windows.tags
+    assert loaded.windows.origins == small_corpus.windows.origins
+    assert loaded.provenance == small_corpus.provenance
 
 
 def test_model_roundtrip_embeddings_bit_identical(tmp_path, small_e2e):
@@ -34,7 +37,7 @@ def test_model_roundtrip_embeddings_bit_identical(tmp_path, small_e2e):
     save_model(path, small_e2e["t2v_model"])
     loaded, calib = load_model(path)
     assert calib is None
-    for w in small_e2e["corpus"].test_windows[:10]:
+    for w in small_e2e["corpus"].test_windows.data[:10]:
         np.testing.assert_array_equal(embed(loaded, w), embed(small_e2e["t2v_model"], w))
 
 
@@ -42,7 +45,7 @@ def test_model_roundtrip_with_calibration(tmp_path, small_e2e):
     path = tmp_path / "recon.json"
     save_model(path, small_e2e["recon_model"], small_e2e["calib"])
     loaded, calib = load_model(path)
-    w = small_e2e["corpus"].test_windows[0]
+    w = small_e2e["corpus"].test_windows.data[0]
     assert recon_score(loaded, w, calib) == recon_score(
         small_e2e["recon_model"], w, small_e2e["calib"])
 
@@ -98,10 +101,21 @@ def test_testsuite_roundtrip(tmp_path, small_e2e):
     path = tmp_path / "suite.json"
     save_testsuite(path, small_e2e["suite"])
     loaded = load_testsuite(path)
+    assert loaded.seed == small_e2e["suite"].seed
     for key, windows in small_e2e["suite"].sets.items():
-        for a, b in zip(loaded.sets[key], windows):
-            assert np.array_equal(a.data, b.data)
-            assert a.tags == b.tags and a.label == b.label
+        assert loaded.sets[key].data.tobytes() == windows.data.tobytes()
+        assert loaded.sets[key].tags == windows.tags
+        assert loaded.sets[key].origins == windows.origins
+        np.testing.assert_array_equal(loaded.sets[key].anomalous, windows.anomalous)
+
+
+def test_window_block_labels_are_derived_from_the_tags(tmp_path, small_e2e):
+    path = tmp_path / "suite.json"
+    save_testsuite(path, small_e2e["suite"])
+    block = json.loads(path.read_text())["sets"]["AN-6F"]
+    assert block["labels"] == ["anomalous" if {"step", "spikes"} & set(tags) else "normal"
+                               for tags in block["tags"]]
+    assert "anomalous" in block["labels"] and "normal" in block["labels"]
 
 
 @pytest.mark.parametrize("kind", detect.KINDS)
@@ -123,7 +137,7 @@ def test_loaded_model_layers_train_through_the_flat_vector(tmp_path, small_e2e):
     loaded, _ = load_model(path)
     before = [arr.copy() for layer in loaded.stack.layers for arr in layer.params().values()]
     one_step = replace(loaded.config, epochs=1, batch=len(small_e2e["corpus"].train_windows))
-    train(loaded, small_e2e["corpus"].train_windows, one_step)
+    train(loaded, small_e2e["corpus"].train_windows.data, one_step)
     after = [arr for layer in loaded.stack.layers for arr in layer.params().values()]
     assert all(np.shares_memory(arr, loaded.stack.params) for arr in after)
     assert all(not np.array_equal(a, b) for a, b in zip(before, after))
@@ -183,3 +197,85 @@ def test_layer_doc_missing_a_parameter_is_a_schema_error(tmp_path, small_e2e):
     rewrite(path, lambda doc: doc["layers"][0]["params"].pop("w0"))
     with pytest.raises(SchemaError, match="w0"):
         load_model(path)
+
+
+def relabel_first_anomalous_window_normal(doc):
+    labels = doc["sets"]["A-6F"]["labels"]
+    labels[labels.index("anomalous")] = "normal"
+
+
+# (artifact, mutation, message): each mutation, re-checksummed, is a SchemaError
+WINDOW_FIELD_MUTATIONS = {
+    "corpus-labels-entry-removed": ("corpus", lambda d: d["windows"]["labels"].pop(),
+                                    "labels, tags and origins"),
+    "corpus-windows-removed": ("corpus", lambda d: d.pop("windows"), "'windows'"),
+    "corpus-tags-entry-5": ("corpus", lambda d: d["windows"]["tags"].__setitem__(0, 5),
+                            "labels, tags and origins"),
+    "corpus-tags-entry-holds-an-int": (
+        "corpus", lambda d: d["windows"]["tags"].__setitem__(0, [5]),
+        "labels, tags and origins"),
+    "corpus-origins-entry-not-a-string": (
+        "corpus", lambda d: d["windows"]["origins"].__setitem__(2, None),
+        "labels, tags and origins"),
+    "corpus-labels-not-a-list": ("corpus", lambda d: d["windows"].update(labels="normal"),
+                                 "'labels'"),
+    "corpus-label-contradicts-tags": (
+        "corpus", lambda d: d["windows"]["labels"].__setitem__(3, "anomalous"),
+        "window 3: label 'anomalous' inconsistent"),
+    "corpus-float-split-train": (
+        "corpus", lambda d: d["split"].update(train=[float(i) for i in d["split"]["train"]]),
+        "split indices must be integers"),
+    "corpus-split-removed": ("corpus", lambda d: d.pop("split"), "'split'"),
+    "suite-labels-entry-removed": ("testsuite", lambda d: d["sets"]["AN-4F"]["labels"].pop(),
+                                   "labels, tags and origins"),
+    "suite-sets-removed": ("testsuite", lambda d: d.pop("sets"), "'sets'"),
+    "suite-label-contradicts-tags": ("testsuite", relabel_first_anomalous_window_normal,
+                                     "label 'normal' inconsistent"),
+    "suite-payload-removed": ("testsuite", lambda d: d["sets"]["A-4F"].pop("payload"),
+                              "'payload'"),
+}
+
+
+@pytest.fixture(scope="module")
+def saved_artifacts(tmp_path_factory, small_e2e):
+    """Corpus, suite, both models and the five detectors, written once."""
+    d = tmp_path_factory.mktemp("artifacts")
+    save_corpus(d / "corpus.json", small_e2e["corpus"])
+    save_testsuite(d / "testsuite.json", small_e2e["suite"])
+    save_model(d / "t2v.json", small_e2e["t2v_model"])
+    save_model(d / "recon.json", small_e2e["recon_model"], small_e2e["calib"])
+    for kind, model in small_e2e["detectors"].items():
+        save_detector(d / f"det.{kind}.json", model)
+    return d
+
+
+@pytest.mark.parametrize("name", WINDOW_FIELD_MUTATIONS)
+def test_bad_window_or_split_field_is_a_schema_error_and_exit_1(
+        tmp_path, saved_artifacts, capsys, name):
+    kind, mutate, message = WINDOW_FIELD_MUTATIONS[name]
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes((saved_artifacts / f"{kind}.json").read_bytes())
+    rewrite(path, mutate)
+    loader = load_corpus if kind == "corpus" else load_testsuite
+    with pytest.raises(SchemaError, match=message):
+        loader(path)
+
+    d = saved_artifacts
+    if kind == "corpus":
+        argv = ["train", "--corpus", path, "--epochs", 1, "--out", tmp_path / "model.json"]
+    else:
+        argv = ["evaluate", "--suite", path, "--t2v-model", d / "t2v.json",
+                "--recon-model", d / "recon.json", "--out", tmp_path / "report.json",
+                "--detectors", *[d / f"det.{k}.json" for k in detect.KINDS]]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(message, err)
+
+
+def test_unmutated_artifacts_run_through_the_cli(tmp_path, saved_artifacts):
+    d = saved_artifacts
+    assert main(["evaluate", "--suite", str(d / "testsuite.json"),
+                 "--t2v-model", str(d / "t2v.json"), "--recon-model", str(d / "recon.json"),
+                 "--out", str(tmp_path / "report.json"), "--detectors",
+                 *[str(d / f"det.{k}.json") for k in detect.KINDS]]) == 0

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from t2vad.pipeline import (Corpus, RawSeries, SynthParams, Window, clean,
-                            auto_resample_width, corpus_data, load_csv, resample,
-                            split, synth_generate, windowize)
+from t2vad.pipeline import (Corpus, RawSeries, SynthParams, WindowSet, clean,
+                            auto_resample_width, load_csv, resample, split,
+                            synth_generate, windowize)
 
 
 def series(values, timestamps=None, source="test"):
@@ -167,20 +167,29 @@ def test_windowize_250_steps():
     s = series(np.arange(250.0))
     ws = windowize(s)
     assert len(ws) == 3
-    assert not (ws[0].tags | ws[1].tags)
-    assert "padded" in ws[2].tags
-    np.testing.assert_array_equal(ws[2].data[50:, 0], np.full(50, 249.0))
+    assert not (ws.tags[0] | ws.tags[1])
+    assert "padded" in ws.tags[2]
+    np.testing.assert_array_equal(ws.data[2, 50:, 0], np.full(50, 249.0))
+    assert ws.origins == ["test#0", "test#1", "test#2"]
 
 
 def test_windowize_exact_fit():
     ws = windowize(series(np.arange(100.0)))
-    assert len(ws) == 1 and not ws[0].tags
+    assert len(ws) == 1 and not ws.tags[0]
 
 
 def test_windowize_90_step_series_pads():
     ws = windowize(series(np.arange(90.0)))
-    assert len(ws) == 1 and "padded" in ws[0].tags
-    np.testing.assert_array_equal(ws[0].data[90:, 0], np.full(10, 89.0))
+    assert len(ws) == 1 and "padded" in ws.tags[0]
+    np.testing.assert_array_equal(ws.data[0, 90:, 0], np.full(10, 89.0))
+
+
+@pytest.mark.parametrize("n_rows", [10, 55, 99])
+def test_windowize_10_to_99_rows_gives_one_padded_window(n_rows):
+    ws = windowize(series(np.arange(float(n_rows))))
+    assert ws.data.shape == (1, 100, 1) and ws.tags == [frozenset({"padded"})]
+    np.testing.assert_array_equal(ws.data[0, :n_rows, 0], np.arange(float(n_rows)))
+    assert np.all(ws.data[0, n_rows:, 0] == n_rows - 1)
 
 
 def test_windowize_short_remainder_discarded():
@@ -189,7 +198,14 @@ def test_windowize_short_remainder_discarded():
 
 
 def test_windowize_below_minimum_yields_nothing():
-    assert windowize(series(np.arange(5.0))) == []
+    ws = windowize(series(np.arange(5.0)))
+    assert len(ws) == 0 and ws.data.shape == (0, 100, 1)
+    assert ws.tags == [] and ws.origins == []
+
+
+@pytest.mark.parametrize("n_rows", [1, 9])
+def test_windowize_below_ten_rows_gives_an_empty_set(n_rows):
+    assert len(windowize(series(np.arange(float(n_rows))))) == 0
 
 
 def test_windowize_empty_raises():
@@ -200,8 +216,8 @@ def test_windowize_empty_raises():
 def test_windowize_concat_reproduces_prefix():
     s = series(np.arange(230.0))
     ws = windowize(s)
-    unpadded = [w for w in ws if "padded" not in w.tags]
-    joined = np.concatenate([w.data[:, 0] for w in unpadded])
+    unpadded = [i for i, tags in enumerate(ws.tags) if "padded" not in tags]
+    joined = ws.data[unpadded, :, 0].reshape(-1)
     np.testing.assert_array_equal(joined, s.values[:len(joined), 0])
 
 
@@ -210,7 +226,8 @@ def test_windowize_concat_reproduces_prefix():
 # ---------------------------------------------------------------------------
 
 def make_windows(n):
-    return [Window(np.full((100, 6), float(i)), origin=f"w{i}") for i in range(n)]
+    data = np.arange(float(n))[:, None, None] * np.ones((n, 100, 6))
+    return WindowSet(data, origins=[f"w{i}" for i in range(n)])
 
 
 def test_split_2950_gives_295_test():
@@ -242,22 +259,57 @@ def test_split_too_few_windows():
         split(make_windows(5), 0.10, seed=0)
 
 
-def test_window_label_tag_consistency_enforced():
-    with pytest.raises(ValueError, match="inconsistent"):
-        Window(np.zeros((100, 6)), label="normal", tags={"step"})
-    with pytest.raises(ValueError, match="inconsistent"):
-        Window(np.zeros((100, 6)), label="anomalous", tags={"point_noise"})
+@pytest.mark.parametrize("n, fraction", [(40, -0.1), (40, 0.0), (40, 1.0), (40, 1.5),
+                                         (10, 0.01), (10, 0.96)])
+def test_split_rejects_a_fraction_that_empties_a_side(n, fraction):
+    with pytest.raises(ValueError, match="leaves a side empty"):
+        split(make_windows(n), fraction, seed=0)
+
+
+def test_window_set_anomalous_is_step_or_spikes():
+    tags = [{"step"}, {"spikes"}, {"point_noise"}, {"salt_pepper"}, set(), {"padded"},
+            {"step", "salt_pepper"}, {"spikes", "point_noise"}, {"step", "spikes"}]
+    ws = WindowSet(np.zeros((len(tags), 100, 6)), tags)
+    np.testing.assert_array_equal(ws.anomalous, [True, True, False, False, False, False,
+                                                 True, True, True])
+    assert ws.anomalous.dtype == bool
+    assert ws.tags[0] == frozenset({"step"}) and ws.origins == [""] * len(tags)
+
+
+def test_window_set_subset_keeps_index_order():
+    ws = make_windows(12)
+    ws.tags[7] = frozenset({"step"})
+    sub = ws.subset([7, 2, 9])
+    assert sub.origins == ["w7", "w2", "w9"]
+    assert sub.data[:, 0, 0].tolist() == [7.0, 2.0, 9.0]
+    assert sub.tags == [frozenset({"step"}), frozenset(), frozenset()]
+    assert sub.anomalous.tolist() == [True, False, False]
+    assert len(ws.subset([])) == 0
+
+
+def test_window_set_concat_appends_in_order():
+    both = WindowSet.concat([make_windows(3), make_windows(2).subset([1])])
+    assert both.origins == ["w0", "w1", "w2", "w1"]
+    assert both.data[:, 0, 0].tolist() == [0.0, 1.0, 2.0, 1.0]
 
 
 def test_window_requires_100_rows():
-    with pytest.raises(ValueError, match="100 rows"):
-        Window(np.zeros((90, 6)))
+    with pytest.raises(ValueError, match=r"\(n, 100, F\), got shape \(2, 90, 6\)"):
+        WindowSet(np.zeros((2, 90, 6)))
 
 
-@pytest.mark.parametrize("shape", [(100,), (100, 6, 1), ()])
+@pytest.mark.parametrize("shape", [(100,), (100, 6), (2, 100, 6, 1), ()])
 def test_window_requires_2d_data(shape):
-    with pytest.raises(ValueError, match="100 rows x F features"):
-        Window(np.zeros(shape))
+    """Every window is (N, F), so a window set is one (n, N, F) array."""
+    with pytest.raises(ValueError, match=r"\(n, 100, F\)"):
+        WindowSet(np.zeros(shape))
+
+
+@pytest.mark.parametrize("tags, origins", [([set()] * 2, None), (None, ["a"] * 4),
+                                           ([set()] * 4, ["a"] * 3)])
+def test_window_set_needs_one_tag_set_and_origin_per_window(tags, origins):
+    with pytest.raises(ValueError, match="3 windows need 3 tag sets and origins"):
+        WindowSet(np.zeros((3, 100, 6)), tags, origins)
 
 
 def test_corpus_split_validated():
@@ -272,13 +324,14 @@ def test_corpus_split_validated():
 
 def test_synth_default_shape():
     c = synth_generate(seed=0)
-    assert len(c.windows) == 2950
-    assert all(w.data.shape == (100, 6) for w in c.windows[:20])
+    assert c.windows.data.shape == (2950, 100, 6)
+    assert c.windows.origins[:2] == ["synth#0", "synth#1"]
+    assert not c.windows.anomalous.any()
     assert len(c.test_idx) == 295
 
 
 def test_synth_flat_features_are_flat(small_corpus):
-    data = corpus_data(small_corpus.windows).reshape(-1, 6)
+    data = small_corpus.windows.data.reshape(-1, 6)
     stds = data.std(axis=0)
     assert stds[4] / stds[0] < 0.01
     assert stds[5] / stds[0] < 0.01
@@ -287,8 +340,7 @@ def test_synth_flat_features_are_flat(small_corpus):
 def test_synth_deterministic():
     a = synth_generate(SynthParams(n_windows=20), seed=9)
     b = synth_generate(SynthParams(n_windows=20), seed=9)
-    for wa, wb in zip(a.windows, b.windows):
-        assert np.array_equal(wa.data, wb.data)
+    assert np.array_equal(a.windows.data, b.windows.data)
     assert a.train_idx == b.train_idx
 
 
@@ -298,5 +350,4 @@ def test_synth_invalid_counts():
 
 
 def test_every_emitted_window_is_100_by_6(small_corpus):
-    for w in small_corpus.windows:
-        assert w.data.shape == (100, 6)
+    assert small_corpus.windows.data.shape[1:] == (100, 6)
