@@ -4,11 +4,10 @@ The embedding AE decodes its N*K vector back to the window through
 same-padding conv blocks; the baseline AE compresses the time axis with
 strided convs and mirrors back up. Both minimize elementwise MSE under
 Adam; gradients come from the hand-written backward passes, spot-checked
-here against finite differences. The last part times the two training
-kernels at the default shapes against the formulations they replaced: the
-conv input gradient as a per-tap scatter versus one im2col matmul, and Adam
-as one update per parameter block versus in-place ops on the stack's flat
-parameter vector. Each pair must agree (Adam exactly).
+here against finite differences. Training runs on a float32 copy of each
+stack (stored weights, scoring and the gradient check stay float64); the
+last part times the training kernels at the default shapes in float64 and
+float32 and prints how far apart the two results are.
 """
 
 import time
@@ -60,59 +59,57 @@ def best_of(fn, reps=5, inner=20):
     return min(times), out
 
 
-def scatter_backward(cols, grad_y, kernels, stride, in_len):
-    """Conv backward the old way: the input gradient is one strided add per tap."""
-    c_out, c_in, k = kernels.shape
-    b, n_out, _ = grad_y.shape
-    flat_gy = grad_y.reshape(b * n_out, c_out)
-    kmat = kernels.transpose(2, 1, 0).reshape(k * c_in, c_out)
-    grad_kernels = (cols.reshape(b * n_out, k * c_in).T @ flat_gy).reshape(k, c_in, c_out)
-    grad_cols = (flat_gy @ kmat.T).reshape(b, n_out, k, c_in)
-    pad = (k - 1) // 2
-    grad_xp = np.zeros((b, in_len + 2 * pad, c_in))
-    for t in range(k):
-        grad_xp[:, t:t + stride * n_out:stride, :] += grad_cols[:, :, t, :]
-    return grad_xp[:, pad:pad + in_len, :], grad_kernels.transpose(2, 1, 0), flat_gy.sum(0)
+def compare(label, step, stack64, *inputs):
+    """Time `step(stack, *inputs)` on a float64 stack and on its float32 copy,
+    from the same starting weights and inputs."""
+    timed = []
+    for stack in (stack64, stack64.astype(np.float32)):
+        args = [a.astype(stack.params.dtype) for a in inputs]
+        timed.append(best_of(lambda: step(stack, *args)))
+    (s64, out64), (s32, out32) = timed
+    diff = np.abs(out32.astype(np.float64) - out64).max()
+    print(f"{label}: float64 {s64 * 1e3:.3f} ms, float32 {s32 * 1e3:.3f} ms "
+          f"({s64 / s32:.1f}x), max |diff| = {diff:.1e}")
 
 
-# decoder conv of the embedding AE and second encoder conv of the baseline AE,
-# at the default batch (32), window length (100), filters (16) and kernel (5)
-for stride, in_len in ((1, 100), (2, 50)):
-    conv = nd.Conv1d(16, 16, 5, stride=stride, rng=rng)
-    _, cache = conv.forward(rng.normal(size=(32, in_len, 16)))
-    grad_y = rng.normal(size=(32, in_len // stride, 16))
-    old_s, old = best_of(lambda: scatter_backward(cache[0], grad_y, conv.kernels, stride,
-                                                  in_len)[0])
-    new_s, new = best_of(lambda: conv.backward(cache, grad_y)[0])
-    print(f"conv backward (32, {in_len}, 16) stride {stride}: scatter {old_s * 1e3:.2f} ms, "
-          f"im2col {new_s * 1e3:.2f} ms, max |grad_x diff| = {np.abs(new - old).max():.1e}")
+svdd = build_network(700, (128, 32), rng)
+adam_states = {}
 
 
-def per_block_adam(state, params, grads, lr=1e-3):
-    """Adam the old way: one moment pair and fresh temporaries per block."""
-    state["t"] += 1
-    for key, p in params.items():
-        m, v = state["moments"].setdefault(key, (np.zeros_like(p), np.zeros_like(p)))
-        m *= 0.9
-        m += (1 - 0.9) * grads[key]
-        v *= 0.999
-        v += (1 - 0.999) * grads[key] * grads[key]
-        m_hat = m / (1 - 0.9 ** state["t"])
-        v_hat = v / (1 - 0.999 ** state["t"])
-        p -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+def adam(stack, grads):
+    state = adam_states.setdefault(stack.params.dtype.name, nd.AdamState())
+    nd.adam_step(state, stack.params, grads)
+    return stack.params
 
 
-for label, stack in (("embedding AE", build_t2v_ae(AEConfig(), 100, 6).stack),
-                     ("Deep SVDD", build_network(700, (128, 32), rng))):
-    grads = rng.normal(size=stack.params.size)
-    ref = stack.params.copy()
-    cuts = np.cumsum([arr.size for layer in stack.layers
-                      for arr in layer.params().values()])[:-1]
-    blocks = dict(enumerate(np.split(ref, cuts)))
-    grad_blocks = dict(enumerate(np.split(grads, cuts)))
-    old_state, state = {"t": 0, "moments": {}}, nd.AdamState()
-    old_s, _ = best_of(lambda: per_block_adam(old_state, blocks, grad_blocks))
-    new_s, _ = best_of(lambda: nd.adam_step(state, stack.params, grads))
-    print(f"adam_step {label} ({stack.params.size} params, {len(blocks)} blocks): "
-          f"per block {old_s * 1e3:.3f} ms, flat {new_s * 1e3:.3f} ms, "
-          f"max |diff| after {state.step_count} steps = {np.abs(stack.params - ref).max():.1e}")
+compare(f"adam_step, Deep SVDD ({svdd.params.size} params)", adam, svdd.astype(np.float64),
+        rng.normal(size=svdd.params.size))
+compare("dense forward 64x700 @ 700x128", lambda s, x: s.layers[0].forward(x)[0],
+        svdd, rng.normal(size=(64, 700)))
+
+conv = nd.LayerStack([nd.Conv1d(16, 16, 5, rng=rng)])
+compare("conv1d forward (32, 100, 16), k=5", lambda s, x: s.forward(x), conv,
+        rng.normal(size=(32, 100, 16)))
+
+
+def conv_backward(stack, x, grad_y):
+    _, cache = stack.layers[0].forward(x)
+    return stack.layers[0].backward(cache, grad_y)[0]
+
+
+compare("conv1d forward + backward (32, 100, 16)", conv_backward, conv,
+        rng.normal(size=(32, 100, 16)), rng.normal(size=(32, 100, 16)))
+
+t2v_stack = build_t2v_ae(AEConfig(), 100, 6).stack
+batch = corpus.train_windows.data[:32]
+
+
+def training_step(stack, x):
+    """One t2v AE minibatch step, as in autoenc.train: forward, MSE, backward, Adam."""
+    y, tape = stack.forward_tape(x)
+    _, dy = nd.mse_loss_grad(y, x)
+    return adam(stack, stack.backward(tape, dy))
+
+
+adam_states.clear()
+compare("t2v AE training step (32, 100, 6)", training_step, t2v_stack, batch)

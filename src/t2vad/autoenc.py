@@ -136,12 +136,15 @@ def train(model: TrainedModel, data: np.ndarray, cfg: AEConfig | None = None) ->
 
     Deterministic given cfg.seed: batch order, initialization and updates
     all derive from it. Appends one mean loss per epoch to the loss curve.
+    Training runs on a float32 copy of the stack and of `data`; the trained
+    parameters are written back into the float64 stack at the end.
     """
     cfg = cfg or model.config
-    data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(data, dtype=np.float32)
     if data.ndim != 3 or len(data) == 0 or data.shape[1:] != (model.n, model.f):
         raise ValueError(f"windows are {data.shape}, model expects (n > 0, {model.n}, {model.f})")
     n = len(data)
+    work = model.stack.astype(np.float32)
     rng = make_rng(cfg.seed + 1)  # offset: init used cfg.seed
     adam = nd.AdamState(lr=cfg.lr)
     for epoch in range(cfg.epochs):
@@ -150,14 +153,15 @@ def train(model: TrainedModel, data: np.ndarray, cfg: AEConfig | None = None) ->
         for start in range(0, n, cfg.batch):
             idx = order[start:start + cfg.batch]
             x = data[idx]
-            y, tape = model.stack.forward_tape(x)
+            y, tape = work.forward_tape(x)
             loss, dy = nd.mse_loss_grad(y, x)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch}")
-            nd.adam_step(adam, model.stack.params, model.stack.backward(tape, dy))
+            nd.adam_step(adam, work.params, work.backward(tape, dy))
             epoch_loss += loss * len(idx)
         model.loss_curve.append(epoch_loss / n)
+    model.stack.params[...] = work.params
     return model
 
 

@@ -176,8 +176,10 @@ def cmd_fit_detector(args) -> int:
         fitted = detect.fit(kind, emb, cfg)
         path = args.out if len(kinds) == 1 else _suffixed(args.out, kind)
         save_detector(_out_path(path), fitted)
+        curve = fitted.state.get("loss_curve")
         print(f"fitted {kind}: threshold {fitted.threshold:.4f} "
-              f"(q={args.threshold_quantile})")
+              f"(q={args.threshold_quantile})"
+              + (f"; loss {curve[0]:.5f} -> {curve[-1]:.5f}" if curve else ""))
     return 0
 
 

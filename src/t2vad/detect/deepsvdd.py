@@ -3,9 +3,11 @@ squared distance to it.
 
 Bias-free feed-forward net (ReLU hidden, linear output) trained with Adam
 to minimize mean ||phi(x) - c||^2 plus L2 weight decay. The center is the
-mean of the initial forward pass and stays frozen; bias-free layers rule
-out the trivial constant-map solution, and a collapse guard shifts a
-center that lands on the origin.
+mean of the initial float64 forward pass and stays frozen; bias-free layers
+rule out the trivial constant-map solution, and a collapse guard shifts a
+center that lands on the origin. Training runs on a float32 copy of the
+net; the fitted state holds the float64 net, the center and the mean
+objective of each epoch (`loss_curve`).
 """
 
 from __future__ import annotations
@@ -40,18 +42,24 @@ def fit_deep_svdd(x: np.ndarray, widths, epochs: int, batch: int, lr: float,
     if float(np.linalg.norm(center)) < 1e-6:
         center = center + 0.1     # collapse guard: keep the target off the origin
 
+    work, x32, center32 = net.astype(np.float32), x.astype(np.float32), center.astype(np.float32)
     adam = nd.AdamState(lr=lr)
     order_rng = make_rng(seed + 1)
+    loss_curve = []
     for _ in range(epochs):
         order = order_rng.permutation(n)
+        epoch_loss = 0.0
         for start in range(0, n, batch):
-            xb = x[order[start:start + batch]]
-            y, tape = net.forward_tape(xb)
-            dy = 2.0 * (y - center) / len(xb)
-            grads = net.backward(tape, dy)
-            grads += 2.0 * weight_decay * net.params     # bias-free: every parameter is a weight
-            nd.adam_step(adam, net.params, grads)
-    return {"layers": net, "center": center, "widths": list(widths)}
+            xb = x32[order[start:start + batch]]
+            y, tape = work.forward_tape(xb)
+            diff = y - center32
+            epoch_loss += float((diff * diff).sum())      # batch objective times batch size
+            grads = work.backward(tape, 2.0 * diff / len(xb))
+            grads += 2.0 * weight_decay * work.params     # bias-free: every parameter is a weight
+            nd.adam_step(adam, work.params, grads)
+        loss_curve.append(epoch_loss / n)
+    net.params[...] = work.params
+    return {"layers": net, "center": center, "widths": list(widths), "loss_curve": loss_curve}
 
 
 def score_deep_svdd(state: dict, x: np.ndarray) -> np.ndarray:

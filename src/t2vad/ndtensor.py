@@ -1,6 +1,9 @@
 """Minimal dense numeric core for the window autoencoders.
 
-Tensors are plain float64 numpy arrays, row-major. The layer vocabulary is
+Tensors are plain numpy arrays, row-major: float64 by default, float32 in
+the training loops, which run on a float32 copy of a stack
+(:meth:`LayerStack.astype`). Every buffer a layer or the optimizer makes
+follows the dtype of its input or parameters. The layer vocabulary is
 fixed: conv1d, dense, relu and upsample here, plus the t2v layer in
 :mod:`t2vad.t2v`. Each layer implements an explicit forward that returns a
 cache and a backward that consumes it, so a :class:`LayerStack` can record
@@ -13,6 +16,7 @@ dense layers take ``(B, D)``. A single window is a batch with B=1.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Any
 
@@ -33,7 +37,7 @@ def _im2col(x: Tensor, k: int, stride: int) -> Tensor:
     """(B, N, C) -> (B, N_out, k, C) sliding windows over zero-padded time axis."""
     b, n, c = x.shape
     pad = (k - 1) // 2
-    xp = np.zeros((b, n + 2 * pad, c))
+    xp = np.zeros((b, n + 2 * pad, c), dtype=x.dtype)
     xp[:, pad:pad + n, :] = x
     n_out = n // stride
     s0, s1, s2 = xp.strides
@@ -71,7 +75,7 @@ def _conv1d_batch_backward(grad_y, cols, kernels, stride, in_len, input_grad=Tru
     if not input_grad:
         return None, grad_kernels, grad_bias
     if stride > 1:
-        dilated = np.zeros((b, in_len, c_out))
+        dilated = np.zeros((b, in_len, c_out), dtype=grad_y.dtype)
         dilated[:, ::stride] = grad_y
         grad_y = dilated
     kflip = kernels[:, :, ::-1].transpose(2, 0, 1).reshape(k * c_out, c_in)
@@ -220,14 +224,14 @@ class LayerStack:
     gradient vector ``grads``. Every layer parameter becomes a view into
     ``params`` (its current values are copied in), so an optimizer step on
     the vector updates the layers, and ``backward`` fills ``grads`` in the
-    same order.
+    same order. Both vectors, and so every parameter view, have ``dtype``.
     """
 
-    def __init__(self, layers: list[Layer]):
+    def __init__(self, layers: list[Layer], dtype=np.float64):
         self.layers = list(layers)
         size = sum(arr.size for layer in self.layers for arr in layer.params().values())
-        self.params = np.empty(size)
-        self.grads = np.zeros(size)
+        self.params = np.empty(size, dtype=dtype)
+        self.grads = np.zeros(size, dtype=dtype)
         self._grad_views: list[dict[str, Tensor]] = []
         offset = 0
         for layer in self.layers:
@@ -239,6 +243,11 @@ class LayerStack:
                 views[name] = self.grads[span].reshape(arr.shape)
                 offset += arr.size
             self._grad_views.append(views)
+
+    def astype(self, dtype) -> "LayerStack":
+        """An independent stack of deep-copied layers whose parameters have
+        `dtype` (values rounded to it)."""
+        return LayerStack(copy.deepcopy(self.layers), dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         for layer in self.layers:
@@ -270,7 +279,10 @@ class LayerStack:
 
 @dataclass
 class AdamState:
-    """Adam moments over a flat parameter vector plus the step counter."""
+    """Adam moments over a flat parameter vector plus the step counter.
+
+    The first step allocates m, v and scratch in the parameters' dtype.
+    """
 
     lr: float = 1e-3
     beta1: float = 0.9
@@ -296,7 +308,7 @@ def adam_step(state: AdamState, params: Tensor, grads: Tensor) -> None:
         raise NonFiniteError("non-finite gradient")
     if state.m is None:
         state.m, state.v = np.zeros_like(params), np.zeros_like(params)
-        state.scratch = np.empty((2, *params.shape))
+        state.scratch = np.empty((2, *params.shape), dtype=params.dtype)
     state.step_count += 1
     t = state.step_count
     m, v, (a, b) = state.m, state.v, state.scratch

@@ -13,6 +13,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict
@@ -42,6 +43,34 @@ class ChecksumError(ValueError):
 # primitives
 # ---------------------------------------------------------------------------
 
+_NUMBER = (int, float)
+_NONE = type(None)
+
+
+def _field(doc, key: str, kind):
+    """doc[key]; a SchemaError unless `doc` is an object holding a `kind` there.
+
+    `kind` is a type or a tuple of types, as for isinstance.
+    """
+    if not (isinstance(doc, dict) and key in doc and isinstance(doc[key], kind)):
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise SchemaError(f"field {key!r} is missing or not a {names}")
+    return doc[key]
+
+
+def _construct(cls, fields: dict, what: str):
+    """cls(**fields); a SchemaError when a field is unknown or its value is rejected."""
+    try:
+        return cls(**fields)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad {what}: {exc}") from None
+
+
+def _optional_array(doc, key: str) -> np.ndarray | None:
+    block = _field(doc, key, (dict, _NONE))
+    return None if block is None else decode_array(block)
+
+
 def encode_array(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=np.float64)
     return {
@@ -52,9 +81,16 @@ def encode_array(a: np.ndarray) -> dict:
 
 
 def decode_array(d: dict) -> np.ndarray:
-    raw = base64.b64decode(d["data"])
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return arr.reshape(d["shape"])
+    """Inverse of `encode_array`; a SchemaError unless `d` holds a base64 `data`
+    string whose length matches an integer `shape` list."""
+    shape = _field(d, "shape", list)
+    if not all(type(s) is int and s >= 0 for s in shape):
+        raise SchemaError(f"array shape {shape} is not a list of non-negative integers")
+    raw = base64.b64decode(_field(d, "data", str))
+    if len(raw) != 8 * math.prod(shape):
+        raise SchemaError(f"array data holds {len(raw)} bytes, not the "
+                          f"{8 * math.prod(shape)} its shape {shape} needs")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def _canonical(doc: dict) -> str:
@@ -111,14 +147,6 @@ def config_digest(config: dict) -> str:
 # ---------------------------------------------------------------------------
 # corpus / test suite
 # ---------------------------------------------------------------------------
-
-def _field(doc, key: str, kind: type):
-    """doc[key]; a SchemaError unless `doc` is an object holding a `kind` there."""
-    value = doc.get(key) if isinstance(doc, dict) else None
-    if not isinstance(value, kind):
-        raise SchemaError(f"field {key!r} is missing or not a {kind.__name__}")
-    return value
-
 
 def _labels(windows: WindowSet) -> list[str]:
     return ["anomalous" if a else "normal" for a in windows.anomalous]
@@ -207,18 +235,16 @@ def _layer_doc(layer: nd.Layer) -> dict:
 
 def _layer_from_doc(doc: dict) -> nd.Layer:
     """Rebuild a layer as ``cls(**hyperparams)`` and fill in its parameters."""
-    cls = LAYERS.get(doc["kind"])
+    kind = _field(doc, "kind", str)
+    cls = LAYERS.get(kind)
     if cls is None:
-        raise SchemaError(f"unknown layer kind {doc['kind']!r}")
-    try:
-        layer = cls(**doc["hyperparams"])
-    except TypeError as exc:
-        raise SchemaError(f"bad {doc['kind']} hyperparameters: {exc}") from None
-    params = layer.params()
-    if set(doc["params"]) != set(params):
-        raise SchemaError(f"{doc['kind']} layer has parameters {sorted(doc['params'])}, "
+        raise SchemaError(f"unknown layer kind {kind!r}")
+    layer = _construct(cls, _field(doc, "hyperparams", dict), f"{kind} hyperparameters")
+    params, stored = layer.params(), _field(doc, "params", dict)
+    if set(stored) != set(params):
+        raise SchemaError(f"{kind} layer has parameters {sorted(stored)}, "
                           f"expected {sorted(params)}")
-    for name, enc in doc["params"].items():
+    for name, enc in stored.items():
         params[name][...] = decode_array(enc)
     return layer
 
@@ -248,15 +274,16 @@ def save_model(path: str, model: TrainedModel,
 
 def load_model(path: str) -> tuple[TrainedModel, ScoreCalibration | None]:
     doc = load_json_checked(path, "model")
-    cfg = AEConfig(**doc["config"])
-    stack = nd.LayerStack([_layer_from_doc(d) for d in doc["layers"]])
-    model = TrainedModel(cfg, stack, doc["n"], doc["f"], doc["loss_curve"],
-                         doc["val_dtw"], doc["encoder_strides"])
-    calib = None
-    if doc["calibration"] is not None:
-        c = doc["calibration"]
-        calib = ScoreCalibration(decode_array(c["means"]), decode_array(c["stds"]),
-                                 c["threshold"], c["threshold_quantile"])
+    cfg = _construct(AEConfig, _field(doc, "config", dict), "model config")
+    stack = nd.LayerStack([_layer_from_doc(d) for d in _field(doc, "layers", list)])
+    model = TrainedModel(cfg, stack, _field(doc, "n", int), _field(doc, "f", int),
+                         _field(doc, "loss_curve", list),
+                         _field(doc, "val_dtw", (*_NUMBER, _NONE)),
+                         _field(doc, "encoder_strides", list))
+    c = _field(doc, "calibration", (dict, _NONE))
+    calib = None if c is None else ScoreCalibration(
+        decode_array(_field(c, "means", dict)), decode_array(_field(c, "stds", dict)),
+        _field(c, "threshold", _NUMBER), _field(c, "threshold_quantile", _NUMBER))
     return model, calib
 
 
@@ -275,8 +302,8 @@ def _encode_value(value):
 
 
 def _decode_value(value):
-    """Inverse of `_encode_value`."""
-    if isinstance(value, dict) and set(value) == {"shape", "dtype", "data"}:
+    """Inverse of `_encode_value`: no other detector state value is an object."""
+    if isinstance(value, dict):
         return decode_array(value)
     if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
         return nd.LayerStack([_layer_from_doc(d) for d in value])
@@ -304,23 +331,23 @@ def save_detector(path: str, model: DetectorModel) -> None:
 
 def load_detector(path: str) -> DetectorModel:
     doc = load_json_checked(path, "detector")
-    kind = doc["detector"]
+    kind = _field(doc, "detector", str)
     if kind not in KINDS:
         raise SchemaError(f"{path}: unknown detector kind {kind!r}")
-    cfg_dict = dict(doc["config"])
-    cfg_dict["svdd_widths"] = tuple(cfg_dict["svdd_widths"])
+    cfg_dict = dict(_field(doc, "config", dict))
+    cfg_dict["svdd_widths"] = tuple(_field(cfg_dict, "svdd_widths", list))
     return DetectorModel(
         kind,
-        decode_array(doc["scaler_mean"]),
-        decode_array(doc["scaler_std"]),
-        {key: _decode_value(value) for key, value in doc["state"].items()},
-        doc["threshold"],
-        doc["threshold_quantile"],
-        decode_array(doc["train_scores"]),
-        None if doc["pca_basis"] is None else decode_array(doc["pca_basis"]),
-        None if doc["pca_mean"] is None else decode_array(doc["pca_mean"]),
-        DetectorConfig(**cfg_dict),
-        doc["seed"],
+        decode_array(_field(doc, "scaler_mean", dict)),
+        decode_array(_field(doc, "scaler_std", dict)),
+        {key: _decode_value(value) for key, value in _field(doc, "state", dict).items()},
+        _field(doc, "threshold", _NUMBER),
+        _field(doc, "threshold_quantile", _NUMBER),
+        decode_array(_field(doc, "train_scores", dict)),
+        _optional_array(doc, "pca_basis"),
+        _optional_array(doc, "pca_mean"),
+        _construct(DetectorConfig, cfg_dict, "detector config"),
+        _field(doc, "seed", int),
     )
 
 
@@ -340,7 +367,7 @@ def save_embeddings(path: str, embeddings: np.ndarray, meta: dict) -> None:
 
 def load_embeddings(path: str) -> tuple[np.ndarray, dict]:
     doc = load_json_checked(path, "embeddings")
-    return decode_array(doc["payload"]), doc["meta"]
+    return decode_array(_field(doc, "payload", dict)), _field(doc, "meta", dict)
 
 
 def save_report(path: str, report: EvalReport) -> None:
@@ -358,5 +385,6 @@ def save_report(path: str, report: EvalReport) -> None:
 
 def load_report(path: str) -> EvalReport:
     doc = load_json_checked(path, "report")
-    return EvalReport(doc["results"], doc["composition"], doc["config_digest"],
-                      doc["seeds"], doc["timestamp"])
+    return EvalReport(_field(doc, "results", dict), _field(doc, "composition", dict),
+                      _field(doc, "config_digest", str), _field(doc, "seeds", dict),
+                      _field(doc, "timestamp", (str, _NONE)))

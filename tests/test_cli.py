@@ -139,6 +139,43 @@ def test_config_file_unknown_keys_rejected(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+def stored_array_dtypes(doc):
+    if isinstance(doc, dict):
+        own = [doc["dtype"]] if set(doc) == {"shape", "dtype", "data"} else []
+        return own + [t for value in doc.values() for t in stored_array_dtypes(value)]
+    if isinstance(doc, list):
+        return [t for value in doc for t in stored_array_dtypes(value)]
+    return []
+
+
+def test_training_artifacts_rerun_byte_identical(workdir, tmp_path):
+    """Two runs of both trainings and of fit-detector write the same bytes: the
+    float32 training loops are as deterministic as the float64 files they fill."""
+    for run_dir in (tmp_path / "a", tmp_path / "b"):
+        for variant in ("t2v", "reconstruction"):
+            assert run(["train", "--corpus", workdir / "corpus.json", "--variant", variant,
+                        "--epochs", 2, "--seed", 5, "--out", run_dir / f"{variant}.json"]) == 0
+        assert run(["fit-detector", "--corpus", workdir / "corpus.json", "--model",
+                    run_dir / "t2v.json", "--kind", "all", "--seed", 5,
+                    "--out", run_dir / "det.json"]) == 0
+    names = ["t2v.json", "reconstruction.json", *(p.name for p in detector_paths(tmp_path))]
+    for name in names:
+        first = (tmp_path / "a" / name).read_bytes()
+        assert first == (tmp_path / "b" / name).read_bytes(), name
+        dtypes = stored_array_dtypes(json.loads(first))
+        assert dtypes and set(dtypes) == {"float64"}, name
+
+
+def test_fit_detector_prints_the_deep_svdd_loss_curve_ends(workdir, capsys):
+    capsys.readouterr()
+    assert run(["fit-detector", "--corpus", workdir / "corpus.json", "--model",
+                workdir / "t2v.json", "--kind", "deep_svdd", "--seed", 5,
+                "--out", workdir / "svdd.json"]) == 0
+    curve = json.loads((workdir / "svdd.json").read_text())["state"]["loss_curve"]
+    assert len(curve) == 100
+    assert f"loss {curve[0]:.5f} -> {curve[-1]:.5f}" in capsys.readouterr().out
+
+
 def test_commands_do_not_mutate_inputs(workdir):
     before = (workdir / "corpus.json").read_bytes()
     assert run(["build-testsets", "--corpus", workdir / "corpus.json", "--seed", 9,

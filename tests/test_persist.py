@@ -8,10 +8,11 @@ import pytest
 from t2vad import detect
 from t2vad.autoenc import embed, recon_score, train
 from t2vad.cli import main
+from t2vad.evaluate import EvalReport
 from t2vad.persist import (ChecksumError, SchemaError, atomic_write_json, decode_array,
                            encode_array, load_corpus, load_detector, load_model,
                            load_report, load_testsuite, save_corpus, save_detector,
-                           save_model, save_testsuite)
+                           save_model, save_report, save_testsuite)
 
 
 def test_array_codec_roundtrip():
@@ -246,6 +247,7 @@ def saved_artifacts(tmp_path_factory, small_e2e):
     save_model(d / "recon.json", small_e2e["recon_model"], small_e2e["calib"])
     for kind, model in small_e2e["detectors"].items():
         save_detector(d / f"det.{kind}.json", model)
+    save_report(d / "report.json", EvalReport({}, {}, "digest", {"master_seed": 0}, None))
     return d
 
 
@@ -279,3 +281,76 @@ def test_unmutated_artifacts_run_through_the_cli(tmp_path, saved_artifacts):
                  "--t2v-model", str(d / "t2v.json"), "--recon-model", str(d / "recon.json"),
                  "--out", str(tmp_path / "report.json"), "--detectors",
                  *[str(d / f"det.{k}.json") for k in detect.KINDS]]) == 0
+
+
+def set_first_shape_entry(value):
+    return lambda d: d["windows"]["payload"]["shape"].__setitem__(0, value)
+
+
+# (file, mutation, message): each mutation of a model, detector or array
+# block, re-checksummed, is a SchemaError when loaded and exit 1 in the CLI
+ARTIFACT_FIELD_MUTATIONS = {
+    "corpus-payload-data-removed": ("corpus.json", lambda d: d["windows"]["payload"].pop("data"),
+                                    "'data'"),
+    "corpus-payload-shape-removed": (
+        "corpus.json", lambda d: d["windows"]["payload"].pop("shape"), "'shape'"),
+    "corpus-payload-shape-too-short": ("corpus.json", set_first_shape_entry(5),
+                                       "array data holds .* bytes"),
+    "corpus-payload-shape-float": ("corpus.json", set_first_shape_entry(60.0),
+                                   "not a list of non-negative integers"),
+    "t2v-layers-removed": ("t2v.json", lambda d: d.pop("layers"), "'layers'"),
+    "t2v-config-removed": ("t2v.json", lambda d: d.pop("config"), "'config'"),
+    "t2v-config-unknown-key": ("t2v.json", lambda d: d["config"].update(bogus=1), "bogus"),
+    "t2v-n-a-string": ("t2v.json", lambda d: d.update(n="100"), "'n'"),
+    "t2v-layer-kind-removed": ("t2v.json", lambda d: d["layers"][0].pop("kind"), "'kind'"),
+    "recon-calibration-means-removed": (
+        "recon.json", lambda d: d["calibration"].pop("means"), "'means'"),
+    "recon-calibration-threshold-removed": (
+        "recon.json", lambda d: d["calibration"].pop("threshold"), "'threshold'"),
+    "detector-train-scores-shape-removed": (
+        "det.deep_svdd.json", lambda d: d["train_scores"].pop("shape"), "'shape'"),
+    "detector-state-removed": ("det.lof.json", lambda d: d.pop("state"), "'state'"),
+    "detector-state-center-shape-removed": (
+        "det.deep_svdd.json", lambda d: d["state"]["center"].pop("shape"), "'shape'"),
+    "detector-threshold-a-string": ("det.ocsvm.json", lambda d: d.update(threshold="0.5"),
+                                    "'threshold'"),
+    "detector-pca-basis-removed": ("det.ee.json", lambda d: d.pop("pca_basis"), "'pca_basis'"),
+    "detector-config-unknown-key": (
+        "det.iforest.json", lambda d: d["config"].update(bogus=1), "bogus"),
+    "detector-seed-removed": ("det.iforest.json", lambda d: d.pop("seed"), "'seed'"),
+    "report-results-removed": ("report.json", lambda d: d.pop("results"), "'results'"),
+    "report-timestamp-a-number": ("report.json", lambda d: d.update(timestamp=5), "'timestamp'"),
+}
+
+
+@pytest.mark.parametrize("name", ARTIFACT_FIELD_MUTATIONS)
+def test_bad_model_detector_or_array_field_is_a_schema_error_and_exit_1(
+        tmp_path, saved_artifacts, capsys, name):
+    file, mutate, message = ARTIFACT_FIELD_MUTATIONS[name]
+    path = tmp_path / file
+    path.write_bytes((saved_artifacts / file).read_bytes())
+    rewrite(path, mutate)
+    loader = {"corpus.json": load_corpus, "t2v.json": load_model, "recon.json": load_model,
+              "report.json": load_report}.get(file, load_detector)
+    with pytest.raises(SchemaError, match=message):
+        loader(path)
+
+    paths = {f: saved_artifacts / f for f in ["corpus.json", "t2v.json", "recon.json"]}
+    paths[file] = path
+    if file == "corpus.json":
+        argv = ["train", "--corpus", path, "--epochs", 1, "--out", tmp_path / "model.json"]
+    elif file == "t2v.json":
+        argv = ["embed", "--corpus", paths["corpus.json"], "--model", path,
+                "--out", tmp_path / "emb.json"]
+    elif file == "report.json":
+        argv = ["report", "--report", path]
+    else:
+        detectors = [saved_artifacts / f"det.{k}.json" for k in detect.KINDS]
+        argv = ["evaluate", "--suite", saved_artifacts / "testsuite.json",
+                "--t2v-model", paths["t2v.json"], "--recon-model", paths["recon.json"],
+                "--out", tmp_path / "report.json",
+                "--detectors", *[path if p.name == file else p for p in detectors]]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(message, err)
