@@ -10,13 +10,13 @@ last part times the training kernels at the default shapes in float64 and
 float32 and prints how far apart the two results are.
 """
 
+import math
 import time
 
 import numpy as np
 
 from t2vad import ndtensor as nd
-from t2vad.autoenc import (AEConfig, build_recon_ae, build_t2v_ae,
-                           bottleneck_length, reconstruct, train)
+from t2vad.autoenc import AEConfig, build_recon_ae, build_t2v_ae, train
 from t2vad.detect.deepsvdd import build_network
 from t2vad.pipeline import SynthParams, synth_generate
 from t2vad.rng import make_rng
@@ -31,12 +31,13 @@ print(f"embedding AE   loss: {t2v_model.loss_curve[0]:.4f} -> "
 recon_cfg = AEConfig(variant="reconstruction", encoder_layers=2, epochs=12,
                      batch=16, seed=2)
 recon_model = train(build_recon_ae(recon_cfg, 100, 6), corpus.train_windows.data)
+strides = [layer.stride for layer in recon_model.stack.layers if layer.kind == "conv1d"]
 print(f"baseline AE    loss: {recon_model.loss_curve[0]:.4f} -> "
       f"{recon_model.loss_curve[-1]:.4f} "
-      f"(bottleneck {bottleneck_length(recon_model)} steps)")
+      f"(bottleneck {recon_model.n // math.prod(strides)} steps)")
 
-w = corpus.test_windows.data[0]
-err = np.mean(np.abs(reconstruct(t2v_model, w) - w))
+w = corpus.test_windows.data[:1]      # a batch of one window
+err = np.mean(np.abs(t2v_model.stack.forward(w) - w))
 print(f"mean |reconstruction error| on a held-out window: {err:.4f}")
 
 # the backward passes are exact: finite differences agree at toy size

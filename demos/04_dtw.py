@@ -5,30 +5,30 @@ copy of a series costs far less than the raw pointwise comparison
 suggests. The exhaustive path-enumeration oracle confirms the dynamic
 program on small inputs; the mean DTW over a validation split is the
 model-selection objective for the autoencoders (it is not differentiable,
-so training itself uses MSE). `dtw_batch` runs the same dynamic program
-over a whole batch of pairs at once; it must agree with the per-pair loop
-exactly, not just within a tolerance.
+so training itself uses MSE). `dtw_batch` runs the dynamic program over a
+whole batch of pairs at once; one pair is the batch `a[None], b[None]`. A
+batch must agree with the per-pair loop exactly, not just within a tolerance.
 """
 
 import time
 
 import numpy as np
 
-from t2vad.dtw import dtw_batch, dtw_bruteforce, dtw_distance
+from t2vad.dtw import dtw_batch, dtw_bruteforce
 from t2vad.rng import make_rng
 
 t = np.linspace(0, 4 * np.pi, 60)
-wave = np.sin(t)[:, None]
-shifted = np.sin(t - 0.8)[:, None]
+wave = np.sin(t)[None, :, None]            # batches of one (60, 1) series
+shifted = np.sin(t - 0.8)[None, :, None]
 
-pointwise = float(np.linalg.norm(wave - shifted, axis=1).sum())
+pointwise = float(np.linalg.norm(wave - shifted, axis=2).sum())
+dist = dtw_batch(wave, shifted)[0]
 print(f"sum of pointwise distances (no alignment): {pointwise:7.3f}")
-print(f"dtw distance (optimal monotone alignment): {dtw_distance(wave, shifted):7.3f}")
+print(f"dtw distance (optimal monotone alignment): {dist:7.3f}")
 
 # identical series cost nothing; scaling both scales the distance linearly
-print(f"dtw(x, x) = {dtw_distance(wave, wave):.1f}")
-print(f"dtw(3x, 3y) / dtw(x, y) = "
-      f"{dtw_distance(3 * wave, 3 * shifted) / dtw_distance(wave, shifted):.3f}")
+print(f"dtw(x, x) = {dtw_batch(wave, wave)[0]:.1f}")
+print(f"dtw(3x, 3y) / dtw(x, y) = {dtw_batch(3 * wave, 3 * shifted)[0] / dist:.3f}")
 
 # the dynamic program equals brute-force path enumeration on small pairs
 rng = make_rng(5)
@@ -36,14 +36,14 @@ worst = 0.0
 for _ in range(50):
     a = rng.normal(size=(int(rng.integers(1, 7)), 2))
     b = rng.normal(size=(int(rng.integers(1, 7)), 2))
-    worst = max(worst, abs(dtw_distance(a, b) - dtw_bruteforce(a, b)))
+    worst = max(worst, abs(dtw_batch(a[None], b[None])[0] - dtw_bruteforce(a, b)))
 print(f"max |DP - bruteforce| over 50 random small pairs: {worst:.2e}")
 
 # one batched sweep over 300 window-sized pairs against one sweep per pair
 a = rng.normal(size=(300, 100, 6))
 b = a + rng.normal(scale=0.1, size=a.shape)
 start = time.perf_counter()
-looped = np.array([dtw_distance(x, y) for x, y in zip(a, b)])
+looped = np.array([dtw_batch(x[None], y[None])[0] for x, y in zip(a, b)])
 loop_s = time.perf_counter() - start
 start = time.perf_counter()
 batched = dtw_batch(a, b)

@@ -9,7 +9,6 @@ protocol.
 from . import autoenc, detect, dtw, evaluate, inject, ndtensor, persist, pipeline, t2v
 from .autoenc import AEConfig, TrainedModel, build_recon_ae, build_t2v_ae, train
 from .detect import DetectorConfig, DetectorModel, fit
-from .dtw import dtw_distance
 from .inject import InjectionSpec, TestSuite, build_testsets
 from .pipeline import Corpus, SynthParams, WindowSet, synth_generate
 from .evaluate import EvalReport, prf1, run_benchmark
@@ -21,7 +20,6 @@ __all__ = [
     "pipeline", "t2v",
     "AEConfig", "TrainedModel", "build_t2v_ae", "build_recon_ae", "train",
     "DetectorConfig", "DetectorModel", "fit",
-    "dtw_distance",
     "InjectionSpec", "TestSuite", "build_testsets",
     "Corpus", "SynthParams", "WindowSet", "synth_generate",
     "EvalReport", "prf1", "run_benchmark",

@@ -11,6 +11,8 @@ on elementwise MSE; DTW is used only to score candidate configurations
 The baseline flags anomalies by a composite reconstruction score: the sum
 of z-normalized MSE, MAE and DTW components, each standardized by
 training-set statistics.
+
+Every function takes windows as a batch `(B, N, F)`; one window is `x[None]`.
 """
 
 from __future__ import annotations
@@ -67,8 +69,6 @@ class TrainedModel:
     n: int
     f: int
     loss_curve: list[float] = field(default_factory=list)
-    val_dtw: float | None = None
-    encoder_strides: list[int] = field(default_factory=list)
 
 
 def build_t2v_ae(cfg: AEConfig, n: int, f: int) -> TrainedModel:
@@ -114,20 +114,13 @@ def build_recon_ae(cfg: AEConfig, n: int, f: int) -> TrainedModel:
         layers.append(nd.Conv1d(c, f if last else cfg.filters, cfg.kernel, rng=rng))
         if not last:
             layers.append(nd.ReLU())
-    return TrainedModel(cfg, nd.LayerStack(layers), n, f, encoder_strides=strides)
+    return TrainedModel(cfg, nd.LayerStack(layers), n, f)
 
 
 def build_model(cfg: AEConfig, n: int, f: int) -> TrainedModel:
     if cfg.variant == "t2v":
         return build_t2v_ae(cfg, n, f)
     return build_recon_ae(cfg, n, f)
-
-
-def bottleneck_length(model: TrainedModel) -> int:
-    length = model.n
-    for s in model.encoder_strides:
-        length //= s
-    return length
 
 
 def train(model: TrainedModel, data: np.ndarray, cfg: AEConfig | None = None) -> TrainedModel:
@@ -183,18 +176,6 @@ def embed_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
     return model.stack.layers[0].forward(data)[0].reshape(len(data), -1)
 
 
-def embed(model: TrainedModel, x: np.ndarray) -> np.ndarray:
-    """N*K embedding of one (N, F) window: `embed_many` with B=1."""
-    return embed_many(model, np.asarray(x)[None])[0]
-
-
-def reconstruct(model: TrainedModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n, model.f):
-        raise ValueError(f"window is {x.shape}, model expects {(model.n, model.f)}")
-    return model.stack.forward(_finite_windows(x[None]))[0]
-
-
 # ---------------------------------------------------------------------------
 # composite reconstruction score (baseline anomaly detector)
 # ---------------------------------------------------------------------------
@@ -244,11 +225,6 @@ def score_components_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
     return comps
 
 
-def score_components(model: TrainedModel, x: np.ndarray) -> np.ndarray:
-    """MSE, MAE and DTW of one (N, F) window: `score_components_many` with B=1."""
-    return score_components_many(model, np.asarray(x)[None])[0]
-
-
 def calibrate(model: TrainedModel, data: np.ndarray,
               threshold_quantile: float = 0.99) -> ScoreCalibration:
     """Component statistics and threshold from the training windows `data`."""
@@ -262,19 +238,12 @@ def calibrate(model: TrainedModel, data: np.ndarray,
                             threshold_quantile)
 
 
-def combine_components(comps: np.ndarray, calib: ScoreCalibration):
-    """z-normalize each raw component by training stats and sum them.
-
-    One (3,) row gives a float; a (B, 3) batch gives a (B,) array."""
+def combine_components(comps: np.ndarray, calib: ScoreCalibration) -> np.ndarray:
+    """(B,) baseline scores of the (B, 3) raw components: each component
+    z-normalized by training stats, then summed; higher = more anomalous."""
     if calib is None:
         raise ValueError("missing score calibration")
-    z = ((np.asarray(comps, dtype=np.float64) - calib.means) / calib.stds).sum(axis=-1)
-    return float(z) if z.ndim == 0 else z
-
-
-def recon_score(model: TrainedModel, x: np.ndarray, calib: ScoreCalibration) -> float:
-    """Sum of z-normalized MSE/MAE/DTW components; higher = more anomalous."""
-    return combine_components(score_components(model, x), calib)
+    return ((np.asarray(comps, dtype=np.float64) - calib.means) / calib.stds).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ import sys
 from dataclasses import asdict
 
 from . import detect
-from .autoenc import (AEConfig, build_model, calibrate, embed_many, hyper_search,
-                      train)
+from .autoenc import (AEConfig, TrainingDiverged, build_model, calibrate, embed_many,
+                      hyper_search, train)
 from .inject import InjectionSpec, build_testsets
 from .persist import (atomic_write_json, config_digest, load_corpus, load_detector,
                       load_model, load_report, load_testsuite, save_corpus,
@@ -30,6 +30,7 @@ from .persist import (atomic_write_json, config_digest, load_corpus, load_detect
 from .pipeline import (SynthParams, WindowSet, auto_resample_width, clean, load_csv,
                        resample, split, synth_generate, windowize)
 from .evaluate import format_report_table, run_benchmark
+from .ndtensor import NonFiniteError
 from .rng import derive_seed
 
 
@@ -44,8 +45,20 @@ def _out_path(path: str) -> str:
     return path
 
 
+def _fits(action: argparse.Action, value) -> bool:
+    """Whether a --config value has the JSON type, and is one of the choices, of its flag."""
+    if action.nargs == "+":
+        return isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
+    if action.nargs == 0:      # store_true
+        return isinstance(value, bool)
+    kind = {int: int, float: (int, float)}.get(action.type, str)
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (action.choices is None or value in action.choices))
+
+
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill argument defaults from --config JSON; unknown keys are errors."""
+    """Fill argument defaults from --config JSON, an object of flag names; unknown
+    keys and values that do not fit their flag are errors."""
     if not getattr(args, "config", None):
         return
     try:
@@ -53,12 +66,17 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             overrides = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CommandError(f"cannot read config file {args.config}: {exc}") from None
-    known = set(vars(args))
-    unknown = [k for k in overrides if k not in known]
+    if not isinstance(overrides, dict):
+        raise CommandError(f"config file {args.config} must hold a JSON object, "
+                           f"not {type(overrides).__name__}")
+    actions = {a.dest: a for a in parser._actions if a.dest != "help"}
+    unknown = [k for k in overrides if k not in actions]
     if unknown:
         raise CommandError(f"unknown config keys: {unknown}")
     # CLI flags win: only fill values left at their parser defaults
     for key, value in overrides.items():
+        if not _fits(actions[key], value):
+            raise CommandError(f"config value {key}={json.dumps(value)} does not fit its flag")
         if getattr(args, key) == parser.get_default(key):
             setattr(args, key, value)
 
@@ -353,7 +371,7 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(args, args.parser)
         return args.func(args)
-    except (CommandError, ValueError, OSError) as exc:
+    except (CommandError, ValueError, OSError, TrainingDiverged, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

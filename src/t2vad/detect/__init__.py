@@ -4,8 +4,8 @@ All detectors consume z-standardized embeddings (per-dimension training
 statistics, stored with the model). Scores are oriented so that higher
 means more anomalous, and the decision threshold is a quantile of the
 training scores, the same rule for every kind, so comparisons between
-methods are apples-to-apples. `predict` flags strictly above-threshold
-scores: True = anomalous.
+methods are apples-to-apples. `predict_many` flags strictly
+above-threshold scores of an (n, d) batch: True = anomalous.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ KINDS = {
 }
 
 __all__ = [
-    "KINDS", "DetectorConfig", "DetectorModel", "fit", "score", "score_many",
-    "predict", "with_threshold_quantile", "pca_fit", "pca_transform",
+    "KINDS", "DetectorConfig", "DetectorModel", "fit", "score_many", "predict_many",
+    "pca_fit", "pca_transform",
     "average_path_length", "fit_deep_svdd", "default_gamma", "rbf_kernel",
 ]
 
@@ -161,30 +161,11 @@ def fit(kind: str, x: np.ndarray, cfg: DetectorConfig = DetectorConfig()) -> Det
 
 
 def score_many(model: DetectorModel, x: np.ndarray) -> np.ndarray:
+    """(n,) anomaly scores of the (n, d) embeddings `x`; higher = more anomalous."""
     return KINDS[model.kind].score(model.state, _transform(model, x))
-
-
-def score(model: DetectorModel, x: np.ndarray) -> float:
-    """Anomaly score of one embedding; higher = more anomalous."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("score takes a single embedding vector")
-    return float(score_many(model, x[None])[0])
-
-
-def predict(model: DetectorModel, x: np.ndarray) -> bool:
-    """True (anomalous) iff the score strictly exceeds the threshold."""
-    return bool(score(model, x) > model.threshold)
 
 
 def predict_many(model: DetectorModel, x: np.ndarray) -> np.ndarray:
     """(n,) bool: True where the score strictly exceeds the threshold."""
     return score_many(model, x) > model.threshold
 
-
-def with_threshold_quantile(model: DetectorModel, quantile: float) -> DetectorModel:
-    """Same fitted state, re-thresholded at a different training quantile."""
-    return DetectorModel(model.kind, model.scaler_mean, model.scaler_std, model.state,
-                         float(np.quantile(model.train_scores, quantile)), quantile,
-                         model.train_scores, model.pca_basis, model.pca_mean,
-                         model.config, model.seed)

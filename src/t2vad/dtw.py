@@ -11,40 +11,17 @@ rolling (B, Na+1) diagonals. Each step reads `a[:, lo-1:hi]` and a reversed
 view of `b` as slices (views, no gathered copies), so working memory is
 O(B·N·F) rather than the O(B·Na·Nb) of a full cost matrix. The local cost is
 the direct difference norm; the gram expansion |a|²+|b|²-2ab would lose
-~1e-8 near zero. `dtw_distance` is its B=1 case.
+~1e-8 near zero. One pair is the batch `a[None], b[None]`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class DTWParams:
-    """band_radius is an optional Sakoe-Chiba window; None means full DP."""
-
-    band_radius: int | None = None
-
-    def __post_init__(self):
-        if self.band_radius is not None and self.band_radius < 0:
-            raise ValueError("band radius must be >= 0")
-
-
-def _local_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances, (Na, Nb)."""
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    return np.sqrt(np.maximum(d2, 0.0))
 
 
 def _validate_pair(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("series must be (N, F) arrays")
     if a.shape[0] == 0 or b.shape[0] == 0:
@@ -60,7 +37,7 @@ def first_nonfinite(x: np.ndarray) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def dtw_batch(a, b, params: DTWParams = DTWParams()) -> np.ndarray:
+def dtw_batch(a, b) -> np.ndarray:
     """D(Na, Nb) of the dependent-DTW recurrence for each pair a[k], b[k].
 
     a is (B, Na, F), b is (B, Nb, F); returns (B,). D(i,j) = d(a_i, b_j) +
@@ -95,22 +72,11 @@ def dtw_batch(a, b, params: DTWParams = DTWParams()) -> np.ndarray:
         hi = min(na, s - 1)
         diff = a[:, lo - 1:hi] - b_rev[:, nb - s + lo:nb - s + hi + 1]
         cost = np.sqrt(np.maximum((diff ** 2).sum(axis=-1), 0.0))
-        if params.band_radius is not None:
-            # band around the resampled diagonal, radius in steps (0-based i, j)
-            i = np.arange(lo - 1, hi)
-            j = s - 2 - i
-            cost[:, np.abs(j - i * (nb - 1) / max(na - 1, 1)) > params.band_radius] = np.inf
         cur.fill(np.inf)
         cur[:, lo:hi + 1] = cost + np.minimum(
             prev1[:, lo - 1:hi], np.minimum(prev1[:, lo:hi + 1], prev2[:, lo - 1:hi]))
         prev2, prev1, cur = prev1, cur, prev2
     return prev1[:, na].copy()
-
-
-def dtw_distance(a, b, params: DTWParams = DTWParams()) -> float:
-    """Alignment cost of one (Na, F) x (Nb, F) pair: `dtw_batch` with B=1."""
-    a, b = _validate_pair(a, b)
-    return float(dtw_batch(a[None], b[None], params)[0])
 
 
 def dtw_bruteforce(a, b) -> float:
@@ -122,7 +88,7 @@ def dtw_bruteforce(a, b) -> float:
     na, nb = a.shape[0], b.shape[0]
     if na * nb > 64:
         raise ValueError(f"bruteforce limited to Na*Nb <= 64, got {na * nb}")
-    cost = _local_cost(a, b)
+    cost = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))   # (Na, Nb)
 
     best = np.inf
     # iterative DFS over (i, j, accumulated cost); moves: right, down, diagonal

@@ -21,6 +21,7 @@ from .inject import TestSuite
 from .pipeline import WindowSet
 
 METHOD_BASELINE = "recon_ae"
+METHODS = (METHOD_BASELINE, *(f"t2v_{kind}" for kind in detect.KINDS))
 
 
 @dataclass(frozen=True)
@@ -89,9 +90,7 @@ def run_benchmark(suite: TestSuite, t2v_model: TrainedModel, recon_model: Traine
     if missing:
         raise ValueError(f"missing detectors: {missing}")
 
-    results: dict[str, dict[str, dict]] = {METHOD_BASELINE: {}}
-    for kind in detect.KINDS:
-        results[f"t2v_{kind}"] = {}
+    results: dict[str, dict[str, dict]] = {method: {} for method in METHODS}
     composition = {}
 
     for key in TestSuite.KEYS:

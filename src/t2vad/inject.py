@@ -38,7 +38,6 @@ class GMMSpec:
 @dataclass(frozen=True)
 class InjectionSpec:
     anomaly_fraction: float = 0.5
-    feature_scope: str = "all6"            # all6 | four
     flat_features: tuple[int, ...] = (4, 5)
     step_onset_range: tuple[int, int] = (20, 60)
     step_alpha: float = 3.0                # magnitude = alpha * per-feature std
@@ -51,8 +50,6 @@ class InjectionSpec:
     def __post_init__(self):
         if not 0 <= self.anomaly_fraction <= 1 or not 0 <= self.noise_fraction <= 1:
             raise ValueError("fractions must lie in [0, 1]")
-        if self.feature_scope not in ("all6", "four"):
-            raise ValueError(f"unknown feature scope {self.feature_scope!r}")
 
 
 @dataclass

@@ -23,7 +23,7 @@ import numpy as np
 from . import ndtensor as nd
 from .autoenc import AEConfig, ScoreCalibration, TrainedModel
 from .detect import KINDS, DetectorConfig, DetectorModel
-from .evaluate import EvalReport
+from .evaluate import METHODS, EvalReport
 from .inject import TestSuite
 from .pipeline import Corpus, WindowSet
 from .t2v import T2VLayer
@@ -258,9 +258,7 @@ def save_model(path: str, model: TrainedModel,
         "n": model.n,
         "f": model.f,
         "config": asdict(model.config),
-        "encoder_strides": model.encoder_strides,
         "loss_curve": model.loss_curve,
-        "val_dtw": model.val_dtw,
         "layers": [_layer_doc(layer) for layer in model.stack.layers],
         "calibration": None if calibration is None else {
             "means": encode_array(calibration.means),
@@ -273,13 +271,12 @@ def save_model(path: str, model: TrainedModel,
 
 
 def load_model(path: str) -> tuple[TrainedModel, ScoreCalibration | None]:
+    """Keys it does not read (older files' `val_dtw`, `encoder_strides`) are ignored."""
     doc = load_json_checked(path, "model")
     cfg = _construct(AEConfig, _field(doc, "config", dict), "model config")
     stack = nd.LayerStack([_layer_from_doc(d) for d in _field(doc, "layers", list)])
     model = TrainedModel(cfg, stack, _field(doc, "n", int), _field(doc, "f", int),
-                         _field(doc, "loss_curve", list),
-                         _field(doc, "val_dtw", (*_NUMBER, _NONE)),
-                         _field(doc, "encoder_strides", list))
+                         _field(doc, "loss_curve", list))
     c = _field(doc, "calibration", (dict, _NONE))
     calib = None if c is None else ScoreCalibration(
         decode_array(_field(c, "means", dict)), decode_array(_field(c, "stds", dict)),
@@ -383,8 +380,22 @@ def save_report(path: str, report: EvalReport) -> None:
     atomic_write_json(path, doc)
 
 
+def _results(doc) -> dict:
+    """doc["results"]; a SchemaError unless every method x test set cell holds
+    numeric precision, recall and f1 and integer confusion counts."""
+    results = _field(doc, "results", dict)
+    for method in METHODS:
+        for key in TestSuite.KEYS:
+            cell = _field(_field(results, method, dict), key, dict)
+            counts = _field(cell, "confusion", dict)
+            if not (all(isinstance(cell.get(m), _NUMBER) for m in ("precision", "recall", "f1"))
+                    and all(type(counts.get(c)) is int for c in ("tp", "fp", "tn", "fn"))):
+                raise SchemaError(f"results {method} {key}: bad precision/recall/f1/confusion")
+    return results
+
+
 def load_report(path: str) -> EvalReport:
     doc = load_json_checked(path, "report")
-    return EvalReport(_field(doc, "results", dict), _field(doc, "composition", dict),
+    return EvalReport(_results(doc), _field(doc, "composition", dict),
                       _field(doc, "config_digest", str), _field(doc, "seeds", dict),
                       _field(doc, "timestamp", (str, _NONE)))

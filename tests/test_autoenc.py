@@ -1,14 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from t2vad import ndtensor as nd
 from t2vad.autoenc import (SCORE_CHUNK, AEConfig, ScoreCalibration, SearchSpace,
-                           build_recon_ae, build_t2v_ae, bottleneck_length, calibrate,
-                           combine_components, embed, embed_many,
-                           feasible_encoder_layers, hyper_search, recon_score,
-                           reconstruct, score_components, score_components_many, train,
-                           validation_dtw)
-from t2vad.dtw import dtw_distance
+                           build_recon_ae, build_t2v_ae, calibrate, combine_components,
+                           embed_many, feasible_encoder_layers, hyper_search,
+                           score_components_many, train, validation_dtw)
+from t2vad.dtw import dtw_batch
 from t2vad.rng import make_rng
 
 TINY_SPACE = SearchSpace(k=(2, 4), layers=(1, 2), kernels=(3,), filters=(4,),
@@ -33,21 +33,21 @@ def test_t2v_ae_reference_shapes():
     cfg = AEConfig(variant="t2v", k=7, decoder_layers=3, seed=0)
     model = build_t2v_ae(cfg, 100, 6)
     x = make_rng(0).normal(size=(100, 6))
-    assert reconstruct(model, x).shape == (100, 6)
-    assert embed(model, x).shape == (700,)
+    assert model.stack.forward(x[None]).shape == (1, 100, 6)
+    assert embed_many(model, x[None]).shape == (1, 700)
 
 
 def test_t2v_ae_minimal_config():
     model = build_t2v_ae(AEConfig(variant="t2v", k=2, decoder_layers=1, seed=1), 4, 1)
-    out = reconstruct(model, np.zeros((4, 1)))
-    assert out.shape == (4, 1)
+    out = model.stack.forward(np.zeros((1, 4, 1)))
+    assert out.shape == (1, 4, 1)
 
 
 def test_t2v_ae_zero_init_zero_output():
     model = build_t2v_ae(AEConfig(variant="t2v", seed=2), 10, 3)
     zero_all_params(model.stack)
-    out = reconstruct(model, np.zeros((10, 3)))
-    assert np.array_equal(out, np.zeros((10, 3)))
+    out = model.stack.forward(np.zeros((1, 10, 3)))
+    assert np.array_equal(out, np.zeros((1, 10, 3)))
 
 
 def test_t2v_ae_wrong_variant():
@@ -58,9 +58,10 @@ def test_t2v_ae_wrong_variant():
 def test_recon_ae_bottleneck_25():
     cfg = AEConfig(variant="reconstruction", encoder_layers=2, seed=3)
     model = build_recon_ae(cfg, 100, 6)
-    assert bottleneck_length(model) == 25
+    strides = [layer.stride for layer in model.stack.layers if layer.kind == "conv1d"]
+    assert 100 // math.prod(strides) == 25
     x = make_rng(1).normal(size=(100, 6))
-    assert reconstruct(model, x).shape == (100, 6)
+    assert model.stack.forward(x[None]).shape == (1, 100, 6)
 
 
 def test_recon_ae_identity_kernel():
@@ -72,7 +73,7 @@ def test_recon_ae_identity_kernel():
             layer.kernels[...] = 1.0
             layer.bias[...] = 0.0
     x = np.abs(make_rng(2).normal(size=(100, 1)))   # positive: ReLU transparent
-    np.testing.assert_allclose(reconstruct(model, x), x, atol=1e-12)
+    np.testing.assert_allclose(model.stack.forward(x[None])[0], x, atol=1e-12)
 
 
 def test_recon_ae_indivisible_length_rejected():
@@ -92,7 +93,7 @@ def test_recon_ae_output_shape_various_configs():
         cfg = AEConfig(variant="reconstruction", encoder_layers=layers,
                        filters=filters, seed=6)
         model = build_recon_ae(cfg, 100, 6)
-        assert reconstruct(model, np.zeros((100, 6))).shape == (100, 6)
+        assert model.stack.forward(np.zeros((1, 100, 6))).shape == (1, 100, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +160,15 @@ def test_loss_curve_smoothed_non_increasing(small_corpus):
 def test_embed_reference_length_and_purity(small_e2e):
     model = small_e2e["t2v_model"]
     w = small_e2e["corpus"].windows.data[0]
-    e1 = embed(model, w)
-    e2 = embed(model, w)
+    e1 = embed_many(model, w[None])[0]
+    e2 = embed_many(model, w[None])[0]
     assert e1.shape == (700,)
     assert np.array_equal(e1, e2)
 
 
 def test_embed_rejects_reconstruction_variant(small_e2e):
     with pytest.raises(ValueError, match="t2v variant"):
-        embed(small_e2e["recon_model"], small_e2e["corpus"].windows.data[0])
+        embed_many(small_e2e["recon_model"], small_e2e["corpus"].windows.data[:1])
 
 
 def test_embed_many_matches_single(small_e2e):
@@ -175,7 +176,7 @@ def test_embed_many_matches_single(small_e2e):
     ws = small_e2e["corpus"].test_windows.data[:3]
     batch = embed_many(model, ws)
     for i, w in enumerate(ws):
-        np.testing.assert_array_equal(batch[i], embed(model, w))
+        np.testing.assert_array_equal(batch[i], embed_many(model, w[None])[0])
 
 
 def test_embed_many_is_the_t2v_output_reshaped_row_major(small_e2e):
@@ -200,7 +201,7 @@ def test_reconstruct_rejects_non_finite_window(small_e2e, value):
     x[50, 1] = value
     for model in (small_e2e["t2v_model"], small_e2e["recon_model"]):
         with pytest.raises(ValueError, match="window 0 contains NaN/Inf"):
-            reconstruct(model, x)
+            score_components_many(model, x[None])
 
 
 def test_padded_rows_differ_only_via_bias_terms():
@@ -213,7 +214,7 @@ def test_padded_rows_differ_only_via_bias_terms():
     t2v.b[...] = rng.normal(size=(100, 3))
     data = rng.normal(size=(100, 6))
     data[90:] = data[89]              # padded tail
-    emb = embed(model, data).reshape(100, 4)
+    emb = embed_many(model, data[None]).reshape(100, 4)
     for row in range(91, 100):
         base = data[90] @ t2v.w0[:, 0]
         assert emb[row, 0] - emb[90, 0] == pytest.approx(
@@ -237,13 +238,13 @@ def test_trained_on_constant_reconstructs_constant():
     cfg = AEConfig(variant="t2v", k=3, decoder_layers=1, filters=4, epochs=150,
                    batch=16, seed=16)
     model = train(build_t2v_ae(cfg, 100, 6), windows)
-    xhat = reconstruct(model, windows[0])
+    xhat = model.stack.forward(windows[:1])[0]
     assert np.mean(np.abs(xhat - windows[0])) < 0.05
 
 
 def test_reconstruct_finite_on_corpus(small_e2e):
-    for w in small_e2e["corpus"].test_windows.data:
-        assert np.all(np.isfinite(reconstruct(small_e2e["t2v_model"], w)))
+    assert np.all(np.isfinite(
+        small_e2e["t2v_model"].stack.forward(small_e2e["corpus"].test_windows.data)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,30 +255,33 @@ def test_recon_score_zero_at_component_means(small_e2e):
     model = small_e2e["recon_model"]
     w = small_e2e["corpus"].train_windows.data[0]
     calib = calibrate(model, w[None])    # single window: means are its components
-    assert recon_score(model, w, calib) == pytest.approx(0.0, abs=1e-6)
+    score = combine_components(score_components_many(model, w[None]), calib)[0]
+    assert score == pytest.approx(0.0, abs=1e-6)
 
 
 def test_recon_score_training_mean_near_zero(small_e2e):
     model = small_e2e["recon_model"]
     calib = small_e2e["calib"]
-    scores = [recon_score(model, w, calib)
-              for w in small_e2e["corpus"].train_windows.data]
+    scores = combine_components(
+        score_components_many(model, small_e2e["corpus"].train_windows.data), calib)
     assert abs(np.mean(scores)) < 0.1
 
 
 def test_recon_score_monotone_in_each_component():
     calib = ScoreCalibration(np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.0, 2.0]),
                              threshold=0.0, threshold_quantile=0.99)
-    base = combine_components(np.array([1.0, 2.0, 3.0]), calib)
+    base = combine_components(np.array([[1.0, 2.0, 3.0]]), calib)[0]
     for i in range(3):
-        comps = np.array([1.0, 2.0, 3.0])
-        comps[i] += 0.7
-        assert combine_components(comps, calib) > base
+        comps = np.array([[1.0, 2.0, 3.0]])
+        comps[0, i] += 0.7
+        assert combine_components(comps, calib)[0] > base
 
 
 def test_recon_score_requires_calibration(small_e2e):
     with pytest.raises(ValueError, match="calibration"):
-        recon_score(small_e2e["recon_model"], small_e2e["corpus"].windows.data[0], None)
+        combine_components(
+            score_components_many(small_e2e["recon_model"], small_e2e["corpus"].windows.data[:1]),
+            None)
 
 
 def test_big_step_scores_above_training_quantile(small_e2e):
@@ -289,18 +293,20 @@ def test_big_step_scores_above_training_quantile(small_e2e):
     from t2vad.inject import inject_step
     spiked = inject_step(w, list(range(6)), onset=30,
                          magnitude_per_feature=10.0 * sigma)
-    train_scores = [recon_score(model, tw, calib) for tw in corpus.train_windows.data]
-    assert recon_score(model, spiked, calib) > np.quantile(train_scores, 0.99)
+    train_scores = combine_components(score_components_many(model, corpus.train_windows.data),
+                                      calib)
+    spiked_score = combine_components(score_components_many(model, spiked[None]), calib)[0]
+    assert spiked_score > np.quantile(train_scores, 0.99)
 
 
 def test_score_components_are_mse_mae_dtw(small_e2e):
     model = small_e2e["recon_model"]
     w = small_e2e["corpus"].test_windows.data[0]
-    comps = score_components(model, w)
-    xhat = reconstruct(model, w)
+    comps = score_components_many(model, w[None])[0]
+    xhat = model.stack.forward(w[None])[0]
     assert comps[0] == pytest.approx(np.mean((xhat - w) ** 2))
     assert comps[1] == pytest.approx(np.mean(np.abs(xhat - w)))
-    assert comps[2] == pytest.approx(dtw_distance(w, xhat))
+    assert comps[2] == pytest.approx(dtw_batch(w[None], xhat[None])[0])
 
 
 def chunk_spanning_windows(corpus, n=2 * SCORE_CHUNK + 5):
@@ -313,7 +319,7 @@ def test_score_components_many_equals_per_window_rows(small_e2e):
     model = small_e2e["recon_model"]
     windows = chunk_spanning_windows(small_e2e["corpus"])
     batched = score_components_many(model, windows)
-    alone = np.stack([score_components(model, w) for w in windows])
+    alone = np.concatenate([score_components_many(model, w[None]) for w in windows])
     assert batched.shape == (2 * SCORE_CHUNK + 5, 3)
     assert np.array_equal(batched, alone)
 
@@ -322,14 +328,15 @@ def test_calibrate_threshold_independent_of_chunking(small_e2e):
     model = small_e2e["recon_model"]
     windows = chunk_spanning_windows(small_e2e["corpus"])
     calib = calibrate(model, windows)
-    comps = np.stack([score_components(model, w) for w in windows])
+    comps = np.concatenate([score_components_many(model, w[None]) for w in windows])
     means = comps.mean(axis=0)
     stds = np.maximum(comps.std(axis=0), 1e-12)
     scores = ((comps - means) / stds).sum(axis=1)
     assert calib.threshold == float(np.quantile(scores, 0.99))
     assert np.array_equal(calib.means, means) and np.array_equal(calib.stds, stds)
     assert np.array_equal(combine_components(comps, calib),
-                          [recon_score(model, w, calib) for w in windows])
+                          [combine_components(score_components_many(model, w[None]), calib)[0]
+                           for w in windows])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

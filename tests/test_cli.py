@@ -139,6 +139,57 @@ def test_config_file_unknown_keys_rejected(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+EVALUATE = ["evaluate", "--suite", "s", "--t2v-model", "t", "--recon-model", "r",
+            "--detectors", "d"]
+PREPROCESS = ["preprocess", "--inputs", "a.csv", "--features", "s0"]
+
+
+@pytest.mark.parametrize("command, text", [
+    (["generate"], "[]"), (["generate"], "3"), (["generate"], '{"windows": "abc"}'),
+    (["generate"], '{"test_fraction": "0.1"}'), (["generate"], '{"seed": true}'),
+    (["train", "--corpus", "c"], '{"variant": "lstm"}'),
+    (PREPROCESS, '{"auto_resample": 1}'), (EVALUATE, '{"detectors": "d1"}')])
+def test_malformed_config_file_exits_1(tmp_path, capsys, command, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "o.json"
+    assert run([*command, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: config ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, overrides", [
+    (["generate"], {"test_fraction": 1}), (PREPROCESS, {"auto_resample": True}),
+    (["train", "--corpus", "c"], {"variant": "reconstruction"}),
+    (EVALUATE, {"detectors": ["d1", "d2"]})])
+def test_config_values_that_fit_their_flags_are_accepted(tmp_path, capsys, command, overrides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    run([*command, "--config", cfg, "--out", tmp_path / "o.json"])   # fails on the inputs
+    assert "does not fit" not in capsys.readouterr().err
+
+
+def test_training_divergence_exits_1(workdir, tmp_path, capsys):
+    out = tmp_path / "m.json"
+    assert run(["train", "--corpus", workdir / "corpus.json", "--epochs", 2,
+                "--lr", "1e30", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: non-finite loss")
+    assert not out.exists()
+
+
+def test_deep_svdd_divergence_exits_1(workdir, tmp_path, capsys, monkeypatch):
+    from t2vad import detect
+    original = detect.fit_deep_svdd
+    monkeypatch.setattr(detect, "fit_deep_svdd",
+                        lambda z, widths, epochs, batch, lr, decay, seed:
+                        original(z, widths, epochs, batch, 1e30, decay, seed))
+    out = tmp_path / "svdd.json"
+    assert run(["fit-detector", "--corpus", workdir / "corpus.json", "--model",
+                workdir / "t2v.json", "--kind", "deep_svdd", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: non-finite gradient")
+    assert not out.exists()
+
+
 def stored_array_dtypes(doc):
     if isinstance(doc, dict):
         own = [doc["dtype"]] if set(doc) == {"shape", "dtype", "data"} else []

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from t2vad.dtw import DTWParams, dtw_batch, dtw_bruteforce, dtw_distance
+from t2vad.dtw import dtw_batch, dtw_bruteforce
 from t2vad.rng import make_rng
 
 
@@ -16,61 +16,32 @@ def random_pair(rng, max_len=6, f=2):
 def test_identity_is_zero():
     rng = make_rng(0)
     x = rng.normal(size=(12, 3))
-    assert dtw_distance(x, x) == 0.0
+    assert dtw_batch(x[None], x[None])[0] == 0.0
 
 
 def test_hand_example():
     # alignment: (0,0) (1,1) (2,1) costs 0 + 1 + 0 = 1
     a = np.array([[0.0], [1.0], [2.0]])
     b = np.array([[0.0], [2.0]])
-    assert dtw_distance(a, b) == pytest.approx(1.0, abs=1e-12)
+    assert dtw_batch(a[None], b[None])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_matches_bruteforce_on_200_random_small_pairs():
     rng = make_rng(1)
     for _ in range(200):
         a, b = random_pair(rng)
-        assert dtw_distance(a, b) == pytest.approx(dtw_bruteforce(a, b), abs=1e-9)
-
-
-def test_univariate_input_accepted():
-    assert dtw_distance([0.0, 1.0, 2.0], [0.0, 2.0]) == pytest.approx(1.0)
+        assert dtw_batch(a[None], b[None])[0] == pytest.approx(dtw_bruteforce(a, b),
+                                                               abs=1e-9)
 
 
 def test_feature_mismatch_rejected():
     with pytest.raises(ValueError, match="feature counts"):
-        dtw_distance(np.zeros((3, 2)), np.zeros((3, 3)))
+        dtw_batch(np.zeros((1, 3, 2)), np.zeros((1, 3, 3)))
 
 
 def test_empty_series_rejected():
     with pytest.raises(ValueError, match="empty"):
-        dtw_distance(np.zeros((0, 2)), np.zeros((3, 2)))
-
-
-def test_band_radius_validation():
-    with pytest.raises(ValueError):
-        DTWParams(band_radius=-1)
-
-
-def test_full_band_equals_default():
-    rng = make_rng(2)
-    a, b = rng.normal(size=(10, 2)), rng.normal(size=(8, 2))
-    assert dtw_distance(a, b, DTWParams(band_radius=10)) == dtw_distance(a, b)
-
-
-def test_zero_band_on_equal_lengths_is_the_diagonal_path():
-    rng = make_rng(6)
-    a, b = rng.normal(size=(9, 3)), rng.normal(size=(9, 3))
-    pointwise = np.linalg.norm(a - b, axis=1).sum()
-    assert dtw_distance(a, b, DTWParams(band_radius=0)) == pytest.approx(pointwise, abs=1e-12)
-
-
-def test_narrower_band_never_costs_less():
-    rng = make_rng(7)
-    a, b = rng.normal(size=(12, 2)), rng.normal(size=(7, 2))
-    costs = [dtw_distance(a, b, DTWParams(band_radius=r)) for r in (0, 1, 2, 4, 12)]
-    assert costs == sorted(costs, reverse=True)
-    assert costs[-1] == dtw_distance(a, b)
+        dtw_batch(np.zeros((1, 0, 2)), np.zeros((1, 3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +74,8 @@ def test_bruteforce_size_limit():
 def test_symmetry(seed):
     rng = make_rng(seed)
     a, b = random_pair(rng, max_len=10)
-    assert dtw_distance(a, b) == pytest.approx(dtw_distance(b, a), abs=1e-9)
+    assert dtw_batch(a[None], b[None])[0] == pytest.approx(dtw_batch(b[None], a[None])[0],
+                                                           abs=1e-9)
 
 
 @given(st.integers(0, 10_000))
@@ -112,9 +84,9 @@ def test_nonnegative_and_zero_iff_equal(seed):
     rng = make_rng(seed)
     a = rng.normal(size=(6, 2))
     b = a + rng.normal(scale=0.5, size=(6, 2))
-    assert dtw_distance(a, b) >= 0.0
+    assert dtw_batch(a[None], b[None])[0] >= 0.0
     if not np.array_equal(a, b):
-        assert dtw_distance(a, b) > 0.0
+        assert dtw_batch(a[None], b[None])[0] > 0.0
 
 
 @given(st.integers(0, 10_000), st.floats(-5, 5, allow_nan=False))
@@ -122,8 +94,8 @@ def test_nonnegative_and_zero_iff_equal(seed):
 def test_scaling_homogeneity(seed, c):
     rng = make_rng(seed)
     a, b = random_pair(rng, max_len=8)
-    assert dtw_distance(c * a, c * b) == pytest.approx(abs(c) * dtw_distance(a, b),
-                                                       abs=1e-9, rel=1e-9)
+    scaled = dtw_batch(c * a[None], c * b[None])[0]
+    assert scaled == pytest.approx(abs(c) * dtw_batch(a[None], b[None])[0], abs=1e-9, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -131,18 +103,16 @@ def test_scaling_homogeneity(seed, c):
 # ---------------------------------------------------------------------------
 
 @given(st.integers(1, 5), st.integers(1, 8), st.integers(1, 8), st.integers(1, 4),
-       st.one_of(st.none(), st.integers(0, 3)), st.integers(0, 10_000))
-@example(1, 1, 1, 1, None, 0)
-@example(3, 2, 7, 1, None, 1)
-@example(3, 7, 2, 3, 1, 2)
+       st.integers(0, 10_000))
+@example(1, 1, 1, 1, 0)
+@example(3, 2, 7, 1, 1)
+@example(3, 7, 2, 3, 2)
 @settings(max_examples=60, deadline=None)
-def test_batch_equals_each_pair_alone(n_pairs, na, nb, f, radius, seed):
+def test_batch_equals_each_pair_alone(n_pairs, na, nb, f, seed):
     rng = make_rng(seed)
     a, b = rng.normal(size=(n_pairs, na, f)), rng.normal(size=(n_pairs, nb, f))
-    params = DTWParams(radius)
-    alone = [dtw_batch(a[k:k + 1], b[k:k + 1], params)[0] for k in range(n_pairs)]
-    assert dtw_batch(a, b, params).tolist() == alone
-    assert [dtw_distance(a[k], b[k], params) for k in range(n_pairs)] == alone
+    alone = [dtw_batch(a[k:k + 1], b[k:k + 1])[0] for k in range(n_pairs)]
+    assert dtw_batch(a, b).tolist() == alone
 
 
 def test_batch_matches_bruteforce_on_small_equal_shape_pairs():
@@ -168,7 +138,7 @@ def test_distance_rejects_non_finite():
     a = np.zeros((4, 2))
     a[1, 0] = np.nan
     with pytest.raises(ValueError, match="NaN/Inf"):
-        dtw_distance(a, np.zeros((4, 2)))
+        dtw_batch(a[None], np.zeros((1, 4, 2)))
 
 
 def test_batch_shape_checks():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from t2vad import detect
-from t2vad.autoenc import embed, recon_score, train
+from t2vad.autoenc import combine_components, embed_many, score_components_many, train
 from t2vad.cli import main
-from t2vad.evaluate import EvalReport
+from t2vad.evaluate import run_benchmark
 from t2vad.persist import (ChecksumError, SchemaError, atomic_write_json, decode_array,
                            encode_array, load_corpus, load_detector, load_model,
                            load_report, load_testsuite, save_corpus, save_detector,
@@ -39,16 +39,32 @@ def test_model_roundtrip_embeddings_bit_identical(tmp_path, small_e2e):
     loaded, calib = load_model(path)
     assert calib is None
     for w in small_e2e["corpus"].test_windows.data[:10]:
-        np.testing.assert_array_equal(embed(loaded, w), embed(small_e2e["t2v_model"], w))
+        np.testing.assert_array_equal(embed_many(loaded, w[None]),
+                                      embed_many(small_e2e["t2v_model"], w[None]))
 
 
 def test_model_roundtrip_with_calibration(tmp_path, small_e2e):
     path = tmp_path / "recon.json"
     save_model(path, small_e2e["recon_model"], small_e2e["calib"])
     loaded, calib = load_model(path)
-    w = small_e2e["corpus"].test_windows.data[0]
-    assert recon_score(loaded, w, calib) == recon_score(
-        small_e2e["recon_model"], w, small_e2e["calib"])
+    w = small_e2e["corpus"].test_windows.data[:1]
+    assert np.array_equal(
+        combine_components(score_components_many(loaded, w), calib),
+        combine_components(score_components_many(small_e2e["recon_model"], w), small_e2e["calib"]))
+
+
+@pytest.mark.parametrize("name", ["t2v_model", "recon_model"])
+def test_model_file_with_the_dropped_fields_still_loads(tmp_path, small_e2e, name):
+    """Older model files carry `val_dtw` and `encoder_strides`; the loader ignores them."""
+    path = tmp_path / "model.json"
+    save_model(path, small_e2e[name])
+    doc = json.loads(path.read_text())
+    assert "val_dtw" not in doc and "encoder_strides" not in doc
+    strides = [2, 2] if name == "recon_model" else []
+    rewrite(path, lambda d: d.update(val_dtw=None, encoder_strides=strides))
+    loaded, _ = load_model(path)
+    x = small_e2e["corpus"].test_windows.data
+    assert np.array_equal(loaded.stack.forward(x), small_e2e[name].stack.forward(x))
 
 
 def test_model_header_is_human_readable(tmp_path, small_e2e):
@@ -247,7 +263,9 @@ def saved_artifacts(tmp_path_factory, small_e2e):
     save_model(d / "recon.json", small_e2e["recon_model"], small_e2e["calib"])
     for kind, model in small_e2e["detectors"].items():
         save_detector(d / f"det.{kind}.json", model)
-    save_report(d / "report.json", EvalReport({}, {}, "digest", {"master_seed": 0}, None))
+    save_report(d / "report.json", run_benchmark(
+        small_e2e["suite"], small_e2e["t2v_model"], small_e2e["recon_model"],
+        small_e2e["calib"], small_e2e["detectors"], "digest", {"master_seed": 0}))
     return d
 
 
@@ -319,6 +337,9 @@ ARTIFACT_FIELD_MUTATIONS = {
         "det.iforest.json", lambda d: d["config"].update(bogus=1), "bogus"),
     "detector-seed-removed": ("det.iforest.json", lambda d: d.pop("seed"), "'seed'"),
     "report-results-removed": ("report.json", lambda d: d.pop("results"), "'results'"),
+    "report-cell-f1-removed": (
+        "report.json", lambda d: d["results"]["t2v_lof"]["AN-4F"].pop("f1"), "t2v_lof AN-4F"),
+    "report-method-removed": ("report.json", lambda d: d["results"].pop("t2v_ee"), "'t2v_ee'"),
     "report-timestamp-a-number": ("report.json", lambda d: d.update(timestamp=5), "'timestamp'"),
 }
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from t2vad import ndtensor as nd
-from t2vad.autoenc import AEConfig, build_t2v_ae, embed
+from t2vad.autoenc import AEConfig, build_t2v_ae, embed_many
 from t2vad.rng import make_rng
 from t2vad.t2v import T2VLayer
 
@@ -115,7 +115,7 @@ def test_flatten_row_major():
     model = build_t2v_ae(AEConfig(variant="t2v", k=3, decoder_layers=1, seed=5), 4, 2)
     x = make_rng(5).normal(size=(4, 2))
     out = t2v_forward(model.stack.layers[0], x)
-    emb = embed(model, x)
+    emb = embed_many(model, x[None])[0]
     assert emb.shape == (12,)
     for r in range(4):
         for c in range(3):
