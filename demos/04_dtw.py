@@ -8,13 +8,15 @@ model-selection objective for the autoencoders (it is not differentiable,
 so training itself uses MSE). `dtw_batch` runs the dynamic program over a
 whole batch of pairs at once; one pair is the batch `a[None], b[None]`. A
 batch must agree with the per-pair loop exactly, not just within a tolerance.
+A call first builds the local-cost matrix of every pair, then sweeps it;
+the last line shows which half of one 64-window scoring chunk dominates.
 """
 
 import time
 
 import numpy as np
 
-from t2vad.dtw import dtw_batch, dtw_bruteforce
+from t2vad.dtw import dtw_batch, dtw_bruteforce, local_cost
 from t2vad.rng import make_rng
 
 t = np.linspace(0, 4 * np.pi, 60)
@@ -50,3 +52,19 @@ batched = dtw_batch(a, b)
 batch_s = time.perf_counter() - start
 print(f"300 (100, 6) pairs: per-pair loop {loop_s:.2f} s, dtw_batch {batch_s:.2f} s, "
       f"max |batch - loop| = {np.abs(batched - looped).max():.1e} (must be 0)")
+
+
+def best_of(fn, repeats=5):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+# one scoring chunk (64 pairs): local-cost matrix, then the anti-diagonal sweep
+total_s = best_of(lambda: dtw_batch(a[:64], b[:64]))
+cost_s = best_of(lambda: local_cost(a[:64], b[:64]))
+print(f"one 64-pair dtw_batch: {1e3 * total_s:.1f} ms = local cost {1e3 * cost_s:.1f} ms "
+      f"+ sweep {1e3 * (total_s - cost_s):.1f} ms")

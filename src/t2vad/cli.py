@@ -4,7 +4,8 @@ Subcommands: generate, preprocess, search, train, embed, fit-detector,
 build-testsets, evaluate, report. Every command takes a master seed and
 fans it out to per-stage seeds, echoes its effective configuration into
 the output file, and writes outputs atomically. A JSON config file
-(--config) may supply any flag defaults; unknown keys are rejected.
+(--config) may supply any flag the command line does not give; unknown keys
+are rejected.
 
 Exit codes: 0 success, 1 runtime error, 2 usage error. Relative output
 paths resolve under $T2VAD_OUT_DIR when set.
@@ -56,9 +57,21 @@ def _fits(action: argparse.Action, value) -> bool:
             and (action.choices is None or value in action.choices))
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill argument defaults from --config JSON, an object of flag names; unknown
-    keys and values that do not fit their flag are errors."""
+def _given(argv) -> set[str]:
+    """The flags `argv` itself sets: a second parse with every subcommand default
+    suppressed, so that a flag given at its default value still counts."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in commands.choices.values():
+        for action in command._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
+                       argv) -> None:
+    """Fill the flags `argv` does not give from --config JSON, an object of flag
+    names; unknown keys and values that do not fit their flag are errors."""
     if not getattr(args, "config", None):
         return
     try:
@@ -73,11 +86,11 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
     unknown = [k for k in overrides if k not in actions]
     if unknown:
         raise CommandError(f"unknown config keys: {unknown}")
-    # CLI flags win: only fill values left at their parser defaults
+    given = _given(argv)
     for key, value in overrides.items():
         if not _fits(actions[key], value):
             raise CommandError(f"config value {key}={json.dumps(value)} does not fit its flag")
-        if getattr(args, key) == parser.get_default(key):
+        if key not in given:        # CLI flags win
             setattr(args, key, value)
 
 
@@ -369,7 +382,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:   # argparse uses 2 for usage errors, 0 for --help
         return int(exc.code or 0)
     try:
-        _apply_config_file(args, args.parser)
+        _apply_config_file(args, args.parser, argv)
         return args.func(args)
     except (CommandError, ValueError, OSError, TrainingDiverged, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from ..dtw import first_nonfinite
 from ..rng import derive_seed, make_rng
 from .deepsvdd import fit_deep_svdd, score_deep_svdd
 from .ee import fit_ee, score_ee
-from .iforest import average_path_length, fit_iforest, score_iforest
+from .iforest import average_path_length, checked_state, fit_iforest, score_iforest
 from .lof import fit_lof, score_lof
 from .ocsvm import default_gamma, fit_ocsvm, rbf_kernel, score_ocsvm
 from .pca import pca_fit, pca_transform
@@ -32,6 +32,7 @@ class Kind(NamedTuple):
     score: Callable        # (state, z) -> scores, higher = more anomalous
     train_scores: Callable | None = None   # (state, z) -> scores; None: score(state, z)
     pca_dims: Callable | None = None       # cfg -> PCA dimensions to reduce to first
+    checked_state: Callable | None = None  # (state, dim) -> state read from a file, or ValueError
 
 
 # The fit entries look `fit_<kind>` up in this module when called, so a
@@ -39,7 +40,7 @@ class Kind(NamedTuple):
 KINDS = {
     "iforest": Kind(
         lambda z, cfg, rng, seed: fit_iforest(z, cfg.iforest_trees, cfg.iforest_subsample, rng),
-        score_iforest),
+        score_iforest, checked_state=checked_state),
     "lof": Kind(
         lambda z, cfg, rng, seed: fit_lof(z, cfg.lof_k),
         score_lof, train_scores=lambda state, z: state["train_lof"]),

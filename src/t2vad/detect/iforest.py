@@ -4,6 +4,13 @@ Score of a point is 2^(-E[h(x)] / c(m)) where h is the path length over the
 trees, m the per-tree subsample size and c(m) the expected path length of an
 unsuccessful BST search: c(m) = 2 H(m-1) - 2(m-1)/m. Harmonic numbers are
 exact up to a cached bound so c(2) == 1 exactly.
+
+The fitted forest is stored as flat per-node arrays in preorder: `feature`,
+`threshold`, `left`/`right` (-1 at a leaf) and `path` = c(leaf size), plus
+each tree's root node in `roots`. Scoring advances every (tree, window) pair
+one level per step, at most ceil(log2(subsample)) steps, and adds the
+per-tree path lengths in tree order, so a score is bitwise that of a
+recursive descent of each tree in turn.
 """
 
 from __future__ import annotations
@@ -28,55 +35,95 @@ def average_path_length(m: int) -> float:
     return 2.0 * h - 2.0 * (m - 1) / m
 
 
-def _build_tree(x: np.ndarray, depth: int, max_depth: int, rng) -> list:
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "path")
+
+
+def _grow(x: np.ndarray, depth: int, max_depth: int, rng, nodes: list) -> int:
+    """Append the isolation tree of `x` to `nodes` in preorder; return its root.
+
+    A node is [feature, threshold, left, right, path]: a leaf has feature,
+    left and right -1 and path c(its size); a split has path 0.
+    """
+    at = len(nodes)
     m = len(x)
+    nodes.append([-1, 0.0, -1, -1, average_path_length(m)])
     if m <= 1 or depth >= max_depth:
-        return ["leaf", m]
+        return at
     mins = x.min(axis=0)
     maxs = x.max(axis=0)
     usable = np.flatnonzero(maxs > mins)
     if usable.size == 0:
-        return ["leaf", m]
+        return at
     f = int(rng.choice(usable))
     u = float(rng.uniform(mins[f], maxs[f]))
     mask = x[:, f] < u
     if mask.all() or not mask.any():
-        return ["leaf", m]
-    return ["split", f, u,
-            _build_tree(x[mask], depth + 1, max_depth, rng),
-            _build_tree(x[~mask], depth + 1, max_depth, rng)]
+        return at
+    left = _grow(x[mask], depth + 1, max_depth, rng, nodes)
+    right = _grow(x[~mask], depth + 1, max_depth, rng, nodes)
+    nodes[at] = [f, u, left, right, 0.0]
+    return at
 
 
 def fit_iforest(x: np.ndarray, n_trees: int, subsample: int, rng) -> dict:
     n = len(x)
     size = min(subsample, n)
     max_depth = int(math.ceil(math.log2(max(size, 2))))
-    trees = [
-        _build_tree(x[rng.choice(n, size=size, replace=False)], 0, max_depth, rng)
-        for _ in range(n_trees)
-    ]
-    return {"trees": trees, "subsample": size}
+    nodes: list = []
+    roots = [_grow(x[rng.choice(n, size=size, replace=False)], 0, max_depth, rng, nodes)
+             for _ in range(n_trees)]
+    columns = (np.array(column) for column in zip(*nodes))
+    return {**dict(zip(NODE_ARRAYS, columns)), "roots": np.array(roots), "subsample": size}
 
 
-def _path_lengths(node: list, x: np.ndarray, idx: np.ndarray, depth: int,
-                  out: np.ndarray) -> None:
-    if idx.size == 0:
-        return
-    if node[0] == "leaf":
-        out[idx] = depth + average_path_length(node[1])
-        return
-    _, f, u, left, right = node
-    mask = x[idx, f] < u
-    _path_lengths(left, x, idx[mask], depth + 1, out)
-    _path_lengths(right, x, idx[~mask], depth + 1, out)
+def checked_state(state: dict, dim: int) -> dict:
+    """A forest read from a file, with integer index arrays; ValueError unless
+    its node arrays are 1-D, of one length and finite, and every node index
+    points where a fitted forest's can: a leaf has feature, left and right
+    -1; a split has a feature below `dim` and two later nodes (preorder), so
+    every walk from a root ends at a leaf."""
+    arrays = {key: state.get(key) for key in NODE_ARRAYS + ("roots",)}
+    if not all(isinstance(v, np.ndarray) and v.ndim == 1 and np.isfinite(v).all()
+               for v in arrays.values()):
+        raise ValueError(f"iforest state needs finite 1-D arrays {sorted(arrays)}")
+    if type(state.get("subsample")) is not int or state["subsample"] < 1:
+        raise ValueError("iforest subsample must be a positive integer")
+    n_nodes = len(arrays["feature"])
+    if any(len(arrays[key]) != n_nodes for key in NODE_ARRAYS):
+        raise ValueError(f"iforest node arrays {list(NODE_ARRAYS)} differ in length")
+    ints = {key: arrays[key].astype(np.int64) for key in ("feature", "left", "right", "roots")}
+    if any((ints[key] != arrays[key]).any() for key in ints):
+        raise ValueError("iforest feature, left, right or roots holds a non-integer")
+    feature, left, right, roots = ints["feature"], ints["left"], ints["right"], ints["roots"]
+    node = np.arange(n_nodes)
+    valid = np.where(left >= 0,
+                     (node < left) & (node < right) & (np.maximum(left, right) < n_nodes)
+                     & (feature >= 0) & (feature < dim),
+                     (left == -1) & (right == -1) & (feature == -1))
+    if not (valid.all() and ((roots >= 0) & (roots < n_nodes)).all()):
+        raise ValueError("iforest feature, left, right or roots index out of range")
+    return {**state, **ints}
 
 
 def score_iforest(state: dict, x: np.ndarray) -> np.ndarray:
-    paths = np.zeros(len(x))
-    idx = np.arange(len(x))
-    for tree in state["trees"]:
-        lengths = np.zeros(len(x))
-        _path_lengths(tree, x, idx, 0, lengths)
-        paths += lengths
-    mean_path = paths / len(state["trees"])
+    """2^(-mean path / c(subsample)): every (tree, window) pair descends one
+    level per step; the per-tree lengths are added in tree order."""
+    feature, threshold, left, right = (state[k] for k in ("feature", "threshold", "left", "right"))
+    n_trees, n = len(state["roots"]), len(x)
+    node = np.repeat(state["roots"], n)          # pair t * n + i: tree t, window i
+    row = np.tile(np.arange(n), n_trees)
+    depth = np.zeros(n_trees * n, dtype=np.int64)
+    live = np.flatnonzero(left[node] >= 0)
+    level = 0
+    while live.size:
+        level += 1
+        at = node[live]
+        node[live] = np.where(x[row[live], feature[at]] < threshold[at], left[at], right[at])
+        depth[live] = level
+        live = live[left[node[live]] >= 0]
+    lengths = (depth + state["path"][node]).reshape(n_trees, n)
+    paths = np.zeros(n)
+    for tree_lengths in lengths:
+        paths += tree_lengths
+    mean_path = paths / n_trees
     return np.power(2.0, -mean_path / average_path_length(state["subsample"]))

@@ -47,12 +47,18 @@ _NUMBER = (int, float)
 _NONE = type(None)
 
 
+def _is(value, kind) -> bool:
+    """isinstance(value, kind), except that JSON true/false is no int or float."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+
+
 def _field(doc, key: str, kind):
     """doc[key]; a SchemaError unless `doc` is an object holding a `kind` there.
 
-    `kind` is a type or a tuple of types, as for isinstance.
+    `kind` is a type or a tuple of types, as for `_is`.
     """
-    if not (isinstance(doc, dict) and key in doc and isinstance(doc[key], kind)):
+    if not (isinstance(doc, dict) and key in doc and _is(doc[key], kind)):
         names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
         raise SchemaError(f"field {key!r} is missing or not a {names}")
     return doc[key]
@@ -333,15 +339,22 @@ def load_detector(path: str) -> DetectorModel:
         raise SchemaError(f"{path}: unknown detector kind {kind!r}")
     cfg_dict = dict(_field(doc, "config", dict))
     cfg_dict["svdd_widths"] = tuple(_field(cfg_dict, "svdd_widths", list))
+    scaler_mean = decode_array(_field(doc, "scaler_mean", dict))
+    pca_basis = _optional_array(doc, "pca_basis")
+    state = {key: _decode_value(value) for key, value in _field(doc, "state", dict).items()}
+    check = KINDS[kind].checked_state
+    if check is not None:
+        dim = len(scaler_mean) if pca_basis is None else pca_basis.shape[-1]
+        state = _construct(check, {"state": state, "dim": dim}, f"{kind} state")
     return DetectorModel(
         kind,
-        decode_array(_field(doc, "scaler_mean", dict)),
+        scaler_mean,
         decode_array(_field(doc, "scaler_std", dict)),
-        {key: _decode_value(value) for key, value in _field(doc, "state", dict).items()},
+        state,
         _field(doc, "threshold", _NUMBER),
         _field(doc, "threshold_quantile", _NUMBER),
         decode_array(_field(doc, "train_scores", dict)),
-        _optional_array(doc, "pca_basis"),
+        pca_basis,
         _optional_array(doc, "pca_mean"),
         _construct(DetectorConfig, cfg_dict, "detector config"),
         _field(doc, "seed", int),
@@ -388,7 +401,7 @@ def _results(doc) -> dict:
         for key in TestSuite.KEYS:
             cell = _field(_field(results, method, dict), key, dict)
             counts = _field(cell, "confusion", dict)
-            if not (all(isinstance(cell.get(m), _NUMBER) for m in ("precision", "recall", "f1"))
+            if not (all(_is(cell.get(m), _NUMBER) for m in ("precision", "recall", "f1"))
                     and all(type(counts.get(c)) is int for c in ("tp", "fp", "tn", "fn"))):
                 raise SchemaError(f"results {method} {key}: bad precision/recall/f1/confusion")
     return results

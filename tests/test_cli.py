@@ -131,6 +131,18 @@ def test_config_file_supplies_defaults(tmp_path):
     assert load_corpus(out).provenance["effective_config"]["windows"] == 25
 
 
+@pytest.mark.parametrize("flag", [["--test-fraction", "0.1"], ["--test-fraction=0.1"],
+                                  ["--test-frac", "0.1"]])
+def test_flag_given_at_its_default_value_beats_the_config_file(tmp_path, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"windows": 40, "test_fraction": 0.5}))
+    out = tmp_path / "c.json"
+    assert run(["generate", "--seed", 3, *flag, "--config", cfg, "--out", out]) == 0
+    corpus = load_corpus(out)
+    assert corpus.provenance["effective_config"]["test_fraction"] == 0.1
+    assert (len(corpus.windows), len(corpus.test_idx)) == (40, 4)
+
+
 def test_config_file_unknown_keys_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus_key": 1}))

@@ -7,6 +7,7 @@ from t2vad import detect
 from t2vad.detect import (DetectorConfig, DetectorModel, average_path_length,
                           pca_fit, pca_transform)
 from t2vad.detect.deepsvdd import build_network, fit_deep_svdd, score_deep_svdd
+from t2vad.detect.iforest import fit_iforest, score_iforest
 from t2vad.detect.ocsvm import rbf_kernel
 from t2vad.rng import make_rng
 
@@ -94,6 +95,67 @@ def test_iforest_far_point_scores_higher():
     near = detect.score_many(model, x[:1])[0]
     far = detect.score_many(model, x[:1] + 100.0)[0]
     assert far > near
+
+
+def recursive_forest(x, n_trees, subsample, rng):
+    """The nested-list forest the flat arrays replaced, with its recursive scorer."""
+    def build(x, depth, max_depth):
+        m = len(x)
+        if m <= 1 or depth >= max_depth:
+            return ["leaf", m]
+        mins, maxs = x.min(axis=0), x.max(axis=0)
+        usable = np.flatnonzero(maxs > mins)
+        if usable.size == 0:
+            return ["leaf", m]
+        f = int(rng.choice(usable))
+        u = float(rng.uniform(mins[f], maxs[f]))
+        mask = x[:, f] < u
+        if mask.all() or not mask.any():
+            return ["leaf", m]
+        return ["split", f, u, build(x[mask], depth + 1, max_depth),
+                build(x[~mask], depth + 1, max_depth)]
+
+    def path_lengths(node, q, idx, depth, out):
+        if idx.size == 0:
+            return
+        if node[0] == "leaf":
+            out[idx] = depth + average_path_length(node[1])
+            return
+        _, f, u, left, right = node
+        mask = q[idx, f] < u
+        path_lengths(left, q, idx[mask], depth + 1, out)
+        path_lengths(right, q, idx[~mask], depth + 1, out)
+
+    def score(q):
+        paths = np.zeros(len(q))
+        for tree in trees:
+            lengths = np.zeros(len(q))
+            path_lengths(tree, q, np.arange(len(q)), 0, lengths)
+            paths += lengths
+        return np.power(2.0, -(paths / len(trees)) / average_path_length(size))
+
+    n = len(x)
+    size = min(subsample, n)
+    max_depth = int(np.ceil(np.log2(max(size, 2))))
+    trees = [build(x[rng.choice(n, size=size, replace=False)], 0, max_depth)
+             for _ in range(n_trees)]
+    return score
+
+
+@pytest.mark.parametrize("n, d, n_trees, subsample, duplicates", [
+    (300, 6, 40, 256, 1),
+    (60, 3, 25, 48, 4),      # each row 4 times: leaves of size > 1
+])
+def test_flat_forest_scores_are_bitwise_the_recursive_forest(n, d, n_trees, subsample,
+                                                             duplicates):
+    x = np.repeat(gaussian_blob(n=n // duplicates, d=d, seed=n), duplicates, axis=0)
+    state = fit_iforest(x, n_trees, subsample, make_rng(7))
+    on_a_split = np.repeat(state["threshold"][state["left"] >= 0][:, None], d, axis=1)
+    queries = np.concatenate([x, gaussian_blob(n=50, d=d, seed=1, shift=0.5) * 3.0, on_a_split])
+    recursive_score = recursive_forest(x, n_trees, subsample, make_rng(7))
+    assert score_iforest(state, queries).tolist() == recursive_score(queries).tolist()
+    assert ((state["left"] == -1) & (state["path"] > 0)).any()     # a leaf of size > 1
+    assert len(state["roots"]) == n_trees and state["roots"][0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from t2vad.dtw import dtw_batch, dtw_bruteforce
+from t2vad.dtw import dtw_batch, dtw_bruteforce, local_cost
 from t2vad.rng import make_rng
 
 
@@ -150,3 +150,63 @@ def test_batch_shape_checks():
         dtw_batch(np.zeros((2, 0, 1)), np.zeros((2, 3, 1)))
     with pytest.raises(ValueError, match="B, N, F"):
         dtw_batch(np.zeros((3, 1)), np.zeros((3, 1)))
+
+
+def diagonal_sweep(a, b):
+    """The per-diagonal sweep dtw_batch replaced: each step forms its local
+    costs from slices of `a` and reversed `b` with `((.) ** 2).sum(-1)`."""
+    n_pairs, na, nb = a.shape[0], a.shape[1], b.shape[1]
+    b_rev = b[:, ::-1]
+    prev2 = np.full((n_pairs, na + 1), np.inf)
+    prev2[:, 0] = 0.0
+    prev1 = np.full((n_pairs, na + 1), np.inf)
+    cur = np.full((n_pairs, na + 1), np.inf)
+    for s in range(2, na + nb + 1):
+        lo, hi = max(1, s - nb), min(na, s - 1)
+        diff = a[:, lo - 1:hi] - b_rev[:, nb - s + lo:nb - s + hi + 1]
+        cost = np.sqrt(np.maximum((diff ** 2).sum(axis=-1), 0.0))
+        cur.fill(np.inf)
+        cur[:, lo:hi + 1] = cost + np.minimum(
+            prev1[:, lo - 1:hi], np.minimum(prev1[:, lo:hi + 1], prev2[:, lo - 1:hi]))
+        prev2, prev1, cur = prev1, cur, prev2
+    return prev1[:, na].copy()
+
+
+@given(st.integers(1, 6), st.integers(1, 12), st.integers(1, 12), st.integers(1, 7),
+       st.floats(-3, 3), st.integers(0, 10_000))
+@example(1, 1, 1, 6, 0.0, 0)
+@example(1, 1, 9, 6, 0.0, 1)
+@example(2, 9, 1, 6, 0.0, 2)
+@example(3, 7, 2, 7, 2.0, 3)
+@settings(max_examples=80, deadline=None)
+def test_batch_is_bitwise_the_per_diagonal_sweep_up_to_7_features(
+        n_pairs, na, nb, f, log_scale, seed):
+    rng = make_rng(seed)
+    a = rng.normal(size=(n_pairs, na, f)) * 10.0 ** log_scale
+    b = rng.normal(size=(n_pairs, nb, f))
+    assert dtw_batch(a, b).tolist() == diagonal_sweep(a, b).tolist()
+
+
+def test_batch_is_bitwise_the_per_diagonal_sweep_at_window_shape():
+    rng = make_rng(12)
+    a = rng.normal(size=(64, 100, 6))
+    b = a + rng.normal(scale=0.1, size=a.shape)
+    assert dtw_batch(a, b).tolist() == diagonal_sweep(a, b).tolist()
+    assert dtw_batch(a[:3], b[:3, :57]).tolist() == diagonal_sweep(a[:3], b[:3, :57]).tolist()
+
+
+@pytest.mark.parametrize("f", [8, 9, 12])
+@pytest.mark.parametrize("na, nb", [(1, 1), (1, 20), (20, 1), (15, 23)])
+def test_batch_is_within_1e_12_of_the_per_diagonal_sweep_from_8_features(f, na, nb):
+    # numpy sums 8 or more terms pairwise, the cost matrix adds them in order
+    rng = make_rng(100 * f + na)
+    a, b = rng.normal(size=(5, na, f)), rng.normal(size=(5, nb, f))
+    np.testing.assert_allclose(dtw_batch(a, b), diagonal_sweep(a, b), rtol=1e-12, atol=0)
+
+
+def test_local_cost_is_the_pointwise_distance_matrix():
+    rng = make_rng(13)
+    a, b = rng.normal(size=(9, 7, 3)), rng.normal(size=(9, 4, 3))
+    expected = np.linalg.norm(a[:, :, None, :] - b[:, None, :, :], axis=-1)
+    np.testing.assert_allclose(local_cost(a, b), expected, rtol=1e-14, atol=0)
+    assert local_cost(a, b).shape == (9, 7, 4)

@@ -305,6 +305,25 @@ def set_first_shape_entry(value):
     return lambda d: d["windows"]["payload"]["shape"].__setitem__(0, value)
 
 
+def set_forest_entry(key, index, value):
+    """Re-encode one iforest state array with `value` at `index`."""
+    def edit(doc):
+        arr = decode_array(doc["state"][key]).copy()
+        arr[index] = value
+        doc["state"][key] = encode_array(arr)
+    return edit
+
+
+def drop_forest_entry(key):
+    return lambda d: d["state"].update({key: encode_array(decode_array(d["state"][key])[:-1])})
+
+
+def nested_trees(doc):
+    """The pre-flat-array iforest state: nested JSON tree lists."""
+    doc["state"] = {"trees": [["leaf", 1], ["split", 0, 0.5, ["leaf", 2], ["leaf", 1]]],
+                    "subsample": doc["state"]["subsample"]}
+
+
 # (file, mutation, message): each mutation of a model, detector or array
 # block, re-checksummed, is a SchemaError when loaded and exit 1 in the CLI
 ARTIFACT_FIELD_MUTATIONS = {
@@ -336,6 +355,30 @@ ARTIFACT_FIELD_MUTATIONS = {
     "detector-config-unknown-key": (
         "det.iforest.json", lambda d: d["config"].update(bogus=1), "bogus"),
     "detector-seed-removed": ("det.iforest.json", lambda d: d.pop("seed"), "'seed'"),
+    "detector-threshold-a-boolean": ("det.ocsvm.json", lambda d: d.update(threshold=True),
+                                     "'threshold'"),
+    "detector-seed-a-boolean": ("det.lof.json", lambda d: d.update(seed=False), "'seed'"),
+    "iforest-node-array-shorter": ("det.iforest.json", drop_forest_entry("right"),
+                                   "differ in length"),
+    "iforest-left-past-the-last-node": (
+        "det.iforest.json", set_forest_entry("left", 0, 10 ** 6), "out of range"),
+    "iforest-left-not-an-integer": ("det.iforest.json", set_forest_entry("left", 0, 1.5),
+                                    "non-integer"),
+    "iforest-left-points-back": ("det.iforest.json", set_forest_entry("left", 1, 0),
+                                 "out of range"),
+    "iforest-right-below-minus-1": ("det.iforest.json", set_forest_entry("right", 0, -2),
+                                    "out of range"),
+    "iforest-feature-at-the-dimension": (
+        "det.iforest.json", lambda d: set_forest_entry(
+            "feature", 0, d["scaler_mean"]["shape"][0])(d), "out of range"),
+    "iforest-feature-not-an-integer": ("det.iforest.json", set_forest_entry("feature", 0, 0.25),
+                                       "non-integer"),
+    "iforest-roots-out-of-range": ("det.iforest.json", set_forest_entry("roots", 1, -1),
+                                   "out of range"),
+    "iforest-path-nan": ("det.iforest.json", set_forest_entry("path", 0, np.nan), "finite"),
+    "iforest-threshold-removed": ("det.iforest.json", lambda d: d["state"].pop("threshold"),
+                                  "finite 1-D arrays"),
+    "iforest-nested-trees": ("det.iforest.json", nested_trees, "finite 1-D arrays"),
     "report-results-removed": ("report.json", lambda d: d.pop("results"), "'results'"),
     "report-cell-f1-removed": (
         "report.json", lambda d: d["results"]["t2v_lof"]["AN-4F"].pop("f1"), "t2v_lof AN-4F"),
