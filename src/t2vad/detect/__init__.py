@@ -1,7 +1,9 @@
 """Five one-class detectors behind a uniform fit/score/threshold contract.
 
 All detectors consume z-standardized embeddings (per-dimension training
-statistics, stored with the model). Scores are oriented so that higher
+statistics, stored with the model); the envelope detector (EE) reduces
+them by PCA inside its own fit and score. Settings no caller varies are
+constants in each detector's module. Scores are oriented so that higher
 means more anomalous, and the decision threshold is a quantile of the
 training scores, the same rule for every kind, so comparisons between
 methods are apples-to-apples. `predict_many` flags strictly
@@ -17,12 +19,12 @@ import numpy as np
 
 from ..dtw import first_nonfinite
 from ..rng import derive_seed, make_rng
+from . import deepsvdd, ee, iforest
 from .deepsvdd import fit_deep_svdd, score_deep_svdd
 from .ee import fit_ee, score_ee
-from .iforest import average_path_length, checked_state, fit_iforest, score_iforest
+from .iforest import average_path_length, fit_iforest, score_iforest
 from .lof import fit_lof, score_lof
 from .ocsvm import default_gamma, fit_ocsvm, rbf_kernel, score_ocsvm
-from .pca import pca_fit, pca_transform
 
 
 class Kind(NamedTuple):
@@ -31,7 +33,6 @@ class Kind(NamedTuple):
     fit: Callable          # (z, cfg, rng, seed) -> state
     score: Callable        # (state, z) -> scores, higher = more anomalous
     train_scores: Callable | None = None   # (state, z) -> scores; None: score(state, z)
-    pca_dims: Callable | None = None       # cfg -> PCA dimensions to reduce to first
     checked_state: Callable | None = None  # (state, dim) -> state read from a file, or ValueError
 
 
@@ -39,28 +40,24 @@ class Kind(NamedTuple):
 # wrapper later bound to that name (a profiler's, say) sees every fit.
 KINDS = {
     "iforest": Kind(
-        lambda z, cfg, rng, seed: fit_iforest(z, cfg.iforest_trees, cfg.iforest_subsample, rng),
-        score_iforest, checked_state=checked_state),
+        lambda z, cfg, rng, seed: fit_iforest(z, cfg.iforest_trees, iforest.SUBSAMPLE, rng),
+        score_iforest, checked_state=iforest.checked_state),
     "lof": Kind(
         lambda z, cfg, rng, seed: fit_lof(z, cfg.lof_k),
         score_lof, train_scores=lambda state, z: state["train_lof"]),
-    "ocsvm": Kind(
-        lambda z, cfg, rng, seed: fit_ocsvm(z, cfg.ocsvm_nu, cfg.ocsvm_gamma, cfg.ocsvm_tol,
-                                            cfg.ocsvm_max_passes),
-        score_ocsvm),
+    "ocsvm": Kind(lambda z, cfg, rng, seed: fit_ocsvm(z, cfg.ocsvm_nu), score_ocsvm),
     "ee": Kind(
-        lambda z, cfg, rng, seed: fit_ee(z, cfg.ee_support_fraction, cfg.ee_n_starts, rng),
-        score_ee, pca_dims=lambda cfg: cfg.ee_pca_dims),
+        lambda z, cfg, rng, seed: fit_ee(z, cfg.ee_pca_dims, cfg.ee_n_starts, rng),
+        score_ee, checked_state=ee.checked_state),
     "deep_svdd": Kind(
-        lambda z, cfg, rng, seed: fit_deep_svdd(z, cfg.svdd_widths, cfg.svdd_epochs,
-                                                cfg.svdd_batch, cfg.svdd_lr,
-                                                cfg.svdd_weight_decay, seed),
+        lambda z, cfg, rng, seed: fit_deep_svdd(z, deepsvdd.WIDTHS, cfg.svdd_epochs,
+                                                deepsvdd.BATCH, deepsvdd.LR,
+                                                deepsvdd.WEIGHT_DECAY, seed),
         score_deep_svdd),
 }
 
 __all__ = [
     "KINDS", "DetectorConfig", "DetectorModel", "fit", "score_many", "predict_many",
-    "pca_fit", "pca_transform",
     "average_path_length", "fit_deep_svdd", "default_gamma", "rbf_kernel",
 ]
 
@@ -68,20 +65,11 @@ __all__ = [
 @dataclass(frozen=True)
 class DetectorConfig:
     iforest_trees: int = 100
-    iforest_subsample: int = 256
     lof_k: int = 20
     ocsvm_nu: float = 0.05
-    ocsvm_gamma: float | None = None      # None -> 1/(d * var)
-    ocsvm_tol: float = 1e-4
-    ocsvm_max_passes: int = 10_000
     ee_pca_dims: int = 32
-    ee_support_fraction: float | None = None   # None -> ((n+d+1)/2)/n
     ee_n_starts: int = 30
-    svdd_widths: tuple[int, ...] = (128, 32)
     svdd_epochs: int = 100
-    svdd_batch: int = 64
-    svdd_lr: float = 1e-3
-    svdd_weight_decay: float = 1e-4
     threshold_quantile: float = 0.99
     seed: int = 0
 
@@ -99,12 +87,8 @@ class DetectorModel:
     scaler_std: np.ndarray
     state: dict
     threshold: float
-    threshold_quantile: float
     train_scores: np.ndarray
-    pca_basis: np.ndarray | None = None
-    pca_mean: np.ndarray | None = None
     config: DetectorConfig = field(default_factory=DetectorConfig)
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -124,11 +108,8 @@ def _finite_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _transform(model: DetectorModel, x: np.ndarray) -> np.ndarray:
-    z = _standardize(_finite_rows(np.atleast_2d(np.asarray(x, dtype=np.float64))),
-                     model.scaler_mean, model.scaler_std)
-    if model.pca_basis is not None:
-        z = pca_transform(z, model.pca_basis, model.pca_mean)
-    return z
+    return _standardize(_finite_rows(np.atleast_2d(np.asarray(x, dtype=np.float64))),
+                        model.scaler_mean, model.scaler_std)
 
 
 def fit(kind: str, x: np.ndarray, cfg: DetectorConfig = DetectorConfig()) -> DetectorModel:
@@ -139,7 +120,6 @@ def fit(kind: str, x: np.ndarray, cfg: DetectorConfig = DetectorConfig()) -> Det
     if x.ndim != 2:
         raise ValueError("training data must be (n, d)")
     _finite_rows(x)
-    n, d = x.shape
     seed = derive_seed(cfg.seed, f"detector/{kind}")
     rng = make_rng(seed)
 
@@ -148,17 +128,11 @@ def fit(kind: str, x: np.ndarray, cfg: DetectorConfig = DetectorConfig()) -> Det
     z = _standardize(x, mean, std)
 
     spec = KINDS[kind]
-    pca_basis = pca_mean = None
-    if spec.pca_dims is not None:
-        pca_basis, pca_mean = pca_fit(z, min(spec.pca_dims(cfg), d))
-        z = pca_transform(z, pca_basis, pca_mean)
-
     state = spec.fit(z, cfg, rng, seed)
     raw = (spec.train_scores or spec.score)(state, z)
     train_scores = np.asarray(raw, dtype=np.float64)
     threshold = float(np.quantile(train_scores, cfg.threshold_quantile))
-    return DetectorModel(kind, mean, std, state, threshold, cfg.threshold_quantile,
-                         train_scores, pca_basis, pca_mean, cfg, seed)
+    return DetectorModel(kind, mean, std, state, threshold, train_scores, cfg)
 
 
 def score_many(model: DetectorModel, x: np.ndarray) -> np.ndarray:

@@ -17,6 +17,11 @@ import numpy as np
 from .. import ndtensor as nd
 from ..rng import make_rng
 
+WIDTHS = (128, 32)     # hidden and output widths of the fitted net
+BATCH = 64
+LR = 1e-3
+WEIGHT_DECAY = 1e-4
+
 
 def build_network(d_in: int, widths, rng) -> nd.LayerStack:
     layers: list[nd.Layer] = []

@@ -1,15 +1,19 @@
 """Robust location/scatter envelope via a FastMCD-style search.
 
-Finds the h-point subset whose covariance has (approximately) minimum
-determinant: many random (d+1)-point starts, two concentration steps each,
-then the best few iterated to convergence. Scores are Mahalanobis
-distances under the robust (mu, Sigma); the recommended support fraction
-is ((n + d + 1) / 2) / n.
+The input is first reduced to its top principal components (at most
+`pca_dims`); the fitted state keeps that basis and mean, and scoring
+applies the same projection. On the reduced data it finds the h-point
+subset whose covariance has (approximately) minimum determinant, with
+h = floor((n + d + 1) / 2): many random (d+1)-point starts, two
+concentration steps each, then the best few iterated to convergence.
+Scores are Mahalanobis distances under the robust (mu, Sigma).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .pca import pca_fit, pca_transform
 
 
 def _mean_cov(x: np.ndarray):
@@ -44,13 +48,11 @@ def _c_step(x: np.ndarray, mu: np.ndarray, cov: np.ndarray, h: int):
     return mu, cov, subset
 
 
-def fit_ee(x: np.ndarray, support_fraction: float | None, n_starts: int, rng) -> dict:
+def fit_ee(x: np.ndarray, pca_dims: int, n_starts: int, rng) -> dict:
+    basis, mean = pca_fit(x, min(pca_dims, x.shape[1]))
+    x = pca_transform(x, basis, mean)
     n, d = x.shape
-    if support_fraction is None:
-        h = int(np.floor((n + d + 1) / 2))
-    else:
-        h = int(np.floor(support_fraction * n))
-    h = min(max(h, d + 1), n)
+    h = min(max(int(np.floor((n + d + 1) / 2)), d + 1), n)
 
     candidates = []
     for _ in range(n_starts):
@@ -73,8 +75,23 @@ def fit_ee(x: np.ndarray, support_fraction: float | None, n_starts: int, rng) ->
             best_logdet, best_mu, best_cov = logdet, mu, cov
 
     cov = (best_cov + best_cov.T) / 2.0   # exact symmetry for PSD checks
-    return {"mu": best_mu, "cov": cov, "h": h}
+    return {"pca_basis": basis, "pca_mean": mean, "mu": best_mu, "cov": cov, "h": h}
+
+
+def checked_state(state: dict, dim: int) -> dict:
+    """An envelope read from a file; ValueError unless it holds a (dim, k) PCA
+    basis, a (dim,) PCA mean, a (k,) location and a (k, k) scatter."""
+    mu = state.get("mu")
+    k = len(mu) if isinstance(mu, np.ndarray) and mu.ndim == 1 else -1
+    shapes = {"pca_basis": (dim, k), "pca_mean": (dim,), "mu": (k,), "cov": (k, k)}
+    bad = [key for key, shape in shapes.items()
+           if not (isinstance(state.get(key), np.ndarray) and state[key].shape == shape)]
+    if bad:
+        raise ValueError(f"ee state arrays {bad} are missing or misshapen "
+                         f"(want pca_basis ({dim}, k), pca_mean ({dim},), mu (k,), cov (k, k))")
+    return state
 
 
 def score_ee(state: dict, x: np.ndarray) -> np.ndarray:
+    x = pca_transform(x, state["pca_basis"], state["pca_mean"])
     return np.sqrt(np.maximum(_mahalanobis_sq(x, state["mu"], state["cov"]), 0.0))

@@ -6,8 +6,9 @@ unsuccessful BST search: c(m) = 2 H(m-1) - 2(m-1)/m. Harmonic numbers are
 exact up to a cached bound so c(2) == 1 exactly.
 
 The fitted forest is stored as flat per-node arrays in preorder: `feature`,
-`threshold`, `left`/`right` (-1 at a leaf) and `path` = c(leaf size), plus
-each tree's root node in `roots`. Scoring advances every (tree, window) pair
+`threshold`, `right` (-1 at a leaf) and `path` = c(leaf size), plus each
+tree's root node in `roots`. A split's left child is the next node, so no
+`left` array is stored. Scoring advances every (tree, window) pair
 one level per step, at most ceil(log2(subsample)) steps, and adds the
 per-tree path lengths in tree order, so a score is bitwise that of a
 recursive descent of each tree in turn.
@@ -18,6 +19,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+SUBSAMPLE = 256          # per-tree sample size (capped at n)
 
 _HARMONIC_BOUND = 4096
 _harmonic = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, _HARMONIC_BOUND + 1))])
@@ -35,18 +38,19 @@ def average_path_length(m: int) -> float:
     return 2.0 * h - 2.0 * (m - 1) / m
 
 
-NODE_ARRAYS = ("feature", "threshold", "left", "right", "path")
+NODE_ARRAYS = ("feature", "threshold", "right", "path")
 
 
 def _grow(x: np.ndarray, depth: int, max_depth: int, rng, nodes: list) -> int:
     """Append the isolation tree of `x` to `nodes` in preorder; return its root.
 
-    A node is [feature, threshold, left, right, path]: a leaf has feature,
-    left and right -1 and path c(its size); a split has path 0.
+    A node is [feature, threshold, right, path]: a leaf has feature and
+    right -1 and path c(its size); a split has path 0 and its left subtree
+    right after it.
     """
     at = len(nodes)
     m = len(x)
-    nodes.append([-1, 0.0, -1, -1, average_path_length(m)])
+    nodes.append([-1, 0.0, -1, average_path_length(m)])
     if m <= 1 or depth >= max_depth:
         return at
     mins = x.min(axis=0)
@@ -59,9 +63,9 @@ def _grow(x: np.ndarray, depth: int, max_depth: int, rng, nodes: list) -> int:
     mask = x[:, f] < u
     if mask.all() or not mask.any():
         return at
-    left = _grow(x[mask], depth + 1, max_depth, rng, nodes)
+    _grow(x[mask], depth + 1, max_depth, rng, nodes)
     right = _grow(x[~mask], depth + 1, max_depth, rng, nodes)
-    nodes[at] = [f, u, left, right, 0.0]
+    nodes[at] = [f, u, right, 0.0]
     return at
 
 
@@ -79,9 +83,9 @@ def fit_iforest(x: np.ndarray, n_trees: int, subsample: int, rng) -> dict:
 def checked_state(state: dict, dim: int) -> dict:
     """A forest read from a file, with integer index arrays; ValueError unless
     its node arrays are 1-D, of one length and finite, and every node index
-    points where a fitted forest's can: a leaf has feature, left and right
-    -1; a split has a feature below `dim` and two later nodes (preorder), so
-    every walk from a root ends at a leaf."""
+    points where a fitted forest's can: a leaf has feature and right -1; a
+    split has a feature below `dim` and a right child after its left child
+    (the next node), so every walk from a root ends at a leaf."""
     arrays = {key: state.get(key) for key in NODE_ARRAYS + ("roots",)}
     if not all(isinstance(v, np.ndarray) and v.ndim == 1 and np.isfinite(v).all()
                for v in arrays.values()):
@@ -91,36 +95,35 @@ def checked_state(state: dict, dim: int) -> dict:
     n_nodes = len(arrays["feature"])
     if any(len(arrays[key]) != n_nodes for key in NODE_ARRAYS):
         raise ValueError(f"iforest node arrays {list(NODE_ARRAYS)} differ in length")
-    ints = {key: arrays[key].astype(np.int64) for key in ("feature", "left", "right", "roots")}
+    ints = {key: arrays[key].astype(np.int64) for key in ("feature", "right", "roots")}
     if any((ints[key] != arrays[key]).any() for key in ints):
-        raise ValueError("iforest feature, left, right or roots holds a non-integer")
-    feature, left, right, roots = ints["feature"], ints["left"], ints["right"], ints["roots"]
-    node = np.arange(n_nodes)
-    valid = np.where(left >= 0,
-                     (node < left) & (node < right) & (np.maximum(left, right) < n_nodes)
+        raise ValueError("iforest feature, right or roots holds a non-integer")
+    feature, right, roots = ints["feature"], ints["right"], ints["roots"]
+    valid = np.where(right >= 0,
+                     (np.arange(n_nodes) + 1 < right) & (right < n_nodes)
                      & (feature >= 0) & (feature < dim),
-                     (left == -1) & (right == -1) & (feature == -1))
+                     (right == -1) & (feature == -1))
     if not (valid.all() and ((roots >= 0) & (roots < n_nodes)).all()):
-        raise ValueError("iforest feature, left, right or roots index out of range")
+        raise ValueError("iforest feature, right or roots index out of range")
     return {**state, **ints}
 
 
 def score_iforest(state: dict, x: np.ndarray) -> np.ndarray:
     """2^(-mean path / c(subsample)): every (tree, window) pair descends one
     level per step; the per-tree lengths are added in tree order."""
-    feature, threshold, left, right = (state[k] for k in ("feature", "threshold", "left", "right"))
+    feature, threshold, right = (state[k] for k in ("feature", "threshold", "right"))
     n_trees, n = len(state["roots"]), len(x)
     node = np.repeat(state["roots"], n)          # pair t * n + i: tree t, window i
     row = np.tile(np.arange(n), n_trees)
     depth = np.zeros(n_trees * n, dtype=np.int64)
-    live = np.flatnonzero(left[node] >= 0)
+    live = np.flatnonzero(right[node] >= 0)
     level = 0
     while live.size:
         level += 1
         at = node[live]
-        node[live] = np.where(x[row[live], feature[at]] < threshold[at], left[at], right[at])
+        node[live] = np.where(x[row[live], feature[at]] < threshold[at], at + 1, right[at])
         depth[live] = level
-        live = live[left[node[live]] >= 0]
+        live = live[right[node[live]] >= 0]
     lengths = (depth + state["path"][node]).reshape(n_trees, n)
     paths = np.zeros(n)
     for tree_lengths in lengths:

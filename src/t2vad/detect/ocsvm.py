@@ -9,7 +9,9 @@ Each iteration picks the max-violating pair under the KKT conditions and
 moves mass between the two coordinates; feasibility is preserved by
 construction, so the box and simplex constraints hold at any stopping
 point. The decision offset rho is the average gradient over free support
-vectors, and the anomaly score of x is rho - sum_i a_i k(x_i, x).
+vectors, and the anomaly score of x is rho - sum_i a_i k(x_i, x). The
+kernel width is `default_gamma` of the training data; the ascent stops at
+a KKT violation of at most TOL or after MAX_PASSES pair updates.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from .lof import _cross_distances
+
+TOL = 1e-4
+MAX_PASSES = 10_000
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -30,13 +35,11 @@ def default_gamma(x: np.ndarray) -> float:
     return 1.0 / (x.shape[1] * max(var, 1e-12))
 
 
-def fit_ocsvm(x: np.ndarray, nu: float, gamma: float | None, tol: float,
-              max_passes: int) -> dict:
+def fit_ocsvm(x: np.ndarray, nu: float) -> dict:
     if not 0 < nu < 1:
         raise ValueError(f"nu must be in (0, 1), got {nu}")
     n = len(x)
-    if gamma is None:
-        gamma = default_gamma(x)
+    gamma = default_gamma(x)
     c = 1.0 / (nu * n)
     k = rbf_kernel(x, x, gamma)
 
@@ -52,7 +55,7 @@ def fit_ocsvm(x: np.ndarray, nu: float, gamma: float | None, tol: float,
     eps = 1e-12
 
     iterations = 0
-    while iterations < max_passes:
+    while iterations < MAX_PASSES:
         can_up = alpha < c - eps
         can_down = alpha > eps
         if not can_up.any() or not can_down.any():
@@ -60,7 +63,7 @@ def fit_ocsvm(x: np.ndarray, nu: float, gamma: float | None, tol: float,
         i = int(np.flatnonzero(can_up)[np.argmin(grad[can_up])])
         j = int(np.flatnonzero(can_down)[np.argmax(grad[can_down])])
         violation = grad[j] - grad[i]
-        if violation <= tol:
+        if violation <= TOL:
             break
         eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
         delta = violation / max(eta, 1e-12)

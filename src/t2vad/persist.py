@@ -72,11 +72,6 @@ def _construct(cls, fields: dict, what: str):
         raise SchemaError(f"bad {what}: {exc}") from None
 
 
-def _optional_array(doc, key: str) -> np.ndarray | None:
-    block = _field(doc, key, (dict, _NONE))
-    return None if block is None else decode_array(block)
-
-
 def encode_array(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=np.float64)
     return {
@@ -320,45 +315,30 @@ def save_detector(path: str, model: DetectorModel) -> None:
         "detector": model.kind,
         "scaler_mean": encode_array(model.scaler_mean),
         "scaler_std": encode_array(model.scaler_std),
-        "pca_basis": None if model.pca_basis is None else encode_array(model.pca_basis),
-        "pca_mean": None if model.pca_mean is None else encode_array(model.pca_mean),
         "threshold": model.threshold,
-        "threshold_quantile": model.threshold_quantile,
         "train_scores": encode_array(model.train_scores),
         "config": asdict(model.config),
-        "seed": model.seed,
         "state": {key: _encode_value(value) for key, value in model.state.items()},
     }
     atomic_write_json(path, doc)
 
 
 def load_detector(path: str) -> DetectorModel:
+    """A `config` key that `DetectorConfig` lacks (an older file's `svdd_lr`,
+    say) is a SchemaError."""
     doc = load_json_checked(path, "detector")
     kind = _field(doc, "detector", str)
     if kind not in KINDS:
         raise SchemaError(f"{path}: unknown detector kind {kind!r}")
-    cfg_dict = dict(_field(doc, "config", dict))
-    cfg_dict["svdd_widths"] = tuple(_field(cfg_dict, "svdd_widths", list))
+    cfg = _construct(DetectorConfig, _field(doc, "config", dict), "detector config")
     scaler_mean = decode_array(_field(doc, "scaler_mean", dict))
-    pca_basis = _optional_array(doc, "pca_basis")
     state = {key: _decode_value(value) for key, value in _field(doc, "state", dict).items()}
     check = KINDS[kind].checked_state
     if check is not None:
-        dim = len(scaler_mean) if pca_basis is None else pca_basis.shape[-1]
-        state = _construct(check, {"state": state, "dim": dim}, f"{kind} state")
-    return DetectorModel(
-        kind,
-        scaler_mean,
-        decode_array(_field(doc, "scaler_std", dict)),
-        state,
-        _field(doc, "threshold", _NUMBER),
-        _field(doc, "threshold_quantile", _NUMBER),
-        decode_array(_field(doc, "train_scores", dict)),
-        pca_basis,
-        _optional_array(doc, "pca_mean"),
-        _construct(DetectorConfig, cfg_dict, "detector config"),
-        _field(doc, "seed", int),
-    )
+        state = _construct(check, {"state": state, "dim": len(scaler_mean)}, f"{kind} state")
+    return DetectorModel(kind, scaler_mean, decode_array(_field(doc, "scaler_std", dict)), state,
+                         _field(doc, "threshold", _NUMBER),
+                         decode_array(_field(doc, "train_scores", dict)), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +387,20 @@ def _results(doc) -> dict:
     return results
 
 
+def _composition(doc) -> dict:
+    """doc["composition"]; a SchemaError unless every test set holds integer
+    `n`, `anomalous` and `noise_tagged` counts, the latter two at most `n`."""
+    composition = _field(doc, "composition", dict)
+    for key in TestSuite.KEYS:
+        entry = _field(composition, key, dict)
+        counts = [entry.get(c) for c in ("n", "anomalous", "noise_tagged")]
+        if not (all(type(c) is int and c >= 0 for c in counts) and max(counts[1:]) <= counts[0]):
+            raise SchemaError(f"composition {key}: bad n/anomalous/noise_tagged counts")
+    return composition
+
+
 def load_report(path: str) -> EvalReport:
     doc = load_json_checked(path, "report")
-    return EvalReport(_results(doc), _field(doc, "composition", dict),
+    return EvalReport(_results(doc), _composition(doc),
                       _field(doc, "config_digest", str), _field(doc, "seeds", dict),
                       _field(doc, "timestamp", (str, _NONE)))

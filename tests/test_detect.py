@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from t2vad import detect
-from t2vad.detect import (DetectorConfig, DetectorModel, average_path_length,
-                          pca_fit, pca_transform)
+from t2vad.detect import DetectorConfig, DetectorModel, average_path_length
 from t2vad.detect.deepsvdd import build_network, fit_deep_svdd, score_deep_svdd
+from t2vad.detect.ee import score_ee
 from t2vad.detect.iforest import fit_iforest, score_iforest
-from t2vad.detect.ocsvm import rbf_kernel
+from t2vad.detect.ocsvm import TOL, rbf_kernel
+from t2vad.detect.pca import pca_fit, pca_transform
 from t2vad.rng import make_rng
 
 CFG = DetectorConfig(svdd_epochs=15, ee_n_starts=10, seed=0)
@@ -150,11 +151,11 @@ def test_flat_forest_scores_are_bitwise_the_recursive_forest(n, d, n_trees, subs
                                                              duplicates):
     x = np.repeat(gaussian_blob(n=n // duplicates, d=d, seed=n), duplicates, axis=0)
     state = fit_iforest(x, n_trees, subsample, make_rng(7))
-    on_a_split = np.repeat(state["threshold"][state["left"] >= 0][:, None], d, axis=1)
+    on_a_split = np.repeat(state["threshold"][state["right"] >= 0][:, None], d, axis=1)
     queries = np.concatenate([x, gaussian_blob(n=50, d=d, seed=1, shift=0.5) * 3.0, on_a_split])
     recursive_score = recursive_forest(x, n_trees, subsample, make_rng(7))
     assert score_iforest(state, queries).tolist() == recursive_score(queries).tolist()
-    assert ((state["left"] == -1) & (state["path"] > 0)).any()     # a leaf of size > 1
+    assert ((state["right"] == -1) & (state["path"] > 0)).any()    # a leaf of size > 1
     assert len(state["roots"]) == n_trees and state["roots"][0] == 0
 
 
@@ -202,7 +203,7 @@ def test_ocsvm_nu_property():
     # within the solver tolerance
     x = gaussian_blob(n=400, d=6, seed=9)
     model = detect.fit("ocsvm", x, CFG)
-    outlier_fraction = float(np.mean(model.train_scores > CFG.ocsvm_tol))
+    outlier_fraction = float(np.mean(model.train_scores > TOL))
     assert outlier_fraction <= CFG.ocsvm_nu + 0.02
     at_box = float(np.mean(model.state["alpha_full"] >= model.state["box"] - 1e-9))
     assert at_box <= CFG.ocsvm_nu + 0.02     # margin errors are box-bound alphas
@@ -236,9 +237,20 @@ def test_ee_covariance_psd(small_e2e):
 def test_ee_score_zero_at_robust_mean():
     x = gaussian_blob(n=200, d=5, seed=11)
     cfg = DetectorConfig(ee_pca_dims=4, ee_n_starts=10, seed=1)
-    model = detect.fit("ee", x, cfg)
-    from t2vad.detect.ee import score_ee
-    assert score_ee(model.state, model.state["mu"][None])[0] == pytest.approx(0.0)
+    state = detect.fit("ee", x, cfg).state
+    # score_ee projects its input first: map the robust mean back to the full space
+    robust_mean = state["pca_mean"] + state["pca_basis"] @ state["mu"]
+    assert score_ee(state, robust_mean[None])[0] == pytest.approx(0.0, abs=1e-6)
+
+
+def test_ee_state_holds_its_pca_reduction():
+    x = gaussian_blob(n=200, d=5, seed=11)
+    model = detect.fit("ee", x, DetectorConfig(ee_pca_dims=3, ee_n_starts=5, seed=1))
+    z = (x - model.scaler_mean) / model.scaler_std
+    basis, mean = pca_fit(z, 3)
+    assert np.array_equal(model.state["pca_basis"], basis)
+    assert np.array_equal(model.state["pca_mean"], mean)
+    assert model.state["mu"].shape == (3,) and model.state["cov"].shape == (3, 3)
 
 
 def test_ee_resists_contamination():
@@ -338,7 +350,7 @@ def test_unknown_kind_rejected():
 
 def test_detector_model_validates_kind():
     with pytest.raises(ValueError, match="unknown detector kind"):
-        DetectorModel("nope", np.zeros(2), np.ones(2), {}, 0.0, 0.99, np.zeros(3))
+        DetectorModel("nope", np.zeros(2), np.ones(2), {}, 0.0, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +378,52 @@ def test_score_rejects_non_finite_embedding_row(small_e2e, kind, value):
             fn(model, x)
         with pytest.raises(ValueError, match="embedding row 0 contains NaN/Inf"):
             fn(model, x[2:3])
+
+
+# ---------------------------------------------------------------------------
+# degenerate training sets: finite scores and threshold, or a ValueError
+# ---------------------------------------------------------------------------
+
+def degenerate_sets(d=6):
+    """name -> (n, d) training set; the sizes are each kind's minimum n and one below
+    it: LOF k+1 (k=20), Deep SVDD 32, EE d+1 (PCA keeps all d dims here)."""
+    sets = {"duplicated-rows": np.repeat(gaussian_blob(n=24, d=d, seed=40), 2, axis=0),
+            "one-constant-feature": np.where(np.arange(d) == 2, 1.5, gaussian_blob(48, d, 41)),
+            "all-constant": np.full((48, d), 0.7)}
+    for n in (21, 20, 32, 31, d + 1, d):
+        sets[f"n={n}"] = gaussian_blob(n=n, d=d, seed=n)
+    return sets
+
+
+def expected_error(kind, name, n):
+    """The ValueError a kind raises on a degenerate set, or None if it must fit."""
+    if kind == "lof" and n <= 20:
+        return "more than k=20"
+    if kind == "deep_svdd" and n < 32:
+        return "at least 32"
+    if kind == "ee":
+        if name == "all-constant":
+            return "covariance rank 0 < requested dims 6"
+        if name == "one-constant-feature":
+            return "covariance rank 5 < requested dims 6"
+        if n <= 6:
+            return "need more than 6 samples"
+    return None
+
+
+@pytest.mark.parametrize("name", degenerate_sets())
+@pytest.mark.parametrize("kind", detect.KINDS)
+def test_degenerate_training_set_fits_finite_or_raises(kind, name):
+    x = degenerate_sets()[name]
+    cfg = DetectorConfig(iforest_trees=10, svdd_epochs=2, ee_n_starts=3, seed=0)
+    error = expected_error(kind, name, len(x))
+    if error is not None:
+        with pytest.raises(ValueError, match=error):
+            detect.fit(kind, x, cfg)
+        return
+    model = detect.fit(kind, x, cfg)
+    assert np.isfinite(model.threshold) and np.isfinite(model.train_scores).all()
+    assert np.isfinite(detect.score_many(model, x)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,24 @@ def nested_trees(doc):
                     "subsample": doc["state"]["subsample"]}
 
 
+# the nine detector settings that became module constants, at their old values
+OLD_CONFIG_SETTINGS = {
+    "iforest_subsample": 256, "ocsvm_gamma": None, "ocsvm_tol": 1e-4,
+    "ocsvm_max_passes": 10_000, "ee_support_fraction": None, "svdd_widths": [128, 32],
+    "svdd_batch": 64, "svdd_lr": 1e-3, "svdd_weight_decay": 1e-4,
+}
+
+
+@pytest.mark.parametrize("key", OLD_CONFIG_SETTINGS)
+def test_detector_config_with_a_removed_setting_is_a_schema_error(tmp_path, saved_artifacts,
+                                                                  key):
+    path = tmp_path / "det.json"
+    path.write_bytes((saved_artifacts / "det.ocsvm.json").read_bytes())
+    rewrite(path, lambda d: d["config"].update({key: OLD_CONFIG_SETTINGS[key]}))
+    with pytest.raises(SchemaError, match=f"bad detector config: .*'{key}'"):
+        load_detector(path)
+
+
 # (file, mutation, message): each mutation of a model, detector or array
 # block, re-checksummed, is a SchemaError when loaded and exit 1 in the CLI
 ARTIFACT_FIELD_MUTATIONS = {
@@ -351,21 +369,26 @@ ARTIFACT_FIELD_MUTATIONS = {
         "det.deep_svdd.json", lambda d: d["state"]["center"].pop("shape"), "'shape'"),
     "detector-threshold-a-string": ("det.ocsvm.json", lambda d: d.update(threshold="0.5"),
                                     "'threshold'"),
-    "detector-pca-basis-removed": ("det.ee.json", lambda d: d.pop("pca_basis"), "'pca_basis'"),
+    "detector-pca-basis-removed-from-the-ee-state": (
+        "det.ee.json", lambda d: d["state"].pop("pca_basis"),
+        r"ee state arrays \['pca_basis'\]"),
     "detector-config-unknown-key": (
         "det.iforest.json", lambda d: d["config"].update(bogus=1), "bogus"),
-    "detector-seed-removed": ("det.iforest.json", lambda d: d.pop("seed"), "'seed'"),
+    "detector-config-of-an-old-file": (
+        "det.deep_svdd.json", lambda d: d["config"].update(OLD_CONFIG_SETTINGS),
+        "bad detector config: .*unexpected keyword"),
     "detector-threshold-a-boolean": ("det.ocsvm.json", lambda d: d.update(threshold=True),
                                      "'threshold'"),
-    "detector-seed-a-boolean": ("det.lof.json", lambda d: d.update(seed=False), "'seed'"),
     "iforest-node-array-shorter": ("det.iforest.json", drop_forest_entry("right"),
                                    "differ in length"),
-    "iforest-left-past-the-last-node": (
-        "det.iforest.json", set_forest_entry("left", 0, 10 ** 6), "out of range"),
-    "iforest-left-not-an-integer": ("det.iforest.json", set_forest_entry("left", 0, 1.5),
-                                    "non-integer"),
-    "iforest-left-points-back": ("det.iforest.json", set_forest_entry("left", 1, 0),
-                                 "out of range"),
+    "iforest-right-past-the-last-node": (
+        "det.iforest.json", set_forest_entry("right", 0, 10 ** 6), "out of range"),
+    "iforest-right-not-an-integer": ("det.iforest.json", set_forest_entry("right", 0, 1.5),
+                                     "non-integer"),
+    "iforest-right-at-the-left-child": ("det.iforest.json", set_forest_entry("right", 0, 1),
+                                        "out of range"),
+    "iforest-split-feature-minus-1": ("det.iforest.json", set_forest_entry("feature", 0, -1),
+                                      "out of range"),
     "iforest-right-below-minus-1": ("det.iforest.json", set_forest_entry("right", 0, -2),
                                     "out of range"),
     "iforest-feature-at-the-dimension": (
@@ -384,6 +407,23 @@ ARTIFACT_FIELD_MUTATIONS = {
         "report.json", lambda d: d["results"]["t2v_lof"]["AN-4F"].pop("f1"), "t2v_lof AN-4F"),
     "report-method-removed": ("report.json", lambda d: d["results"].pop("t2v_ee"), "'t2v_ee'"),
     "report-timestamp-a-number": ("report.json", lambda d: d.update(timestamp=5), "'timestamp'"),
+    "report-composition-removed": ("report.json", lambda d: d.pop("composition"),
+                                   "'composition'"),
+    "report-composition-set-removed": (
+        "report.json", lambda d: d["composition"].pop("AN-6F"), "'AN-6F'"),
+    "report-composition-set-not-an-object": (
+        "report.json", lambda d: d["composition"].update({"A-4F": 5}), "'A-4F'"),
+    "report-composition-n-a-float": (
+        "report.json", lambda d: d["composition"]["A-6F"].update(n=150.0), "composition A-6F"),
+    "report-composition-count-a-boolean": (
+        "report.json", lambda d: d["composition"]["AN-4F"].update(noise_tagged=True),
+        "composition AN-4F"),
+    "report-composition-anomalous-above-n": (
+        "report.json", lambda d: d["composition"]["AN-6F"].update(
+            anomalous=d["composition"]["AN-6F"]["n"] + 1), "composition AN-6F"),
+    "report-composition-noise-tagged-negative": (
+        "report.json", lambda d: d["composition"]["A-4F"].update(noise_tagged=-1),
+        "composition A-4F"),
 }
 
 
