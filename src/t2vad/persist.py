@@ -393,8 +393,8 @@ def _composition(doc) -> dict:
     composition = _field(doc, "composition", dict)
     for key in TestSuite.KEYS:
         entry = _field(composition, key, dict)
-        counts = [entry.get(c) for c in ("n", "anomalous", "noise_tagged")]
-        if not (all(type(c) is int and c >= 0 for c in counts) and max(counts[1:]) <= counts[0]):
+        counts = [_field(entry, c, int) for c in ("n", "anomalous", "noise_tagged")]
+        if not (min(counts) >= 0 and max(counts[1:]) <= counts[0]):
             raise SchemaError(f"composition {key}: bad n/anomalous/noise_tagged counts")
     return composition
 

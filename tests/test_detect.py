@@ -240,7 +240,7 @@ def test_ee_score_zero_at_robust_mean():
     state = detect.fit("ee", x, cfg).state
     # score_ee projects its input first: map the robust mean back to the full space
     robust_mean = state["pca_mean"] + state["pca_basis"] @ state["mu"]
-    assert score_ee(state, robust_mean[None])[0] == pytest.approx(0.0, abs=1e-6)
+    assert score_ee(state, robust_mean[None])[0] == pytest.approx(0.0)
 
 
 def test_ee_state_holds_its_pca_reduction():
