@@ -19,7 +19,7 @@ import numpy as np
 
 from ..dtw import first_nonfinite
 from ..rng import derive_seed, make_rng
-from . import deepsvdd, ee, iforest
+from . import deepsvdd, ee, iforest, lof, ocsvm
 from .deepsvdd import fit_deep_svdd, score_deep_svdd
 from .ee import fit_ee, score_ee
 from .iforest import average_path_length, fit_iforest, score_iforest
@@ -28,12 +28,13 @@ from .ocsvm import default_gamma, fit_ocsvm, rbf_kernel, score_ocsvm
 
 
 class Kind(NamedTuple):
-    """How one detector kind fits, scores and reports its training scores."""
+    """How one detector kind fits, scores, checks a state read from a file
+    and reports its training scores."""
 
-    fit: Callable          # (z, cfg, rng, seed) -> state
-    score: Callable        # (state, z) -> scores, higher = more anomalous
+    fit: Callable            # (z, cfg, rng, seed) -> state
+    score: Callable          # (state, z) -> scores, higher = more anomalous
+    checked_state: Callable  # (state, dim) -> state read from a file, or ValueError
     train_scores: Callable | None = None   # (state, z) -> scores; None: score(state, z)
-    checked_state: Callable | None = None  # (state, dim) -> state read from a file, or ValueError
 
 
 # The fit entries look `fit_<kind>` up in this module when called, so a
@@ -41,19 +42,20 @@ class Kind(NamedTuple):
 KINDS = {
     "iforest": Kind(
         lambda z, cfg, rng, seed: fit_iforest(z, cfg.iforest_trees, iforest.SUBSAMPLE, rng),
-        score_iforest, checked_state=iforest.checked_state),
+        score_iforest, iforest.checked_state),
     "lof": Kind(
-        lambda z, cfg, rng, seed: fit_lof(z, cfg.lof_k),
-        score_lof, train_scores=lambda state, z: state["train_lof"]),
-    "ocsvm": Kind(lambda z, cfg, rng, seed: fit_ocsvm(z, cfg.ocsvm_nu), score_ocsvm),
+        lambda z, cfg, rng, seed: fit_lof(z, cfg.lof_k), score_lof, lof.checked_state,
+        train_scores=lambda state, z: state["train_lof"]),
+    "ocsvm": Kind(lambda z, cfg, rng, seed: fit_ocsvm(z, cfg.ocsvm_nu), score_ocsvm,
+                  ocsvm.checked_state),
     "ee": Kind(
         lambda z, cfg, rng, seed: fit_ee(z, cfg.ee_pca_dims, cfg.ee_n_starts, rng),
-        score_ee, checked_state=ee.checked_state),
+        score_ee, ee.checked_state),
     "deep_svdd": Kind(
         lambda z, cfg, rng, seed: fit_deep_svdd(z, deepsvdd.WIDTHS, cfg.svdd_epochs,
                                                 deepsvdd.BATCH, deepsvdd.LR,
                                                 deepsvdd.WEIGHT_DECAY, seed),
-        score_deep_svdd),
+        score_deep_svdd, deepsvdd.checked_state),
 }
 
 __all__ = [

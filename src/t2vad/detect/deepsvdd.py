@@ -67,6 +67,18 @@ def fit_deep_svdd(x: np.ndarray, widths, epochs: int, batch: int, lr: float,
     return {"layers": net, "center": center, "widths": list(widths), "loss_curve": loss_curve}
 
 
+def checked_state(state: dict, dim: int) -> dict:
+    """A one-class network read from a file; ValueError unless its `layers`
+    map (B, dim) inputs to (B, w) outputs for a (w,) `center`."""
+    layers, center = state.get("layers"), state.get("center")
+    if not (isinstance(layers, nd.LayerStack) and isinstance(center, np.ndarray)
+            and center.ndim == 1
+            and layers.forward(np.zeros((1, dim))).shape == (1, len(center))):
+        raise ValueError(f"deep_svdd state needs layers mapping (B, {dim}) inputs "
+                         "to the width of a 1-D center")
+    return state
+
+
 def score_deep_svdd(state: dict, x: np.ndarray) -> np.ndarray:
     diff = state["layers"].forward(x) - state["center"]
     return (diff * diff).sum(axis=1)

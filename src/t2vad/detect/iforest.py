@@ -12,6 +12,14 @@ tree's root node in `roots`. A split's left child is the next node, so no
 one level per step, at most ceil(log2(subsample)) steps, and adds the
 per-tree path lengths in tree order, so a score is bitwise that of a
 recursive descent of each tree in turn.
+
+A tree grows from arrays of row indices into one (d, n) transposed copy
+of the training data, so a split reads only the column it cuts. A feature
+whose training values are all distinct (no two equal, -0.0 == 0.0
+included) differs within any node of two or more distinct rows, so it is
+usable there without a look; only the features that repeat a value get
+the per-node max > min check. The random draws are those of a search over
+every column at every node, in the same order, so the forest is the same.
 """
 
 from __future__ import annotations
@@ -41,41 +49,56 @@ def average_path_length(m: int) -> float:
 NODE_ARRAYS = ("feature", "threshold", "right", "path")
 
 
-def _grow(x: np.ndarray, depth: int, max_depth: int, rng, nodes: list) -> int:
-    """Append the isolation tree of `x` to `nodes` in preorder; return its root.
+def fit_iforest(x: np.ndarray, n_trees: int, subsample: int, rng) -> dict:
+    """`n_trees` isolation trees, each grown on `subsample` rows of `x` (n, d)
+    drawn without replacement, as flat preorder node arrays.
 
     A node is [feature, threshold, right, path]: a leaf has feature and
     right -1 and path c(its size); a split has path 0 and its left subtree
-    right after it.
+    right after it. A split draws its feature uniformly from those whose
+    values at the node are not all equal, then a threshold uniformly
+    between that feature's min and max there.
     """
-    at = len(nodes)
-    m = len(x)
-    nodes.append([-1, 0.0, -1, average_path_length(m)])
-    if m <= 1 or depth >= max_depth:
-        return at
-    mins = x.min(axis=0)
-    maxs = x.max(axis=0)
-    usable = np.flatnonzero(maxs > mins)
-    if usable.size == 0:
-        return at
-    f = int(rng.choice(usable))
-    u = float(rng.uniform(mins[f], maxs[f]))
-    mask = x[:, f] < u
-    if mask.all() or not mask.any():
-        return at
-    _grow(x[mask], depth + 1, max_depth, rng, nodes)
-    right = _grow(x[~mask], depth + 1, max_depth, rng, nodes)
-    nodes[at] = [f, u, right, 0.0]
-    return at
-
-
-def fit_iforest(x: np.ndarray, n_trees: int, subsample: int, rng) -> dict:
     n = len(x)
     size = min(subsample, n)
     max_depth = int(math.ceil(math.log2(max(size, 2))))
+    xt = np.ascontiguousarray(x.T)                 # (d, n): one feature's values are contiguous
+    ordered = np.sort(xt, axis=1)
+    distinct = (ordered[:, 1:] > ordered[:, :-1]).all(axis=1)
+    everywhere = np.flatnonzero(distinct)        # usable at every node of >= 2 rows
+    tied = np.flatnonzero(~distinct)
+    tied_xt = xt[tied]
     nodes: list = []
-    roots = [_grow(x[rng.choice(n, size=size, replace=False)], 0, max_depth, rng, nodes)
-             for _ in range(n_trees)]
+    roots = []
+    for _ in range(n_trees):
+        roots.append(len(nodes))
+        # (rows, depth, the split whose right child this is, or -1); a split
+        # pushes its right child below its left one, so nodes come in preorder
+        stack = [(rng.choice(n, size=size, replace=False), 0, -1)]
+        while stack:
+            rows, depth, parent = stack.pop()
+            if parent >= 0:
+                nodes[parent][2] = len(nodes)
+            nodes.append([-1, 0.0, -1, average_path_length(len(rows))])
+            if len(rows) <= 1 or depth >= max_depth:
+                continue
+            usable = everywhere
+            if tied.size:
+                values = tied_xt[:, rows]
+                spread = distinct.copy()
+                spread[tied] = values.max(axis=1) > values.min(axis=1)
+                usable = np.flatnonzero(spread)
+            if usable.size == 0:
+                continue
+            f = int(usable[rng.integers(usable.size)])
+            column = xt[f, rows]
+            u = float(rng.uniform(column.min(), column.max()))
+            mask = column < u
+            if mask.all() or not mask.any():
+                continue
+            nodes[-1] = [f, u, -1, 0.0]
+            stack.append((rows[~mask], depth + 1, len(nodes) - 1))
+            stack.append((rows[mask], depth + 1, -1))
     columns = (np.array(column) for column in zip(*nodes))
     return {**dict(zip(NODE_ARRAYS, columns)), "roots": np.array(roots), "subsample": size}
 

@@ -5,7 +5,9 @@ embedding path (each one-class detector on top of the embedding AE) over
 the four evaluation sets. Anomalous is the positive class: True in each
 set's `anomalous` array and in every method's boolean predictions. The
 report is a pure function of its inputs: same suite, models, detectors
-and config give an identical report.
+and config give an identical report. `run_benchmark` scores each distinct
+window of the four sets once and reads every set's predictions from
+those scores.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from . import detect
 from .autoenc import (ScoreCalibration, TrainedModel, combine_components, embed_many,
                       score_components_many)
+from .dtw import first_nonfinite
 from .inject import TestSuite
 from .pipeline import WindowSet
 
@@ -77,11 +80,32 @@ def _set_composition(windows: WindowSet) -> dict:
     }
 
 
+def _distinct(windows) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, inverse) for a sequence of (N, F) windows: the distinct
+    windows, keyed by their exact bytes, stacked in order of first
+    appearance, and each window's index among them, so that
+    `distinct[inverse]` equals the windows."""
+    ids: dict[bytes, int] = {}
+    inverse = np.array([ids.setdefault(w.tobytes(), len(ids)) for w in windows], dtype=np.intp)
+    first = np.unique(inverse, return_index=True)[1]
+    return np.array([windows[i] for i in first]), inverse
+
+
 def run_benchmark(suite: TestSuite, t2v_model: TrainedModel, recon_model: TrainedModel,
                   recon_calib: ScoreCalibration,
                   detectors: dict[str, detect.DetectorModel],
                   config_digest: str = "", seeds: dict | None = None) -> EvalReport:
-    """Evaluate the baseline plus every detector over all four test sets."""
+    """Evaluate the baseline plus every detector over all four test sets.
+
+    The sets share most of their windows (the A sets share every clean
+    window, and each AN set is its A set with some windows noised), so
+    each distinct window is scored once: the baseline components, the
+    embedding and every detector run over the windows of all four sets
+    with byte-identical repeats dropped, and each set's predictions are
+    indexed back out. A NaN/Inf window raises ValueError naming its set
+    and its index there; a reconstruction that turns NaN/Inf is named by
+    its index among the distinct windows.
+    """
     if t2v_model is None or recon_model is None:
         raise ValueError("missing trained model")
     if recon_calib is None:
@@ -90,23 +114,28 @@ def run_benchmark(suite: TestSuite, t2v_model: TrainedModel, recon_model: Traine
     if missing:
         raise ValueError(f"missing detectors: {missing}")
 
+    sets = [suite.sets[key] for key in TestSuite.KEYS]
+    for key, windows in zip(TestSuite.KEYS, sets):
+        bad = first_nonfinite(windows.data)
+        if bad is not None:
+            raise ValueError(f"{key} window {bad} contains NaN/Inf")
+    distinct, inverse = _distinct([w for windows in sets for w in windows.data])
+
+    base_scores = combine_components(score_components_many(recon_model, distinct), recon_calib)
+    embeddings = embed_many(t2v_model, distinct)
+    preds = {METHOD_BASELINE: base_scores > recon_calib.threshold,
+             **{f"t2v_{kind}": detect.predict_many(detectors[kind], embeddings)
+                for kind in detect.KINDS}}
+
     results: dict[str, dict[str, dict]] = {method: {} for method in METHODS}
     composition = {}
-
-    for key in TestSuite.KEYS:
-        windows = suite.sets[key]
-        labels = windows.anomalous
+    start = 0
+    for key, windows in zip(TestSuite.KEYS, sets):
+        rows = inverse[start:start + len(windows)]
+        start += len(windows)
         composition[key] = _set_composition(windows)
-
-        base_scores = combine_components(
-            score_components_many(recon_model, windows.data), recon_calib)
-        results[METHOD_BASELINE][key] = _entry(
-            confusion(base_scores > recon_calib.threshold, labels))
-
-        embeddings = embed_many(t2v_model, windows.data)
-        for kind in detect.KINDS:
-            preds = detect.predict_many(detectors[kind], embeddings)
-            results[f"t2v_{kind}"][key] = _entry(confusion(preds, labels))
+        for method in METHODS:
+            results[method][key] = _entry(confusion(preds[method][rows], windows.anomalous))
 
     return EvalReport(results, composition, config_digest, dict(seeds or {}))
 

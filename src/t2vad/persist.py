@@ -333,9 +333,8 @@ def load_detector(path: str) -> DetectorModel:
     cfg = _construct(DetectorConfig, _field(doc, "config", dict), "detector config")
     scaler_mean = decode_array(_field(doc, "scaler_mean", dict))
     state = {key: _decode_value(value) for key, value in _field(doc, "state", dict).items()}
-    check = KINDS[kind].checked_state
-    if check is not None:
-        state = _construct(check, {"state": state, "dim": len(scaler_mean)}, f"{kind} state")
+    state = _construct(KINDS[kind].checked_state, {"state": state, "dim": len(scaler_mean)},
+                       f"{kind} state")
     return DetectorModel(kind, scaler_mean, decode_array(_field(doc, "scaler_std", dict)), state,
                          _field(doc, "threshold", _NUMBER),
                          decode_array(_field(doc, "train_scores", dict)), cfg)

@@ -7,7 +7,7 @@ from t2vad import detect
 from t2vad.detect import DetectorConfig, DetectorModel, average_path_length
 from t2vad.detect.deepsvdd import build_network, fit_deep_svdd, score_deep_svdd
 from t2vad.detect.ee import score_ee
-from t2vad.detect.iforest import fit_iforest, score_iforest
+from t2vad.detect.iforest import NODE_ARRAYS, SUBSAMPLE, fit_iforest, score_iforest
 from t2vad.detect.ocsvm import TOL, rbf_kernel
 from t2vad.detect.pca import pca_fit, pca_transform
 from t2vad.rng import make_rng
@@ -157,6 +157,70 @@ def test_flat_forest_scores_are_bitwise_the_recursive_forest(n, d, n_trees, subs
     assert score_iforest(state, queries).tolist() == recursive_score(queries).tolist()
     assert ((state["right"] == -1) & (state["path"] > 0)).any()    # a leaf of size > 1
     assert len(state["roots"]) == n_trees and state["roots"][0] == 0
+
+
+def reference_fit_iforest(x, n_trees, subsample, rng):
+    """The forest grown by a min/max search over every column at every node,
+    on row copies: the growth `fit_iforest` must reproduce array for array."""
+    def grow(x, depth, max_depth, nodes):
+        at = len(nodes)
+        m = len(x)
+        nodes.append([-1, 0.0, -1, average_path_length(m)])
+        if m <= 1 or depth >= max_depth:
+            return at
+        mins = x.min(axis=0)
+        maxs = x.max(axis=0)
+        usable = np.flatnonzero(maxs > mins)
+        if usable.size == 0:
+            return at
+        f = int(rng.choice(usable))
+        u = float(rng.uniform(mins[f], maxs[f]))
+        mask = x[:, f] < u
+        if mask.all() or not mask.any():
+            return at
+        grow(x[mask], depth + 1, max_depth, nodes)
+        right = grow(x[~mask], depth + 1, max_depth, nodes)
+        nodes[at] = [f, u, right, 0.0]
+        return at
+
+    n = len(x)
+    size = min(subsample, n)
+    max_depth = int(np.ceil(np.log2(max(size, 2))))
+    nodes = []
+    roots = [grow(x[rng.choice(n, size=size, replace=False)], 0, max_depth, nodes)
+             for _ in range(n_trees)]
+    columns = (np.array(column) for column in zip(*nodes))
+    return {**dict(zip(NODE_ARRAYS, columns)), "roots": np.array(roots), "subsample": size}
+
+
+def signed_zeros(n=300, d=5):
+    """Feature 0 holds only -0.0 and 0.0; feature 1 mixes them with other values."""
+    x = gaussian_blob(n=n, d=d, seed=3)
+    x[:, 0] = np.where(np.arange(n) % 2, -0.0, 0.0)
+    x[::3, 1] = np.where(np.arange(0, n, 3) % 2, -0.0, 0.0)
+    return x
+
+
+FOREST_INPUTS = {
+    "random": lambda: gaussian_blob(n=400, d=12, seed=5),
+    "duplicated-rows": lambda: np.repeat(gaussian_blob(n=75, d=4, seed=6), 4, axis=0),
+    "one-constant-feature": lambda: np.c_[gaussian_blob(n=300, d=5, seed=7),
+                                          np.full(300, 0.7)],
+    "signed-zeros": signed_zeros,
+    "n-below-subsample": lambda: gaussian_blob(n=100, d=6, seed=8),
+    "n-2": lambda: gaussian_blob(n=2, d=3, seed=9),
+}
+
+
+@pytest.mark.parametrize("name", FOREST_INPUTS)
+def test_forest_is_array_equal_to_the_full_search_reference(name):
+    x = FOREST_INPUTS[name]()
+    state = fit_iforest(x, 30, SUBSAMPLE, make_rng(11))
+    reference = reference_fit_iforest(x, 30, SUBSAMPLE, make_rng(11))
+    for key in (*NODE_ARRAYS, "roots"):
+        assert state[key].dtype == reference[key].dtype, key
+        assert np.array_equal(state[key], reference[key]), key
+    assert state["subsample"] == reference["subsample"] == min(SUBSAMPLE, len(x))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from t2vad.evaluate import (Confusion, EvalReport, confusion, format_report_table,
-                            prf1, run_benchmark)
+from t2vad import detect, evaluate
+from t2vad.autoenc import combine_components, embed_many, score_components_many
+from t2vad.evaluate import (METHOD_BASELINE, METHODS, Confusion, EvalReport, _distinct,
+                            _entry, confusion, format_report_table, prf1, run_benchmark)
 from t2vad.inject import TestSuite
 
 
@@ -156,3 +160,102 @@ def test_report_timestamp_defaults_to_none(small_e2e):
                            small_e2e["recon_model"], small_e2e["calib"],
                            small_e2e["detectors"])
     assert report.timestamp is None
+
+
+# ---------------------------------------------------------------------------
+# scoring each distinct window once
+# ---------------------------------------------------------------------------
+
+def per_set_results(suite, t2v_model, recon_model, calib, detectors):
+    """The report grid scored set by set, every window of every set."""
+    results = {method: {} for method in METHODS}
+    for key in TestSuite.KEYS:
+        windows = suite.sets[key]
+        labels = windows.anomalous
+        base = combine_components(score_components_many(recon_model, windows.data), calib)
+        results[METHOD_BASELINE][key] = _entry(confusion(base > calib.threshold, labels))
+        embeddings = embed_many(t2v_model, windows.data)
+        for kind in detect.KINDS:
+            preds = detect.predict_many(detectors[kind], embeddings)
+            results[f"t2v_{kind}"][key] = _entry(confusion(preds, labels))
+    return results
+
+
+def bench_args(e2e, suite=None):
+    return (suite or e2e["suite"], e2e["t2v_model"], e2e["recon_model"], e2e["calib"],
+            e2e["detectors"])
+
+
+def test_benchmark_equals_the_per_set_loop(small_e2e):
+    report = run_benchmark(*bench_args(small_e2e))
+    assert report.results == per_set_results(*bench_args(small_e2e))
+
+
+def counted(monkeypatch):
+    """Record the windows each scoring stage of `run_benchmark` receives."""
+    seen = {"score_components_many": [], "embed_many": []}
+    for name, calls in seen.items():
+        real = getattr(evaluate, name)
+        monkeypatch.setattr(evaluate, name,
+                            lambda model, data, real=real, calls=calls:
+                            calls.append(data) or real(model, data))
+    return seen
+
+
+def test_each_distinct_window_is_scored_once_in_first_occurrence_order(small_e2e,
+                                                                        monkeypatch):
+    seen = counted(monkeypatch)
+    run_benchmark(*bench_args(small_e2e))
+    windows = [w for key in TestSuite.KEYS for w in small_e2e["suite"].sets[key].data]
+    distinct = []
+    for w in windows:
+        if not any(np.array_equal(w, d) for d in distinct):
+            distinct.append(w)
+    assert len(distinct) < len(windows)          # the sets share windows
+    for calls in seen.values():
+        assert len(calls) == 1 and np.array_equal(calls[0], np.array(distinct))
+
+
+def test_four_identical_sets_score_n_windows(small_e2e, monkeypatch):
+    a6f = small_e2e["suite"].sets["A-6F"]
+    same = TestSuite({key: a6f for key in TestSuite.KEYS}, seed=0)
+    seen = counted(monkeypatch)
+    report = run_benchmark(*bench_args(small_e2e, same))
+    assert [len(calls[0]) for calls in seen.values()] == [len(a6f)] * 2
+    for method in METHODS:
+        assert len({str(report.results[method][key]) for key in TestSuite.KEYS}) == 1
+
+
+def test_nan_window_is_named_by_its_set_and_index_there(small_e2e):
+    sets = dict(small_e2e["suite"].sets)
+    data = sets["AN-4F"].data.copy()
+    data[3, 40, 2] = np.nan
+    sets["AN-4F"] = replace(sets["AN-4F"], data=data)
+    with pytest.raises(ValueError, match="AN-4F window 3 contains NaN/Inf"):
+        run_benchmark(*bench_args(small_e2e, TestSuite(sets, seed=0)))
+
+
+def test_distinct_window_scores_match_the_per_set_scores(small_e2e):
+    e = small_e2e
+    sets = [e["suite"].sets[key] for key in TestSuite.KEYS]
+    data = np.concatenate([s.data for s in sets])
+    distinct, inverse = _distinct(data)
+    assert np.array_equal(distinct[inverse], data)
+    embeddings = embed_many(e["t2v_model"], distinct)
+    scores = {"base": combine_components(score_components_many(e["recon_model"], distinct),
+                                         e["calib"]),
+              **{kind: detect.score_many(e["detectors"][kind], embeddings)
+                 for kind in detect.KINDS}}
+    start = 0
+    for s in sets:
+        rows = inverse[start:start + len(s)]
+        start += len(s)
+        per_set = embed_many(e["t2v_model"], s.data)
+        np.testing.assert_allclose(
+            scores["base"][rows],
+            combine_components(score_components_many(e["recon_model"], s.data), e["calib"]),
+            rtol=1e-12)
+        for kind in detect.KINDS:
+            np.testing.assert_allclose(scores[kind][rows],
+                                       detect.score_many(e["detectors"][kind], per_set),
+                                       rtol=1e-12)

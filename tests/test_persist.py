@@ -315,7 +315,7 @@ def set_forest_entry(key, index, value):
     return edit
 
 
-def drop_forest_entry(key):
+def shorten_state_array(key):
     return lambda d: d["state"].update({key: encode_array(decode_array(d["state"][key])[:-1])})
 
 
@@ -363,6 +363,18 @@ ARTIFACT_FIELD_MUTATIONS = {
     "detector-pca-basis-removed-from-the-ee-state": (
         "det.ee.json", lambda d: d["state"].pop("pca_basis"),
         r"ee state arrays \['pca_basis'\]"),
+    "detector-center-removed-from-the-deep-svdd-state": (
+        "det.deep_svdd.json", lambda d: d["state"].pop("center"), "deep_svdd state needs"),
+    "detector-layers-removed-from-the-deep-svdd-state": (
+        "det.deep_svdd.json", lambda d: d["state"].pop("layers"), "deep_svdd state needs"),
+    "detector-kdist-removed-from-the-lof-state": (
+        "det.lof.json", lambda d: d["state"].pop("kdist"), r"lof state entries \['kdist'\]"),
+    "detector-k-removed-from-the-lof-state": (
+        "det.lof.json", lambda d: d["state"].pop("k"), r"lof state entries \['k'\]"),
+    "detector-rho-removed-from-the-ocsvm-state": (
+        "det.ocsvm.json", lambda d: d["state"].pop("rho"), r"ocsvm state entries \['rho'\]"),
+    "detector-alpha-shorter-than-the-ocsvm-support-vectors": (
+        "det.ocsvm.json", shorten_state_array("alpha"), r"ocsvm state entries \['alpha'\]"),
     "detector-config-unknown-key": (
         "det.iforest.json", lambda d: d["config"].update(bogus=1), "bogus"),
     "detector-config-of-an-old-file": (
@@ -370,7 +382,7 @@ ARTIFACT_FIELD_MUTATIONS = {
         "bad detector config: .*unexpected keyword"),
     "detector-threshold-a-boolean": ("det.ocsvm.json", lambda d: d.update(threshold=True),
                                      "'threshold'"),
-    "iforest-node-array-shorter": ("det.iforest.json", drop_forest_entry("right"),
+    "iforest-node-array-shorter": ("det.iforest.json", shorten_state_array("right"),
                                    "differ in length"),
     "iforest-right-past-the-last-node": (
         "det.iforest.json", set_forest_entry("right", 0, 10 ** 6), "out of range"),
