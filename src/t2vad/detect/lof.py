@@ -26,7 +26,7 @@ def fit_lof(x: np.ndarray, k: int) -> dict:
     neighbors = order[:, :k]                       # (n, k)
     kdist = np.take_along_axis(d, order[:, k - 1:k], axis=1)[:, 0]
     reach = np.maximum(kdist[neighbors], np.take_along_axis(d, neighbors, axis=1))
-    lrd = 1.0 / np.maximum(reach.mean(axis=1), 1e-300)
+    lrd = 1.0 / np.maximum(reach.mean(axis=1), 1e-10)
     train_lof = lrd[neighbors].mean(axis=1) / lrd
     return {"x": x, "k": k, "kdist": kdist, "lrd": lrd, "train_lof": train_lof}
 
@@ -55,5 +55,5 @@ def score_lof(state: dict, x: np.ndarray) -> np.ndarray:
     order = np.argsort(d, axis=1, kind="stable")
     neighbors = order[:, :k]
     reach = np.maximum(state["kdist"][neighbors], np.take_along_axis(d, neighbors, axis=1))
-    lrd_q = 1.0 / np.maximum(reach.mean(axis=1), 1e-300)
+    lrd_q = 1.0 / np.maximum(reach.mean(axis=1), 1e-10)
     return state["lrd"][neighbors].mean(axis=1) / lrd_q

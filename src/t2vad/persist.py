@@ -1,11 +1,17 @@
 """On-disk formats: corpus, test suite, model, detector and report files.
 
 Everything is a single JSON document with a human-readable header;
-numeric payloads are base64-encoded little-endian float64 blocks. Every
-file carries a SHA-256 checksum over its canonical JSON (sorted keys,
-minimal separators) so truncation or corruption fails loudly on load.
-Writes are atomic (temp file + rename): a failed command leaves no
-partial output.
+numeric payloads are base64-encoded little-endian float64 blocks. The
+writer emits canonical JSON (sorted keys, minimal separators) and every
+file carries a SHA-256 checksum over its own bytes with the checksum
+member cut out, so truncation or corruption fails loudly on load. The
+check reads the bytes as stored: a file that is valid JSON but was
+reformatted (re-indented, say) fails it too. Writes are atomic (temp
+file + rename): a failed command leaves no partial output.
+
+The test suite stores each distinct window of its four sets once, in a
+top-level `windows` block; each set lists the `rows` of that block it
+holds.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 from . import ndtensor as nd
 from .autoenc import AEConfig, ScoreCalibration, TrainedModel
 from .detect import KINDS, DetectorConfig, DetectorModel
-from .evaluate import METHODS, EvalReport
+from .evaluate import METHODS, EvalReport, _distinct
 from .inject import TestSuite
 from .pipeline import Corpus, WindowSet
 from .t2v import T2VLayer
@@ -98,21 +104,29 @@ def _canonical(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _with_checksum(doc: dict) -> dict:
-    doc = dict(doc)
-    doc.pop("checksum", None)
-    doc["checksum"] = hashlib.sha256(_canonical(doc).encode()).hexdigest()
-    return doc
+_CHECKSUM = "checksum"
 
 
 def atomic_write_json(path: str, doc: dict) -> None:
-    doc = _with_checksum(doc)
+    """Write `doc` (less any `checksum`) as canonical JSON with the SHA-256 of
+    those bytes spliced in as its `checksum` member, at its sorted place."""
+    body = {k: v for k, v in doc.items() if k != _CHECKSUM}
+    text = memoryview(_canonical(body).encode())
+    member = f'"{_CHECKSUM}":"{hashlib.sha256(text).hexdigest()}"'.encode()
+    # the members sorting before the checksum are the text's prefix, less its "}"
+    at = len(_canonical({k: v for k, v in body.items() if k < _CHECKSUM})) - 1
+    if at > 1:
+        member = b"," + member
+    elif body:
+        member += b","
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text[:at])
+            fh.write(member)
+            fh.write(text[at:])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -121,10 +135,16 @@ def atomic_write_json(path: str, doc: dict) -> None:
 
 
 def load_json_checked(path: str, expected_kind: str) -> dict:
+    """The document at `path`, once its kind, schema version and checksum hold.
+
+    The checksum is checked over the bytes read, with the checksum member
+    and its adjoining comma cut out: the writer's canonical text.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(blob)
+    except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
         raise ChecksumError(f"{path}: not a valid document ({exc})") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object, got {type(doc).__name__}")
@@ -133,10 +153,22 @@ def load_json_checked(path: str, expected_kind: str) -> dict:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError(f"{path}: schema version {doc.get('schema_version')} "
                           f"unsupported (want {SCHEMA_VERSION})")
-    stored = doc.get("checksum")
-    body = {k: v for k, v in doc.items() if k != "checksum"}
-    actual = hashlib.sha256(_canonical(body).encode()).hexdigest()
-    if stored != actual:
+    stored = doc.get(_CHECKSUM)
+    if not (isinstance(stored, str) and stored.isascii()):
+        raise ChecksumError(f"{path}: no checksum string")
+    member = f'"{_CHECKSUM}":"{stored}"'.encode()
+    start = blob.find(member)
+    if start < 0:
+        raise ChecksumError(f"{path}: checksum member is not in canonical form")
+    end = start + len(member)
+    if blob[end:end + 1] == b",":
+        end += 1
+    elif blob[start - 1:start] == b",":
+        start -= 1
+    view = memoryview(blob)
+    digest = hashlib.sha256(view[:start])
+    digest.update(view[end:])
+    if stored != digest.hexdigest():
         raise ChecksumError(f"{path}: checksum mismatch")
     return doc
 
@@ -154,11 +186,11 @@ def _labels(windows: WindowSet) -> list[str]:
 
 
 def _windows_block(windows: WindowSet) -> dict:
+    """The labels, tags and origins of `windows`; the caller adds their data."""
     return {
         "labels": _labels(windows),
         "tags": [sorted(t) for t in windows.tags],
         "origins": windows.origins,
-        "payload": encode_array(windows.data),
     }
 
 
@@ -166,8 +198,8 @@ def _strings(values) -> bool:
     return isinstance(values, list) and all(isinstance(v, str) for v in values)
 
 
-def _windows_from_block(block) -> WindowSet:
-    data = decode_array(_field(block, "payload", dict))
+def _windows_from_block(block, data: np.ndarray) -> WindowSet:
+    """`data` as a WindowSet with the labels, tags and origins of `block`."""
     labels, tags, origins = (_field(block, key, list) for key in ("labels", "tags", "origins"))
     if not (len(labels) == len(tags) == len(origins) == len(data)
             and _strings(labels) and _strings(origins) and all(map(_strings, tags))):
@@ -189,7 +221,8 @@ def save_corpus(path: str, corpus: Corpus) -> None:
         "features": corpus.windows.data.shape[2],
         "provenance": corpus.provenance,
         "split": {"train": corpus.train_idx, "test": corpus.test_idx},
-        "windows": _windows_block(corpus.windows),
+        "windows": {**_windows_block(corpus.windows),
+                    "payload": encode_array(corpus.windows.data)},
     }
     atomic_write_json(path, doc)
 
@@ -199,24 +232,41 @@ def load_corpus(path: str) -> Corpus:
     split = [_field(_field(doc, "split", dict), side, list) for side in ("train", "test")]
     if not all(type(i) is int for side in split for i in side):
         raise SchemaError(f"{path}: split indices must be integers")
-    return Corpus(_windows_from_block(_field(doc, "windows", dict)), *split,
-                  _field(doc, "provenance", dict))
+    block = _field(doc, "windows", dict)
+    return Corpus(_windows_from_block(block, decode_array(_field(block, "payload", dict))),
+                  *split, _field(doc, "provenance", dict))
 
 
 def save_testsuite(path: str, suite: TestSuite) -> None:
+    """Each distinct window of the sets (by exact bytes, in order of first
+    appearance) goes into one `windows` block; each set stores its `rows`."""
+    distinct, inverse = _distinct([w for ws in suite.sets.values() for w in ws.data])
+    sets, start = {}, 0
+    for key, ws in suite.sets.items():
+        sets[key] = {**_windows_block(ws), "rows": inverse[start:start + len(ws)].tolist()}
+        start += len(ws)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "testsuite",
         "seed": suite.seed,
-        "sets": {key: _windows_block(ws) for key, ws in suite.sets.items()},
+        "sets": sets,
+        "windows": encode_array(distinct),
     }
     atomic_write_json(path, doc)
 
 
 def load_testsuite(path: str) -> TestSuite:
     doc = load_json_checked(path, "testsuite")
-    return TestSuite({k: _windows_from_block(b) for k, b in _field(doc, "sets", dict).items()},
-                     seed=_field(doc, "seed", int))
+    windows = decode_array(_field(doc, "windows", dict))
+    if windows.ndim != 3:
+        raise SchemaError(f"{path}: the windows block is {windows.shape}, not (n, N, F)")
+    sets = {}
+    for key, block in _field(doc, "sets", dict).items():
+        rows = _field(block, "rows", list)
+        if not all(type(r) is int and 0 <= r < len(windows) for r in rows):
+            raise SchemaError(f"{key} rows must be integers in [0, {len(windows)})")
+        sets[key] = _windows_from_block(block, windows[np.array(rows, dtype=np.intp)])
+    return TestSuite(sets, seed=_field(doc, "seed", int))
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +448,16 @@ def _composition(doc) -> dict:
     return composition
 
 
+def _seeds(doc) -> dict:
+    """doc["seeds"]; a SchemaError unless every value in it is an integer."""
+    seeds = _field(doc, "seeds", dict)
+    for key in seeds:
+        _field(seeds, key, int)
+    return seeds
+
+
 def load_report(path: str) -> EvalReport:
     doc = load_json_checked(path, "report")
     return EvalReport(_results(doc), _composition(doc),
-                      _field(doc, "config_digest", str), _field(doc, "seeds", dict),
+                      _field(doc, "config_digest", str), _seeds(doc),
                       _field(doc, "timestamp", (str, _NONE)))

@@ -490,6 +490,14 @@ def test_degenerate_training_set_fits_finite_or_raises(kind, name):
     assert np.isfinite(detect.score_many(model, x)).all()
 
 
+def test_lof_scores_points_off_an_all_constant_training_set_finite_and_above_the_threshold():
+    x = degenerate_sets()["all-constant"]
+    model = detect.fit("lof", x, CFG)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        scores = detect.score_many(model, np.concatenate([x[:2] + 3.0, x[:2] + 1e-9]))
+    assert np.isfinite(scores).all() and (scores > model.threshold).all()
+
+
 # ---------------------------------------------------------------------------
 # the kind table
 # ---------------------------------------------------------------------------

@@ -1,18 +1,23 @@
+import hashlib
 import json
+import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from t2vad import detect
 from t2vad.autoenc import combine_components, embed_many, score_components_many, train
 from t2vad.cli import main
-from t2vad.evaluate import run_benchmark
+from t2vad.evaluate import _distinct, run_benchmark
 from t2vad.persist import (ChecksumError, SchemaError, atomic_write_json, decode_array,
-                           encode_array, load_corpus, load_detector, load_model,
-                           load_report, load_testsuite, save_corpus, save_detector,
-                           save_model, save_report, save_testsuite)
+                           encode_array, load_corpus, load_detector, load_embeddings,
+                           load_model, load_report, load_testsuite, save_corpus,
+                           save_detector, save_embeddings, save_model, save_report,
+                           save_testsuite)
 
 
 def test_array_codec_roundtrip():
@@ -221,6 +226,17 @@ def relabel_first_anomalous_window_normal(doc):
     labels[labels.index("anomalous")] = "normal"
 
 
+def set_first_row(value):
+    return lambda d: d["sets"]["AN-6F"]["rows"].__setitem__(0, value(d))
+
+
+def per_set_payloads(doc):
+    """The layout before the shared `windows` block: each set held its own payload."""
+    windows = decode_array(doc.pop("windows"))
+    for block in doc["sets"].values():
+        block["payload"] = encode_array(windows[block.pop("rows")])
+
+
 # (artifact, mutation, message): each mutation, re-checksummed, is a SchemaError
 WINDOW_FIELD_MUTATIONS = {
     "corpus-labels-entry-removed": ("corpus", lambda d: d["windows"]["labels"].pop(),
@@ -248,8 +264,23 @@ WINDOW_FIELD_MUTATIONS = {
     "suite-sets-removed": ("testsuite", lambda d: d.pop("sets"), "'sets'"),
     "suite-label-contradicts-tags": ("testsuite", relabel_first_anomalous_window_normal,
                                      "label 'normal' inconsistent"),
-    "suite-payload-removed": ("testsuite", lambda d: d["sets"]["A-4F"].pop("payload"),
-                              "'payload'"),
+    "suite-windows-removed": ("testsuite", lambda d: d.pop("windows"), "'windows'"),
+    "suite-of-the-per-set-payload-layout": ("testsuite", per_set_payloads, "'windows'"),
+    "suite-windows-flattened": (
+        "testsuite", lambda d: d["windows"].update(shape=[math.prod(d["windows"]["shape"])]),
+        r"not \(n, N, F\)"),
+    "suite-rows-removed": ("testsuite", lambda d: d["sets"]["A-4F"].pop("rows"), "'rows'"),
+    "suite-rows-entry-a-float": ("testsuite", set_first_row(lambda d: 0.0),
+                                 r"AN-6F rows must be integers"),
+    "suite-rows-entry-a-boolean": ("testsuite", set_first_row(lambda d: True),
+                                   r"AN-6F rows must be integers"),
+    "suite-rows-entry-negative": ("testsuite", set_first_row(lambda d: -1),
+                                  r"AN-6F rows must be integers"),
+    "suite-rows-entry-at-the-distinct-count": (
+        "testsuite", set_first_row(lambda d: d["windows"]["shape"][0]),
+        r"AN-6F rows must be integers in \[0, \d+\)"),
+    "suite-rows-shorter-than-labels": ("testsuite", lambda d: d["sets"]["A-6F"]["rows"].pop(),
+                                       "labels, tags and origins"),
     "suite-seed-a-boolean": ("testsuite", lambda d: d.update(seed=False), "'seed'"),
 }
 
@@ -429,6 +460,12 @@ ARTIFACT_FIELD_MUTATIONS = {
     "report-composition-noise-tagged-negative": (
         "report.json", lambda d: d["composition"]["A-4F"].update(noise_tagged=-1),
         "composition A-4F"),
+    "report-seeds-value-a-boolean": (
+        "report.json", lambda d: d["seeds"].update(master_seed=True), "'master_seed'"),
+    "report-seeds-value-a-float": (
+        "report.json", lambda d: d["seeds"].update(master_seed=0.0), "'master_seed'"),
+    "report-seeds-value-a-string": (
+        "report.json", lambda d: d["seeds"].update(master_seed="0"), "'master_seed'"),
 }
 
 
@@ -463,3 +500,99 @@ def test_bad_model_detector_or_array_field_is_a_schema_error_and_exit_1(
     assert main([str(a) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and re.search(message, err)
+
+
+# ---------------------------------------------------------------------------
+# the checksum over the bytes as stored
+# ---------------------------------------------------------------------------
+
+LOADERS = {"corpus.json": load_corpus, "testsuite.json": load_testsuite,
+           "t2v.json": load_model, "recon.json": load_model, "report.json": load_report,
+           **{f"det.{kind}.json": load_detector for kind in detect.KINDS}}
+
+
+def canonical(blob: bytes) -> bytes:
+    return json.dumps(json.loads(blob), sort_keys=True, separators=(",", ":")).encode()
+
+
+@pytest.mark.parametrize("file", LOADERS)
+def test_every_artifact_is_written_as_canonical_json(saved_artifacts, file):
+    """The invariant the raw-byte checksum rests on."""
+    blob = (saved_artifacts / file).read_bytes()
+    assert blob == canonical(blob)
+
+
+def test_embeddings_file_is_written_as_canonical_json(tmp_path):
+    path = tmp_path / "emb.json"
+    embeddings = np.random.default_rng(2).normal(size=(7, 5))
+    save_embeddings(path, embeddings, {"model": "t2v.json"})
+    assert path.read_bytes() == canonical(path.read_bytes())
+    loaded, meta = load_embeddings(path)
+    assert loaded.tobytes() == embeddings.tobytes() and meta == {"model": "t2v.json"}
+
+
+@pytest.mark.parametrize("doc", [{}, {"a": 1}, {"z": [2]}, {"a": 1, "z": {"b": None}}])
+def test_the_checksum_is_spliced_in_at_its_sorted_place(tmp_path, doc):
+    """Alone, first, last and between members: the checksum is the SHA-256 of
+    the canonical text without it."""
+    path = tmp_path / "doc.json"
+    atomic_write_json(str(path), {**doc, "checksum": "stale"})
+    stored = json.loads(path.read_bytes())
+    assert path.read_bytes() == canonical(path.read_bytes())
+    assert stored.pop("checksum") == hashlib.sha256(canonical(json.dumps(doc))).hexdigest()
+    assert stored == doc
+
+
+@pytest.mark.parametrize("file", LOADERS)
+def test_a_rewritten_file_loads_and_keeps_its_bytes(tmp_path, saved_artifacts, file):
+    path = tmp_path / file
+    blob = (saved_artifacts / file).read_bytes()
+    path.write_bytes(blob)
+    rewrite(path, lambda doc: None)
+    assert path.read_bytes() == blob
+    LOADERS[file](path)
+
+
+@pytest.mark.parametrize("separators", [(", ", ": "), (",", ": ")])
+@pytest.mark.parametrize("file", ["report.json", "recon.json", "testsuite.json"])
+def test_a_reformatted_valid_file_is_a_checksum_error(tmp_path, saved_artifacts, file,
+                                                      separators):
+    path = tmp_path / file
+    doc = json.loads((saved_artifacts / file).read_bytes())
+    path.write_text(json.dumps(doc, sort_keys=True, indent=1, separators=separators))
+    with pytest.raises(ChecksumError, match="checksum"):
+        LOADERS[file](path)
+
+
+def test_a_file_that_is_not_utf8_is_a_checksum_error(tmp_path, saved_artifacts):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"\xff" + (saved_artifacts / "report.json").read_bytes()[1:])
+    with pytest.raises(ChecksumError, match="not a valid document"):
+        load_report(path)
+
+
+@pytest.mark.parametrize("file", ["report.json", "recon.json"])   # checksum first / second
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_flipped_byte_anywhere_never_loads(tmp_path_factory, saved_artifacts, file, data):
+    """Flipping any one byte, in the checksum member or outside it, is a
+    ChecksumError or a SchemaError, never a silent load."""
+    blob = bytearray((saved_artifacts / file).read_bytes())
+    blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+    path = tmp_path_factory.getbasetemp() / f"flipped.{file}"
+    path.write_bytes(bytes(blob))
+    with pytest.raises((ChecksumError, SchemaError)):
+        LOADERS[file](path)
+
+
+def test_suite_round_trip_scores_the_same(tmp_path, small_e2e):
+    suite = small_e2e["suite"]
+    path = tmp_path / "suite.json"
+    save_testsuite(path, suite)
+    fitted = (small_e2e["t2v_model"], small_e2e["recon_model"], small_e2e["calib"],
+              small_e2e["detectors"])
+    assert run_benchmark(load_testsuite(path), *fitted) == run_benchmark(suite, *fitted)
+    distinct = _distinct([w for windows in suite.sets.values() for w in windows.data])[0]
+    stored = json.loads(path.read_bytes())["windows"]["shape"]
+    assert stored == list(distinct.shape)
+    assert stored[0] < sum(len(windows) for windows in suite.sets.values())
