@@ -1,12 +1,13 @@
-"""The two window autoencoders and their training loop.
+"""The two window autoencoders, trained by the shared `ndtensor.train_adam` loop.
 
 Embedding AE: time-embedding layer -> stack of same-padding 1-D conv
 blocks decoding its N x K output back to N x F. A window's embedding is
 that N x K output flattened row-major to N*K.
 Baseline AE: strided conv encoder that halves the time axis per block,
 mirrored by upsample+conv decoder blocks. Both train with minibatch Adam
-on elementwise MSE; DTW is used only to score candidate configurations
-(it is not differentiable, so it never enters the loss).
+on elementwise MSE, on a float32 copy of the stack; DTW is used only to
+score candidate configurations (it is not differentiable, so it never
+enters the loss).
 
 The baseline flags anomalies by a composite reconstruction score: the sum
 of z-normalized MSE, MAE and DTW components, each standardized by
@@ -27,10 +28,6 @@ from .rng import make_rng
 from .t2v import T2VLayer
 
 VARIANTS = ("t2v", "reconstruction")
-
-
-class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries the epoch/batch where it happened."""
 
 
 @dataclass(frozen=True)
@@ -124,37 +121,20 @@ def build_model(cfg: AEConfig, n: int, f: int) -> TrainedModel:
 
 
 def train(model: TrainedModel, data: np.ndarray, cfg: AEConfig | None = None) -> TrainedModel:
-    """Minibatch Adam on mean squared reconstruction error over the windows
-    `data` (n, N, F).
-
-    Deterministic given cfg.seed: batch order, initialization and updates
-    all derive from it. Appends one mean loss per epoch to the loss curve.
-    Training runs on a float32 copy of the stack and of `data`; the trained
-    parameters are written back into the float64 stack at the end.
-    """
+    """`nd.train_adam` on mean squared reconstruction error over the windows
+    `data` (n, N, F), seeded like the initialization by cfg.seed; appends one
+    mean loss per epoch to the loss curve."""
     cfg = cfg or model.config
-    data = np.asarray(data, dtype=np.float32)
+    data = np.asarray(data)
     if data.ndim != 3 or len(data) == 0 or data.shape[1:] != (model.n, model.f):
         raise ValueError(f"windows are {data.shape}, model expects (n > 0, {model.n}, {model.f})")
-    n = len(data)
-    work = model.stack.astype(np.float32)
-    rng = make_rng(cfg.seed + 1)  # offset: init used cfg.seed
-    adam = nd.AdamState(lr=cfg.lr)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch):
-            idx = order[start:start + cfg.batch]
-            x = data[idx]
-            y, tape = work.forward_tape(x)
-            loss, dy = nd.mse_loss_grad(y, x)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch}")
-            nd.adam_step(adam, work.params, work.backward(tape, dy))
-            epoch_loss += loss * len(idx)
-        model.loss_curve.append(epoch_loss / n)
-    model.stack.params[...] = work.params
+
+    def mse(y, x):
+        loss, dy = nd.mse_loss_grad(y, x)
+        return loss * len(x), dy
+
+    model.loss_curve += nd.train_adam(model.stack, data, mse, cfg.epochs, cfg.batch, cfg.lr,
+                                      make_rng(cfg.seed + 1))  # offset: init used cfg.seed
     return model
 
 
@@ -302,8 +282,6 @@ def hyper_search(data: np.ndarray, variant: str, n_trials: int,
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     n_val = max(1, len(data) // 10)
     train_data, val_data = data[:-n_val], data[-n_val:]
     if not len(train_data):

@@ -21,8 +21,7 @@ import sys
 from dataclasses import asdict
 
 from . import detect
-from .autoenc import (AEConfig, TrainingDiverged, build_model, calibrate, embed_many,
-                      hyper_search, train)
+from .autoenc import AEConfig, build_model, calibrate, embed_many, hyper_search, train
 from .inject import InjectionSpec, build_testsets
 from .persist import (atomic_write_json, config_digest, load_corpus, load_detector,
                       load_model, load_report, load_testsuite, save_corpus,
@@ -31,7 +30,7 @@ from .persist import (atomic_write_json, config_digest, load_corpus, load_detect
 from .pipeline import (SynthParams, WindowSet, auto_resample_width, clean, load_csv,
                        resample, split, synth_generate, windowize)
 from .evaluate import format_report_table, run_benchmark
-from .ndtensor import NonFiniteError
+from .ndtensor import NonFiniteError, TrainingDiverged
 from .rng import derive_seed
 
 

@@ -1,13 +1,14 @@
 """One-class network: map training points near a fixed center, score by
 squared distance to it.
 
-Bias-free feed-forward net (ReLU hidden, linear output) trained with Adam
-to minimize mean ||phi(x) - c||^2 plus L2 weight decay. The center is the
-mean of the initial float64 forward pass and stays frozen; bias-free layers
-rule out the trivial constant-map solution, and a collapse guard shifts a
-center that lands on the origin. Training runs on a float32 copy of the
-net; the fitted state holds the float64 net, the center and the mean
-objective of each epoch (`loss_curve`).
+Bias-free feed-forward net (ReLU hidden, linear output) trained by the
+shared minibatch-Adam loop `ndtensor.train_adam` to minimize mean
+||phi(x) - c||^2 plus L2 weight decay; a non-finite objective raises
+`TrainingDiverged`. The center is the mean of the initial float64 forward
+pass and stays frozen; bias-free layers rule out the trivial constant-map
+solution, and a collapse guard shifts a center that lands on the origin.
+The fitted state holds the float64 net, the center and the mean objective
+of each epoch (`loss_curve`).
 """
 
 from __future__ import annotations
@@ -40,30 +41,21 @@ def fit_deep_svdd(x: np.ndarray, widths, epochs: int, batch: int, lr: float,
         raise ValueError(f"need at least 32 training points, got {n}")
     if list(widths) != sorted(widths, reverse=True):
         raise ValueError(f"widths must be decreasing, got {list(widths)}")
-    rng = make_rng(seed)
-    net = build_network(d, widths, rng)
+    net = build_network(d, widths, make_rng(seed))
 
     center = net.forward(x).mean(axis=0)
     if float(np.linalg.norm(center)) < 1e-6:
         center = center + 0.1     # collapse guard: keep the target off the origin
 
-    work, x32, center32 = net.astype(np.float32), x.astype(np.float32), center.astype(np.float32)
-    adam = nd.AdamState(lr=lr)
-    order_rng = make_rng(seed + 1)
-    loss_curve = []
-    for _ in range(epochs):
-        order = order_rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, batch):
-            xb = x32[order[start:start + batch]]
-            y, tape = work.forward_tape(xb)
-            diff = y - center32
-            epoch_loss += float((diff * diff).sum())      # batch objective times batch size
-            grads = work.backward(tape, 2.0 * diff / len(xb))
-            grads += 2.0 * weight_decay * work.params     # bias-free: every parameter is a weight
-            nd.adam_step(adam, work.params, grads)
-        loss_curve.append(epoch_loss / n)
-    net.params[...] = work.params
+    center32 = center.astype(np.float32)
+
+    def objective(y, xb):      # the batch objective times the batch size, and its gradient
+        diff = y - center32
+        return float((diff * diff).sum()), 2.0 * diff / len(xb)
+
+    # bias-free: every parameter is a weight, so weight decay covers them all
+    loss_curve = nd.train_adam(net, x, objective, epochs, batch, lr, make_rng(seed + 1),
+                               weight_decay)
     return {"layers": net, "center": center, "widths": list(widths), "loss_curve": loss_curve}
 
 

@@ -1,13 +1,13 @@
-"""Minimal dense numeric core for the window autoencoders.
+"""Minimal dense numeric core for the window autoencoders and Deep SVDD.
 
 Tensors are plain numpy arrays, row-major: float64 by default, float32 in
-the training loops, which run on a float32 copy of a stack
-(:meth:`LayerStack.astype`). Every buffer a layer or the optimizer makes
-follows the dtype of its input or parameters. The layer vocabulary is
+:func:`train_adam`, the one training loop, which runs on a float32 copy of a
+stack (:meth:`LayerStack.astype`). Every buffer a layer or the optimizer
+makes follows the dtype of its input or parameters. The layer vocabulary is
 fixed: conv1d, dense, relu and upsample here, plus the t2v layer in
 :mod:`t2vad.t2v`. Each layer implements an explicit forward that returns a
-cache and a backward that consumes it, so a :class:`LayerStack` can record
-a tape and replay it in exact reverse order. Gradients are checked against
+cache and a backward that consumes it, so a :class:`LayerStack` can record a
+tape and replay it in exact reverse order. Gradients are checked against
 central finite differences by :func:`grad_check`.
 
 Layers operate on batches only: time-series layers take ``(B, N, C)``,
@@ -27,6 +27,10 @@ Tensor = np.ndarray
 
 class NonFiniteError(FloatingPointError):
     """A tensor left the finite domain (NaN or Inf)."""
+
+
+class TrainingDiverged(RuntimeError):
+    """Loss became non-finite; carries the epoch/batch where it happened."""
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +123,8 @@ class Conv1d(Layer):
             raise ValueError(f"kernel size must be odd for same padding, got {k}")
         self.c_in, self.c_out, self.k, self.stride = c_in, c_out, k, stride
         scale = 1.0 / np.sqrt(c_in * k)
-        if rng is None:
-            self.kernels = np.zeros((c_out, c_in, k))
-        else:
-            self.kernels = rng.uniform(-scale, scale, size=(c_out, c_in, k))
+        self.kernels = (np.zeros((c_out, c_in, k)) if rng is None
+                        else rng.uniform(-scale, scale, size=(c_out, c_in, k)))
         self.bias = np.zeros(c_out)
 
     def params(self):
@@ -151,10 +153,8 @@ class Dense(Layer):
                  rng: np.random.Generator | None = None):
         self.d_in, self.d_out, self.use_bias = d_in, d_out, use_bias
         scale = 1.0 / np.sqrt(d_in)
-        if rng is None:
-            self.weight = np.zeros((d_in, d_out))
-        else:
-            self.weight = rng.uniform(-scale, scale, size=(d_in, d_out))
+        self.weight = (np.zeros((d_in, d_out)) if rng is None
+                       else rng.uniform(-scale, scale, size=(d_in, d_out)))
         self.bias = np.zeros(d_out) if use_bias else None
 
     def params(self):
@@ -277,6 +277,9 @@ class LayerStack:
         return self.grads
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8     # Adam's decay rates and denominator floor
+
+
 @dataclass
 class AdamState:
     """Adam moments over a flat parameter vector plus the step counter.
@@ -285,9 +288,6 @@ class AdamState:
     """
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: Tensor | None = None
     v: Tensor | None = None
@@ -299,8 +299,8 @@ def adam_step(state: AdamState, params: Tensor, grads: Tensor) -> None:
 
     params and grads are flat vectors; params is updated in place. The
     arithmetic is m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
-    p -= lr m_hat / (sqrt(v_hat) + eps), written as in-place operations on
-    preallocated temporaries.
+    p -= lr m_hat / (sqrt(v_hat) + eps) with (b1, b2, eps) = (BETA1, BETA2,
+    EPS), written as in-place operations on preallocated temporaries.
     """
     if grads.shape != params.shape:
         raise ValueError(f"gradient shape {grads.shape} != param shape {params.shape}")
@@ -312,20 +312,50 @@ def adam_step(state: AdamState, params: Tensor, grads: Tensor) -> None:
     state.step_count += 1
     t = state.step_count
     m, v, (a, b) = state.m, state.v, state.scratch
-    m *= state.beta1
-    np.multiply(grads, 1 - state.beta1, out=a)
+    m *= BETA1
+    np.multiply(grads, 1 - BETA1, out=a)
     m += a
-    v *= state.beta2
-    np.multiply(grads, 1 - state.beta2, out=a)
+    v *= BETA2
+    np.multiply(grads, 1 - BETA2, out=a)
     a *= grads
     v += a
-    np.divide(m, 1 - state.beta1 ** t, out=a)       # m_hat
+    np.divide(m, 1 - BETA1 ** t, out=a)       # m_hat
     a *= state.lr
-    np.divide(v, 1 - state.beta2 ** t, out=b)       # v_hat
+    np.divide(v, 1 - BETA2 ** t, out=b)       # v_hat
     np.sqrt(b, out=b)
-    b += state.eps
+    b += EPS
     a /= b
     params -= a
+
+
+def train_adam(stack: LayerStack, data: Tensor, loss_grad, epochs: int, batch: int,
+               lr: float, rng: np.random.Generator, weight_decay: float = 0.0) -> list[float]:
+    """Minibatch Adam on a float32 copy of `stack` (both autoencoders, Deep
+    SVDD), one `rng.permutation` of the rows of `data` per epoch; returns
+    each epoch's mean loss.
+
+    `loss_grad(y, xb)` gives a batch's loss summed over its rows (a non-finite
+    one raises TrainingDiverged naming epoch and batch) and its gradient
+    w.r.t. `y`. A nonzero `weight_decay` adds 2 * weight_decay * params to
+    the gradient. The trained parameters are written back into `stack`."""
+    work, data = stack.astype(np.float32), np.asarray(data, dtype=np.float32)
+    n, adam, curve = len(data), AdamState(lr=lr), []
+    for epoch in range(epochs):
+        order, epoch_loss = rng.permutation(n), 0.0
+        for start in range(0, n, batch):
+            xb = data[order[start:start + batch]]
+            y, tape = work.forward_tape(xb)
+            loss, dy = loss_grad(y, xb)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {start // batch}")
+            grads = work.backward(tape, dy)
+            if weight_decay:
+                grads += 2.0 * weight_decay * work.params
+            adam_step(adam, work.params, grads)
+            epoch_loss += loss
+        curve.append(epoch_loss / n)
+    stack.params[...] = work.params
+    return curve
 
 
 def mse_loss_grad(y: Tensor, target: Tensor):

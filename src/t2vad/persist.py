@@ -88,12 +88,16 @@ def encode_array(a: np.ndarray) -> dict:
 
 
 def decode_array(d: dict) -> np.ndarray:
-    """Inverse of `encode_array`; a SchemaError unless `d` holds a base64 `data`
-    string whose length matches an integer `shape` list."""
+    """Inverse of `encode_array`; a SchemaError unless `d` holds a strict base64
+    `data` string whose length matches an integer `shape` list."""
     shape = _field(d, "shape", list)
     if not all(type(s) is int and s >= 0 for s in shape):
         raise SchemaError(f"array shape {shape} is not a list of non-negative integers")
-    raw = base64.b64decode(_field(d, "data", str))
+    data = _field(d, "data", str)
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:   # binascii.Error, or a non-ASCII string
+        raise SchemaError(f"array data is not base64: {exc}") from None
     if len(raw) != 8 * math.prod(shape):
         raise SchemaError(f"array data holds {len(raw)} bytes, not the "
                           f"{8 * math.prod(shape)} its shape {shape} needs")
@@ -233,8 +237,9 @@ def load_corpus(path: str) -> Corpus:
     if not all(type(i) is int for side in split for i in side):
         raise SchemaError(f"{path}: split indices must be integers")
     block = _field(doc, "windows", dict)
-    return Corpus(_windows_from_block(block, decode_array(_field(block, "payload", dict))),
-                  *split, _field(doc, "provenance", dict))
+    windows = _windows_from_block(block, decode_array(_field(block, "payload", dict)))
+    return _construct(Corpus, {"windows": windows, "train_idx": split[0], "test_idx": split[1],
+                               "provenance": _field(doc, "provenance", dict)}, "corpus")
 
 
 def save_testsuite(path: str, suite: TestSuite) -> None:
@@ -266,7 +271,7 @@ def load_testsuite(path: str) -> TestSuite:
         if not all(type(r) is int and 0 <= r < len(windows) for r in rows):
             raise SchemaError(f"{key} rows must be integers in [0, {len(windows)})")
         sets[key] = _windows_from_block(block, windows[np.array(rows, dtype=np.intp)])
-    return TestSuite(sets, seed=_field(doc, "seed", int))
+    return _construct(TestSuite, {"sets": sets, "seed": _field(doc, "seed", int)}, "test suite")
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +301,11 @@ def _layer_from_doc(doc: dict) -> nd.Layer:
         raise SchemaError(f"{kind} layer has parameters {sorted(stored)}, "
                           f"expected {sorted(params)}")
     for name, enc in stored.items():
-        params[name][...] = decode_array(enc)
+        value = decode_array(enc)
+        if value.shape != params[name].shape:
+            raise SchemaError(f"{kind} parameter {name!r} is {value.shape}, "
+                              f"expected {params[name].shape}")
+        params[name][...] = value
     return layer
 
 
@@ -321,17 +330,48 @@ def save_model(path: str, model: TrainedModel,
     atomic_write_json(path, doc)
 
 
+def _check_scaling(mean: np.ndarray, std: np.ndarray, threshold: float, shape: tuple,
+                   what: str) -> None:
+    """A SchemaError unless `mean` and `std` are finite arrays of `shape`, `std`
+    is positive and `threshold` finite. Otherwise scores would broadcast or turn
+    NaN, and a NaN score or threshold reads as normal."""
+    if not (mean.shape == std.shape == shape and np.isfinite(mean).all()
+            and np.isfinite(std).all() and (std > 0).all() and math.isfinite(threshold)):
+        raise SchemaError(f"{what} needs finite {shape} means, positive finite {shape} "
+                          f"stds and a finite threshold")
+
+
+def _working_stack(stack: nd.LayerStack, variant: str, n: int, f: int) -> nd.LayerStack:
+    """`stack`; a SchemaError unless it holds parameters, maps a (1, n, f) window
+    to (1, n, f) and, for a t2v model, starts with its T2VLayer."""
+    if variant == "t2v" and not (stack.layers and isinstance(stack.layers[0], T2VLayer)):
+        raise SchemaError("a t2v model's first layer must be a t2v layer")
+    try:
+        shape = stack.forward(np.zeros((1, n, f))).shape
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"model layers do not chain: {exc}") from None
+    if stack.params.size == 0 or shape != (1, n, f):
+        raise SchemaError(f"model layers map (1, {n}, {f}) windows to {shape}, "
+                          f"with {stack.params.size} parameters")
+    return stack
+
+
 def load_model(path: str) -> tuple[TrainedModel, ScoreCalibration | None]:
     """Keys it does not read (older files' `val_dtw`, `encoder_strides`) are ignored."""
     doc = load_json_checked(path, "model")
     cfg = _construct(AEConfig, _field(doc, "config", dict), "model config")
+    n, f = _field(doc, "n", int), _field(doc, "f", int)
+    if min(n, f) < 1:
+        raise SchemaError(f"{path}: window shape n={n}, f={f} is not positive")
     stack = nd.LayerStack([_layer_from_doc(d) for d in _field(doc, "layers", list)])
-    model = TrainedModel(cfg, stack, _field(doc, "n", int), _field(doc, "f", int),
+    model = TrainedModel(cfg, _working_stack(stack, cfg.variant, n, f), n, f,
                          _field(doc, "loss_curve", list))
     c = _field(doc, "calibration", (dict, _NONE))
     calib = None if c is None else ScoreCalibration(
         decode_array(_field(c, "means", dict)), decode_array(_field(c, "stds", dict)),
         _field(c, "threshold", _NUMBER), _field(c, "threshold_quantile", _NUMBER))
+    if calib is not None:
+        _check_scaling(calib.means, calib.stds, calib.threshold, (3,), "calibration")
     return model, calib
 
 
@@ -381,12 +421,13 @@ def load_detector(path: str) -> DetectorModel:
     if kind not in KINDS:
         raise SchemaError(f"{path}: unknown detector kind {kind!r}")
     cfg = _construct(DetectorConfig, _field(doc, "config", dict), "detector config")
-    scaler_mean = decode_array(_field(doc, "scaler_mean", dict))
+    mean, std = (decode_array(_field(doc, key, dict)) for key in ("scaler_mean", "scaler_std"))
+    threshold = _field(doc, "threshold", _NUMBER)
+    _check_scaling(mean, std, threshold, (mean.size,), "scaler")
     state = {key: _decode_value(value) for key, value in _field(doc, "state", dict).items()}
-    state = _construct(KINDS[kind].checked_state, {"state": state, "dim": len(scaler_mean)},
+    state = _construct(KINDS[kind].checked_state, {"state": state, "dim": mean.size},
                        f"{kind} state")
-    return DetectorModel(kind, scaler_mean, decode_array(_field(doc, "scaler_std", dict)), state,
-                         _field(doc, "threshold", _NUMBER),
+    return DetectorModel(kind, mean, std, state, threshold,
                          decode_array(_field(doc, "train_scores", dict)), cfg)
 
 

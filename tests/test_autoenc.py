@@ -136,7 +136,7 @@ def test_train_rejects_an_empty_or_unbatched_array(shape):
 
 
 def test_train_aborts_on_nonfinite_loss():
-    from t2vad.autoenc import TrainingDiverged
+    from t2vad.ndtensor import TrainingDiverged
     cfg = AEConfig(variant="t2v", k=3, decoder_layers=1, epochs=2, seed=12)
     model = build_t2v_ae(cfg, 100, 6)
     windows = np.zeros((4, 100, 6))

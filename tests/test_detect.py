@@ -10,6 +10,7 @@ from t2vad.detect.ee import score_ee
 from t2vad.detect.iforest import NODE_ARRAYS, SUBSAMPLE, fit_iforest, score_iforest
 from t2vad.detect.ocsvm import TOL, rbf_kernel
 from t2vad.detect.pca import pca_fit, pca_transform
+from t2vad.ndtensor import TrainingDiverged
 from t2vad.rng import make_rng
 
 CFG = DetectorConfig(svdd_epochs=15, ee_n_starts=10, seed=0)
@@ -366,6 +367,16 @@ def test_deep_svdd_needs_32_points():
 def test_deep_svdd_widths_must_decrease():
     with pytest.raises(ValueError, match="decreasing"):
         fit_deep_svdd(gaussian_blob(n=64, d=4), (4, 8), 5, 16, 1e-3, 1e-4, 0)
+
+
+def test_deep_svdd_non_finite_objective_is_training_diverged():
+    """1e39 is finite in float64 but inf in the float32 training copy; one
+    batch holds all 40 rows."""
+    x = gaussian_blob(n=40, d=4, seed=17)
+    x[3, 1] = 1e39
+    with pytest.raises(TrainingDiverged, match="epoch 0, batch 0"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        fit_deep_svdd(x, (8, 4), epochs=2, batch=64, lr=1e-3, weight_decay=1e-4, seed=6)
 
 
 def test_deep_svdd_collapse_guard():

@@ -475,3 +475,93 @@ def test_adam_rejects_shape_mismatch_and_leaves_params_on_nan():
     with pytest.raises(nd.NonFiniteError):
         nd.adam_step(state, p, np.array([0.5, np.inf]))
     assert np.array_equal(p, [1.0, 2.0]) and state.step_count == 0
+
+
+# ---------------------------------------------------------------------------
+# the shared training loop against the two loops it replaced
+# ---------------------------------------------------------------------------
+
+def reference_ae_train(model, data, cfg):
+    """autoenc.train with its own minibatch-Adam loop, as before nd.train_adam."""
+    data = np.asarray(data, dtype=np.float32)
+    n = len(data)
+    work = model.stack.astype(np.float32)
+    rng = make_rng(cfg.seed + 1)
+    adam = nd.AdamState(lr=cfg.lr)
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch):
+            idx = order[start:start + cfg.batch]
+            x = data[idx]
+            y, tape = work.forward_tape(x)
+            loss, dy = nd.mse_loss_grad(y, x)
+            nd.adam_step(adam, work.params, work.backward(tape, dy))
+            epoch_loss += loss * len(idx)
+        model.loss_curve.append(epoch_loss / n)
+    model.stack.params[...] = work.params
+    return model
+
+
+def reference_fit_deep_svdd(x, widths, epochs, batch, lr, weight_decay, seed):
+    """fit_deep_svdd with its own minibatch-Adam loop, as before nd.train_adam."""
+    from t2vad.detect.deepsvdd import build_network
+    n, d = x.shape
+    net = build_network(d, widths, make_rng(seed))
+    center = net.forward(x).mean(axis=0)
+    if float(np.linalg.norm(center)) < 1e-6:
+        center = center + 0.1
+    work, x32, center32 = net.astype(np.float32), x.astype(np.float32), center.astype(np.float32)
+    adam = nd.AdamState(lr=lr)
+    order_rng = make_rng(seed + 1)
+    loss_curve = []
+    for _ in range(epochs):
+        order = order_rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, batch):
+            xb = x32[order[start:start + batch]]
+            y, tape = work.forward_tape(xb)
+            diff = y - center32
+            epoch_loss += float((diff * diff).sum())
+            grads = work.backward(tape, 2.0 * diff / len(xb))
+            grads += 2.0 * weight_decay * work.params
+            nd.adam_step(adam, work.params, grads)
+        loss_curve.append(epoch_loss / n)
+    net.params[...] = work.params
+    return {"layers": net, "center": center, "loss_curve": loss_curve}
+
+
+@pytest.mark.parametrize("variant, n_windows", [("t2v", 24), ("reconstruction", 27)])
+def test_ae_training_is_bitwise_the_loop_it_replaced(variant, n_windows):
+    """27 windows in batches of 8 leave a short last batch."""
+    from t2vad.autoenc import AEConfig, build_model, train
+    cfg = AEConfig(variant=variant, k=4, decoder_layers=2, encoder_layers=2, filters=5,
+                   kernel=3, epochs=3, batch=8, lr=1e-2, seed=80)
+    data = make_rng(81).normal(size=(n_windows, 20, 3))
+    shared = train(build_model(cfg, 20, 3), data)
+    reference = reference_ae_train(build_model(cfg, 20, 3), data, cfg)
+    assert np.array_equal(shared.stack.params, reference.stack.params)
+    assert shared.loss_curve == reference.loss_curve and len(shared.loss_curve) == 3
+
+
+def test_deep_svdd_training_is_bitwise_the_loop_it_replaced():
+    from t2vad.detect.deepsvdd import fit_deep_svdd
+    x = make_rng(82).normal(size=(70, 10))
+    kw = dict(widths=(16, 4), epochs=4, batch=16, lr=1e-2, weight_decay=1e-2, seed=83)
+    shared, reference = fit_deep_svdd(x, **kw), reference_fit_deep_svdd(x, **kw)
+    assert np.array_equal(shared["layers"].params, reference["layers"].params)
+    assert np.array_equal(shared["center"], reference["center"])
+    assert shared["loss_curve"] == reference["loss_curve"] and len(shared["loss_curve"]) == 4
+
+
+def test_train_adam_names_the_epoch_and_batch_of_a_non_finite_loss():
+    """12 rows in batches of 4: the sixth batch is epoch 1, batch 2. The
+    stack keeps its parameters."""
+    stack, _ = svdd_stack(84)
+    before = stack.params.copy()
+    losses = iter([1.0] * 5 + [np.inf])
+    with pytest.raises(nd.TrainingDiverged, match="epoch 1, batch 2"):
+        nd.train_adam(stack, make_rng(85).normal(size=(12, 10)),
+                      lambda y, xb: (next(losses), 2.0 * y), epochs=3, batch=4, lr=1e-2,
+                      rng=make_rng(86))
+    assert np.array_equal(stack.params, before)

@@ -282,6 +282,12 @@ WINDOW_FIELD_MUTATIONS = {
     "suite-rows-shorter-than-labels": ("testsuite", lambda d: d["sets"]["A-6F"]["rows"].pop(),
                                        "labels, tags and origins"),
     "suite-seed-a-boolean": ("testsuite", lambda d: d.update(seed=False), "'seed'"),
+    "corpus-split-test-emptied": ("corpus", lambda d: d["split"].update(test=[]),
+                                  "bad corpus: split must be disjoint and exhaustive"),
+    "suite-set-removed": ("testsuite", lambda d: d["sets"].pop("AN-4F"),
+                          r"bad test suite: missing test sets: \['AN-4F'\]"),
+    "suite-windows-data-not-base64": ("testsuite", lambda d: d["windows"].update(data="x"),
+                                      "array data is not base64"),
 }
 
 
@@ -380,10 +386,34 @@ ARTIFACT_FIELD_MUTATIONS = {
     "t2v-config-unknown-key": ("t2v.json", lambda d: d["config"].update(bogus=1), "bogus"),
     "t2v-n-a-string": ("t2v.json", lambda d: d.update(n="100"), "'n'"),
     "t2v-layer-kind-removed": ("t2v.json", lambda d: d["layers"][0].pop("kind"), "'kind'"),
+    "t2v-layers-empty": ("t2v.json", lambda d: d.update(layers=[]),
+                         "first layer must be a t2v layer"),
+    "t2v-first-layer-removed": ("t2v.json", lambda d: d["layers"].pop(0),
+                                "first layer must be a t2v layer"),
+    "t2v-n-zero": ("t2v.json", lambda d: d.update(n=0), "n=0, f=6 is not positive"),
+    "t2v-f-negative": ("t2v.json", lambda d: d.update(f=-1), "n=100, f=-1 is not positive"),
+    "t2v-parameter-shape-broadcastable": (
+        "t2v.json", lambda d: d["layers"][0]["params"]["b0"]["shape"].pop(),
+        r"t2v parameter 'b0' is \(100,\), expected \(100, 1\)"),
+    "t2v-parameter-data-not-base64": (
+        "t2v.json", lambda d: d["layers"][0]["params"]["w"].update(data="A" * 7 + "!"),
+        "array data is not base64"),
+    "recon-layers-empty": ("recon.json", lambda d: d.update(layers=[]),
+                           r"map \(1, 100, 6\) windows to \(1, 100, 6\), with 0 parameters"),
+    "recon-first-layer-removed": ("recon.json", lambda d: d["layers"].pop(0),
+                                  "model layers do not chain"),
+    "recon-last-layer-removed": ("recon.json", lambda d: d["layers"].pop(),
+                                 r"map \(1, 100, 6\) windows to \(1, 100, 16\)"),
     "recon-calibration-means-removed": (
         "recon.json", lambda d: d["calibration"].pop("means"), "'means'"),
     "recon-calibration-threshold-removed": (
         "recon.json", lambda d: d["calibration"].pop("threshold"), "'threshold'"),
+    "recon-calibration-means-broadcastable": (
+        "recon.json", lambda d: d["calibration"].update(means=encode_array(np.zeros(1))),
+        r"calibration needs finite \(3,\) means"),
+    "recon-calibration-threshold-nan": (
+        "recon.json", lambda d: d["calibration"].update(threshold=math.nan),
+        "calibration needs .* a finite threshold"),
     "detector-train-scores-shape-removed": (
         "det.deep_svdd.json", lambda d: d["train_scores"].pop("shape"), "'shape'"),
     "detector-state-removed": ("det.lof.json", lambda d: d.pop("state"), "'state'"),
@@ -404,6 +434,9 @@ ARTIFACT_FIELD_MUTATIONS = {
         "det.lof.json", lambda d: d["state"].pop("k"), r"lof state entries \['k'\]"),
     "detector-rho-removed-from-the-ocsvm-state": (
         "det.ocsvm.json", lambda d: d["state"].pop("rho"), r"ocsvm state entries \['rho'\]"),
+    "detector-gamma-negative-in-the-ocsvm-state": (
+        "det.ocsvm.json", lambda d: d["state"].update(gamma=-1),
+        r"ocsvm state entries \['gamma'\]"),
     "detector-alpha-shorter-than-the-ocsvm-support-vectors": (
         "det.ocsvm.json", shorten_state_array("alpha"), r"ocsvm state entries \['alpha'\]"),
     "detector-config-unknown-key": (
@@ -411,6 +444,14 @@ ARTIFACT_FIELD_MUTATIONS = {
     "detector-config-of-an-old-file": (
         "det.deep_svdd.json", lambda d: d["config"].update(OLD_CONFIG_SETTINGS),
         "bad detector config: .*unexpected keyword"),
+    "detector-threshold-nan": ("det.ocsvm.json", lambda d: d.update(threshold=math.nan),
+                               "scaler needs .* a finite threshold"),
+    "detector-scaler-std-broadcastable": (
+        "det.lof.json", lambda d: d.update(scaler_std=encode_array(np.ones(1))),
+        r"scaler needs finite \(\d+,\) means, positive finite \(\d+,\) stds"),
+    "detector-scaler-std-zero": (
+        "det.ee.json", lambda d: d.update(scaler_std=encode_array(
+            0 * decode_array(d["scaler_std"]))), "positive finite"),
     "detector-threshold-a-boolean": ("det.ocsvm.json", lambda d: d.update(threshold=True),
                                      "'threshold'"),
     "iforest-node-array-shorter": ("det.iforest.json", shorten_state_array("right"),
@@ -583,6 +624,38 @@ def test_one_flipped_byte_anywhere_never_loads(tmp_path_factory, saved_artifacts
     path.write_bytes(bytes(blob))
     with pytest.raises((ChecksumError, SchemaError)):
         LOADERS[file](path)
+
+
+DROP = object()
+OTHER_VALUES = [DROP, None, True, -1, 0.5, "x", [], {}]
+
+
+@pytest.mark.parametrize("file", LOADERS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_one_field_dropped_or_retyped_anywhere_loads_or_is_a_schema_error(
+        tmp_path_factory, saved_artifacts, file, data):
+    """Drop one field at any depth, or set it to a value of another JSON
+    type or -1, and re-checksum: the loader returns or raises SchemaError,
+    never anything else. Each step down picks a member or entry of the
+    current object or list, and goes on down with probability 1/2."""
+    doc = json.loads((saved_artifacts / file).read_bytes())
+    parent, key = doc, data.draw(st.sampled_from(sorted(doc)))
+    while isinstance(parent[key], (dict, list)) and parent[key] and data.draw(st.booleans()):
+        parent = parent[key]
+        key = data.draw(st.sampled_from(list(parent) if isinstance(parent, dict)
+                                        else range(len(parent))))
+    value = data.draw(st.sampled_from(OTHER_VALUES))
+    if value is DROP:
+        del parent[key]
+    else:
+        parent[key] = value
+    path = tmp_path_factory.getbasetemp() / f"mutated.{file}"
+    atomic_write_json(str(path), doc)
+    try:
+        LOADERS[file](path)
+    except SchemaError:
+        pass
 
 
 def test_suite_round_trip_scores_the_same(tmp_path, small_e2e):
