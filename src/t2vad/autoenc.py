@@ -175,12 +175,13 @@ class ScoreCalibration:
         self.stds = np.asarray(self.stds, dtype=np.float64)
 
 
-SCORE_CHUNK = 64   # windows per forward pass + DTW sweep; bounds the im2col and DTW buffers
+SCORE_CHUNK = 64   # windows per forward pass; bounds the im2col buffers
 
 
 def score_components_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
     """(B, 3) raw MSE, MAE and DTW of each window in `data` (B, N, F) against
-    its reconstruction, computed SCORE_CHUNK windows at a time.
+    its reconstruction. Reconstructions are computed SCORE_CHUNK windows at a
+    time, then one `dtw_batch` call sweeps all B pairs.
 
     Raises ValueError naming the first window whose values, or whose
     reconstruction, hold a NaN or Inf: such a score compares False against
@@ -191,9 +192,11 @@ def score_components_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
         raise ValueError(f"windows are {data.shape}, model expects (B, {model.n}, {model.f})")
     _finite_windows(data)
     comps = np.empty((len(data), 3))
+    recon = np.empty_like(data)
     for start in range(0, len(data), SCORE_CHUNK):
         x = data[start:start + SCORE_CHUNK]
-        xhat = model.stack.forward(x)
+        xhat = recon[start:start + len(x)]
+        xhat[...] = model.stack.forward(x)
         bad = first_nonfinite(xhat)
         if bad is not None:
             raise ValueError(f"reconstruction of window {start + bad} contains NaN/Inf")
@@ -201,7 +204,7 @@ def score_components_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
         out = comps[start:start + len(x)]
         out[:, 0] = np.mean(diff * diff, axis=1)
         out[:, 1] = np.mean(np.abs(diff), axis=1)
-        out[:, 2] = dtw_batch(x, xhat)
+    comps[:, 2] = dtw_batch(data, recon)
     return comps
 
 

@@ -5,15 +5,17 @@ local cost. Used as the hyperparameter-search objective and as one
 component of the baseline anomaly score. `dtw_bruteforce` enumerates every
 monotone alignment path and exists purely as a test oracle.
 
-`dtw_batch` is the one dynamic program. It computes the (B, Na, Nb)
-local-cost matrix of a batch of pairs once (`local_cost`), then walks the
-anti-diagonals of the (Na+1, Nb+1) recurrence for all pairs at once, keeping
-three rolling (B, Na+1) diagonals. Each step reads its diagonal of the cost
-matrix as a strided view (step Nb-1 of the flattened pair) and is two
-`np.minimum` calls and one `np.add`. Working memory is O(B·Na·Nb): about
-5 MB for 64 pairs of (100, 6) windows. The local cost is the direct
-difference norm; the gram expansion |a|²+|b|²-2ab would lose ~1e-8 near
-zero. Its squares are added feature by feature in index order, which is
+`dtw_batch` is the one dynamic program. It walks the anti-diagonals s = i + j
+of the (Na+1, Nb+1) recurrence for a block of BLOCK_PAIRS pairs at once, in
+a batch-innermost layout: `a` as (F, Na, B) and time-reversed `b` as
+(F, Nb, B), so the cells (i, s - i) of every pair in the block are one
+contiguous (L, B) slice of each. Each diagonal's local costs are formed on
+the fly from those slices, and the step is two `np.minimum` calls and one
+`np.add` into three rolling (Na+1, B) diagonals. No (B, Na, Nb) cost matrix
+is built: the sweep's working memory is O(BLOCK_PAIRS·(Na+Nb)·F), about
+1.7 MB for (100, 6) windows, whatever the batch size. The local cost is the
+direct difference norm; the gram expansion |a|²+|b|²-2ab would lose ~1e-8
+near zero. Its squares are added feature by feature in index order, which is
 numpy's `sum(axis=-1)` order for F ≤ 7 (numpy 2.4), so distances are
 bitwise those of a sweep that sums each diagonal's squared differences
 with `sum(axis=-1)`; from F = 8 on numpy sums pairwise and the two differ
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_SCRATCH_CELLS = 1 << 16    # cells of local_cost's per-block difference buffer
+BLOCK_PAIRS = 128   # pairs per sweep: bounds the working memory, not the batch
 
 
 def _validate_pair(a, b):
@@ -50,7 +52,8 @@ def dtw_batch(a, b) -> np.ndarray:
 
     a is (B, Na, F), b is (B, Nb, F); returns (B,). D(i,j) = d(a_i, b_j) +
     min(D(i-1,j), D(i,j-1), D(i-1,j-1)), swept one anti-diagonal s = i + j
-    at a time for the whole batch. Raises ValueError naming the first pair
+    at a time for BLOCK_PAIRS pairs at once. Inputs of any dtype, order or
+    strides are read as float64. Raises ValueError naming the first pair
     with a NaN or Inf, which would otherwise come out as a NaN distance.
     """
     a = np.asarray(a, dtype=np.float64)
@@ -68,49 +71,46 @@ def dtw_batch(a, b) -> np.ndarray:
         if bad is not None:
             raise ValueError(f"{name}[{bad}] contains NaN/Inf")
 
+    out = np.empty(a.shape[0])
+    for k in range(0, len(out), BLOCK_PAIRS):
+        out[k:k + BLOCK_PAIRS] = _sweep(a[k:k + BLOCK_PAIRS], b[k:k + BLOCK_PAIRS])
+    return out
+
+
+def _sweep(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """dtw_batch of one block of validated float64 pairs."""
     n_pairs, na, nb = a.shape[0], a.shape[1], b.shape[1]
-    cost = local_cost(a, b).reshape(n_pairs, na * nb)
-    step = max(nb - 1, 1)            # cell (i-1, j-1) of a diagonal is flat i*(nb-1) + s-nb-1
-    # diagonal s holds D(i, s - i) at column i; s = 0 and s = 1 seed the sweep
-    prev2 = np.full((n_pairs, na + 1), np.inf)
-    prev2[:, 0] = 0.0
-    prev1 = np.full((n_pairs, na + 1), np.inf)
-    cur = np.full((n_pairs, na + 1), np.inf)
+    at = np.ascontiguousarray(a.transpose(2, 1, 0))           # (F, Na, B)
+    bt = np.ascontiguousarray(b[:, ::-1].transpose(2, 1, 0))  # (F, Nb, B), b_j at row nb-1-j
+    cost = np.empty((min(na, nb), n_pairs))
+    tmp = np.empty_like(cost)
+    # diagonal s holds D(i, s - i) at row i; s = 0 and s = 1 seed the sweep.
+    # A step writes only rows lo..hi. The only rows outside that range a later
+    # step reads are row 0 (D(0, s)) and row s (D(s, 0)) of diagonal s, which
+    # no step writes, so they stay inf once D(0, 0) has seeded D(1, 1).
+    prev2, prev1, cur = np.full((3, na + 1, n_pairs), np.inf)
+    prev2[0] = 0.0
     for s in range(2, na + nb + 1):
         lo = max(1, s - nb)
         hi = min(na, s - 1)
-        first = lo * (nb - 1) + s - nb - 1
-        out = cur[:, lo:hi + 1]
-        cur.fill(np.inf)
-        np.minimum(prev1[:, lo:hi + 1], prev2[:, lo - 1:hi], out=out)
-        np.minimum(prev1[:, lo - 1:hi], out, out=out)
-        np.add(cost[:, first:first + (hi - lo) * step + 1:step], out, out=out)
+        rows = hi - lo + 1
+        ai, bi = slice(lo - 1, hi), slice(nb - s + lo, nb - s + hi + 1)   # a_{i-1}, b_{s-i-1}
+        c, t = cost[:rows], tmp[:rows]
+        np.subtract(at[0, ai], bt[0, bi], out=c)
+        np.multiply(c, c, out=c)
+        for f in range(1, at.shape[0]):
+            np.subtract(at[f, ai], bt[f, bi], out=t)
+            np.multiply(t, t, out=t)
+            np.add(c, t, out=c)
+        np.sqrt(c, out=c)
+        out = cur[lo:hi + 1]
+        np.minimum(prev1[lo:hi + 1], prev2[lo - 1:hi], out=out)
+        np.minimum(prev1[lo - 1:hi], out, out=out)
+        np.add(c, out, out=out)
+        if s == 2:
+            prev2[0] = np.inf
         prev2, prev1, cur = prev1, cur, prev2
-    return prev1[:, na].copy()
-
-
-def local_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(B, Na, Nb) Euclidean distances |a[k, i] - b[k, j]| of two float64 batches.
-
-    The squares are added one feature at a time in index order, the order in
-    which numpy's `sum(axis=-1)` adds fewer than 8 terms, through a scratch
-    buffer of about _SCRATCH_CELLS cells.
-    """
-    n_pairs, na, nb = a.shape[0], a.shape[1], b.shape[1]
-    cost = np.empty((n_pairs, na, nb))
-    block = max(1, _SCRATCH_CELLS // (na * nb))
-    scratch = np.empty((min(block, n_pairs), na, nb))
-    for k in range(0, n_pairs, block):
-        out = cost[k:k + block]
-        tmp = scratch[:len(out)]
-        for f in range(a.shape[2]):
-            np.subtract(a[k:k + block, :, None, f], b[k:k + block, None, :, f], out=tmp)
-            if f == 0:
-                np.multiply(tmp, tmp, out=out)
-            else:
-                np.multiply(tmp, tmp, out=tmp)
-                out += tmp
-    return np.sqrt(cost, out=cost)
+    return prev1[na]
 
 
 def dtw_bruteforce(a, b) -> float:

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from t2vad.dtw import dtw_batch, dtw_bruteforce, local_cost
+from t2vad.dtw import BLOCK_PAIRS, dtw_batch, dtw_bruteforce
 from t2vad.rng import make_rng
 
 
@@ -204,9 +206,56 @@ def test_batch_is_within_1e_12_of_the_per_diagonal_sweep_from_8_features(f, na, 
     np.testing.assert_allclose(dtw_batch(a, b), diagonal_sweep(a, b), rtol=1e-12, atol=0)
 
 
-def test_local_cost_is_the_pointwise_distance_matrix():
+def test_one_step_series_costs_the_sum_of_pointwise_distances():
+    # with Na = 1 the only path pairs a_0 with every b_j, so D is the sum of
+    # the local costs |a_0 - b_j|
     rng = make_rng(13)
-    a, b = rng.normal(size=(9, 7, 3)), rng.normal(size=(9, 4, 3))
-    expected = np.linalg.norm(a[:, :, None, :] - b[:, None, :, :], axis=-1)
-    np.testing.assert_allclose(local_cost(a, b), expected, rtol=1e-14, atol=0)
-    assert local_cost(a, b).shape == (9, 7, 4)
+    a, b = rng.normal(size=(9, 1, 3)), rng.normal(size=(9, 7, 3))
+    expected = np.linalg.norm(a - b, axis=-1).sum(axis=1)
+    np.testing.assert_allclose(dtw_batch(a, b), expected, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(dtw_batch(b, a), expected, rtol=1e-14, atol=0)
+
+
+def test_block_boundary_is_bitwise_each_pair_alone():
+    rng = make_rng(14)
+    n_pairs = BLOCK_PAIRS + 3
+    a, b = rng.normal(size=(n_pairs, 5, 3)), rng.normal(size=(n_pairs, 4, 3))
+    batched = dtw_batch(a, b).tolist()
+    assert batched == [dtw_batch(a[k:k + 1], b[k:k + 1])[0] for k in range(n_pairs)]
+    assert batched == diagonal_sweep(a, b).tolist()
+
+
+@pytest.mark.parametrize("layout", [
+    lambda x: x[::-1],
+    lambda x: x[:, ::-1],
+    lambda x: x[:, :, ::-1],
+    lambda x: x[::2],
+    lambda x: x[:, ::3],
+    lambda x: np.asfortranarray(x),
+    lambda x: x.transpose(2, 1, 0).copy().transpose(2, 1, 0),
+    lambda x: x.astype(np.float32),
+], ids=["reversed-batch", "reversed-time", "reversed-features", "strided-batch",
+        "strided-time", "fortran", "batch-innermost", "float32"])
+def test_input_layout_does_not_change_the_distances(layout):
+    rng = make_rng(15)
+    a, b = rng.normal(size=(10, 9, 4)), rng.normal(size=(10, 11, 4))
+    la, lb = layout(a), layout(b)
+    expected = dtw_batch(np.array(la, dtype=np.float64, order="C"),
+                         np.array(lb, dtype=np.float64, order="C"))
+    assert dtw_batch(la, lb).tolist() == expected.tolist()
+
+
+def test_working_memory_stays_below_one_64_pair_cost_matrix():
+    # 5.5 MiB is the peak of one 64-pair (100, 100) local-cost matrix and its
+    # scratch; a sweep builds no such matrix, its buffers are
+    # O(BLOCK_PAIRS·(Na+Nb)·F) whatever the batch size
+    rng = make_rng(16)
+    a = rng.normal(size=(4 * BLOCK_PAIRS, 100, 6))
+    b = a + rng.normal(scale=0.1, size=a.shape)
+    tracemalloc.start()
+    try:
+        dtw_batch(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
