@@ -153,7 +153,8 @@ def embed_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
     if model.config.variant != "t2v":
         raise ValueError("embeddings come from the t2v variant only")
     data = _finite_windows(np.asarray(data, dtype=np.float64))
-    return model.stack.layers[0].forward(data)[0].reshape(len(data), -1)
+    y = model.stack.layers[0].forward(data)[0]
+    return y.reshape(len(y), y.shape[1] * y.shape[2])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Command-line front end tying the pipeline together.
 
-Subcommands: generate, preprocess, search, train, embed, fit-detector,
+Subcommands: generate, preprocess, search, train, fit-detector,
 build-testsets, evaluate, report. Every command takes a master seed and
 fans it out to per-stage seeds, echoes its effective configuration into
 the output file, and writes outputs atomically. A JSON config file
@@ -25,8 +25,7 @@ from .autoenc import AEConfig, build_model, calibrate, embed_many, hyper_search,
 from .inject import InjectionSpec, build_testsets
 from .persist import (atomic_write_json, config_digest, load_corpus, load_detector,
                       load_model, load_report, load_testsuite, save_corpus,
-                      save_detector, save_embeddings, save_model, save_report,
-                      save_testsuite)
+                      save_detector, save_model, save_report, save_testsuite)
 from .pipeline import (SynthParams, WindowSet, auto_resample_width, clean, load_csv,
                        resample, split, synth_generate, windowize)
 from .evaluate import format_report_table, run_benchmark
@@ -182,19 +181,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_embed(args) -> int:
-    corpus = load_corpus(_require(args.corpus, "corpus"))
-    model, _ = load_model(_require(args.model, "model"))
-    windows = {"train": corpus.train_windows, "test": corpus.test_windows,
-               "all": corpus.windows}[args.split]
-    emb = embed_many(model, windows.data)
-    save_embeddings(_out_path(args.out), emb,
-                    {"split": args.split, "n": len(windows), "dim": emb.shape[1],
-                     "effective_config": _effective(args)})
-    print(f"wrote {emb.shape[0]} embeddings of dim {emb.shape[1]}")
-    return 0
-
-
 def cmd_fit_detector(args) -> int:
     corpus = load_corpus(_require(args.corpus, "corpus"))
     model, _ = load_model(_require(args.model, "model"))
@@ -324,14 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="baseline score threshold (reconstruction variant)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("embed", help="write embeddings for a corpus split")
-    common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--split", choices=["train", "test", "all"], default="train")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("fit-detector", help="fit one-class detector(s) on embeddings")
     common(p)

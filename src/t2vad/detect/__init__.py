@@ -28,34 +28,37 @@ from .ocsvm import default_gamma, fit_ocsvm, rbf_kernel, score_ocsvm
 
 
 class Kind(NamedTuple):
-    """How one detector kind fits, scores, checks a state read from a file
-    and reports its training scores."""
+    """How one detector kind fits, scores, checks a state read from a file,
+    reports its training scores and which state entries its file stores."""
 
     fit: Callable            # (z, cfg, rng, seed) -> state
     score: Callable          # (state, z) -> scores, higher = more anomalous
     checked_state: Callable  # (state, dim) -> state read from a file, or ValueError
+    stored: tuple            # the state entries a detector file holds
     train_scores: Callable | None = None   # (state, z) -> scores; None: score(state, z)
 
 
 # The fit entries look `fit_<kind>` up in this module when called, so a
 # wrapper later bound to that name (a profiler's, say) sees every fit.
+# `stored` is what scoring and `checked_state` read, plus the `iterations`
+# and `loss_curve` diagnostics.
 KINDS = {
     "iforest": Kind(
         lambda z, cfg, rng, seed: fit_iforest(z, cfg.iforest_trees, iforest.SUBSAMPLE, rng),
-        score_iforest, iforest.checked_state),
+        score_iforest, iforest.checked_state, (*iforest.NODE_ARRAYS, "roots", "subsample")),
     "lof": Kind(
         lambda z, cfg, rng, seed: fit_lof(z, cfg.lof_k), score_lof, lof.checked_state,
-        train_scores=lambda state, z: state["train_lof"]),
+        ("x", "k", "kdist", "lrd"), train_scores=lambda state, z: state["train_lof"]),
     "ocsvm": Kind(lambda z, cfg, rng, seed: fit_ocsvm(z, cfg.ocsvm_nu), score_ocsvm,
-                  ocsvm.checked_state),
+                  ocsvm.checked_state, ("sv", "alpha", "rho", "gamma", "iterations")),
     "ee": Kind(
         lambda z, cfg, rng, seed: fit_ee(z, cfg.ee_pca_dims, cfg.ee_n_starts, rng),
-        score_ee, ee.checked_state),
+        score_ee, ee.checked_state, ("pca_basis", "pca_mean", "mu", "cov")),
     "deep_svdd": Kind(
         lambda z, cfg, rng, seed: fit_deep_svdd(z, deepsvdd.WIDTHS, cfg.svdd_epochs,
                                                 deepsvdd.BATCH, deepsvdd.LR,
                                                 deepsvdd.WEIGHT_DECAY, seed),
-        score_deep_svdd, deepsvdd.checked_state),
+        score_deep_svdd, deepsvdd.checked_state, ("layers", "center", "loss_curve")),
 }
 
 __all__ = [
@@ -76,6 +79,9 @@ class DetectorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("iforest_trees", "lof_k", "ee_pca_dims", "ee_n_starts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 0 < self.ocsvm_nu < 1:
             raise ValueError("nu must be in (0, 1)")
         if not 0 < self.threshold_quantile < 1:
@@ -89,7 +95,7 @@ class DetectorModel:
     scaler_std: np.ndarray
     state: dict
     threshold: float
-    train_scores: np.ndarray
+    train_scores: np.ndarray | None = None   # set by `fit`; a loaded model has none
     config: DetectorConfig = field(default_factory=DetectorConfig)
 
     def __post_init__(self):

@@ -56,7 +56,7 @@ def fit_deep_svdd(x: np.ndarray, widths, epochs: int, batch: int, lr: float,
     # bias-free: every parameter is a weight, so weight decay covers them all
     loss_curve = nd.train_adam(net, x, objective, epochs, batch, lr, make_rng(seed + 1),
                                weight_decay)
-    return {"layers": net, "center": center, "widths": list(widths), "loss_curve": loss_curve}
+    return {"layers": net, "center": center, "loss_curve": loss_curve}
 
 
 def checked_state(state: dict, dim: int) -> dict:

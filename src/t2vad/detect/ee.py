@@ -75,7 +75,7 @@ def fit_ee(x: np.ndarray, pca_dims: int, n_starts: int, rng) -> dict:
             best_logdet, best_mu, best_cov = logdet, mu, cov
 
     cov = (best_cov + best_cov.T) / 2.0   # exact symmetry for PSD checks
-    return {"pca_basis": basis, "pca_mean": mean, "mu": best_mu, "cov": cov, "h": h}
+    return {"pca_basis": basis, "pca_mean": mean, "mu": best_mu, "cov": cov}
 
 
 def checked_state(state: dict, dim: int) -> dict:

@@ -85,10 +85,9 @@ def fit_ocsvm(x: np.ndarray, nu: float) -> dict:
     return {
         "sv": x[support].copy(),
         "alpha": alpha[support].copy(),
-        "alpha_full": alpha,        # kept for dual-constraint checks
+        "alpha_full": alpha,        # in memory only, for dual-constraint checks
         "rho": rho,
         "gamma": gamma,
-        "nu": nu,
         "box": c,
         "iterations": iterations,
     }

@@ -43,7 +43,7 @@ def _validate_pair(a, b):
 
 def first_nonfinite(x: np.ndarray) -> int | None:
     """Index along axis 0 of the first entry holding a NaN or Inf, else None."""
-    bad = ~np.isfinite(x.reshape(len(x), -1)).all(axis=1)
+    bad = ~np.isfinite(x).all(axis=tuple(range(1, x.ndim)))
     return int(np.argmax(bad)) if bad.any() else None
 
 

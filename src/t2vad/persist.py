@@ -406,16 +406,16 @@ def save_detector(path: str, model: DetectorModel) -> None:
         "scaler_mean": encode_array(model.scaler_mean),
         "scaler_std": encode_array(model.scaler_std),
         "threshold": model.threshold,
-        "train_scores": encode_array(model.train_scores),
         "config": asdict(model.config),
-        "state": {key: _encode_value(value) for key, value in model.state.items()},
+        "state": {key: _encode_value(model.state[key]) for key in KINDS[model.kind].stored},
     }
     atomic_write_json(path, doc)
 
 
 def load_detector(path: str) -> DetectorModel:
     """A `config` key that `DetectorConfig` lacks (an older file's `svdd_lr`,
-    say) is a SchemaError."""
+    say) is a SchemaError. State entries outside the kind's `stored` tuple
+    and a top-level `train_scores` (older files carry both) are ignored."""
     doc = load_json_checked(path, "detector")
     kind = _field(doc, "detector", str)
     if kind not in KINDS:
@@ -424,31 +424,16 @@ def load_detector(path: str) -> DetectorModel:
     mean, std = (decode_array(_field(doc, key, dict)) for key in ("scaler_mean", "scaler_std"))
     threshold = _field(doc, "threshold", _NUMBER)
     _check_scaling(mean, std, threshold, (mean.size,), "scaler")
-    state = {key: _decode_value(value) for key, value in _field(doc, "state", dict).items()}
+    state = {key: _decode_value(value) for key, value in _field(doc, "state", dict).items()
+             if key in KINDS[kind].stored}
     state = _construct(KINDS[kind].checked_state, {"state": state, "dim": mean.size},
                        f"{kind} state")
-    return DetectorModel(kind, mean, std, state, threshold,
-                         decode_array(_field(doc, "train_scores", dict)), cfg)
+    return DetectorModel(kind, mean, std, state, threshold, config=cfg)
 
 
 # ---------------------------------------------------------------------------
-# embeddings / reports
+# reports
 # ---------------------------------------------------------------------------
-
-def save_embeddings(path: str, embeddings: np.ndarray, meta: dict) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "embeddings",
-        "meta": meta,
-        "payload": encode_array(embeddings),
-    }
-    atomic_write_json(path, doc)
-
-
-def load_embeddings(path: str) -> tuple[np.ndarray, dict]:
-    doc = load_json_checked(path, "embeddings")
-    return decode_array(_field(doc, "payload", dict)), _field(doc, "meta", dict)
-
 
 def save_report(path: str, report: EvalReport) -> None:
     doc = {

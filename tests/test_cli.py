@@ -1,10 +1,13 @@
+import argparse
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from t2vad.cli import main
+from t2vad import cli
+from t2vad.cli import build_parser, main
 from t2vad.persist import load_corpus, load_report
 
 
@@ -54,6 +57,19 @@ def test_generate_seed_changes_output(tmp_path):
 
 def test_unknown_command_exits_2(capsys):
     assert run(["frobnicate"]) == 2
+    assert run(["embed", "--corpus", "c.json", "--model", "m.json", "--out", "e.json"]) == 2
+
+
+def test_docs_list_exactly_the_parser_subcommands():
+    """cli.py's docstring and README's quickstart sentence name each subcommand."""
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    docstring = " ".join(cli.__doc__.split())
+    listed = re.search(r"Subcommands: (.*?)\. ", docstring).group(1).split(", ")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"\w+ subcommands: (.*?)\. ", " ".join(readme.split())).group(1)
+    assert listed == list(commands)
+    assert re.findall(r"`([\w-]+)`", sentence) == list(commands)
 
 
 def test_unknown_flag_exits_2():
@@ -104,15 +120,6 @@ def test_evaluate_requires_calibrated_baseline(workdir, capsys):
                 "--out", workdir / "r2.json"])
     assert code == 1
     assert "calibration" in capsys.readouterr().err
-
-
-def test_embed_command(workdir):
-    out = workdir / "emb.json"
-    assert run(["embed", "--corpus", workdir / "corpus.json",
-                "--model", workdir / "t2v.json", "--split", "test",
-                "--out", out]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["meta"]["dim"] == 700
 
 
 def test_search_command(workdir):

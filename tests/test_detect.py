@@ -1,15 +1,18 @@
 import importlib
+import warnings
 
 import numpy as np
 import pytest
 
 from t2vad import detect
+from t2vad.autoenc import embed_many
 from t2vad.detect import DetectorConfig, DetectorModel, average_path_length
 from t2vad.detect.deepsvdd import build_network, fit_deep_svdd, score_deep_svdd
 from t2vad.detect.ee import score_ee
 from t2vad.detect.iforest import NODE_ARRAYS, SUBSAMPLE, fit_iforest, score_iforest
 from t2vad.detect.ocsvm import TOL, rbf_kernel
 from t2vad.detect.pca import pca_fit, pca_transform
+from t2vad.dtw import dtw_batch
 from t2vad.ndtensor import TrainingDiverged
 from t2vad.rng import make_rng
 
@@ -453,6 +456,26 @@ def test_score_rejects_non_finite_embedding_row(small_e2e, kind, value):
             fn(model, x)
         with pytest.raises(ValueError, match="embedding row 0 contains NaN/Inf"):
             fn(model, x[2:3])
+
+
+@pytest.mark.parametrize("what", ["dtw_batch", "embed_many", *detect.KINDS])
+def test_an_empty_batch_gives_an_empty_result(small_e2e, what):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if what == "dtw_batch":
+            out = dtw_batch(np.zeros((0, 3, 2)), np.zeros((0, 3, 2)))
+        elif what == "embed_many":
+            out = embed_many(small_e2e["t2v_model"], np.zeros((0, 100, 6)))
+        else:
+            out = detect.score_many(small_e2e["detectors"][what], np.zeros((0, 700)))
+    assert out.shape == ((0, 700) if what == "embed_many" else (0,))
+
+
+@pytest.mark.parametrize("name", ["iforest_trees", "lof_k", "ee_pca_dims", "ee_n_starts"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_rejects_a_count_below_1_by_name(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
+        DetectorConfig(**{name: value})
 
 
 # ---------------------------------------------------------------------------

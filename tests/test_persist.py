@@ -14,10 +14,9 @@ from t2vad.autoenc import combine_components, embed_many, score_components_many,
 from t2vad.cli import main
 from t2vad.evaluate import _distinct, run_benchmark
 from t2vad.persist import (ChecksumError, SchemaError, atomic_write_json, decode_array,
-                           encode_array, load_corpus, load_detector, load_embeddings,
-                           load_model, load_report, load_testsuite, save_corpus,
-                           save_detector, save_embeddings, save_model, save_report,
-                           save_testsuite)
+                           encode_array, load_corpus, load_detector, load_model,
+                           load_report, load_testsuite, save_corpus, save_detector,
+                           save_model, save_report, save_testsuite)
 
 
 def test_array_codec_roundtrip():
@@ -151,6 +150,42 @@ def test_detector_roundtrip_scores_bit_identical(tmp_path, small_e2e, kind):
     np.testing.assert_array_equal(detect.score_many(loaded, probes),
                                   detect.score_many(model, probes))
     assert loaded.threshold == model.threshold
+
+
+@pytest.mark.parametrize("kind", detect.KINDS)
+def test_detector_file_state_holds_exactly_the_stored_entries(tmp_path, small_e2e, kind):
+    path = tmp_path / "det.json"
+    save_detector(path, small_e2e["detectors"][kind])
+    doc = json.loads(path.read_bytes())
+    assert sorted(doc["state"]) == sorted(detect.KINDS[kind].stored)
+    assert "train_scores" not in doc
+
+
+# the write-only entries that files written before `Kind.stored` carry
+OLD_STATE_ENTRIES = {
+    "iforest": {}, "lof": {"train_lof": encode_array(np.ones(48))},
+    "ocsvm": {"alpha_full": encode_array(np.full(48, 1 / 48)), "box": 0.4, "nu": 0.05},
+    "ee": {"h": 30}, "deep_svdd": {"widths": [128, 32]},
+}
+
+
+@pytest.mark.parametrize("kind", detect.KINDS)
+def test_an_older_detector_file_loads_and_scores_bitwise_like_the_fitted_model(
+        tmp_path, small_e2e, kind):
+    model = small_e2e["detectors"][kind]
+    path = tmp_path / "det.json"
+    save_detector(path, model)
+
+    def add_old_entries(doc):
+        doc["train_scores"] = encode_array(model.train_scores)
+        doc["state"].update(OLD_STATE_ENTRIES[kind])
+
+    rewrite(path, add_old_entries)
+    loaded = load_detector(path)
+    assert loaded.train_scores is None
+    assert sorted(loaded.state) == sorted(detect.KINDS[kind].stored)
+    emb = embed_many(small_e2e["t2v_model"], small_e2e["corpus"].windows.data)
+    assert detect.score_many(loaded, emb).tobytes() == detect.score_many(model, emb).tobytes()
 
 
 def test_loaded_model_layers_train_through_the_flat_vector(tmp_path, small_e2e):
@@ -414,8 +449,8 @@ ARTIFACT_FIELD_MUTATIONS = {
     "recon-calibration-threshold-nan": (
         "recon.json", lambda d: d["calibration"].update(threshold=math.nan),
         "calibration needs .* a finite threshold"),
-    "detector-train-scores-shape-removed": (
-        "det.deep_svdd.json", lambda d: d["train_scores"].pop("shape"), "'shape'"),
+    "detector-scaler-std-shape-removed": (
+        "det.deep_svdd.json", lambda d: d["scaler_std"].pop("shape"), "'shape'"),
     "detector-state-removed": ("det.lof.json", lambda d: d.pop("state"), "'state'"),
     "detector-state-center-shape-removed": (
         "det.deep_svdd.json", lambda d: d["state"]["center"].pop("shape"), "'shape'"),
@@ -441,6 +476,9 @@ ARTIFACT_FIELD_MUTATIONS = {
         "det.ocsvm.json", shorten_state_array("alpha"), r"ocsvm state entries \['alpha'\]"),
     "detector-config-unknown-key": (
         "det.iforest.json", lambda d: d["config"].update(bogus=1), "bogus"),
+    "detector-config-lof-k-zero": (
+        "det.lof.json", lambda d: d["config"].update(lof_k=0),
+        "bad detector config: lof_k must be at least 1, got 0"),
     "detector-config-of-an-old-file": (
         "det.deep_svdd.json", lambda d: d["config"].update(OLD_CONFIG_SETTINGS),
         "bad detector config: .*unexpected keyword"),
@@ -527,8 +565,8 @@ def test_bad_model_detector_or_array_field_is_a_schema_error_and_exit_1(
     if file == "corpus.json":
         argv = ["train", "--corpus", path, "--epochs", 1, "--out", tmp_path / "model.json"]
     elif file == "t2v.json":
-        argv = ["embed", "--corpus", paths["corpus.json"], "--model", path,
-                "--out", tmp_path / "emb.json"]
+        argv = ["fit-detector", "--corpus", paths["corpus.json"], "--model", path,
+                "--kind", "iforest", "--out", tmp_path / "det.json"]
     elif file == "report.json":
         argv = ["report", "--report", path]
     else:
@@ -561,15 +599,6 @@ def test_every_artifact_is_written_as_canonical_json(saved_artifacts, file):
     """The invariant the raw-byte checksum rests on."""
     blob = (saved_artifacts / file).read_bytes()
     assert blob == canonical(blob)
-
-
-def test_embeddings_file_is_written_as_canonical_json(tmp_path):
-    path = tmp_path / "emb.json"
-    embeddings = np.random.default_rng(2).normal(size=(7, 5))
-    save_embeddings(path, embeddings, {"model": "t2v.json"})
-    assert path.read_bytes() == canonical(path.read_bytes())
-    loaded, meta = load_embeddings(path)
-    assert loaded.tobytes() == embeddings.tobytes() and meta == {"model": "t2v.json"}
 
 
 @pytest.mark.parametrize("doc", [{}, {"a": 1}, {"z": [2]}, {"a": 1, "z": {"b": None}}])
