@@ -13,7 +13,6 @@ import numpy as np
 
 from t2vad.inject import (InjectionSpec, build_testsets, inject_point_noise,
                           inject_saltpepper, inject_spikes, inject_step)
-from t2vad.inject import GMMSpec
 from t2vad.pipeline import SynthParams, synth_generate
 
 corpus = synth_generate(SynthParams(n_windows=150, test_fraction=0.2), seed=13)
@@ -23,14 +22,15 @@ sigma = w.std(axis=0)
 stepped = inject_step(w, features=[0, 1], onset=40, magnitude_per_feature=3 * sigma[:2])
 print(f"step:        rows changed: {int((stepped != w).any(axis=1).sum())} (from onset 40)")
 
-spiked = inject_spikes(w, features=[2], period=10, gmm=GMMSpec(), seed=99)
+spiked = inject_spikes(w, features=[2], period=10, seed=99)
 rows = np.flatnonzero(spiked[:, 2] != w[:, 2])
 print(f"spikes:      spike rows: {rows.tolist()}")
 
 point = inject_point_noise(w, seed=100)
 print(f"point noise: cells changed: {int((point != w).sum())}")
 
-salted = inject_saltpepper(w, point_prob=0.02, seed=101)
+salted = inject_saltpepper(w, point_prob=0.02, seed=101,
+                           lo=w.min(axis=0), hi=w.max(axis=0))
 print(f"salt-pepper: cells changed: {int((salted != w).sum())} of {w.size}")
 
 suite = build_testsets(corpus.test_windows, InjectionSpec(seed=21))

@@ -15,7 +15,7 @@ rng = make_rng(17)
 train = rng.normal(size=(400, 16))
 far = rng.normal(size=(5, 16)) + 8.0
 
-cfg = detect.DetectorConfig(svdd_epochs=30, seed=1)
+cfg = detect.DetectorConfig(seed=1)
 print(f"{'kind':<10} {'threshold':>10} {'median normal':>14} {'median far':>11} flagged")
 for kind in detect.KINDS:
     model = detect.fit(kind, train, cfg)

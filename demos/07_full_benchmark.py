@@ -28,7 +28,7 @@ print(f"embedding AE loss {t2v_model.loss_curve[0]:.3f} -> {t2v_model.loss_curve
 
 calib = calibrate(recon_model, train_data)
 embeddings = embed_many(t2v_model, train_data)
-cfg = detect.DetectorConfig(svdd_epochs=40, seed=3)
+cfg = detect.DetectorConfig(seed=3)
 detectors = {kind: detect.fit(kind, embeddings, cfg) for kind in detect.KINDS}
 
 suite = build_testsets(corpus.test_windows, InjectionSpec(seed=4))

@@ -120,11 +120,11 @@ def build_model(cfg: AEConfig, n: int, f: int) -> TrainedModel:
     return build_recon_ae(cfg, n, f)
 
 
-def train(model: TrainedModel, data: np.ndarray, cfg: AEConfig | None = None) -> TrainedModel:
+def train(model: TrainedModel, data: np.ndarray) -> TrainedModel:
     """`nd.train_adam` on mean squared reconstruction error over the windows
-    `data` (n, N, F), seeded like the initialization by cfg.seed; appends one
-    mean loss per epoch to the loss curve."""
-    cfg = cfg or model.config
+    `data` (n, N, F) with the model's config, seeded like the initialization
+    by its seed; appends one mean loss per epoch to the loss curve."""
+    cfg = model.config
     data = np.asarray(data)
     if data.ndim != 3 or len(data) == 0 or data.shape[1:] != (model.n, model.f):
         raise ValueError(f"windows are {data.shape}, model expects (n > 0, {model.n}, {model.f})")

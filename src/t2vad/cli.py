@@ -127,8 +127,7 @@ def cmd_preprocess(args) -> int:
         series = load_csv(_require(path, "input CSV"), features, args.timestamp_column)
         series = clean(series, args.fence_k)
         width = auto_resample_width(len(series)) if args.auto_resample else args.resample
-        if width > 1:
-            series = resample(series, width)
+        series = resample(series, width)
         sets.append(windowize(series))
     windows = WindowSet.concat(sets)
     if not len(windows):
@@ -164,6 +163,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if not 0 < args.threshold_quantile < 1:     # the rule DetectorConfig applies
+        raise CommandError("threshold quantile must be in (0, 1)")
     corpus = load_corpus(_require(args.corpus, "corpus"))
     n, f = corpus.windows.data.shape[1:]
     cfg = AEConfig(variant=args.variant, k=args.k, decoder_layers=args.decoder_layers,

@@ -2,12 +2,13 @@
 
 All detectors consume z-standardized embeddings (per-dimension training
 statistics, stored with the model); the envelope detector (EE) reduces
-them by PCA inside its own fit and score. Settings no caller varies are
-constants in each detector's module. Scores are oriented so that higher
-means more anomalous, and the decision threshold is a quantile of the
-training scores, the same rule for every kind, so comparisons between
-methods are apples-to-apples. `predict_many` flags strictly
-above-threshold scores of an (n, d) batch: True = anomalous.
+them by PCA inside its own fit and score. Every fit setting is a constant
+in its detector's module (iforest.TREES, lof.K, ocsvm.NU, ...);
+`DetectorConfig` holds only what `fit-detector` sets. Scores are oriented
+so that higher means more anomalous, and the decision threshold is a
+quantile of the training scores, the same rule for every kind, so
+comparisons between methods are apples-to-apples. `predict_many` flags
+strictly above-threshold scores of an (n, d) batch: True = anomalous.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class Kind(NamedTuple):
     """How one detector kind fits, scores, checks a state read from a file,
     reports its training scores and which state entries its file stores."""
 
-    fit: Callable            # (z, cfg, rng, seed) -> state
+    fit: Callable            # (z, seed) -> state
     score: Callable          # (state, z) -> scores, higher = more anomalous
     checked_state: Callable  # (state, dim) -> state read from a file, or ValueError
     stored: tuple            # the state entries a detector file holds
@@ -44,20 +45,19 @@ class Kind(NamedTuple):
 # and `loss_curve` diagnostics.
 KINDS = {
     "iforest": Kind(
-        lambda z, cfg, rng, seed: fit_iforest(z, cfg.iforest_trees, iforest.SUBSAMPLE, rng),
+        lambda z, seed: fit_iforest(z, iforest.TREES, iforest.SUBSAMPLE, make_rng(seed)),
         score_iforest, iforest.checked_state, (*iforest.NODE_ARRAYS, "roots", "subsample")),
     "lof": Kind(
-        lambda z, cfg, rng, seed: fit_lof(z, cfg.lof_k), score_lof, lof.checked_state,
+        lambda z, seed: fit_lof(z, lof.K), score_lof, lof.checked_state,
         ("x", "k", "kdist", "lrd"), train_scores=lambda state, z: state["train_lof"]),
-    "ocsvm": Kind(lambda z, cfg, rng, seed: fit_ocsvm(z, cfg.ocsvm_nu), score_ocsvm,
+    "ocsvm": Kind(lambda z, seed: fit_ocsvm(z, ocsvm.NU), score_ocsvm,
                   ocsvm.checked_state, ("sv", "alpha", "rho", "gamma", "iterations")),
     "ee": Kind(
-        lambda z, cfg, rng, seed: fit_ee(z, cfg.ee_pca_dims, cfg.ee_n_starts, rng),
+        lambda z, seed: fit_ee(z, ee.PCA_DIMS, ee.N_STARTS, make_rng(seed)),
         score_ee, ee.checked_state, ("pca_basis", "pca_mean", "mu", "cov")),
     "deep_svdd": Kind(
-        lambda z, cfg, rng, seed: fit_deep_svdd(z, deepsvdd.WIDTHS, cfg.svdd_epochs,
-                                                deepsvdd.BATCH, deepsvdd.LR,
-                                                deepsvdd.WEIGHT_DECAY, seed),
+        lambda z, seed: fit_deep_svdd(z, deepsvdd.WIDTHS, deepsvdd.EPOCHS, deepsvdd.BATCH,
+                                      deepsvdd.LR, deepsvdd.WEIGHT_DECAY, seed),
         score_deep_svdd, deepsvdd.checked_state, ("layers", "center", "loss_curve")),
 }
 
@@ -69,21 +69,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    iforest_trees: int = 100
-    lof_k: int = 20
-    ocsvm_nu: float = 0.05
-    ee_pca_dims: int = 32
-    ee_n_starts: int = 30
-    svdd_epochs: int = 100
+    """What `fit-detector` sets: the threshold quantile and the master seed."""
+
     threshold_quantile: float = 0.99
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("iforest_trees", "lof_k", "ee_pca_dims", "ee_n_starts"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not 0 < self.ocsvm_nu < 1:
-            raise ValueError("nu must be in (0, 1)")
         if not 0 < self.threshold_quantile < 1:
             raise ValueError("threshold quantile must be in (0, 1)")
 
@@ -129,14 +120,13 @@ def fit(kind: str, x: np.ndarray, cfg: DetectorConfig = DetectorConfig()) -> Det
         raise ValueError("training data must be (n, d)")
     _finite_rows(x)
     seed = derive_seed(cfg.seed, f"detector/{kind}")
-    rng = make_rng(seed)
 
     mean = x.mean(axis=0)
     std = np.maximum(x.std(axis=0), 1e-12)
     z = _standardize(x, mean, std)
 
     spec = KINDS[kind]
-    state = spec.fit(z, cfg, rng, seed)
+    state = spec.fit(z, seed)
     raw = (spec.train_scores or spec.score)(state, z)
     train_scores = np.asarray(raw, dtype=np.float64)
     threshold = float(np.quantile(train_scores, cfg.threshold_quantile))

@@ -1,12 +1,13 @@
 """One-class network: map training points near a fixed center, score by
 squared distance to it.
 
-Bias-free feed-forward net (ReLU hidden, linear output) trained by the
-shared minibatch-Adam loop `ndtensor.train_adam` to minimize mean
-||phi(x) - c||^2 plus L2 weight decay; a non-finite objective raises
-`TrainingDiverged`. The center is the mean of the initial float64 forward
-pass and stays frozen; bias-free layers rule out the trivial constant-map
-solution, and a collapse guard shifts a center that lands on the origin.
+Feed-forward net of bias-free `nd.Dense` layers (ReLU hidden, linear
+output) trained for EPOCHS epochs by the shared minibatch-Adam loop
+`ndtensor.train_adam` to minimize mean ||phi(x) - c||^2 plus L2 weight
+decay; a non-finite objective raises `TrainingDiverged`. The center is the
+mean of the initial float64 forward pass and stays frozen; bias-free
+layers rule out the trivial constant-map solution, and a collapse guard
+shifts a center that lands on the origin.
 The fitted state holds the float64 net, the center and the mean objective
 of each epoch (`loss_curve`).
 """
@@ -19,6 +20,7 @@ from .. import ndtensor as nd
 from ..rng import make_rng
 
 WIDTHS = (128, 32)     # hidden and output widths of the fitted net
+EPOCHS = 100
 BATCH = 64
 LR = 1e-3
 WEIGHT_DECAY = 1e-4
@@ -28,7 +30,7 @@ def build_network(d_in: int, widths, rng) -> nd.LayerStack:
     layers: list[nd.Layer] = []
     dims = [d_in, *widths]
     for i in range(len(dims) - 1):
-        layers.append(nd.Dense(dims[i], dims[i + 1], use_bias=False, rng=rng))
+        layers.append(nd.Dense(dims[i], dims[i + 1], rng=rng))
         if i < len(dims) - 2:
             layers.append(nd.ReLU())
     return nd.LayerStack(layers)

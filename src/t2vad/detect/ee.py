@@ -1,7 +1,7 @@
 """Robust location/scatter envelope via a FastMCD-style search.
 
 The input is first reduced to its top principal components (at most
-`pca_dims`); the fitted state keeps that basis and mean, and scoring
+PCA_DIMS); the fitted state keeps that basis and mean, and scoring
 applies the same projection. On the reduced data it finds the h-point
 subset whose covariance has (approximately) minimum determinant, with
 h = floor((n + d + 1) / 2): many random (d+1)-point starts, two
@@ -14,6 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .pca import pca_fit, pca_transform
+
+PCA_DIMS = 32     # at most this many principal components are kept
+N_STARTS = 30     # random (d+1)-point starts
 
 
 def _mean_cov(x: np.ndarray):

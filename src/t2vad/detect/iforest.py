@@ -28,6 +28,7 @@ import math
 
 import numpy as np
 
+TREES = 100
 SUBSAMPLE = 256          # per-tree sample size (capped at n)
 
 _HARMONIC_BOUND = 4096

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+K = 20                  # neighbors per point
+
 
 def _cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix (len(a), len(b)) via the gram expansion."""

@@ -20,6 +20,7 @@ import numpy as np
 
 from .lof import _cross_distances
 
+NU = 0.05      # upper bound on the training outlier fraction
 TOL = 1e-4
 MAX_PASSES = 10_000
 

@@ -7,12 +7,14 @@ are deliberately left normal: a detector should ignore them. From one
 clean test split, `build_testsets` derives the four evaluation sets
 A-6F / AN-6F / A-4F / AN-4F (anomalies on all six or only the four
 non-flat features, with or without noise). Each injector maps an (N, F)
-array to a new one; the set builders put its tag beside the window.
+array to a new one; the set builders put its tag beside the window. The
+onset, period and mixture ranges are module constants; `InjectionSpec`
+holds only what `build-testsets` sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,29 +22,19 @@ from .pipeline import WindowSet
 from .rng import make_rng
 
 
-@dataclass(frozen=True)
-class GMMSpec:
-    """Mixture over spike amplitudes, in units of the per-feature std."""
-
-    means: tuple[float, ...] = (2.0, 4.0, 6.0)
-    stds: tuple[float, ...] = (0.5, 0.5, 0.5)
-    weights: tuple[float, ...] = (1 / 3, 1 / 3, 1 / 3)
-
-    def __post_init__(self):
-        if not (len(self.means) == len(self.stds) == len(self.weights)):
-            raise ValueError("GMM component lists must have equal length")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise ValueError("GMM weights must sum to 1")
+STEP_ONSET_RANGE = (20, 60)        # inclusive range of a step's first row
+SPIKE_PERIOD_RANGE = (5, 15)       # inclusive range of the rows between spikes
+# mixture over spike amplitudes, in units of the per-feature std
+GMM_MEANS = (2.0, 4.0, 6.0)
+GMM_STDS = (0.5, 0.5, 0.5)
+GMM_WEIGHTS = (1 / 3, 1 / 3, 1 / 3)
 
 
 @dataclass(frozen=True)
 class InjectionSpec:
     anomaly_fraction: float = 0.5
     flat_features: tuple[int, ...] = (4, 5)
-    step_onset_range: tuple[int, int] = (20, 60)
     step_alpha: float = 3.0                # magnitude = alpha * per-feature std
-    spike_period_range: tuple[int, int] = (5, 15)
-    gmm: GMMSpec = field(default_factory=GMMSpec)
     noise_fraction: float = 0.10
     salt_pepper_prob: float = 0.02
     seed: int = 0
@@ -84,15 +76,15 @@ def inject_step(x: np.ndarray, features, onset: int, magnitude_per_feature) -> n
     return data
 
 
-def sample_spike_amplitudes(gmm: GMMSpec, n: int, rng: np.random.Generator):
+def sample_spike_amplitudes(n: int, rng: np.random.Generator):
     """Draw n (amplitude, sign) pairs from the mixture; amplitudes unsigned."""
-    comp = rng.choice(len(gmm.weights), size=n, p=np.asarray(gmm.weights))
-    amps = rng.normal(np.asarray(gmm.means)[comp], np.asarray(gmm.stds)[comp])
+    comp = rng.choice(len(GMM_WEIGHTS), size=n, p=np.asarray(GMM_WEIGHTS))
+    amps = rng.normal(np.asarray(GMM_MEANS)[comp], np.asarray(GMM_STDS)[comp])
     signs = rng.choice([-1.0, 1.0], size=n)
     return amps, signs
 
 
-def inject_spikes(x: np.ndarray, features, period: int, gmm: GMMSpec, seed: int) -> np.ndarray:
+def inject_spikes(x: np.ndarray, features, period: int, seed: int) -> np.ndarray:
     """Additive spikes at rows {period, 2*period, ...} of the selected features.
 
     Per spike and feature: mixture component by weight, amplitude from that
@@ -108,7 +100,7 @@ def inject_spikes(x: np.ndarray, features, period: int, gmm: GMMSpec, seed: int)
     sigma = x.std(axis=0)
     data = x.copy()
     for f in features:
-        amps, signs = sample_spike_amplitudes(gmm, len(rows), rng)
+        amps, signs = sample_spike_amplitudes(len(rows), rng)
         data[rows, f] += signs * amps * sigma[f]
     return data
 
@@ -126,16 +118,14 @@ def inject_point_noise(x: np.ndarray, seed: int) -> np.ndarray:
 
 
 def inject_saltpepper(x: np.ndarray, point_prob: float, seed: int,
-                      feature_min=None, feature_max=None) -> np.ndarray:
-    """Independently set each cell, with prob `point_prob`, to the feature's
-    extreme value (min or max, 50/50). Extremes default to the window's own;
-    pass corpus-level extremes for the benchmark protocol.
+                      lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Independently set each cell, with prob `point_prob`, to its feature's
+    extreme value in `lo` or `hi` (F,) (50/50); the benchmark passes the
+    test split's extremes.
     """
     if not 0 < point_prob < 1:
         raise ValueError("point_prob must be in (0, 1)")
     rng = make_rng(seed)
-    lo = x.min(axis=0) if feature_min is None else np.asarray(feature_min, dtype=np.float64)
-    hi = x.max(axis=0) if feature_max is None else np.asarray(feature_max, dtype=np.float64)
     hit = rng.random(x.shape) < point_prob
     salt = rng.random(x.shape) < 0.5
     return np.where(hit, np.where(salt, hi, lo), x)
@@ -146,14 +136,13 @@ def _inject_anomalies(windows: WindowSet, spec: InjectionSpec, features, rng) ->
     data, tags = windows.data.copy(), list(windows.tags)
     for i in np.sort(rng.permutation(n)[:int(round(spec.anomaly_fraction * n))]):
         if rng.random() < 0.5:
-            onset = int(rng.integers(spec.step_onset_range[0], spec.step_onset_range[1] + 1))
+            onset = int(rng.integers(STEP_ONSET_RANGE[0], STEP_ONSET_RANGE[1] + 1))
             magnitude = spec.step_alpha * data[i].std(axis=0)[features]
             data[i] = inject_step(data[i], features, onset, magnitude)
             tags[i] |= {"step"}
         else:
-            period = int(rng.integers(spec.spike_period_range[0],
-                                      spec.spike_period_range[1] + 1))
-            data[i] = inject_spikes(data[i], features, period, spec.gmm,
+            period = int(rng.integers(SPIKE_PERIOD_RANGE[0], SPIKE_PERIOD_RANGE[1] + 1))
+            data[i] = inject_spikes(data[i], features, period,
                                     seed=int(rng.integers(2 ** 62)))
             tags[i] |= {"spikes"}
     return WindowSet(data, tags, windows.origins)
@@ -162,15 +151,13 @@ def _inject_anomalies(windows: WindowSet, spec: InjectionSpec, features, rng) ->
 def _inject_noise(windows: WindowSet, spec: InjectionSpec, extremes, rng) -> WindowSet:
     n = len(windows)
     data, tags = windows.data.copy(), list(windows.tags)
-    lo, hi = extremes
     for i in rng.permutation(n)[:int(np.floor(spec.noise_fraction * n))]:
         if rng.random() < 0.5:
             data[i] = inject_point_noise(data[i], seed=int(rng.integers(2 ** 62)))
             tags[i] |= {"point_noise"}
         else:
             data[i] = inject_saltpepper(data[i], spec.salt_pepper_prob,
-                                        seed=int(rng.integers(2 ** 62)),
-                                        feature_min=lo, feature_max=hi)
+                                        int(rng.integers(2 ** 62)), *extremes)
             tags[i] |= {"salt_pepper"}
     return WindowSet(data, tags, windows.origins)
 
@@ -181,13 +168,17 @@ def build_testsets(clean_test: WindowSet, spec: InjectionSpec = InjectionSpec())
     A-6F injects step/spikes (50/50) into `anomaly_fraction` of windows over
     all features; A-4F does the same excluding the flat features. AN sets
     additionally apply point or salt-pepper noise (50/50) to floor(10%) of
-    windows. Pure function of (clean_test, spec).
+    windows. Pure function of (clean_test, spec). Raises ValueError for a
+    flat feature outside [0, F): it would make A-4F a copy of A-6F.
     """
     if len(clean_test) < 10:
         raise ValueError(f"need at least 10 test windows, got {len(clean_test)}")
     if clean_test.anomalous.any():
         raise ValueError("clean test windows must all be normal")
     all_features = list(range(clean_test.data.shape[2]))
+    outside = [f for f in spec.flat_features if f not in all_features]
+    if outside:
+        raise ValueError(f"flat features {outside} lie outside [0, {len(all_features)})")
     four = [f for f in all_features if f not in spec.flat_features]
     extremes = (clean_test.data.min(axis=(0, 1)), clean_test.data.max(axis=(0, 1)))
 

@@ -147,39 +147,30 @@ class Conv1d(Layer):
 
 
 class Dense(Layer):
+    """Bias-free x @ weight (Deep SVDD's layer)."""
+
     kind = "dense"
 
-    def __init__(self, d_in: int, d_out: int, use_bias: bool = True,
-                 rng: np.random.Generator | None = None):
-        self.d_in, self.d_out, self.use_bias = d_in, d_out, use_bias
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator | None = None):
+        self.d_in, self.d_out = d_in, d_out
         scale = 1.0 / np.sqrt(d_in)
         self.weight = (np.zeros((d_in, d_out)) if rng is None
                        else rng.uniform(-scale, scale, size=(d_in, d_out)))
-        self.bias = np.zeros(d_out) if use_bias else None
 
     def params(self):
-        p = {"weight": self.weight}
-        if self.use_bias:
-            p["bias"] = self.bias
-        return p
+        return {"weight": self.weight}
 
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.d_in:
             raise ValueError(f"dense expects (B,{self.d_in}), got {x.shape}")
-        y = x @ self.weight
-        if self.use_bias:
-            y = y + self.bias
-        return y, x
+        return x @ self.weight, x
 
     def backward(self, cache, grad_out, input_grad=True):
         x = cache
-        grads = {"weight": x.T @ grad_out}
-        if self.use_bias:
-            grads["bias"] = grad_out.sum(axis=0)
-        return (grad_out @ self.weight.T if input_grad else None), grads
+        return (grad_out @ self.weight.T if input_grad else None), {"weight": x.T @ grad_out}
 
     def hyperparams(self):
-        return {"d_in": self.d_in, "d_out": self.d_out, "use_bias": self.use_bias}
+        return {"d_in": self.d_in, "d_out": self.d_out}
 
 
 class ReLU(Layer):
@@ -337,23 +328,28 @@ def train_adam(stack: LayerStack, data: Tensor, loss_grad, epochs: int, batch: i
     `loss_grad(y, xb)` gives a batch's loss summed over its rows (a non-finite
     one raises TrainingDiverged naming epoch and batch) and its gradient
     w.r.t. `y`. A nonzero `weight_decay` adds 2 * weight_decay * params to
-    the gradient. The trained parameters are written back into `stack`."""
+    the gradient. The trained parameters are written back into `stack`.
+    Overflow warnings are silenced: the loss and gradient checks raise."""
+    if epochs < 1 or batch < 1:
+        raise ValueError(f"epochs and batch size must be >= 1, got {epochs} and {batch}")
     work, data = stack.astype(np.float32), np.asarray(data, dtype=np.float32)
     n, adam, curve = len(data), AdamState(lr=lr), []
-    for epoch in range(epochs):
-        order, epoch_loss = rng.permutation(n), 0.0
-        for start in range(0, n, batch):
-            xb = data[order[start:start + batch]]
-            y, tape = work.forward_tape(xb)
-            loss, dy = loss_grad(y, xb)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {start // batch}")
-            grads = work.backward(tape, dy)
-            if weight_decay:
-                grads += 2.0 * weight_decay * work.params
-            adam_step(adam, work.params, grads)
-            epoch_loss += loss
-        curve.append(epoch_loss / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            order, epoch_loss = rng.permutation(n), 0.0
+            for start in range(0, n, batch):
+                xb = data[order[start:start + batch]]
+                y, tape = work.forward_tape(xb)
+                loss, dy = loss_grad(y, xb)
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch}, batch {start // batch}")
+                grads = work.backward(tape, dy)
+                if weight_decay:
+                    grads += 2.0 * weight_decay * work.params
+                adam_step(adam, work.params, grads)
+                epoch_loss += loss
+            curve.append(epoch_loss / n)
     stack.params[...] = work.params
     return curve
 

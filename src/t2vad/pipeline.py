@@ -6,9 +6,10 @@ N=100 steps x F=6 features: forward-fill missing cells, drop duplicate
 rows, fence outliers on per-column quantiles, mean-resample long files,
 cut consecutive non-overlapping 100-step windows and pad short remainders
 by repeating the last row. The synthetic generator stands in for plant
-data: four correlated trend+sinusoid features and two near-flat ones.
-A window set is one `WindowSet`: an (n, N, F) array plus one tag set and
-one origin per window; other modules work on its arrays.
+data: four correlated trend+sinusoid features and two near-flat ones,
+laid out by module constants. A window set is one `WindowSet`: an
+(n, N, F) array plus one tag set and one origin per window; other
+modules work on its arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .rng import make_rng
 
 WINDOW_STEPS = 100
 N_FEATURES = 6
+FLAT_FEATURES = (4, 5)          # the synthetic corpus's near-flat features
+NOISE_STD = 0.05                # synthetic noise on the active features
+FLAT_NOISE_STD = 0.002          # and on the flat ones
 ANOMALY_TAGS = frozenset({"step", "spikes"})
 MIN_REMAINDER = 10
 
@@ -214,9 +218,9 @@ def resample(s: RawSeries, window_seconds: int) -> RawSeries:
     return RawSeries(ts, values, s.source_id)
 
 
-def auto_resample_width(n_rows: int, target: int = WINDOW_STEPS) -> int:
-    """Bucket width that lands a long file near `target` steps."""
-    return max(1, math.ceil(n_rows / target))
+def auto_resample_width(n_rows: int) -> int:
+    """Bucket width that lands a long file near WINDOW_STEPS steps."""
+    return max(1, math.ceil(n_rows / WINDOW_STEPS))
 
 
 def windowize(s: RawSeries) -> WindowSet:
@@ -257,37 +261,32 @@ def split(windows: WindowSet, test_fraction: float = 0.10, seed: int = 0,
 
 @dataclass(frozen=True)
 class SynthParams:
-    """Shape of the generated corpus: four correlated active features built
-    from two shared latents, two near-flat features (std < 1% of the active
-    ones)."""
+    """What `generate` sets: the corpus size and its test fraction. The
+    corpus has N_FEATURES features: four correlated active ones built from
+    two shared latents and the near-flat FLAT_FEATURES (std < 1% of the
+    active ones)."""
 
     n_windows: int = 2950
-    n_features: int = N_FEATURES
-    flat_features: tuple[int, ...] = (4, 5)
-    noise_std: float = 0.05
-    flat_noise_std: float = 0.002
     test_fraction: float = 0.10
 
     def __post_init__(self):
         if self.n_windows < 10:
             raise ValueError("n_windows must be >= 10")
-        if any(f >= self.n_features for f in self.flat_features):
-            raise ValueError("flat feature index out of range")
 
 
 def synth_generate(params: SynthParams = SynthParams(), seed: int = 0) -> Corpus:
     """Deterministic synthetic corpus standing in for proprietary plant data."""
     rng = make_rng(seed)
-    n_active = params.n_features - len(params.flat_features)
-    active = [f for f in range(params.n_features) if f not in params.flat_features]
+    n_active = N_FEATURES - len(FLAT_FEATURES)
+    active = [f for f in range(N_FEATURES) if f not in FLAT_FEATURES]
 
     # corpus-level mixing of two latents -> cross-feature correlation
     mix = rng.uniform(0.4, 1.2, size=(n_active, 2)) * rng.choice([-1.0, 1.0], size=(n_active, 2))
     offsets = rng.uniform(-1.0, 1.0, size=n_active)
-    flat_levels = rng.uniform(-1.0, 1.0, size=len(params.flat_features))
+    flat_levels = rng.uniform(-1.0, 1.0, size=len(FLAT_FEATURES))
 
     t = np.arange(WINDOW_STEPS) / WINDOW_STEPS
-    windows = np.zeros((params.n_windows, WINDOW_STEPS, params.n_features))
+    windows = np.zeros((params.n_windows, WINDOW_STEPS, N_FEATURES))
     for data in windows:
         freq = rng.uniform(1.0, 3.0, size=2)
         phase = rng.uniform(0.0, 2 * np.pi, size=2)
@@ -300,18 +299,18 @@ def synth_generate(params: SynthParams = SynthParams(), seed: int = 0) -> Corpus
         ], axis=1)                                   # (N, 2)
 
         data[:, active] = latents @ mix.T + offsets
-        data[:, active] += rng.normal(0.0, params.noise_std, size=(WINDOW_STEPS, n_active))
-        for j, f in enumerate(params.flat_features):
-            data[:, f] = flat_levels[j] + rng.normal(0.0, params.flat_noise_std, WINDOW_STEPS)
+        data[:, active] += rng.normal(0.0, NOISE_STD, size=(WINDOW_STEPS, n_active))
+        for j, f in enumerate(FLAT_FEATURES):
+            data[:, f] = flat_levels[j] + rng.normal(0.0, FLAT_NOISE_STD, WINDOW_STEPS)
 
     provenance = {
         "generator": "synth",
         "seed": seed,
         "n_windows": params.n_windows,
-        "n_features": params.n_features,
-        "flat_features": list(params.flat_features),
-        "noise_std": params.noise_std,
-        "flat_noise_std": params.flat_noise_std,
+        "n_features": N_FEATURES,
+        "flat_features": list(FLAT_FEATURES),
+        "noise_std": NOISE_STD,
+        "flat_noise_std": FLAT_NOISE_STD,
     }
     origins = [f"synth#{i}" for i in range(params.n_windows)]
     return split(WindowSet(windows, origins=origins), params.test_fraction, seed=seed,

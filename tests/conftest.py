@@ -26,7 +26,7 @@ def small_e2e(small_corpus):
         train_data)
     calib = calibrate(recon_model, train_data)
     emb = embed_many(t2v_model, train_data)
-    cfg = detect.DetectorConfig(svdd_epochs=10, ee_n_starts=10, seed=9)
+    cfg = detect.DetectorConfig(seed=9)
     detectors = {kind: detect.fit(kind, emb, cfg) for kind in detect.KINDS}
     suite = build_testsets(corpus.test_windows, InjectionSpec(seed=10))
     return {

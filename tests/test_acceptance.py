@@ -18,7 +18,7 @@ from t2vad import detect, ndtensor as nd
 from t2vad.autoenc import AEConfig, build_recon_ae, build_t2v_ae
 from t2vad.cli import main
 from t2vad.detect.deepsvdd import build_network
-from t2vad.detect.ocsvm import TOL
+from t2vad.detect.ocsvm import NU, TOL
 from t2vad.dtw import dtw_batch, dtw_bruteforce
 from t2vad.evaluate import Confusion, prf1
 from t2vad.pipeline import RawSeries, WindowSet, clean, split, windowize
@@ -197,7 +197,7 @@ def test_criterion_5_detector_sanity():
     # free SVs sit on the boundary to within the solver tolerance, so count
     # only points clearly outside it as the nu-bounded outlier fraction
     nu_fraction = float(np.mean(ocsvm.train_scores > TOL))
-    assert nu_fraction <= cfg.ocsvm_nu + 0.02
+    assert nu_fraction <= NU + 0.02
 
     assert detect.average_path_length(2) == 1.0
 

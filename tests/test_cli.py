@@ -1,6 +1,8 @@
 import argparse
 import json
 import re
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,10 @@ import pytest
 
 from t2vad import cli
 from t2vad.cli import build_parser, main
+from t2vad.detect import DetectorConfig
+from t2vad.inject import InjectionSpec
 from t2vad.persist import load_corpus, load_report
+from t2vad.pipeline import SynthParams
 
 
 def run(args):
@@ -189,11 +194,21 @@ def test_config_values_that_fit_their_flags_are_accepted(tmp_path, capsys, comma
     assert "does not fit" not in capsys.readouterr().err
 
 
+def run_without_warnings(args):
+    """`run(args)` and the warnings it raised, whatever the warning filters say."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(args)
+    return code, [str(w.message) for w in caught]
+
+
 def test_training_divergence_exits_1(workdir, tmp_path, capsys):
+    """Its `error:` line is all it prints: no numpy overflow warning before it."""
     out = tmp_path / "m.json"
-    assert run(["train", "--corpus", workdir / "corpus.json", "--epochs", 2,
-                "--lr", "1e30", "--out", out]) == 1
-    assert capsys.readouterr().err.startswith("error: non-finite loss")
+    assert run_without_warnings(["train", "--corpus", workdir / "corpus.json", "--epochs", 2,
+                                 "--lr", "1e30", "--out", out]) == (1, [])
+    assert re.fullmatch(r"error: non-finite loss at epoch \d+, batch \d+\n",
+                        capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -204,10 +219,11 @@ def test_deep_svdd_divergence_exits_1(workdir, tmp_path, capsys, monkeypatch):
                         lambda z, widths, epochs, batch, lr, decay, seed:
                         original(z, widths, epochs, batch, 1e30, decay, seed))
     out = tmp_path / "svdd.json"
-    assert run(["fit-detector", "--corpus", workdir / "corpus.json", "--model",
-                workdir / "t2v.json", "--kind", "deep_svdd", "--out", out]) == 1
-    assert re.match(r"error: non-finite loss at epoch \d+, batch \d+\n",
-                    capsys.readouterr().err)
+    assert run_without_warnings(["fit-detector", "--corpus", workdir / "corpus.json", "--model",
+                                 workdir / "t2v.json", "--kind", "deep_svdd",
+                                 "--out", out]) == (1, [])
+    assert re.fullmatch(r"error: non-finite loss at epoch \d+, batch \d+\n",
+                        capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -319,3 +335,54 @@ def test_preprocess_rejects_a_test_fraction_that_empties_a_side(tmp_path, capsys
     assert run(["preprocess", "--inputs", csv, "--features", COLS, "--fence-k", 10.0,
                 "--test-fraction", "0.01", "--out", tmp_path / "corpus.json"]) == 1
     assert "leaves a side empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", ["0", "-3"])
+def test_preprocess_rejects_a_resample_width_below_1(tmp_path, capsys, width):
+    csv = write_plant_csv(tmp_path / "plant.csv", 1150)
+    out = tmp_path / "corpus.json"
+    assert run(["preprocess", "--inputs", csv, "--features", COLS, "--fence-k", 10.0,
+                "--resample", width, "--out", out]) == 1
+    assert "window_seconds must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", ["t2v", "reconstruction"])
+@pytest.mark.parametrize("quantile", ["1.5", "1.0", "0", "-0.5"])
+def test_train_rejects_a_threshold_quantile_outside_0_1_before_training(
+        workdir, tmp_path, capsys, monkeypatch, variant, quantile):
+    def no_training(*args):
+        raise AssertionError("trained despite a bad threshold quantile")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    out = tmp_path / "m.json"
+    assert run(["train", "--corpus", workdir / "corpus.json", "--variant", variant,
+                "--threshold-quantile", quantile, "--out", out]) == 1
+    assert capsys.readouterr().err == "error: threshold quantile must be in (0, 1)\n"
+    assert not out.exists()
+
+
+# Each field of the three settings dataclasses, and the flag that sets it.
+# A field without a flag is a setting no command can reach: make it a
+# module constant instead, or give it a flag and an entry here.
+FIELD_FLAGS = {
+    DetectorConfig: ("fit-detector", {"threshold_quantile": "--threshold-quantile",
+                                      "seed": "--seed"}),
+    SynthParams: ("generate", {"n_windows": "--windows", "test_fraction": "--test-fraction"}),
+    InjectionSpec: ("build-testsets", {"anomaly_fraction": "--anomaly-fraction",
+                                       "flat_features": "--flat-features",
+                                       "step_alpha": "--step-alpha",
+                                       "noise_fraction": "--noise-fraction",
+                                       "salt_pepper_prob": "--salt-pepper-prob",
+                                       "seed": "--seed"}),
+}
+
+
+@pytest.mark.parametrize("cls", FIELD_FLAGS, ids=lambda cls: cls.__name__)
+def test_every_settings_field_is_a_flag_of_its_command(cls):
+    command, flags = FIELD_FLAGS[cls]
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    options = {o for a in commands[command]._actions for o in a.option_strings}
+    assert sorted(f.name for f in fields(cls)) == sorted(flags)
+    assert {flag for flag in flags.values() if flag not in options} == set()

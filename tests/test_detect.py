@@ -6,17 +6,18 @@ import pytest
 
 from t2vad import detect
 from t2vad.autoenc import embed_many
-from t2vad.detect import DetectorConfig, DetectorModel, average_path_length
+from t2vad.detect import DetectorConfig, DetectorModel, average_path_length, ocsvm
 from t2vad.detect.deepsvdd import build_network, fit_deep_svdd, score_deep_svdd
-from t2vad.detect.ee import score_ee
+from t2vad.detect.ee import fit_ee, score_ee
 from t2vad.detect.iforest import NODE_ARRAYS, SUBSAMPLE, fit_iforest, score_iforest
-from t2vad.detect.ocsvm import TOL, rbf_kernel
+from t2vad.detect.lof import fit_lof
+from t2vad.detect.ocsvm import TOL, fit_ocsvm, rbf_kernel
 from t2vad.detect.pca import pca_fit, pca_transform
 from t2vad.dtw import dtw_batch
 from t2vad.ndtensor import TrainingDiverged
 from t2vad.rng import make_rng
 
-CFG = DetectorConfig(svdd_epochs=15, ee_n_starts=10, seed=0)
+CFG = DetectorConfig(seed=0)
 
 
 def gaussian_blob(n=200, d=8, seed=0, shift=0.0):
@@ -232,13 +233,13 @@ def test_forest_is_array_equal_to_the_full_search_reference(name):
 # ---------------------------------------------------------------------------
 
 def test_lof_near_one_on_uniform_grid():
-    # lattice corners sit at ~1.23 once k reaches 20 (boundary effect), so the
-    # homogeneous-density check runs with a tighter neighborhood
+    # lattice corners sit at ~1.23 once k reaches lof.K = 20 (boundary effect),
+    # so the homogeneous-density check runs with a tighter neighborhood
     xs, ys = np.meshgrid(np.arange(15.0), np.arange(15.0))
     grid = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    model = detect.fit("lof", grid, DetectorConfig(lof_k=10, seed=0))
-    assert np.all(model.train_scores >= 0.8)
-    assert np.all(model.train_scores <= 1.2)
+    train_lof = fit_lof(grid, 10)["train_lof"]
+    assert np.all(train_lof >= 0.8)
+    assert np.all(train_lof <= 1.2)
 
 
 def test_lof_needs_more_than_k_points():
@@ -272,9 +273,9 @@ def test_ocsvm_nu_property():
     x = gaussian_blob(n=400, d=6, seed=9)
     model = detect.fit("ocsvm", x, CFG)
     outlier_fraction = float(np.mean(model.train_scores > TOL))
-    assert outlier_fraction <= CFG.ocsvm_nu + 0.02
+    assert outlier_fraction <= ocsvm.NU + 0.02
     at_box = float(np.mean(model.state["alpha_full"] >= model.state["box"] - 1e-9))
-    assert at_box <= CFG.ocsvm_nu + 0.02     # margin errors are box-bound alphas
+    assert at_box <= ocsvm.NU + 0.02     # margin errors are box-bound alphas
 
 
 def test_ocsvm_score_is_rho_minus_kernel_sum():
@@ -288,8 +289,8 @@ def test_ocsvm_score_is_rho_minus_kernel_sum():
 
 
 def test_ocsvm_rejects_bad_nu():
-    with pytest.raises(ValueError):
-        DetectorConfig(ocsvm_nu=1.5)
+    with pytest.raises(ValueError, match="nu must be in"):
+        fit_ocsvm(gaussian_blob(), 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +305,7 @@ def test_ee_covariance_psd(small_e2e):
 
 def test_ee_score_zero_at_robust_mean():
     x = gaussian_blob(n=200, d=5, seed=11)
-    cfg = DetectorConfig(ee_pca_dims=4, ee_n_starts=10, seed=1)
-    state = detect.fit("ee", x, cfg).state
+    state = fit_ee(x, 4, 10, make_rng(1))
     # score_ee projects its input first: map the robust mean back to the full space
     robust_mean = state["pca_mean"] + state["pca_basis"] @ state["mu"]
     assert score_ee(state, robust_mean[None])[0] == pytest.approx(0.0)
@@ -313,22 +313,21 @@ def test_ee_score_zero_at_robust_mean():
 
 def test_ee_state_holds_its_pca_reduction():
     x = gaussian_blob(n=200, d=5, seed=11)
-    model = detect.fit("ee", x, DetectorConfig(ee_pca_dims=3, ee_n_starts=5, seed=1))
-    z = (x - model.scaler_mean) / model.scaler_std
-    basis, mean = pca_fit(z, 3)
-    assert np.array_equal(model.state["pca_basis"], basis)
-    assert np.array_equal(model.state["pca_mean"], mean)
-    assert model.state["mu"].shape == (3,) and model.state["cov"].shape == (3, 3)
+    state = fit_ee(x, 3, 5, make_rng(1))
+    basis, mean = pca_fit(x, 3)
+    assert np.array_equal(state["pca_basis"], basis)
+    assert np.array_equal(state["pca_mean"], mean)
+    assert state["mu"].shape == (3,) and state["cov"].shape == (3, 3)
 
 
 def test_ee_resists_contamination():
     rng = make_rng(12)
     x = np.concatenate([rng.normal(size=(300, 4)),
                         rng.normal(size=(30, 4)) + 12.0])
-    cfg = DetectorConfig(ee_pca_dims=3, ee_n_starts=10, seed=2)
-    model = detect.fit("ee", x, cfg)
-    clean_scores = model.train_scores[:300]
-    dirty_scores = model.train_scores[300:]
+    state = fit_ee(x, 3, 10, make_rng(2))
+    scores = score_ee(state, x)
+    clean_scores = scores[:300]
+    dirty_scores = scores[300:]
     assert np.median(dirty_scores) > np.max(np.median(clean_scores, keepdims=True))
 
 
@@ -365,6 +364,12 @@ def test_deep_svdd_deterministic():
 def test_deep_svdd_needs_32_points():
     with pytest.raises(ValueError, match="32"):
         fit_deep_svdd(gaussian_blob(n=20, d=4), (8, 4), 5, 16, 1e-3, 1e-4, 0)
+
+
+@pytest.mark.parametrize("epochs, batch", [(0, 16), (-3, 16), (2, 0)])
+def test_deep_svdd_rejects_fewer_than_one_epoch_or_batch_row(epochs, batch):
+    with pytest.raises(ValueError, match="epochs and batch size must be >= 1"):
+        fit_deep_svdd(gaussian_blob(n=48, d=10), (16, 4), epochs, batch, 1e-3, 1e-4, 0)
 
 
 def test_deep_svdd_widths_must_decrease():
@@ -405,7 +410,7 @@ def test_score_at_threshold_predicts_normal():
 
 def test_fit_deterministic_per_seed():
     x = gaussian_blob(n=120, d=6, seed=18)
-    cfg = DetectorConfig(svdd_epochs=5, ee_pca_dims=4, ee_n_starts=5, seed=6)
+    cfg = DetectorConfig(seed=6)
     for kind in detect.KINDS:
         a = detect.fit(kind, x, cfg)
         b = detect.fit(kind, x, cfg)
@@ -471,13 +476,6 @@ def test_an_empty_batch_gives_an_empty_result(small_e2e, what):
     assert out.shape == ((0, 700) if what == "embed_many" else (0,))
 
 
-@pytest.mark.parametrize("name", ["iforest_trees", "lof_k", "ee_pca_dims", "ee_n_starts"])
-@pytest.mark.parametrize("value", [0, -1])
-def test_config_rejects_a_count_below_1_by_name(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
-        DetectorConfig(**{name: value})
-
-
 # ---------------------------------------------------------------------------
 # degenerate training sets: finite scores and threshold, or a ValueError
 # ---------------------------------------------------------------------------
@@ -513,7 +511,7 @@ def expected_error(kind, name, n):
 @pytest.mark.parametrize("kind", detect.KINDS)
 def test_degenerate_training_set_fits_finite_or_raises(kind, name):
     x = degenerate_sets()[name]
-    cfg = DetectorConfig(iforest_trees=10, svdd_epochs=2, ee_n_starts=3, seed=0)
+    cfg = DetectorConfig(seed=0)
     error = expected_error(kind, name, len(x))
     if error is not None:
         with pytest.raises(ValueError, match=error):
@@ -547,8 +545,7 @@ def test_fit_calls_the_module_level_fit_function_bound_at_call_time(monkeypatch,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(detect, f"fit_{kind}", recording)
-    model = detect.fit(kind, gaussian_blob(n=48, d=6, seed=31),
-                       DetectorConfig(iforest_trees=5, svdd_epochs=1, ee_n_starts=2))
+    model = detect.fit(kind, gaussian_blob(n=48, d=6, seed=31))
     assert calls == [kind]
     assert model.train_scores.shape == (48,)
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from t2vad.inject import (GMMSpec, InjectionSpec, TestSuite, build_testsets,
-                          inject_point_noise, inject_saltpepper, inject_spikes,
-                          inject_step, sample_spike_amplitudes)
+from t2vad.inject import (GMM_MEANS, GMM_STDS, GMM_WEIGHTS, InjectionSpec, TestSuite,
+                          build_testsets, inject_point_noise, inject_saltpepper,
+                          inject_spikes, inject_step, sample_spike_amplitudes)
 from t2vad.pipeline import WindowSet
 from t2vad.rng import make_rng
 
@@ -34,9 +34,9 @@ def test_injectors_leave_their_input_untouched():
     w = make_window(1)
     before = w.copy()
     inject_step(w, [0], 10, [5.0])
-    inject_spikes(w, [0], 5, GMMSpec(), seed=1)
+    inject_spikes(w, [0], 5, seed=1)
     inject_point_noise(w, seed=2)
-    inject_saltpepper(w, 0.5, seed=3)
+    inject_saltpepper(w, 0.5, 3, w.min(axis=0), w.max(axis=0))
     assert np.array_equal(w, before)
 
 
@@ -74,21 +74,21 @@ def test_step_onset_bounds():
 
 def test_spikes_period_100_at_most_one_row():
     w = make_window(6)
-    out = inject_spikes(w, [0], period=100, gmm=GMMSpec(), seed=1)
+    out = inject_spikes(w, [0], period=100, seed=1)
     changed = np.flatnonzero((out != w).any(axis=1))
     assert len(changed) <= 1
 
 
 def test_spikes_period_10_exactly_nine_rows():
     w = make_window(7)
-    out = inject_spikes(w, [0], period=10, gmm=GMMSpec(), seed=2)
+    out = inject_spikes(w, [0], period=10, seed=2)
     changed = np.flatnonzero(out[:, 0] != w[:, 0])
     np.testing.assert_array_equal(changed, np.arange(10, 100, 10))
 
 
 def test_spikes_off_period_rows_untouched():
     w = make_window(8)
-    out = inject_spikes(w, [0, 1], period=7, gmm=GMMSpec(), seed=3)
+    out = inject_spikes(w, [0, 1], period=7, seed=3)
     rows = np.arange(7, 100, 7)
     mask = np.ones(100, dtype=bool)
     mask[rows] = False
@@ -97,12 +97,7 @@ def test_spikes_off_period_rows_untouched():
 
 def test_spikes_period_validation():
     with pytest.raises(ValueError, match="period"):
-        inject_spikes(make_window(9), [0], period=1, gmm=GMMSpec(), seed=0)
-
-
-def test_gmm_validation():
-    with pytest.raises(ValueError, match="sum to 1"):
-        GMMSpec(weights=(0.5, 0.2, 0.2))
+        inject_spikes(make_window(9), [0], period=1, seed=0)
 
 
 def normal_cdf(x, mu, sd):
@@ -112,12 +107,11 @@ def normal_cdf(x, mu, sd):
 def test_spike_amplitudes_match_mixture_cdf():
     """Kolmogorov distance between 1e5 sampled amplitudes and the analytic
     3-component mixture CDF stays below 0.01."""
-    gmm = GMMSpec()
-    amps, signs = sample_spike_amplitudes(gmm, 100_000, make_rng(42))
+    amps, signs = sample_spike_amplitudes(100_000, make_rng(42))
     amps = np.sort(amps)
     grid = np.arange(1, len(amps) + 1) / len(amps)
     cdf = sum(w * np.array([normal_cdf(a, m, s) for a in amps])
-              for w, m, s in zip(gmm.weights, gmm.means, gmm.stds))
+              for w, m, s in zip(GMM_WEIGHTS, GMM_MEANS, GMM_STDS))
     ks = np.max(np.abs(grid - cdf))
     assert ks < 0.01
     assert set(np.unique(signs)) == {-1.0, 1.0}
@@ -151,7 +145,8 @@ def test_point_noise_offset_is_six_sigma():
 def test_saltpepper_expected_cell_count():
     # 600 cells at p=0.02 -> 12 expected; mean over 1000 seeds within +/-10%
     w = make_window(13)
-    counts = [(inject_saltpepper(w, 0.02, seed=s) != w).sum()
+    lo, hi = w.min(axis=0), w.max(axis=0)
+    counts = [(inject_saltpepper(w, 0.02, s, lo, hi) != w).sum()
               for s in range(1000)]
     assert 10.8 <= np.mean(counts) <= 13.2
 
@@ -160,7 +155,7 @@ def test_saltpepper_values_are_extremes():
     w = make_window(14)
     lo = w.min(axis=0)
     hi = w.max(axis=0)
-    out = inject_saltpepper(w, 0.05, seed=8)
+    out = inject_saltpepper(w, 0.05, 8, lo, hi)
     rows, cols = np.nonzero(out != w)
     assert len(rows) > 0
     for r, c in zip(rows, cols):
@@ -169,7 +164,8 @@ def test_saltpepper_values_are_extremes():
 
 def test_saltpepper_prob_validation():
     with pytest.raises(ValueError):
-        inject_saltpepper(make_window(15), 0.0, seed=0)
+        w = make_window(15)
+        inject_saltpepper(w, 0.0, 0, w.min(axis=0), w.max(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -255,3 +251,9 @@ def test_step_windows_untouched_before_onset(suite_295, clean_295):
             onset = diff[0]
             assert np.array_equal(inj[:onset], orig[:onset])
             assert 20 <= onset <= 60
+
+
+@pytest.mark.parametrize("flat", [(9,), (-1,), (6,), (4, 6)])
+def test_testsets_reject_a_flat_feature_outside_the_features(flat):
+    with pytest.raises(ValueError, match=r"flat features \[-?\d\] lie outside \[0, 6\)"):
+        build_testsets(make_windows(range(12)), InjectionSpec(flat_features=flat, seed=0))

@@ -64,8 +64,8 @@ def fd_input_grad(layer, x, upstream, h=1e-6):
 # ---------------------------------------------------------------------------
 
 def dense_matmul(x, weight):
-    """x @ weight through a bias-free Dense layer (the batch is x's rows)."""
-    layer = nd.Dense(*weight.shape, use_bias=False)
+    """x @ weight through a Dense layer (the batch is x's rows)."""
+    layer = nd.Dense(*weight.shape)
     layer.weight[...] = weight
     return layer.forward(x)[0]
 
@@ -140,12 +140,12 @@ def test_conv1d_strided_output_length():
 
 
 def test_conv1d_k1_equals_dense_per_timestep():
+    """A fresh conv has a zero bias, so it matches the bias-free dense layer."""
     rng = make_rng(4)
     x = rng.normal(size=(2, 10, 3))
     conv = nd.Conv1d(3, 5, 1, rng=make_rng(5))
     dense = nd.Dense(3, 5, rng=make_rng(99))
     dense.weight[...] = conv.kernels[:, :, 0].T
-    dense.bias[...] = conv.bias
     y_conv, _ = conv.forward(x)
     y_dense, _ = dense.forward(x.reshape(-1, 3))
     np.testing.assert_allclose(y_conv.reshape(-1, 5), y_dense, atol=1e-12)
@@ -565,3 +565,11 @@ def test_train_adam_names_the_epoch_and_batch_of_a_non_finite_loss():
                       lambda y, xb: (next(losses), 2.0 * y), epochs=3, batch=4, lr=1e-2,
                       rng=make_rng(86))
     assert np.array_equal(stack.params, before)
+
+
+@pytest.mark.parametrize("epochs, batch", [(0, 4), (-3, 4), (3, 0), (3, -1)])
+def test_train_adam_rejects_fewer_than_one_epoch_or_batch_row(epochs, batch):
+    stack, _ = svdd_stack(87)
+    with pytest.raises(ValueError, match="epochs and batch size must be >= 1"):
+        nd.train_adam(stack, make_rng(88).normal(size=(12, 10)), lambda y, xb: (0.0, 0.0 * y),
+                      epochs=epochs, batch=batch, lr=1e-2, rng=make_rng(89))

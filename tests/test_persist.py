@@ -193,8 +193,9 @@ def test_loaded_model_layers_train_through_the_flat_vector(tmp_path, small_e2e):
     save_model(path, small_e2e["t2v_model"])
     loaded, _ = load_model(path)
     before = [arr.copy() for layer in loaded.stack.layers for arr in layer.params().values()]
-    one_step = replace(loaded.config, epochs=1, batch=len(small_e2e["corpus"].train_windows))
-    train(loaded, small_e2e["corpus"].train_windows.data, one_step)
+    loaded.config = replace(loaded.config, epochs=1,
+                            batch=len(small_e2e["corpus"].train_windows))
+    train(loaded, small_e2e["corpus"].train_windows.data)
     after = [arr for layer in loaded.stack.layers for arr in layer.params().values()]
     assert all(np.shares_memory(arr, loaded.stack.params) for arr in after)
     assert all(not np.array_equal(a, b) for a, b in zip(before, after))
@@ -476,12 +477,19 @@ ARTIFACT_FIELD_MUTATIONS = {
         "det.ocsvm.json", shorten_state_array("alpha"), r"ocsvm state entries \['alpha'\]"),
     "detector-config-unknown-key": (
         "det.iforest.json", lambda d: d["config"].update(bogus=1), "bogus"),
-    "detector-config-lof-k-zero": (
-        "det.lof.json", lambda d: d["config"].update(lof_k=0),
-        "bad detector config: lof_k must be at least 1, got 0"),
+    "detector-config-threshold-quantile-one": (
+        "det.lof.json", lambda d: d["config"].update(threshold_quantile=1.0),
+        r"bad detector config: threshold quantile must be in \(0, 1\)"),
     "detector-config-of-an-old-file": (
         "det.deep_svdd.json", lambda d: d["config"].update(OLD_CONFIG_SETTINGS),
         "bad detector config: .*unexpected keyword"),
+    "detector-config-with-a-retired-fit-setting": (
+        "det.lof.json", lambda d: d["config"].update(lof_k=20),
+        "bad detector config: .*unexpected keyword argument 'lof_k'"),
+    "detector-dense-layer-with-a-retired-use-bias": (
+        "det.deep_svdd.json",
+        lambda d: d["state"]["layers"][0]["hyperparams"].update(use_bias=False),
+        "bad dense hyperparameters: .*unexpected keyword argument 'use_bias'"),
     "detector-threshold-nan": ("det.ocsvm.json", lambda d: d.update(threshold=math.nan),
                                "scaler needs .* a finite threshold"),
     "detector-scaler-std-broadcastable": (

@@ -26,7 +26,7 @@ def layer_case(name, rng):
     if name == "conv1d-stride2":
         return nd.Conv1d(16, 16, 5, stride=2, rng=rng), (4, 20, 16)
     if name == "dense":
-        return nd.Dense(700, 128, use_bias=False, rng=rng), (8, 700)
+        return nd.Dense(700, 128, rng=rng), (8, 700)
     if name == "relu":
         return nd.ReLU(), (4, 20, 16)
     if name == "upsample":
