@@ -189,12 +189,14 @@ def cmd_fit_detector(args) -> int:
     kinds = list(detect.KINDS) if args.kind == "all" else [args.kind]
     cfg = detect.DetectorConfig(threshold_quantile=args.threshold_quantile,
                                 seed=args.seed)
-    for kind in kinds:
-        fitted = detect.fit(kind, emb, cfg)
+    # every kind is fitted before any file is written, so a failed fit leaves
+    # the files of an earlier run as they were, never a mix of two runs
+    fitted = {kind: detect.fit(kind, emb, cfg) for kind in kinds}
+    for kind, detector in fitted.items():
         path = args.out if len(kinds) == 1 else _suffixed(args.out, kind)
-        save_detector(_out_path(path), fitted)
-        curve = fitted.state.get("loss_curve")
-        print(f"fitted {kind}: threshold {fitted.threshold:.4f} "
+        save_detector(_out_path(path), detector)
+        curve = detector.state.get("loss_curve")
+        print(f"fitted {kind}: threshold {detector.threshold:.4f} "
               f"(q={args.threshold_quantile})"
               + (f"; loss {curve[0]:.5f} -> {curve[-1]:.5f}" if curve else ""))
     return 0

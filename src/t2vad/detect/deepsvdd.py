@@ -10,6 +10,15 @@ layers rule out the trivial constant-map solution, and a collapse guard
 shifts a center that lands on the origin.
 The fitted state holds the float64 net, the center and the mean objective
 of each epoch (`loss_curve`).
+
+EPOCHS is 30 because at this learning rate Adam turns unstable late in
+training. Over 100 epochs the objective rises for whole stretches and ends
+1.13-2.28 times its own minimum (default scale, seeds 123, 1, 2, 3); over
+30 epochs each of those curves ends at its minimum and is non-increasing
+in blocks of 5 epochs. Pooled over those seeds, the 30-epoch net flags
+580 of the 592 A-6F anomalies against 516, with 16 clean false alarms
+against 18, in 30% of the Adam steps. It also flags more of the
+noise-tagged normal windows of AN-6F: 30 of 58 against 14.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from .. import ndtensor as nd
 from ..rng import make_rng
 
 WIDTHS = (128, 32)     # hidden and output widths of the fitted net
-EPOCHS = 100
+EPOCHS = 30
 BATCH = 64
 LR = 1e-3
 WEIGHT_DECAY = 1e-4

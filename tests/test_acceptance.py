@@ -272,6 +272,10 @@ def test_criterion_6_end_to_end_synthetic_analog(e2e_runs):
         assert curve[-1] < 0.5 * curve[0], name
         means = np.array(curve).reshape(-1, 5).mean(axis=1)
         assert np.all(np.diff(means) <= 1e-12), name   # smoothed non-increasing
+    # ... and Deep SVDD's objective ends within 10% of its minimum, on the same check
+    svdd = json.loads((out_dir / "det.deep_svdd.json").read_text())["state"]["loss_curve"]
+    assert svdd[-1] <= 1.1 * min(svdd), svdd
+    assert np.all(np.diff(np.array(svdd).reshape(-1, 5).mean(axis=1)) <= 1e-12), svdd
 
     # (b) clean all-feature anomalies: baseline and some embedding method >= 0.8
     assert results["recon_ae"]["A-6F"]["f1"] >= 0.8

@@ -10,7 +10,7 @@ import pytest
 
 from t2vad import cli
 from t2vad.cli import build_parser, main
-from t2vad.detect import DetectorConfig
+from t2vad.detect import DetectorConfig, deepsvdd
 from t2vad.inject import InjectionSpec
 from t2vad.persist import load_corpus, load_report
 from t2vad.pipeline import SynthParams
@@ -260,8 +260,31 @@ def test_fit_detector_prints_the_deep_svdd_loss_curve_ends(workdir, capsys):
                 workdir / "t2v.json", "--kind", "deep_svdd", "--seed", 5,
                 "--out", workdir / "svdd.json"]) == 0
     curve = json.loads((workdir / "svdd.json").read_text())["state"]["loss_curve"]
-    assert len(curve) == 100
+    assert len(curve) == deepsvdd.EPOCHS
     assert f"loss {curve[0]:.5f} -> {curve[-1]:.5f}" in capsys.readouterr().out
+
+
+def test_fit_detector_all_writes_no_file_when_a_later_kind_fails(workdir, tmp_path, capsys):
+    """The files of an earlier run stay as they were: a failed `--kind all` never
+    leaves some kinds refitted and the rest stale. On 31 training windows iforest,
+    LOF and OCSVM fit, and EE, which needs more than 32, fails."""
+    small = tmp_path / "small_corpus.json"
+    assert run(["generate", "--seed", 6, "--windows", 34, "--out", small]) == 0
+    assert len(load_corpus(small).train_idx) == 31
+    before = {p.name: p.read_bytes() for p in detector_paths(workdir)}
+    for name, data in before.items():
+        (tmp_path / name).write_bytes(data)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for out_dir in (tmp_path, empty):
+        capsys.readouterr()
+        assert run(["fit-detector", "--corpus", small, "--model", workdir / "t2v.json",
+                    "--kind", "all", "--seed", 5, "--out", out_dir / "det.json"]) == 1
+        captured = capsys.readouterr()
+        assert "need more than 32 samples, got 31" in captured.err
+        assert captured.out == ""
+    assert {p.name: p.read_bytes() for p in tmp_path.glob("det.*.json")} == before
+    assert list(empty.iterdir()) == []
 
 
 def test_commands_do_not_mutate_inputs(workdir):
