@@ -21,7 +21,7 @@ for kind in detect.KINDS:
     model = detect.fit(kind, train, cfg)
     normal_scores = detect.score_many(model, train)
     far_scores = detect.score_many(model, far)
-    flagged = detect.predict_many(model, far).sum()
+    flagged = (far_scores > model.threshold).sum()
     print(f"{kind:<10} {model.threshold:>10.4f} {np.median(normal_scores):>14.4f} "
           f"{np.median(far_scores):>11.4f} {flagged}/5")
 

@@ -11,7 +11,7 @@ enters the loss).
 
 The baseline flags anomalies by a composite reconstruction score: the sum
 of z-normalized MSE, MAE and DTW components, each standardized by
-training-set statistics.
+training-set statistics, and thresholded by every detector's rule.
 
 Every function takes windows as a batch `(B, N, F)`; one window is `x[None]`.
 """
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ndtensor as nd
+from .detect import checked_quantile, fitted_threshold
 from .dtw import dtw_batch, first_nonfinite
 from .rng import make_rng
 from .t2v import T2VLayer
@@ -164,7 +165,7 @@ def embed_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
 @dataclass
 class ScoreCalibration:
     """Training-set mean/std for each raw component (MSE, MAE, DTW) and the
-    decision threshold (a quantile of calibrated training scores)."""
+    decision threshold (a quantile in (0, 1) of calibrated training scores)."""
 
     means: np.ndarray
     stds: np.ndarray
@@ -174,6 +175,7 @@ class ScoreCalibration:
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=np.float64)
         self.stds = np.asarray(self.stds, dtype=np.float64)
+        checked_quantile(self.threshold_quantile)
 
 
 SCORE_CHUNK = 64   # windows per forward pass; bounds the im2col buffers
@@ -215,10 +217,8 @@ def calibrate(model: TrainedModel, data: np.ndarray,
     comps = score_components_many(model, data)
     means = comps.mean(axis=0)
     stds = np.maximum(comps.std(axis=0), 1e-12)
-    z = (comps - means) / stds
-    scores = z.sum(axis=1)
-    return ScoreCalibration(means, stds,
-                            float(np.quantile(scores, threshold_quantile)),
+    scores = ((comps - means) / stds).sum(axis=1)
+    return ScoreCalibration(means, stds, fitted_threshold(scores, threshold_quantile),
                             threshold_quantile)
 
 

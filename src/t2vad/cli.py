@@ -55,23 +55,13 @@ def _fits(action: argparse.Action, value) -> bool:
             and (action.choices is None or value in action.choices))
 
 
-def _given(argv) -> set[str]:
-    """The flags `argv` itself sets: a second parse with every subcommand default
-    suppressed, so that a flag given at its default value still counts."""
-    parser = build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for command in commands.choices.values():
-        for action in command._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                       argv) -> None:
-    """Fill the flags `argv` does not give from --config JSON, an object of flag
-    names; unknown keys and values that do not fit their flag are errors."""
+                       argv) -> argparse.Namespace:
+    """`args`; with --config, `argv` parsed again with the JSON object's flag values as
+    defaults, so flags `argv` gives win. Unknown keys, and values that do not fit
+    their flag, are errors."""
     if not getattr(args, "config", None):
-        return
+        return args
     try:
         with open(args.config) as fh:
             overrides = json.load(fh)
@@ -80,16 +70,15 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
     if not isinstance(overrides, dict):
         raise CommandError(f"config file {args.config} must hold a JSON object, "
                            f"not {type(overrides).__name__}")
-    actions = {a.dest: a for a in parser._actions if a.dest != "help"}
+    actions = {a.dest: a for a in args.parser._actions if a.dest != "help"}
     unknown = [k for k in overrides if k not in actions]
     if unknown:
         raise CommandError(f"unknown config keys: {unknown}")
-    given = _given(argv)
     for key, value in overrides.items():
         if not _fits(actions[key], value):
             raise CommandError(f"config value {key}={json.dumps(value)} does not fit its flag")
-        if key not in given:        # CLI flags win
-            setattr(args, key, value)
+    args.parser.set_defaults(**overrides)
+    return parser.parse_args(argv)
 
 
 def _effective(args: argparse.Namespace) -> dict:
@@ -163,8 +152,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if not 0 < args.threshold_quantile < 1:     # the rule DetectorConfig applies
-        raise CommandError("threshold quantile must be in (0, 1)")
+    detect.checked_quantile(args.threshold_quantile)   # before any loading or training
     corpus = load_corpus(_require(args.corpus, "corpus"))
     n, f = corpus.windows.data.shape[1:]
     cfg = AEConfig(variant=args.variant, k=args.k, decoder_layers=args.decoder_layers,
@@ -231,10 +219,12 @@ def cmd_evaluate(args) -> int:
     if calib is None:
         raise CommandError(f"{args.recon_model} carries no score calibration "
                            "(train it with --variant reconstruction)")
-    detectors = {}
+    detectors, paths = {}, {}
     for path in args.detectors:
         model = load_detector(_require(path, "detector"))
-        detectors[model.kind] = model
+        if model.kind in paths:
+            raise CommandError(f"{paths[model.kind]} and {path} are both {model.kind} detectors")
+        detectors[model.kind], paths[model.kind] = model, path
     effective = _effective(args)
     report = run_benchmark(suite, t2v_model, recon_model, calib, detectors,
                            config_digest=config_digest(effective),
@@ -362,7 +352,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:   # argparse uses 2 for usage errors, 0 for --help
         return int(exc.code or 0)
     try:
-        _apply_config_file(args, args.parser, argv)
+        args = _apply_config_file(args, parser, argv)
         return args.func(args)
     except (CommandError, ValueError, OSError, TrainingDiverged, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,10 +5,11 @@ statistics, stored with the model); the envelope detector (EE) reduces
 them by PCA inside its own fit and score. Every fit setting is a constant
 in its detector's module (iforest.TREES, lof.K, ocsvm.NU, ...);
 `DetectorConfig` holds only what `fit-detector` sets. Scores are oriented
-so that higher means more anomalous, and the decision threshold is a
-quantile of the training scores, the same rule for every kind, so
-comparisons between methods are apples-to-apples. `predict_many` flags
-strictly above-threshold scores of an (n, d) batch: True = anomalous.
+so that higher means more anomalous. The threshold rule is written once,
+here, and serves the reconstruction baseline too: `checked_quantile`
+admits a quantile q in (0, 1), `fitted_threshold` is the q-quantile of a
+method's fit-time scores, and a window scoring strictly above it is
+anomalous. So comparisons between methods are apples-to-apples.
 """
 
 from __future__ import annotations
@@ -62,9 +63,22 @@ KINDS = {
 }
 
 __all__ = [
-    "KINDS", "DetectorConfig", "DetectorModel", "fit", "score_many", "predict_many",
-    "average_path_length", "fit_deep_svdd", "default_gamma", "rbf_kernel",
+    "KINDS", "DetectorConfig", "DetectorModel", "fit", "score_many", "checked_quantile",
+    "fitted_threshold", "average_path_length", "fit_deep_svdd", "default_gamma", "rbf_kernel",
 ]
+
+
+def checked_quantile(q: float) -> float:
+    """q; a ValueError unless it lies in (0, 1), as every threshold quantile must."""
+    if not 0 < q < 1:
+        raise ValueError("threshold quantile must be in (0, 1)")
+    return q
+
+
+def fitted_threshold(fit_scores: np.ndarray, q: float) -> float:
+    """Every method's decision threshold: the q-quantile of its fit-time scores.
+    A window scoring strictly above it is anomalous."""
+    return float(np.quantile(fit_scores, checked_quantile(q)))
 
 
 @dataclass(frozen=True)
@@ -75,8 +89,7 @@ class DetectorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.threshold_quantile < 1:
-            raise ValueError("threshold quantile must be in (0, 1)")
+        checked_quantile(self.threshold_quantile)
 
 
 @dataclass
@@ -127,18 +140,11 @@ def fit(kind: str, x: np.ndarray, cfg: DetectorConfig = DetectorConfig()) -> Det
 
     spec = KINDS[kind]
     state = spec.fit(z, seed)
-    raw = (spec.train_scores or spec.score)(state, z)
-    train_scores = np.asarray(raw, dtype=np.float64)
-    threshold = float(np.quantile(train_scores, cfg.threshold_quantile))
+    train_scores = np.asarray((spec.train_scores or spec.score)(state, z), dtype=np.float64)
+    threshold = fitted_threshold(train_scores, cfg.threshold_quantile)
     return DetectorModel(kind, mean, std, state, threshold, train_scores, cfg)
 
 
 def score_many(model: DetectorModel, x: np.ndarray) -> np.ndarray:
     """(n,) anomaly scores of the (n, d) embeddings `x`; higher = more anomalous."""
     return KINDS[model.kind].score(model.state, _transform(model, x))
-
-
-def predict_many(model: DetectorModel, x: np.ndarray) -> np.ndarray:
-    """(n,) bool: True where the score strictly exceeds the threshold."""
-    return score_many(model, x) > model.threshold
-

@@ -3,11 +3,11 @@
 Compares the baseline composite-reconstruction detector against the
 embedding path (each one-class detector on top of the embedding AE) over
 the four evaluation sets. Anomalous is the positive class: True in each
-set's `anomalous` array and in every method's boolean predictions. The
-report is a pure function of its inputs: same suite, models, detectors
-and config give an identical report. `run_benchmark` scores each distinct
-window of the four sets once and reads every set's predictions from
-those scores.
+set's `anomalous` array, and where a score is above its method's
+threshold. The report is a pure function of its inputs: same suite,
+models, detectors and config give an identical report. `run_benchmark`
+scores each distinct window of the four sets once, into one (methods x
+windows) score table, and reads every confusion cell from it.
 """
 
 from __future__ import annotations
@@ -101,10 +101,11 @@ def run_benchmark(suite: TestSuite, t2v_model: TrainedModel, recon_model: Traine
     window, and each AN set is its A set with some windows noised), so
     each distinct window is scored once: the baseline components, the
     embedding and every detector run over the windows of all four sets
-    with byte-identical repeats dropped, and each set's predictions are
-    indexed back out. A NaN/Inf window raises ValueError naming its set
-    and its index there; a reconstruction that turns NaN/Inf is named by
-    its index among the distinct windows.
+    with byte-identical repeats dropped, into one float64 table with a row
+    per method of `METHODS`; a set's cells compare its columns of a row
+    with the method's threshold. A NaN/Inf window raises ValueError naming
+    its set and its index there; a reconstruction that turns NaN/Inf is
+    named by its index among the distinct windows.
     """
     if t2v_model is None or recon_model is None:
         raise ValueError("missing trained model")
@@ -123,19 +124,19 @@ def run_benchmark(suite: TestSuite, t2v_model: TrainedModel, recon_model: Traine
 
     base_scores = combine_components(score_components_many(recon_model, distinct), recon_calib)
     embeddings = embed_many(t2v_model, distinct)
-    preds = {METHOD_BASELINE: base_scores > recon_calib.threshold,
-             **{f"t2v_{kind}": detect.predict_many(detectors[kind], embeddings)
-                for kind in detect.KINDS}}
+    scores = np.array([base_scores, *(detect.score_many(detectors[kind], embeddings)
+                                      for kind in detect.KINDS)], dtype=np.float64)
+    thresholds = [recon_calib.threshold, *(detectors[kind].threshold for kind in detect.KINDS)]
 
     results: dict[str, dict[str, dict]] = {method: {} for method in METHODS}
     composition = {}
     start = 0
     for key, windows in zip(TestSuite.KEYS, sets):
-        rows = inverse[start:start + len(windows)]
+        cols = inverse[start:start + len(windows)]
         start += len(windows)
         composition[key] = _set_composition(windows)
-        for method in METHODS:
-            results[method][key] = _entry(confusion(preds[method][rows], windows.anomalous))
+        for method, row, threshold in zip(METHODS, scores, thresholds):
+            results[method][key] = _entry(confusion(row[cols] > threshold, windows.anomalous))
 
     return EvalReport(results, composition, config_digest, dict(seeds or {}))
 

@@ -367,9 +367,10 @@ def load_model(path: str) -> tuple[TrainedModel, ScoreCalibration | None]:
     model = TrainedModel(cfg, _working_stack(stack, cfg.variant, n, f), n, f,
                          _field(doc, "loss_curve", list))
     c = _field(doc, "calibration", (dict, _NONE))
-    calib = None if c is None else ScoreCalibration(
-        decode_array(_field(c, "means", dict)), decode_array(_field(c, "stds", dict)),
-        _field(c, "threshold", _NUMBER), _field(c, "threshold_quantile", _NUMBER))
+    calib = None if c is None else _construct(ScoreCalibration, {
+        **{key: decode_array(_field(c, key, dict)) for key in ("means", "stds")},
+        **{key: _field(c, key, _NUMBER) for key in ("threshold", "threshold_quantile")}},
+        "calibration")
     if calib is not None:
         _check_scaling(calib.means, calib.stds, calib.threshold, (3,), "calibration")
     return model, calib

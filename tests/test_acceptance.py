@@ -173,7 +173,7 @@ def test_criterion_5_detector_sanity():
     f1_by_kind = {}
     for kind in detect.KINDS:
         model = detect.fit(kind, inliers, cfg)
-        preds = detect.predict_many(model, x_all)
+        preds = detect.score_many(model, x_all) > model.threshold
         tally = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
         for p, l in zip(preds, labels):
             key = ("t" if p == l else "f") + ("p" if p else "n")

@@ -339,6 +339,13 @@ def test_calibrate_threshold_independent_of_chunking(small_e2e):
                            for w in windows])
 
 
+@pytest.mark.parametrize("quantile", [0, 1.0, 1.5, -0.1])
+def test_calibrate_rejects_a_threshold_quantile_outside_0_1(small_e2e, quantile):
+    with pytest.raises(ValueError, match=r"^threshold quantile must be in \(0, 1\)$"):
+        calibrate(small_e2e["recon_model"], small_e2e["corpus"].train_windows.data[:8],
+                  quantile)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_score_components_many_rejects_non_finite_window(small_e2e, value):
     data = chunk_spanning_windows(small_e2e["corpus"])

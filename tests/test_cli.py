@@ -117,6 +117,21 @@ def test_report_on_a_non_object_document_exits_1(tmp_path, capsys, text):
     assert "expected a JSON object" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_a_second_detector_file_of_a_kind(workdir, tmp_path, capsys):
+    other = tmp_path / "det.json"
+    assert run(["fit-detector", "--corpus", workdir / "corpus.json", "--model",
+                workdir / "t2v.json", "--kind", "lof", "--seed", 6, "--out", other]) == 0
+    out = tmp_path / "r.json"
+    code = run(["evaluate", "--suite", workdir / "suite.json",
+                "--t2v-model", workdir / "t2v.json",
+                "--recon-model", workdir / "recon.json",
+                "--detectors", *detector_paths(workdir), other, "--out", out])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: {workdir / 'det.lof.json'} and {other} "
+                                       "are both lof detectors\n")
+    assert not out.exists()
+
+
 def test_evaluate_requires_calibrated_baseline(workdir, capsys):
     code = run(["evaluate", "--suite", workdir / "suite.json",
                 "--t2v-model", workdir / "t2v.json",

