@@ -4,8 +4,8 @@ Subcommands: generate, preprocess, search, train, fit-detector,
 build-testsets, evaluate, report. Every command takes a master seed and
 fans it out to per-stage seeds, echoes its effective configuration into
 the output file, and writes outputs atomically. A JSON config file
-(--config) may supply any flag the command line does not give; unknown keys
-are rejected.
+(--config) may supply any optional flag the command line does not give;
+unknown keys, and keys naming a required flag, are rejected.
 
 Exit codes: 0 success, 1 runtime error, 2 usage error. Relative output
 paths resolve under $T2VAD_OUT_DIR when set.
@@ -55,34 +55,40 @@ def _fits(action: argparse.Action, value) -> bool:
             and (action.choices is None or value in action.choices))
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                       argv) -> argparse.Namespace:
-    """`args`; with --config, `argv` parsed again with the JSON object's flag values as
-    defaults, so flags `argv` gives win. Unknown keys, and values that do not fit
-    their flag, are errors."""
-    if not getattr(args, "config", None):
-        return args
-    try:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CommandError(f"cannot read config file {args.config}: {exc}") from None
-    if not isinstance(overrides, dict):
-        raise CommandError(f"config file {args.config} must hold a JSON object, "
-                           f"not {type(overrides).__name__}")
-    actions = {a.dest: a for a in args.parser._actions if a.dest != "help"}
-    unknown = [k for k in overrides if k not in actions]
-    if unknown:
-        raise CommandError(f"unknown config keys: {unknown}")
-    for key, value in overrides.items():
-        if not _fits(actions[key], value):
-            raise CommandError(f"config value {key}={json.dumps(value)} does not fit its flag")
-    args.parser.set_defaults(**overrides)
-    return parser.parse_args(argv)
+class _ConfigFile(argparse.Action):
+    """--config FILE: the JSON object's values become the subcommand's flag
+    defaults. They are checked as the flag is parsed, before argparse looks for
+    missing required flags; `main` then parses again to apply them, so flags
+    the command line gives win. Unknown keys, keys naming a required flag
+    (argparse takes no default for one) and values that do not fit their
+    flag are errors."""
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        setattr(namespace, self.dest, path)
+        try:
+            with open(path) as fh:
+                overrides = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise CommandError(f"cannot read config file {path}: {exc}") from None
+        if not isinstance(overrides, dict):
+            raise CommandError(f"config file {path} must hold a JSON object, "
+                               f"not {type(overrides).__name__}")
+        actions = {a.dest: a for a in parser._actions if a.dest != "help"}
+        unknown = [k for k in overrides if k not in actions]
+        if unknown:
+            raise CommandError(f"unknown config keys: {unknown}")
+        required = [k for k in overrides if actions[k].required]
+        if required:
+            raise CommandError(f"config keys {required} name required flags: "
+                               f"give them on the command line")
+        for key, value in overrides.items():
+            if not _fits(actions[key], value):
+                raise CommandError(f"config value {key}={json.dumps(value)} does not fit its flag")
+        parser.set_defaults(**overrides)
 
 
 def _effective(args: argparse.Namespace) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "parser")}
+    cfg = {k: v for k, v in vars(args).items() if k != "func"}
     return json.loads(json.dumps(cfg))  # normalize tuples etc. to JSON types
 
 
@@ -255,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--config", help="JSON file supplying flag defaults")
-        p.set_defaults(parser=p)   # config lookup needs the subcommand's defaults
+        p.add_argument("--config", action=_ConfigFile,
+                       help="JSON file supplying optional flags' defaults")
 
     p = sub.add_parser("generate", help="generate the synthetic corpus")
     common(p)
@@ -349,11 +355,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:     # parsing --config set new defaults: parse again to apply them
+            args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:   # argparse uses 2 for usage errors, 0 for --help
         return int(exc.code or 0)
-    try:
-        args = _apply_config_file(args, parser, argv)
-        return args.func(args)
     except (CommandError, ValueError, OSError, TrainingDiverged, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

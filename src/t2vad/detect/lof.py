@@ -3,6 +3,11 @@
 LOF near 1 means the point sits at the local density of its neighbors;
 larger values mean locally sparser than the neighborhood. Query points are
 scored against the fitted training set (novelty style).
+
+The one (n, m) distance matrix is the only full-size array a fit or a score
+builds: the gram expansion is finished in place, BLOCK rows at a time, and
+each row's k nearest neighbors are picked one block of rows at a time, by
+partition rather than a full sort.
 """
 
 from __future__ import annotations
@@ -10,12 +15,39 @@ from __future__ import annotations
 import numpy as np
 
 K = 20                  # neighbors per point
+BLOCK = 256             # rows per block of in-place arithmetic and neighbor selection
 
 
 def _cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix (len(a), len(b)) via the gram expansion."""
-    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.sqrt(np.maximum(d2, 0.0))
+    """Euclidean distance matrix (len(a), len(b)) via the gram expansion
+    (aa + bb) - 2ab, finished in place in the one `a @ b.T` product."""
+    aa, bb = (a * a).sum(axis=1)[:, None], (b * b).sum(axis=1)[None, :]
+    d = a @ b.T
+    for start in range(0, len(d), BLOCK):
+        rows = d[start:start + BLOCK]
+        np.multiply(rows, 2.0, out=rows)
+        np.subtract(aa[start:start + BLOCK] + bb, rows, out=rows)
+    np.maximum(d, 0.0, out=d)
+    return np.sqrt(d, out=d)
+
+
+def _nearest(d: np.ndarray, k: int) -> np.ndarray:
+    """(len(d), k) column indices: each row's first k in a stable argsort.
+
+    Per block of rows: the k-th smallest value by `np.partition`, then a
+    stable sort of only the columns at or below it, in index order. Every
+    column left out lies above the k-th value, so ties fall as in the full
+    stable sort.
+    """
+    out = np.empty((len(d), k), dtype=np.intp)
+    for start in range(0, len(d), BLOCK):
+        block = d[start:start + BLOCK]
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1:k]
+        rows, cols = np.nonzero(block <= kth)             # row-major: cols in index order
+        order = np.lexsort((block[rows, cols], rows))     # stable: by row, then by value
+        first = np.searchsorted(rows, np.arange(len(block)))
+        out[start:start + len(block)] = cols[order][first[:, None] + np.arange(k)]
+    return out
 
 
 def fit_lof(x: np.ndarray, k: int) -> dict:
@@ -24,9 +56,8 @@ def fit_lof(x: np.ndarray, k: int) -> dict:
         raise ValueError(f"LOF needs more than k={k} training points, got {n}")
     d = _cross_distances(x, x)
     np.fill_diagonal(d, np.inf)
-    order = np.argsort(d, axis=1, kind="stable")
-    neighbors = order[:, :k]                       # (n, k)
-    kdist = np.take_along_axis(d, order[:, k - 1:k], axis=1)[:, 0]
+    neighbors = _nearest(d, k)                     # (n, k)
+    kdist = np.take_along_axis(d, neighbors[:, k - 1:k], axis=1)[:, 0]
     reach = np.maximum(kdist[neighbors], np.take_along_axis(d, neighbors, axis=1))
     lrd = 1.0 / np.maximum(reach.mean(axis=1), 1e-10)
     train_lof = lrd[neighbors].mean(axis=1) / lrd
@@ -54,8 +85,7 @@ def checked_state(state: dict, dim: int) -> dict:
 def score_lof(state: dict, x: np.ndarray) -> np.ndarray:
     k = state["k"]
     d = _cross_distances(x, state["x"])
-    order = np.argsort(d, axis=1, kind="stable")
-    neighbors = order[:, :k]
+    neighbors = _nearest(d, k)
     reach = np.maximum(state["kdist"][neighbors], np.take_along_axis(d, neighbors, axis=1))
     lrd_q = 1.0 / np.maximum(reach.mean(axis=1), 1e-10)
     return state["lrd"][neighbors].mean(axis=1) / lrd_q

@@ -11,14 +11,16 @@ construction, so the box and simplex constraints hold at any stopping
 point. The decision offset rho is the average gradient over free support
 vectors, and the anomaly score of x is rho - sum_i a_i k(x_i, x). The
 kernel width is `default_gamma` of the training data; the ascent stops at
-a KKT violation of at most TOL or after MAX_PASSES pair updates.
+a KKT violation of at most TOL or after MAX_PASSES pair updates. The
+kernel matrix is built in place in the one distance matrix, so a fit
+holds one (n, n) array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .lof import _cross_distances
+from .lof import BLOCK, _cross_distances
 
 NU = 0.05      # upper bound on the training outlier fraction
 TOL = 1e-4
@@ -26,8 +28,13 @@ MAX_PASSES = 10_000
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    """exp((-gamma * d) * d) of the distance matrix d, computed in place in d,
+    BLOCK rows at a time."""
     d = _cross_distances(a, b)
-    return np.exp(-gamma * d * d)
+    for start in range(0, len(d), BLOCK):
+        rows = d[start:start + BLOCK]
+        np.multiply(-gamma * rows, rows, out=rows)
+    return np.exp(d, out=d)
 
 
 def default_gamma(x: np.ndarray) -> float:

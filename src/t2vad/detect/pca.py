@@ -1,5 +1,12 @@
 """Principal-component pre-reduction (dimensionality guard for the
-robust-covariance detector)."""
+robust-covariance detector).
+
+With fewer samples than dimensions (n < d), the basis comes from the n x n
+Gram matrix, not the d x d covariance (the method of snapshots, Sirovich
+1987): both share their nonzero spectrum, and an eigenvector u of the Gram
+matrix maps to the covariance eigenvector Xc' u, normalised. Otherwise the
+covariance is eigendecomposed directly.
+"""
 
 from __future__ import annotations
 
@@ -18,15 +25,21 @@ def pca_fit(x: np.ndarray, n_dims: int):
     if n <= n_dims:
         raise ValueError(f"need more than {n_dims} samples, got {n}")
     mean = x.mean(axis=0)
-    cov = np.cov(x - mean, rowvar=False, ddof=1).reshape(d, d)
-    evals, evecs = np.linalg.eigh(cov)
+    if n < d:
+        centered = x - mean
+        evals, evecs = np.linalg.eigh(centered @ centered.T / (n - 1))
+    else:
+        evals, evecs = np.linalg.eigh(np.cov(x - mean, rowvar=False, ddof=1).reshape(d, d))
     order = np.argsort(evals)[::-1]
-    evals, evecs = evals[order], evecs[:, order]
+    evals = evals[order]
     scale = max(float(evals[0]), 1.0)
     rank = int(np.sum(evals > 1e-12 * scale))
     if rank < n_dims:
         raise ValueError(f"covariance rank {rank} < requested dims {n_dims}")
-    basis = evecs[:, :n_dims].copy()
+    basis = np.ascontiguousarray(evecs[:, order[:n_dims]])
+    if n < d:
+        basis = centered.T @ basis
+        basis /= np.linalg.norm(basis, axis=0)
     for j in range(n_dims):  # sign convention: dominant entry positive
         i = int(np.argmax(np.abs(basis[:, j])))
         if basis[i, j] < 0:

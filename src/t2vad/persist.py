@@ -9,6 +9,12 @@ check reads the bytes as stored: a file that is valid JSON but was
 reformatted (re-indented, say) fails it too. Writes are atomic (temp
 file + rename): a failed command leaves no partial output.
 
+The save functions hand the writer their arrays as they are. It streams
+the text into the file and the hash as it goes, base64-encoding each
+array payload a chunk at a time straight from the array's memory, so no
+copy of a payload or of the whole text is held; the bytes are those of
+`json.dumps` of the document with `encode_array` blocks.
+
 The test suite stores each distinct window of its four sets once, in a
 top-level `windows` block; each set lists the `rows` of that block it
 holds.
@@ -79,6 +85,8 @@ def _construct(cls, fields: dict, what: str):
 
 
 def encode_array(a: np.ndarray) -> dict:
+    """The block an array is stored as; `atomic_write_json` writes an ndarray
+    as this block without building it."""
     a = np.asarray(a, dtype=np.float64)
     return {
         "shape": list(a.shape),
@@ -109,28 +117,87 @@ def _canonical(doc: dict) -> str:
 
 
 _CHECKSUM = "checksum"
+CHUNK = 3 * 8 * 4096    # payload bytes base64-encoded at a time: whole 3-byte groups
+
+
+def _holds_array(value) -> bool:
+    """Whether an ndarray sits anywhere in the JSON-like `value`."""
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return isinstance(value, np.ndarray)
+    return any(map(_holds_array, value))
+
+
+def _pieces(value):
+    """The canonical JSON text of `value`, as ASCII byte pieces. An ndarray is
+    written in `encode_array`'s form, its payload base64-encoded CHUNK bytes
+    at a time straight from its memory; a value holding no array is one
+    `json.dumps` piece."""
+    if isinstance(value, np.ndarray):
+        flat = np.ravel(value)                  # a view when `value` is C-contiguous
+        yield b'{"data":"'
+        for i in range(0, flat.size, CHUNK // 8):
+            yield base64.b64encode(np.ascontiguousarray(flat[i:i + CHUNK // 8], dtype="<f8"))
+        yield b'",' + _canonical({"dtype": "float64", "shape": list(value.shape)})[1:].encode()
+    elif not _holds_array(value):
+        yield _canonical(value).encode()
+    elif isinstance(value, dict):
+        for n, key in enumerate(sorted(value)):
+            yield (b"," if n else b"{") + json.dumps(key).encode() + b":"
+            yield from _pieces(value[key])
+        yield b"}"
+    else:
+        for n, item in enumerate(value):
+            yield b"," if n else b"["
+            yield from _pieces(item)
+        yield b"]"
 
 
 def atomic_write_json(path: str, doc: dict) -> None:
     """Write `doc` (less any `checksum`) as canonical JSON with the SHA-256 of
-    those bytes spliced in as its `checksum` member, at its sorted place."""
+    those bytes spliced in as its `checksum` member, at its sorted place.
+
+    An ndarray anywhere in `doc` is written as `encode_array(a)` would be.
+    The text streams into the file and the hash piece by piece; the checksum
+    member's fixed-width slot is filled in once the hash is known.
+    """
     body = {k: v for k, v in doc.items() if k != _CHECKSUM}
-    text = memoryview(_canonical(body).encode())
-    member = f'"{_CHECKSUM}":"{hashlib.sha256(text).hexdigest()}"'.encode()
-    # the members sorting before the checksum are the text's prefix, less its "}"
-    at = len(_canonical({k: v for k, v in body.items() if k < _CHECKSUM})) - 1
-    if at > 1:
-        member = b"," + member
-    elif body:
-        member += b","
+    keys = sorted(body)
+    at = sum(k < _CHECKSUM for k in keys)       # members before the checksum
+
+    def checksum_member(hexdigest: str) -> bytes:
+        """The member and the one comma joining it to a neighbour: the bytes the hash skips."""
+        text = f'"{_CHECKSUM}":"{hexdigest}"'.encode()
+        if at:
+            return b"," + text
+        return text + b"," if keys else text
+
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(text[:at])
-            fh.write(member)
-            fh.write(text[at:])
+            digest = hashlib.sha256()
+
+            def emit(pieces):
+                for piece in pieces:
+                    fh.write(piece)
+                    digest.update(piece)
+
+            def members(indices):
+                for n in indices:
+                    yield (b"," if n else b"") + json.dumps(keys[n]).encode() + b":"
+                    yield from _pieces(body[keys[n]])
+
+            emit([b"{"])
+            emit(members(range(at)))
+            slot = fh.tell()
+            fh.write(checksum_member("0" * 64))
+            emit(members(range(at, len(keys))))
+            emit([b"}"])
+            fh.seek(slot)
+            fh.write(checksum_member(digest.hexdigest()))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -226,7 +293,7 @@ def save_corpus(path: str, corpus: Corpus) -> None:
         "provenance": corpus.provenance,
         "split": {"train": corpus.train_idx, "test": corpus.test_idx},
         "windows": {**_windows_block(corpus.windows),
-                    "payload": encode_array(corpus.windows.data)},
+                    "payload": corpus.windows.data},
     }
     atomic_write_json(path, doc)
 
@@ -255,7 +322,7 @@ def save_testsuite(path: str, suite: TestSuite) -> None:
         "kind": "testsuite",
         "seed": suite.seed,
         "sets": sets,
-        "windows": encode_array(distinct),
+        "windows": distinct,
     }
     atomic_write_json(path, doc)
 
@@ -285,7 +352,7 @@ def _layer_doc(layer: nd.Layer) -> dict:
     return {
         "kind": layer.kind,
         "hyperparams": layer.hyperparams(),
-        "params": {name: encode_array(arr) for name, arr in layer.params().items()},
+        "params": layer.params(),
     }
 
 
@@ -321,8 +388,8 @@ def save_model(path: str, model: TrainedModel,
         "loss_curve": model.loss_curve,
         "layers": [_layer_doc(layer) for layer in model.stack.layers],
         "calibration": None if calibration is None else {
-            "means": encode_array(calibration.means),
-            "stds": encode_array(calibration.stds),
+            "means": calibration.means,
+            "stds": calibration.stds,
             "threshold": calibration.threshold,
             "threshold_quantile": calibration.threshold_quantile,
         },
@@ -381,10 +448,8 @@ def load_model(path: str) -> tuple[TrainedModel, ScoreCalibration | None]:
 # ---------------------------------------------------------------------------
 
 def _encode_value(value):
-    """One rule for every detector state: arrays become encoded blocks, a layer
-    stack becomes its layer docs, anything else is stored as is."""
-    if isinstance(value, np.ndarray):
-        return encode_array(value)
+    """One rule for every detector state: a layer stack becomes its layer docs,
+    anything else (an array, say) is stored as is."""
     if isinstance(value, nd.LayerStack):
         return [_layer_doc(layer) for layer in value.layers]
     return value
@@ -404,8 +469,8 @@ def save_detector(path: str, model: DetectorModel) -> None:
         "schema_version": SCHEMA_VERSION,
         "kind": "detector",
         "detector": model.kind,
-        "scaler_mean": encode_array(model.scaler_mean),
-        "scaler_std": encode_array(model.scaler_std),
+        "scaler_mean": model.scaler_mean,
+        "scaler_std": model.scaler_std,
         "threshold": model.threshold,
         "config": asdict(model.config),
         "state": {key: _encode_value(model.state[key]) for key in KINDS[model.kind].stored},

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from t2vad import detect
@@ -37,3 +39,18 @@ def small_e2e(small_corpus):
         "detectors": detectors,
         "suite": suite,
     }
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn, *args): the most memory `fn(*args)` held at once, in bytes, over
+    what was allocated before the call. tracemalloc sees numpy's arrays."""
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    return peak

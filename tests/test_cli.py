@@ -184,6 +184,27 @@ EVALUATE = ["evaluate", "--suite", "s", "--t2v-model", "t", "--recon-model", "r"
 PREPROCESS = ["preprocess", "--inputs", "a.csv", "--features", "s0"]
 
 
+@pytest.mark.parametrize("command, overrides", [
+    (["generate", "--windows", 20], {"out": "x.json"}),
+    (["generate", "--out", "x.json"], {"out": "y.json"}),
+    (["train", "--out", "x.json"], {"corpus": "c.json", "epochs": 2}),
+    (["evaluate", "--t2v-model", "t", "--recon-model", "r", "--out", "x.json"],
+     {"suite": "s", "detectors": ["d1"]})])
+def test_config_keys_naming_required_flags_exit_1_before_any_work(
+        tmp_path, capsys, monkeypatch, command, overrides):
+    """argparse takes no default for a required flag, so the config file cannot
+    supply one: the command says so and exits 1, whether or not the flag is given."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    required = [key for key in overrides if key != "epochs"]
+    assert run([*command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config keys {required} name required flags")
+    assert "command line" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("command, text", [
     (["generate"], "[]"), (["generate"], "3"), (["generate"], '{"windows": "abc"}'),
     (["generate"], '{"test_fraction": "0.1"}'), (["generate"], '{"seed": true}'),

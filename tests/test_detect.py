@@ -1,4 +1,5 @@
 import importlib
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from t2vad.detect import DetectorConfig, DetectorModel, average_path_length, ocs
 from t2vad.detect.deepsvdd import build_network, fit_deep_svdd, score_deep_svdd
 from t2vad.detect.ee import fit_ee, score_ee
 from t2vad.detect.iforest import NODE_ARRAYS, SUBSAMPLE, fit_iforest, score_iforest
-from t2vad.detect.lof import fit_lof
+from t2vad.detect.lof import BLOCK, _cross_distances, _nearest, fit_lof, score_lof
 from t2vad.detect.ocsvm import TOL, fit_ocsvm, rbf_kernel
 from t2vad.detect.pca import pca_fit, pca_transform
 from t2vad.dtw import dtw_batch
@@ -68,6 +69,64 @@ def test_pca_degenerate_rank_rejected():
     x[:, 0] = make_rng(4).normal(size=50)
     with pytest.raises(ValueError, match="rank"):
         pca_fit(x, 3)
+
+
+def pca_oracle(x, n_dims):
+    """Top-`n_dims` eigenvectors of the d x d sample covariance, signed so the
+    dominant entry is positive (test oracle, any n and d)."""
+    mean = x.mean(axis=0)
+    cov = np.cov(x - mean, rowvar=False, ddof=1).reshape(x.shape[1], x.shape[1])
+    evals, evecs = np.linalg.eigh(cov)
+    order = np.argsort(evals)[::-1]
+    evals, evecs = evals[order], evecs[:, order]
+    rank = int(np.sum(evals > 1e-12 * max(float(evals[0]), 1.0)))
+    if rank < n_dims:
+        raise ValueError(f"covariance rank {rank} < requested dims {n_dims}")
+    basis = evecs[:, :n_dims].copy()
+    for j in range(n_dims):
+        i = int(np.argmax(np.abs(basis[:, j])))
+        if basis[i, j] < 0:
+            basis[:, j] = -basis[:, j]
+    return basis, mean
+
+
+def decaying_blob(n, d, seed):
+    return make_rng(seed).normal(size=(n, d)) * np.linspace(3.0, 0.1, d)
+
+
+@pytest.mark.parametrize("n, d, n_dims", [(60, 150, 8), (33, 700, 32), (200, 2000, 32)])
+def test_pca_with_fewer_samples_than_dims_matches_the_covariance_oracle(n, d, n_dims):
+    """The Gram-matrix path: same signs, bases equal to 1e-10, same mean."""
+    x = decaying_blob(n, d, seed=n)
+    basis, mean = pca_fit(x, n_dims)
+    expected, expected_mean = pca_oracle(x, n_dims)
+    assert np.array_equal(mean, expected_mean)
+    assert np.array_equal(np.sign(basis), np.sign(expected))
+    np.testing.assert_allclose(basis, expected, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n, d, n_dims", [(40, 100, 5), (20, 4, 3), (100, 100, 5)])
+def test_pca_rank_error_matches_the_covariance_oracle(n, d, n_dims):
+    rng = make_rng(n + d)
+    x = rng.normal(size=(n, 2)) @ rng.normal(size=(2, d))     # rank 2
+    with pytest.raises(ValueError) as oracle:
+        pca_oracle(x, n_dims)
+    with pytest.raises(ValueError, match=re.escape(str(oracle.value))):
+        pca_fit(x, n_dims)
+
+
+@pytest.mark.parametrize("n, d, n_dims", [(200, 8, 4), (700, 700, 32), (800, 700, 32)])
+def test_pca_with_as_many_samples_as_dims_is_the_covariance_oracle_bitwise(n, d, n_dims):
+    x = decaying_blob(n, d, seed=d)
+    basis, mean = pca_fit(x, n_dims)
+    expected, expected_mean = pca_oracle(x, n_dims)
+    assert np.array_equal(basis, expected) and np.array_equal(mean, expected_mean)
+    assert basis.flags.c_contiguous
+
+
+def test_pca_fit_peaks_below_two_copies_of_its_input(traced_peak):
+    x = decaying_blob(200, 2000, seed=5)
+    assert traced_peak(pca_fit, x, 32) < 2 * x.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +310,74 @@ def test_lof_flags_isolated_point():
     x = gaussian_blob(n=150, d=3, seed=7)
     model = detect.fit("lof", x, CFG)
     assert detect.score_many(model, x[:1] + 25.0)[0] > np.max(model.train_scores)
+
+
+def lof_oracle(train, query, k):
+    """LOF by a full stable argsort of every distance row (test oracle): the
+    training state, and the scores of `query`."""
+    d = _cross_distances(train, train)
+    np.fill_diagonal(d, np.inf)
+    order = np.argsort(d, axis=1, kind="stable")
+    neighbors = order[:, :k]
+    kdist = np.take_along_axis(d, order[:, k - 1:k], axis=1)[:, 0]
+    reach = np.maximum(kdist[neighbors], np.take_along_axis(d, neighbors, axis=1))
+    lrd = 1.0 / np.maximum(reach.mean(axis=1), 1e-10)
+    state = {"x": train, "k": k, "kdist": kdist, "lrd": lrd,
+             "train_lof": lrd[neighbors].mean(axis=1) / lrd}
+    dq = _cross_distances(query, train)
+    neighbors = np.argsort(dq, axis=1, kind="stable")[:, :k]
+    reach = np.maximum(kdist[neighbors], np.take_along_axis(dq, neighbors, axis=1))
+    lrd_query = 1.0 / np.maximum(reach.mean(axis=1), 1e-10)
+    return state, lrd[neighbors].mean(axis=1) / lrd_query
+
+
+def tied_points(case, n=2 * BLOCK + 37):
+    """Three inputs whose distance rows are full of ties, over several blocks."""
+    rng = make_rng(21)
+    if case == "duplicated rows":
+        x = rng.normal(size=(n, 4))
+        x[::3] = x[0]                  # a third of the rows are one point
+        x[1::7] = x[1]
+        return x
+    if case == "ties straddling the k-th value":
+        return rng.integers(0, 3, size=(n, 3)).astype(np.float64)   # 27 lattice points
+    return np.full((n, 5), 2.5)        # all-constant
+
+
+CASES = ["duplicated rows", "ties straddling the k-th value", "all-constant"]
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("k", [1, 20])
+def test_nearest_is_the_first_k_of_a_stable_argsort(case, k):
+    x = tied_points(case)
+    d = _cross_distances(x, x)
+    np.fill_diagonal(d, np.inf)
+    kth = np.sort(d, axis=1)[:, k - 1:k]
+    if case != "all-constant":    # the k-th value is tied within and beyond the first k
+        assert ((d == kth).sum(axis=1) > 1).any()
+    assert np.array_equal(_nearest(d, k), np.argsort(d, axis=1, kind="stable")[:, :k])
+    assert np.array_equal(_nearest(d[:5, :40], k), np.argsort(d[:5, :40], axis=1,
+                                                             kind="stable")[:, :k])
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_fit_and_score_lof_equal_the_full_sort_oracle(case):
+    x = tied_points(case)
+    query = np.concatenate([x[:BLOCK + 3], x[:40] + 0.5])
+    expected, expected_scores = lof_oracle(x, query, 20)
+    state = fit_lof(x, 20)
+    for key in ("kdist", "lrd", "train_lof"):
+        assert np.array_equal(state[key], expected[key]), key
+    assert np.array_equal(score_lof(state, query), expected_scores)
+
+
+def test_distance_and_kernel_peak_below_one_and_a_half_matrices(traced_peak):
+    n = 1500
+    x = gaussian_blob(n=n, d=16, seed=22)
+    matrix = n * n * 8
+    assert traced_peak(_cross_distances, x, x) < 1.5 * matrix
+    assert traced_peak(rbf_kernel, x, x, ocsvm.default_gamma(x)) < 1.5 * matrix
 
 
 # ---------------------------------------------------------------------------

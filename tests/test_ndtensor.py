@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from t2vad import ndtensor as nd
-from t2vad.persist import LAYERS, _layer_doc, _layer_from_doc
+from t2vad.persist import LAYERS, _layer_doc, _layer_from_doc, atomic_write_json
 from t2vad.rng import make_rng
 from t2vad.t2v import T2VLayer
 
@@ -205,10 +207,12 @@ def test_layer_backward_matches_finite_differences(kind, seed):
 
 
 @pytest.mark.parametrize("kind", list(LAYERS))
-def test_layer_doc_roundtrip_forward_bit_identical(kind):
+def test_layer_doc_roundtrip_forward_bit_identical(kind, tmp_path):
+    """Through the file: `_layer_doc` hands the writer the layer's own arrays."""
     layer, shape = _make_layer(kind, make_rng(3000))
     x = make_rng(3001).normal(size=shape)
-    rebuilt = _layer_from_doc(_layer_doc(layer))
+    atomic_write_json(str(tmp_path / "layer.json"), _layer_doc(layer))
+    rebuilt = _layer_from_doc(json.loads((tmp_path / "layer.json").read_bytes()))
     assert type(rebuilt) is type(layer)
     assert rebuilt.hyperparams() == layer.hyperparams()
     assert np.array_equal(rebuilt.forward(x)[0], layer.forward(x)[0])

@@ -13,7 +13,7 @@ from t2vad import detect
 from t2vad.autoenc import combine_components, embed_many, score_components_many, train
 from t2vad.cli import main
 from t2vad.evaluate import _distinct, run_benchmark
-from t2vad.persist import (ChecksumError, SchemaError, atomic_write_json, decode_array,
+from t2vad.persist import (CHUNK, ChecksumError, SchemaError, atomic_write_json, decode_array,
                            encode_array, load_corpus, load_detector, load_model,
                            load_report, load_testsuite, save_corpus, save_detector,
                            save_model, save_report, save_testsuite)
@@ -622,6 +622,42 @@ def test_the_checksum_is_spliced_in_at_its_sorted_place(tmp_path, doc):
     assert path.read_bytes() == canonical(path.read_bytes())
     assert stored.pop("checksum") == hashlib.sha256(canonical(json.dumps(doc))).hexdigest()
     assert stored == doc
+
+
+def encoded(value):
+    """`value` with every ndarray in it replaced by its `encode_array` form."""
+    if isinstance(value, np.ndarray):
+        return encode_array(value)
+    if isinstance(value, dict):
+        return {key: encoded(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [encoded(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 4, CHUNK // 8 - 1, CHUNK // 8, CHUNK // 8 + 1,
+                                  2 * CHUNK // 8 + 5])
+def test_streamed_arrays_are_written_as_json_dumps_writes_their_encoded_form(tmp_path, size):
+    """Array payloads stream into the file a chunk at a time; the bytes are
+    those of the canonical JSON of the `encode_array` form, checksum included."""
+    a = np.random.default_rng(size).normal(size=size)
+    doc = {"kind": "x", "a": a, "nested": {"list": [a[::-1], 1, {"f32": a.astype(np.float32)}],
+                                           "text": "é"}, "z": [np.arange(size).reshape(-1, 1)]}
+    path = tmp_path / "doc.json"
+    atomic_write_json(str(path), doc)
+    body = canonical(json.dumps(encoded(doc)))
+    expected = {**json.loads(body), "checksum": hashlib.sha256(body).hexdigest()}
+    assert path.read_bytes() == json.dumps(expected, sort_keys=True,
+                                           separators=(",", ":")).encode()
+
+
+def test_saving_an_lof_detector_peaks_below_half_its_training_matrix(tmp_path, traced_peak):
+    x = np.random.default_rng(3).normal(size=(400, 1000))      # B = 3.2 MB
+    state = {"x": x, "k": 20, "kdist": np.ones(400), "lrd": np.ones(400)}
+    model = detect.DetectorModel("lof", np.zeros(1000), np.ones(1000), state, 1.5)
+    path = tmp_path / "det.lof.json"
+    assert traced_peak(save_detector, path, model) < x.nbytes / 2
+    np.testing.assert_array_equal(load_detector(path).state["x"], x)
 
 
 @pytest.mark.parametrize("file", LOADERS)
