@@ -17,8 +17,7 @@ far = rng.normal(size=(5, 16)) + 8.0
 
 cfg = detect.DetectorConfig(seed=1)
 print(f"{'kind':<10} {'threshold':>10} {'median normal':>14} {'median far':>11} flagged")
-for kind in detect.KINDS:
-    model = detect.fit(kind, train, cfg)
+for kind, model in detect.fit(detect.KINDS, train, cfg).items():
     normal_scores = detect.score_many(model, train)
     far_scores = detect.score_many(model, far)
     flagged = (far_scores > model.threshold).sum()

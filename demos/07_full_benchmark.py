@@ -29,7 +29,7 @@ print(f"embedding AE loss {t2v_model.loss_curve[0]:.3f} -> {t2v_model.loss_curve
 calib = calibrate(recon_model, train_data)
 embeddings = embed_many(t2v_model, train_data)
 cfg = detect.DetectorConfig(seed=3)
-detectors = {kind: detect.fit(kind, embeddings, cfg) for kind in detect.KINDS}
+detectors = detect.fit(detect.KINDS, embeddings, cfg)
 
 suite = build_testsets(corpus.test_windows, InjectionSpec(seed=4))
 report = run_benchmark(suite, t2v_model, recon_model, calib, detectors)

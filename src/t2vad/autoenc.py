@@ -139,6 +139,9 @@ def train(model: TrainedModel, data: np.ndarray) -> TrainedModel:
     return model
 
 
+SCORE_CHUNK = 64   # windows per forward pass: bounds its temporaries, im2col buffers included
+
+
 def _finite_windows(data: np.ndarray) -> np.ndarray:
     """data unchanged; a NaN/Inf window raises instead of leaking NaN downstream."""
     bad = first_nonfinite(data)
@@ -149,13 +152,19 @@ def _finite_windows(data: np.ndarray) -> np.ndarray:
 
 def embed_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
     """(B, N*K) embeddings of the windows `data` (B, N, F): the t2v layer's
-    (B, N, K) output, each window flattened row-major. Raises ValueError
-    naming the first window that holds a NaN or Inf."""
+    (B, N, K) output, each window flattened row-major. The layer runs
+    SCORE_CHUNK windows at a time into the one result array; its matmuls
+    take one product per window, so the chunking changes no bit. Raises
+    ValueError naming the first window that holds a NaN or Inf."""
     if model.config.variant != "t2v":
         raise ValueError("embeddings come from the t2v variant only")
     data = _finite_windows(np.asarray(data, dtype=np.float64))
-    y = model.stack.layers[0].forward(data)[0]
-    return y.reshape(len(y), y.shape[1] * y.shape[2])
+    layer = model.stack.layers[0]
+    out = np.empty((len(data), layer.n * layer.k))
+    for start in range(0, len(data), SCORE_CHUNK):
+        y = layer.forward(data[start:start + SCORE_CHUNK])[0]
+        out[start:start + len(y)] = y.reshape(len(y), -1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +185,6 @@ class ScoreCalibration:
         self.means = np.asarray(self.means, dtype=np.float64)
         self.stds = np.asarray(self.stds, dtype=np.float64)
         checked_quantile(self.threshold_quantile)
-
-
-SCORE_CHUNK = 64   # windows per forward pass; bounds the im2col buffers
 
 
 def score_components_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:

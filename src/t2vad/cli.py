@@ -137,9 +137,14 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
+def _train_data(path: str):
+    """The (n, N, F) training windows of the corpus at `path`; the rest of the
+    corpus is not kept."""
+    return load_corpus(_require(path, "corpus")).train_windows.data
+
+
 def cmd_search(args) -> int:
-    corpus = load_corpus(_require(args.corpus, "corpus"))
-    result = hyper_search(corpus.train_windows.data, args.variant, args.trials,
+    result = hyper_search(_train_data(args.corpus), args.variant, args.trials,
                           master_seed=derive_seed(args.seed, f"search/{args.variant}"))
     doc = {
         "schema_version": 1,
@@ -159,13 +164,12 @@ def cmd_search(args) -> int:
 
 def cmd_train(args) -> int:
     detect.checked_quantile(args.threshold_quantile)   # before any loading or training
-    corpus = load_corpus(_require(args.corpus, "corpus"))
-    n, f = corpus.windows.data.shape[1:]
+    data = _train_data(args.corpus)
+    n, f = data.shape[1:]
     cfg = AEConfig(variant=args.variant, k=args.k, decoder_layers=args.decoder_layers,
                    encoder_layers=args.encoder_layers, filters=args.filters,
                    kernel=args.kernel, epochs=args.epochs, batch=args.batch,
                    lr=args.lr, seed=derive_seed(args.seed, f"train/{args.variant}"))
-    data = corpus.train_windows.data
     model = train(build_model(cfg, n, f), data)
     calib = None
     if args.variant == "reconstruction":
@@ -177,15 +181,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_fit_detector(args) -> int:
-    corpus = load_corpus(_require(args.corpus, "corpus"))
+    data = _train_data(args.corpus)
     model, _ = load_model(_require(args.model, "model"))
-    emb = embed_many(model, corpus.train_windows.data)
+    emb = embed_many(model, data)
+    del data                    # the windows are not needed once embedded
     kinds = list(detect.KINDS) if args.kind == "all" else [args.kind]
     cfg = detect.DetectorConfig(threshold_quantile=args.threshold_quantile,
                                 seed=args.seed)
     # every kind is fitted before any file is written, so a failed fit leaves
     # the files of an earlier run as they were, never a mix of two runs
-    fitted = {kind: detect.fit(kind, emb, cfg) for kind in kinds}
+    fitted = detect.fit(kinds, emb, cfg)
     for kind, detector in fitted.items():
         path = args.out if len(kinds) == 1 else _suffixed(args.out, kind)
         save_detector(_out_path(path), detector)

@@ -15,7 +15,7 @@ anomalous. So comparisons between methods are apples-to-apples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Collection, NamedTuple
 
 import numpy as np
 
@@ -107,10 +107,6 @@ class DetectorModel:
             raise ValueError(f"unknown detector kind {self.kind!r}")
 
 
-def _standardize(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    return (x - mean) / std
-
-
 def _finite_rows(x: np.ndarray) -> np.ndarray:
     """x unchanged; a NaN/Inf row raises instead of scoring NaN or "normal"."""
     bad = first_nonfinite(x)
@@ -120,29 +116,41 @@ def _finite_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _transform(model: DetectorModel, x: np.ndarray) -> np.ndarray:
-    return _standardize(_finite_rows(np.atleast_2d(np.asarray(x, dtype=np.float64))),
-                        model.scaler_mean, model.scaler_std)
+    x = _finite_rows(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    return (x - model.scaler_mean) / model.scaler_std
 
 
-def fit(kind: str, x: np.ndarray, cfg: DetectorConfig = DetectorConfig()) -> DetectorModel:
-    """Fit one detector kind on training (assumed-normal) embeddings."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown detector kind {kind!r}")
+def fit(kinds: Collection[str], x: np.ndarray,
+        cfg: DetectorConfig = DetectorConfig()) -> dict[str, DetectorModel]:
+    """{kind: DetectorModel} for each of `kinds` (KINDS keys), fitted on the
+    same training (assumed-normal) embeddings `x` (n, d).
+
+    `x` is standardized once, into one array `z` that every kind fits on and
+    that LOF stores as its `x`. `z` is read-only, so a fit that writes into
+    it raises instead of changing what the other kinds see.
+    """
+    for kind in kinds:
+        if kind not in KINDS:
+            raise ValueError(f"unknown detector kind {kind!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("training data must be (n, d)")
     _finite_rows(x)
-    seed = derive_seed(cfg.seed, f"detector/{kind}")
 
     mean = x.mean(axis=0)
     std = np.maximum(x.std(axis=0), 1e-12)
-    z = _standardize(x, mean, std)
+    z = x - mean
+    z /= std                                # bitwise (x - mean) / std
+    z.flags.writeable = False
 
-    spec = KINDS[kind]
-    state = spec.fit(z, seed)
-    train_scores = np.asarray((spec.train_scores or spec.score)(state, z), dtype=np.float64)
-    threshold = fitted_threshold(train_scores, cfg.threshold_quantile)
-    return DetectorModel(kind, mean, std, state, threshold, train_scores, cfg)
+    fitted = {}
+    for kind in kinds:
+        spec = KINDS[kind]
+        state = spec.fit(z, derive_seed(cfg.seed, f"detector/{kind}"))
+        train_scores = np.asarray((spec.train_scores or spec.score)(state, z), dtype=np.float64)
+        threshold = fitted_threshold(train_scores, cfg.threshold_quantile)
+        fitted[kind] = DetectorModel(kind, mean, std, state, threshold, train_scores, cfg)
+    return fitted
 
 
 def score_many(model: DetectorModel, x: np.ndarray) -> np.ndarray:

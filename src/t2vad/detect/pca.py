@@ -29,7 +29,7 @@ def pca_fit(x: np.ndarray, n_dims: int):
         centered = x - mean
         evals, evecs = np.linalg.eigh(centered @ centered.T / (n - 1))
     else:
-        evals, evecs = np.linalg.eigh(np.cov(x - mean, rowvar=False, ddof=1).reshape(d, d))
+        evals, evecs = np.linalg.eigh(_covariance(x, mean))
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     scale = max(float(evals[0]), 1.0)
@@ -45,6 +45,14 @@ def pca_fit(x: np.ndarray, n_dims: int):
         if basis[i, j] < 0:
             basis[:, j] = -basis[:, j]
     return basis, mean
+
+
+def _covariance(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """(d, d) `np.cov(x - mean, rowvar=False)` bit for bit, its re-centring
+    included, from one centred copy of `x` that is freed on return."""
+    centered = x - mean
+    centered -= centered.mean(axis=0)
+    return centered.T @ centered * (1 / (len(x) - 1))
 
 
 def pca_transform(x: np.ndarray, basis: np.ndarray, mean: np.ndarray) -> np.ndarray:

@@ -13,7 +13,9 @@ The save functions hand the writer their arrays as they are. It streams
 the text into the file and the hash as it goes, base64-encoding each
 array payload a chunk at a time straight from the array's memory, so no
 copy of a payload or of the whole text is held; the bytes are those of
-`json.dumps` of the document with `encode_array` blocks.
+`json.dumps` of the document with `encode_array` blocks. The loader
+likewise holds the file's text once: it hashes the text in pieces and
+decodes each payload a chunk at a time into the array it returns.
 
 The test suite stores each distinct window of its four sets once, in a
 top-level `windows` block; each set lists the `rows` of that block it
@@ -23,6 +25,7 @@ holds.
 from __future__ import annotations
 
 import base64
+import binascii
 import hashlib
 import json
 import math
@@ -97,19 +100,56 @@ def encode_array(a: np.ndarray) -> dict:
 
 def decode_array(d: dict) -> np.ndarray:
     """Inverse of `encode_array`; a SchemaError unless `d` holds a strict base64
-    `data` string whose length matches an integer `shape` list."""
+    `data` string whose length matches an integer `shape` list.
+
+    The payload is decoded CHUNK bytes at a time straight into the result,
+    so no whole decoded or re-encoded copy of it is held.
+    """
     shape = _field(d, "shape", list)
     if not all(type(s) is int and s >= 0 for s in shape):
         raise SchemaError(f"array shape {shape} is not a list of non-negative integers")
     data = _field(d, "data", str)
+    size = 8 * math.prod(shape)
+    # only a string of this length can hold `size` bytes; any other is decoded
+    # just to tell bad base64 from a wrong length
+    out = np.empty(size // 8 if len(data) == 4 * -(-size // 3) else 0, dtype="<f8")
+    buf = out.view(np.uint8)
+    held = 0
     try:
-        raw = base64.b64decode(data, validate=True)
-    except ValueError as exc:   # binascii.Error, or a non-ASCII string
+        for raw in _base64_pieces(data):
+            if held + len(raw) <= len(buf):
+                buf[held:held + len(raw)] = np.frombuffer(raw, dtype=np.uint8)
+            held += len(raw)
+    except ValueError as exc:   # a bad character or length, or a non-ASCII string
         raise SchemaError(f"array data is not base64: {exc}") from None
-    if len(raw) != 8 * math.prod(shape):
-        raise SchemaError(f"array data holds {len(raw)} bytes, not the "
-                          f"{8 * math.prod(shape)} its shape {shape} needs")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if held != size:
+        raise SchemaError(f"array data holds {held} bytes, not the "
+                          f"{size} its shape {shape} needs")
+    return out.astype(np.float64, copy=False).reshape(shape)
+
+
+def _base64_pieces(data: str):
+    """The bytes the base64 string `data` decodes to, CHUNK at a time.
+
+    A ValueError wherever `base64.b64decode(data, validate=True)` raises one,
+    and on '=' after a whole 4-character group, which it skips: `data` must
+    have a length that is a multiple of 4, only alphabet characters, and
+    '=' only as its last one or two. `binascii.a2b_base64` skips any other
+    character, so a piece that decodes short held one.
+    """
+    if len(data) % 4:
+        raise ValueError(f"its length {len(data)} is not a multiple of 4")
+    pad = 2 if data.endswith("==") else 1 if data.endswith("=") else 0
+    step = CHUNK // 3 * 4           # characters that decode to CHUNK bytes
+    for start in range(0, len(data), step):
+        piece = data[start:start + step]
+        tail = pad if start + step >= len(data) else 0
+        if piece.find("=", 0, len(piece) - tail) >= 0:
+            raise ValueError("it holds a '=' before its last two characters")
+        raw = binascii.a2b_base64(piece)   # a ValueError on a non-ASCII character
+        if len(raw) != 3 * len(piece) // 4 - tail:
+            raise ValueError("it holds a character outside the base64 alphabet")
+        yield raw
 
 
 def _canonical(doc: dict) -> str:
@@ -208,14 +248,16 @@ def atomic_write_json(path: str, doc: dict) -> None:
 def load_json_checked(path: str, expected_kind: str) -> dict:
     """The document at `path`, once its kind, schema version and checksum hold.
 
-    The checksum is checked over the bytes read, with the checksum member
-    and its adjoining comma cut out: the writer's canonical text.
+    The file is read as UTF-8 text with its newlines untranslated. The
+    checksum is checked over that text with the checksum member and its
+    adjoining comma cut out (the writer's canonical text), re-encoded CHUNK
+    characters at a time.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
     try:
-        doc = json.loads(blob)
-    except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        doc = json.loads(text)
+    except ValueError as exc:   # UnicodeDecodeError or JSONDecodeError
         raise ChecksumError(f"{path}: not a valid document ({exc})") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object, got {type(doc).__name__}")
@@ -227,18 +269,19 @@ def load_json_checked(path: str, expected_kind: str) -> dict:
     stored = doc.get(_CHECKSUM)
     if not (isinstance(stored, str) and stored.isascii()):
         raise ChecksumError(f"{path}: no checksum string")
-    member = f'"{_CHECKSUM}":"{stored}"'.encode()
-    start = blob.find(member)
+    member = f'"{_CHECKSUM}":"{stored}"'
+    start = text.find(member)
     if start < 0:
         raise ChecksumError(f"{path}: checksum member is not in canonical form")
     end = start + len(member)
-    if blob[end:end + 1] == b",":
+    if text[end:end + 1] == ",":
         end += 1
-    elif blob[start - 1:start] == b",":
+    elif text[start - 1:start] == ",":
         start -= 1
-    view = memoryview(blob)
-    digest = hashlib.sha256(view[:start])
-    digest.update(view[end:])
+    digest = hashlib.sha256()
+    for lo, hi in ((0, start), (end, len(text))):
+        for i in range(lo, hi, CHUNK):
+            digest.update(text[i:min(i + CHUNK, hi)].encode())
     if stored != digest.hexdigest():
         raise ChecksumError(f"{path}: checksum mismatch")
     return doc

@@ -29,7 +29,7 @@ def small_e2e(small_corpus):
     calib = calibrate(recon_model, train_data)
     emb = embed_many(t2v_model, train_data)
     cfg = detect.DetectorConfig(seed=9)
-    detectors = {kind: detect.fit(kind, emb, cfg) for kind in detect.KINDS}
+    detectors = detect.fit(detect.KINDS, emb, cfg)
     suite = build_testsets(corpus.test_windows, InjectionSpec(seed=10))
     return {
         "corpus": corpus,

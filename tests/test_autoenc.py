@@ -186,6 +186,20 @@ def test_embed_many_is_the_t2v_output_reshaped_row_major(small_e2e):
     assert np.array_equal(embed_many(model, ws), t2v_out.reshape(len(ws), -1))
 
 
+def test_embed_many_in_chunks_is_one_forward_pass_bitwise(small_e2e):
+    model = small_e2e["t2v_model"]
+    ws = np.concatenate([small_e2e["corpus"].windows.data] * 3)
+    assert len(ws) > 2 * SCORE_CHUNK
+    t2v_out, _ = model.stack.layers[0].forward(ws)
+    assert np.array_equal(embed_many(model, ws), t2v_out.reshape(len(ws), -1))
+
+
+def test_embed_many_of_900_windows_peaks_below_one_and_a_half_results(traced_peak):
+    model = build_t2v_ae(AEConfig(variant="t2v", seed=3), 100, 6)
+    ws = make_rng(4).normal(size=(900, 100, 6))
+    assert traced_peak(embed_many, model, ws) < 1.5 * 900 * 700 * 8
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_embed_many_rejects_non_finite_window(small_e2e, value):
     ws = small_e2e["corpus"].train_windows.data[:6].copy()

@@ -16,6 +16,7 @@ from t2vad.detect.ocsvm import TOL, fit_ocsvm, rbf_kernel
 from t2vad.detect.pca import pca_fit, pca_transform
 from t2vad.dtw import dtw_batch
 from t2vad.ndtensor import TrainingDiverged
+from t2vad.persist import save_detector
 from t2vad.rng import make_rng
 
 CFG = DetectorConfig(seed=0)
@@ -115,7 +116,8 @@ def test_pca_rank_error_matches_the_covariance_oracle(n, d, n_dims):
         pca_fit(x, n_dims)
 
 
-@pytest.mark.parametrize("n, d, n_dims", [(200, 8, 4), (700, 700, 32), (800, 700, 32)])
+@pytest.mark.parametrize("n, d, n_dims", [(200, 8, 4), (700, 700, 32), (701, 700, 32),
+                                           (800, 700, 32), (900, 700, 32), (2655, 700, 32)])
 def test_pca_with_as_many_samples_as_dims_is_the_covariance_oracle_bitwise(n, d, n_dims):
     x = decaying_blob(n, d, seed=d)
     basis, mean = pca_fit(x, n_dims)
@@ -127,6 +129,12 @@ def test_pca_with_as_many_samples_as_dims_is_the_covariance_oracle_bitwise(n, d,
 def test_pca_fit_peaks_below_two_copies_of_its_input(traced_peak):
     x = decaying_blob(200, 2000, seed=5)
     assert traced_peak(pca_fit, x, 32) < 2 * x.nbytes
+
+
+def test_pca_fit_with_more_samples_than_dims_holds_one_centred_copy(traced_peak):
+    """One centred copy of x and the d x d covariance, not np.cov's copies."""
+    x = decaying_blob(900, 700, seed=6)
+    assert traced_peak(pca_fit, x, 32) < x.nbytes + 1.25 * 700 * 700 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +152,7 @@ def test_iforest_outliers_rank_top():
                               rng.normal(size=(100, 4)) * 0.1 + 2.0])
     outliers = rng.normal(size=(5, 4)) * 0.1 + 40.0   # 10-sigma-scale separation
     x = np.concatenate([inliers, outliers])
-    model = detect.fit("iforest", x, CFG)
+    model = detect.fit(["iforest"], x, CFG)["iforest"]
     order = np.argsort(model.train_scores)[::-1]
     assert set(order[:5]) == set(range(200, 205))
 
@@ -156,7 +164,7 @@ def test_iforest_scores_in_unit_interval(small_e2e):
 
 def test_iforest_far_point_scores_higher():
     x = gaussian_blob(n=300, d=4, seed=6)
-    model = detect.fit("iforest", x, CFG)
+    model = detect.fit(["iforest"], x, CFG)["iforest"]
     near = detect.score_many(model, x[:1])[0]
     far = detect.score_many(model, x[:1] + 100.0)[0]
     assert far > near
@@ -303,12 +311,12 @@ def test_lof_near_one_on_uniform_grid():
 
 def test_lof_needs_more_than_k_points():
     with pytest.raises(ValueError, match="more than k"):
-        detect.fit("lof", gaussian_blob(n=15, d=3), CFG)
+        detect.fit(["lof"], gaussian_blob(n=15, d=3), CFG)
 
 
 def test_lof_flags_isolated_point():
     x = gaussian_blob(n=150, d=3, seed=7)
-    model = detect.fit("lof", x, CFG)
+    model = detect.fit(["lof"], x, CFG)["lof"]
     assert detect.score_many(model, x[:1] + 25.0)[0] > np.max(model.train_scores)
 
 
@@ -386,7 +394,7 @@ def test_distance_and_kernel_peak_below_one_and_a_half_matrices(traced_peak):
 
 def test_ocsvm_dual_constraints_hold():
     x = gaussian_blob(n=300, d=6, seed=8)
-    model = detect.fit("ocsvm", x, CFG)
+    model = detect.fit(["ocsvm"], x, CFG)["ocsvm"]
     alpha = model.state["alpha_full"]
     box = model.state["box"]
     assert np.all(alpha >= -1e-12)
@@ -398,7 +406,7 @@ def test_ocsvm_nu_property():
     # count points clearly outside the boundary; free SVs straddle zero
     # within the solver tolerance
     x = gaussian_blob(n=400, d=6, seed=9)
-    model = detect.fit("ocsvm", x, CFG)
+    model = detect.fit(["ocsvm"], x, CFG)["ocsvm"]
     outlier_fraction = float(np.mean(model.train_scores > TOL))
     assert outlier_fraction <= ocsvm.NU + 0.02
     at_box = float(np.mean(model.state["alpha_full"] >= model.state["box"] - 1e-9))
@@ -407,7 +415,7 @@ def test_ocsvm_nu_property():
 
 def test_ocsvm_score_is_rho_minus_kernel_sum():
     x = gaussian_blob(n=120, d=4, seed=10)
-    model = detect.fit("ocsvm", x, CFG)
+    model = detect.fit(["ocsvm"], x, CFG)["ocsvm"]
     state = model.state
     z = (x[0] - model.scaler_mean) / model.scaler_std
     k = rbf_kernel(z[None], state["sv"], state["gamma"])[0]
@@ -529,8 +537,8 @@ def test_fit_deterministic_per_seed():
     x = gaussian_blob(n=120, d=6, seed=18)
     cfg = DetectorConfig(seed=6)
     for kind in detect.KINDS:
-        a = detect.fit(kind, x, cfg)
-        b = detect.fit(kind, x, cfg)
+        a = detect.fit([kind], x, cfg)[kind]
+        b = detect.fit([kind], x, cfg)[kind]
         assert np.array_equal(a.train_scores, b.train_scores), kind
         assert a.threshold == b.threshold
 
@@ -545,7 +553,7 @@ def test_score_is_pure_post_fit(small_e2e):
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown detector kind"):
-        detect.fit("dbscan", gaussian_blob(), CFG)
+        detect.fit(["dbscan"], gaussian_blob(), CFG)
 
 
 def test_detector_model_validates_kind():
@@ -564,7 +572,7 @@ def test_fit_rejects_non_finite_embedding_row(kind, value):
     x[17, 3] = value
     x[30, 0] = value
     with pytest.raises(ValueError, match="embedding row 17 contains NaN/Inf"):
-        detect.fit(kind, x, CFG)
+        detect.fit([kind], x, CFG)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -631,16 +639,16 @@ def test_degenerate_training_set_fits_finite_or_raises(kind, name):
     error = expected_error(kind, name, len(x))
     if error is not None:
         with pytest.raises(ValueError, match=error):
-            detect.fit(kind, x, cfg)
+            detect.fit([kind], x, cfg)
         return
-    model = detect.fit(kind, x, cfg)
+    model = detect.fit([kind], x, cfg)[kind]
     assert np.isfinite(model.threshold) and np.isfinite(model.train_scores).all()
     assert np.isfinite(detect.score_many(model, x)).all()
 
 
 def test_lof_scores_points_off_an_all_constant_training_set_finite_and_above_the_threshold():
     x = degenerate_sets()["all-constant"]
-    model = detect.fit("lof", x, CFG)
+    model = detect.fit(["lof"], x, CFG)["lof"]
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         scores = detect.score_many(model, np.concatenate([x[:2] + 3.0, x[:2] + 1e-9]))
     assert np.isfinite(scores).all() and (scores > model.threshold).all()
@@ -661,13 +669,55 @@ def test_fit_calls_the_module_level_fit_function_bound_at_call_time(monkeypatch,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(detect, f"fit_{kind}", recording)
-    model = detect.fit(kind, gaussian_blob(n=48, d=6, seed=31))
+    model = detect.fit([kind], gaussian_blob(n=48, d=6, seed=31))[kind]
     assert calls == [kind]
     assert model.train_scores.shape == (48,)
 
 
+# ---------------------------------------------------------------------------
+# one standardized matrix for every kind
+# ---------------------------------------------------------------------------
+
+def test_fitting_every_kind_at_once_saves_the_bytes_of_fitting_each_alone(tmp_path):
+    x = gaussian_blob(n=120, d=8, seed=33)
+    together = detect.fit(detect.KINDS, x, CFG)
+    assert list(together) == list(detect.KINDS)
+    for kind, model in together.items():
+        save_detector(tmp_path / "together.json", model)
+        save_detector(tmp_path / "alone.json", detect.fit([kind], x, CFG)[kind])
+        assert ((tmp_path / "together.json").read_bytes()
+                == (tmp_path / "alone.json").read_bytes()), kind
+
+
+def test_lof_stores_the_read_only_standardized_matrix():
+    x = gaussian_blob(n=48, d=6, seed=34)
+    model = detect.fit(["lof"], x, CFG)["lof"]
+    stored = model.state["x"]
+    assert np.array_equal(stored, (x - model.scaler_mean) / model.scaler_std)
+    assert not stored.flags.writeable
+
+
+def test_a_fit_that_writes_into_the_standardized_matrix_raises(monkeypatch):
+    """Every kind fits on the one matrix LOF stores; a kind that writes into it
+    raises instead of changing LOF's `x` under it."""
+    original = detect.fit_iforest
+
+    def writing(z, *args):
+        z[0, 0] = 0.0
+        return original(z, *args)
+
+    monkeypatch.setattr(detect, "fit_iforest", writing)
+    with pytest.raises(ValueError, match="read-only"):
+        detect.fit(["lof", "iforest"], gaussian_blob(n=48, d=6, seed=34), CFG)
+
+
+def test_fitting_every_kind_on_900_embeddings_holds_one_standardized_copy(traced_peak):
+    x = gaussian_blob(n=900, d=700, seed=35)
+    assert traced_peak(detect.fit, detect.KINDS, x, CFG) < 4.25 * x.nbytes
+
+
 def test_lof_training_scores_are_the_fitted_lof_values():
-    model = detect.fit("lof", gaussian_blob(n=48, d=6, seed=32), CFG)
+    model = detect.fit(["lof"], gaussian_blob(n=48, d=6, seed=32), CFG)["lof"]
     assert np.array_equal(model.train_scores, model.state["train_lof"])
 
 

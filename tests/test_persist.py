@@ -1,3 +1,5 @@
+import base64
+import binascii
 import hashlib
 import json
 import math
@@ -17,12 +19,71 @@ from t2vad.persist import (CHUNK, ChecksumError, SchemaError, atomic_write_json,
                            encode_array, load_corpus, load_detector, load_model,
                            load_report, load_testsuite, save_corpus, save_detector,
                            save_model, save_report, save_testsuite)
+from t2vad.persist import _base64_pieces
+
+STEP = CHUNK // 3 * 4       # base64 characters decoded at a time
 
 
 def test_array_codec_roundtrip():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 4, 5))
     np.testing.assert_array_equal(decode_array(encode_array(a)), a)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, CHUNK // 8 - 1, CHUNK // 8, CHUNK // 8 + 1,
+                                  2 * CHUNK // 8 + 5])
+def test_array_codec_roundtrip_across_chunk_boundaries(size):
+    a = np.random.default_rng(size).normal(size=(size, 1))
+    decoded = decode_array(encode_array(a))
+    assert np.array_equal(decoded, a) and decoded.dtype == np.float64
+    assert decoded.flags.writeable and decoded.flags.c_contiguous
+
+
+# '=' after a whole group: b64decode(validate=True) skips it, a canonical payload has none
+EXCESS_PADDING = ("AAAA=", "AAAA==", "AAAA===")
+
+
+def b64decode_strict(data: str):
+    """`base64.b64decode(data, validate=True)`, or None where it raises."""
+    try:
+        return base64.b64decode(data, validate=True)
+    except (binascii.Error, ValueError):
+        return None
+
+
+@pytest.mark.parametrize("data", [
+    "", "AA==", "AAA=", "AAAA", "AB==", "A", "AA", "AAA", "AAAAA", "A===", "====", "==",
+    *EXCESS_PADDING,
+    "AA=A", "A=AA", "AA==AAAA", "AAA!", "AA-_", "AAAé", "AA A", "AA\nA", "!!!!AAAA",
+    "AAAA\n\n\n\n", "AA==" + "A" * (STEP - 4),
+    "A" * STEP + "AA==", "A" * (STEP - 1) + "=" + "AAAA", "A" * STEP + "=AAA",
+    "A" * (STEP - 2) + "==" + "AAAA", "A" * (STEP - 4) + "AA==" + "AAAA", "A" * (2 * STEP),
+    "A" * (STEP + 3) + "!",
+])
+def test_chunked_decoding_is_never_laxer_than_b64decode_validate(data):
+    expected = b64decode_strict(data)
+    if expected is None or data in EXCESS_PADDING:
+        with pytest.raises(ValueError):
+            b"".join(_base64_pieces(data))
+    else:
+        assert b"".join(_base64_pieces(data)) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.text(alphabet="AB+/=!-\n é", max_size=14))
+def test_chunked_decoding_agrees_with_b64decode_validate_on_short_strings(data):
+    try:
+        decoded = b"".join(_base64_pieces(data))
+    except ValueError:
+        decoded = None
+    excess_padding = data.endswith("=") and len(data.rstrip("=")) % 4 == 0
+    assert decoded == (None if excess_padding else b64decode_strict(data))
+
+
+def test_decoding_an_array_peaks_below_one_and_a_quarter_payloads(traced_peak):
+    a = np.random.default_rng(4).normal(size=1 << 20)       # an 8 MiB payload
+    block = encode_array(a)
+    assert traced_peak(decode_array, block) < 1.25 * a.nbytes
 
 
 def test_corpus_roundtrip(tmp_path, small_corpus):
@@ -379,6 +440,15 @@ def set_first_shape_entry(value):
     return lambda d: d["windows"]["payload"]["shape"].__setitem__(0, value)
 
 
+def set_payload_character(index, char):
+    """Put `char` at `index` of the corpus payload's base64 string."""
+    def edit(doc):
+        data = doc["windows"]["payload"]["data"]
+        assert index < len(data) - 4       # inside the payload, before its last group
+        doc["windows"]["payload"]["data"] = data[:index] + char + data[index + 1:]
+    return edit
+
+
 def set_forest_entry(key, index, value):
     """Re-encode one iforest state array with `value` at `index`."""
     def edit(doc):
@@ -417,6 +487,20 @@ ARTIFACT_FIELD_MUTATIONS = {
                                        "array data holds .* bytes"),
     "corpus-payload-shape-float": ("corpus.json", set_first_shape_entry(60.0),
                                    "not a list of non-negative integers"),
+    "corpus-payload-data-padding-mid-string": (
+        "corpus.json", set_payload_character(1001, "="), "array data is not base64"),
+    "corpus-payload-data-padding-ending-a-chunk": (
+        "corpus.json", set_payload_character(STEP - 1, "="), "array data is not base64"),
+    "corpus-payload-data-padding-starting-a-chunk": (
+        "corpus.json", set_payload_character(STEP, "="), "array data is not base64"),
+    "corpus-payload-data-non-alphabet-character": (
+        "corpus.json", set_payload_character(2 * STEP + 7, "-"), "array data is not base64"),
+    "corpus-payload-data-non-ascii-character": (
+        "corpus.json", set_payload_character(7, "é"), "array data is not base64"),
+    "corpus-payload-data-one-group-short": (
+        "corpus.json", lambda d: d["windows"]["payload"].update(
+            data=d["windows"]["payload"]["data"][:-4]),
+        r"array data holds 287997 bytes, not the 288000"),
     "t2v-layers-removed": ("t2v.json", lambda d: d.pop("layers"), "'layers'"),
     "t2v-config-removed": ("t2v.json", lambda d: d.pop("config"), "'config'"),
     "t2v-config-unknown-key": ("t2v.json", lambda d: d["config"].update(bogus=1), "bogus"),
@@ -679,6 +763,16 @@ def test_a_reformatted_valid_file_is_a_checksum_error(tmp_path, saved_artifacts,
     path.write_text(json.dumps(doc, sort_keys=True, indent=1, separators=separators))
     with pytest.raises(ChecksumError, match="checksum"):
         LOADERS[file](path)
+
+
+@pytest.mark.parametrize("at", [1, -1, None])     # after '{', before '}', at the end
+def test_a_file_that_gains_a_crlf_is_a_checksum_error(tmp_path, saved_artifacts, at):
+    path = tmp_path / "recon.json"
+    blob = (saved_artifacts / "recon.json").read_bytes()
+    at = len(blob) if at is None else at % len(blob)
+    path.write_bytes(blob[:at] + b"\r\n" + blob[at:])
+    with pytest.raises(ChecksumError, match="checksum mismatch"):
+        load_model(path)
 
 
 def test_a_file_that_is_not_utf8_is_a_checksum_error(tmp_path, saved_artifacts):
