@@ -240,14 +240,13 @@ def combine_components(comps: np.ndarray, calib: ScoreCalibration) -> np.ndarray
 # hyperparameter search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchSpace:
-    k: tuple[int, int] = (4, 16)
-    layers: tuple[int, int] = (2, 4)
-    kernels: tuple[int, ...] = (3, 5, 7)
-    filters: tuple[int, ...] = (8, 16, 32)
-    epochs: tuple[int, int] = (20, 100)
-    batches: tuple[int, ...] = (16, 32, 64)
+# the search space: inclusive (lo, hi) ranges, or tuples of choices
+SEARCH_K = (4, 16)
+SEARCH_LAYERS = (2, 4)
+SEARCH_KERNELS = (3, 5, 7)
+SEARCH_FILTERS = (8, 16, 32)
+SEARCH_EPOCHS = (20, 100)
+SEARCH_BATCHES = (16, 32, 64)
 
 
 @dataclass
@@ -269,23 +268,23 @@ def validation_dtw(model: TrainedModel, data: np.ndarray) -> float:
     return float(np.mean(score_components_many(model, data)[:, 2]))
 
 
-def _sample_config(variant: str, space: SearchSpace, rng, seed: int) -> AEConfig:
+def _sample_config(variant: str, rng, seed: int) -> AEConfig:
     return AEConfig(
         variant=variant,
-        k=int(rng.integers(space.k[0], space.k[1] + 1)),
-        decoder_layers=int(rng.integers(space.layers[0], space.layers[1] + 1)),
-        encoder_layers=int(rng.integers(space.layers[0], space.layers[1] + 1)),
-        filters=int(rng.choice(space.filters)),
-        kernel=int(rng.choice(space.kernels)),
-        epochs=int(rng.integers(space.epochs[0], space.epochs[1] + 1)),
-        batch=int(rng.choice(space.batches)),
+        k=int(rng.integers(SEARCH_K[0], SEARCH_K[1] + 1)),
+        decoder_layers=int(rng.integers(SEARCH_LAYERS[0], SEARCH_LAYERS[1] + 1)),
+        encoder_layers=int(rng.integers(SEARCH_LAYERS[0], SEARCH_LAYERS[1] + 1)),
+        filters=int(rng.choice(SEARCH_FILTERS)),
+        kernel=int(rng.choice(SEARCH_KERNELS)),
+        epochs=int(rng.integers(SEARCH_EPOCHS[0], SEARCH_EPOCHS[1] + 1)),
+        batch=int(rng.choice(SEARCH_BATCHES)),
         seed=seed,
     )
 
 
 def hyper_search(data: np.ndarray, variant: str, n_trials: int,
-                 master_seed: int, space: SearchSpace = SearchSpace()) -> SearchResult:
-    """Seeded random search over the tunable set, scored by validation DTW.
+                 master_seed: int) -> SearchResult:
+    """Seeded random search over the `SEARCH_*` space, scored by validation DTW.
 
     Training minimizes MSE; candidate ranking uses mean DTW on a chronological
     90/10 validation split of the windows `data` (n, N, F).
@@ -301,7 +300,7 @@ def hyper_search(data: np.ndarray, variant: str, n_trials: int,
     trials = []
     for t in range(n_trials):
         rng = make_rng(master_seed + t)
-        cfg = _sample_config(variant, space, rng, seed=master_seed + t)
+        cfg = _sample_config(variant, rng, seed=master_seed + t)
         if variant == "reconstruction":
             # sampled layer counts must keep the time axis divisible
             cfg = replace(cfg, encoder_layers=feasible_encoder_layers(

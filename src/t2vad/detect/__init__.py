@@ -99,7 +99,6 @@ class DetectorModel:
     scaler_std: np.ndarray
     state: dict
     threshold: float
-    train_scores: np.ndarray | None = None   # set by `fit`; a loaded model has none
     config: DetectorConfig = field(default_factory=DetectorConfig)
 
     def __post_init__(self):
@@ -149,7 +148,7 @@ def fit(kinds: Collection[str], x: np.ndarray,
         state = spec.fit(z, derive_seed(cfg.seed, f"detector/{kind}"))
         train_scores = np.asarray((spec.train_scores or spec.score)(state, z), dtype=np.float64)
         threshold = fitted_threshold(train_scores, cfg.threshold_quantile)
-        fitted[kind] = DetectorModel(kind, mean, std, state, threshold, train_scores, cfg)
+        fitted[kind] = DetectorModel(kind, mean, std, state, threshold, cfg)
     return fitted
 
 

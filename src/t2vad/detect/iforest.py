@@ -64,8 +64,8 @@ def fit_iforest(x: np.ndarray, n_trees: int, subsample: int, rng) -> dict:
     size = min(subsample, n)
     max_depth = int(math.ceil(math.log2(max(size, 2))))
     xt = np.ascontiguousarray(x.T)                 # (d, n): one feature's values are contiguous
-    ordered = np.sort(xt, axis=1)
-    distinct = (ordered[:, 1:] > ordered[:, :-1]).all(axis=1)
+    # the sorted copy lives for this expression only, not through the trees
+    distinct = np.array([(row[1:] > row[:-1]).all() for row in np.sort(xt, axis=1)], dtype=bool)
     everywhere = np.flatnonzero(distinct)        # usable at every node of >= 2 rows
     tied = np.flatnonzero(~distinct)
     tied_xt = xt[tied]

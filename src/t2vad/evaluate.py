@@ -5,9 +5,9 @@ embedding path (each one-class detector on top of the embedding AE) over
 the four evaluation sets. Anomalous is the positive class: True in each
 set's `anomalous` array, and where a score is above its method's
 threshold. The report is a pure function of its inputs: same suite,
-models, detectors and config give an identical report. `run_benchmark`
+models, detectors and config give an identical report. `score_table`
 scores each distinct window of the four sets once, into one (methods x
-windows) score table, and reads every confusion cell from it.
+windows) table; `run_benchmark` reads every confusion cell from it.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class Confusion:
     def __post_init__(self):
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
             raise ValueError("confusion counts must be >= 0")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
 
 
 @dataclass
@@ -80,32 +76,19 @@ def _set_composition(windows: WindowSet) -> dict:
     }
 
 
-def _distinct(windows) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct, inverse) for a sequence of (N, F) windows: the distinct
-    windows, keyed by their exact bytes, stacked in order of first
-    appearance, and each window's index among them, so that
-    `distinct[inverse]` equals the windows."""
-    ids: dict[bytes, int] = {}
-    inverse = np.array([ids.setdefault(w.tobytes(), len(ids)) for w in windows], dtype=np.intp)
-    first = np.unique(inverse, return_index=True)[1]
-    return np.array([windows[i] for i in first]), inverse
-
-
-def run_benchmark(suite: TestSuite, t2v_model: TrainedModel, recon_model: TrainedModel,
-                  recon_calib: ScoreCalibration,
-                  detectors: dict[str, detect.DetectorModel],
-                  config_digest: str = "", seeds: dict | None = None) -> EvalReport:
-    """Evaluate the baseline plus every detector over all four test sets.
+def score_table(suite: TestSuite, t2v_model: TrainedModel, recon_model: TrainedModel,
+                recon_calib: ScoreCalibration, detectors: dict[str, detect.DetectorModel]
+                ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """(scores, thresholds, columns): every report score, each computed once.
 
     The sets share most of their windows (the A sets share every clean
-    window, and each AN set is its A set with some windows noised), so
-    each distinct window is scored once: the baseline components, the
-    embedding and every detector run over the windows of all four sets
-    with byte-identical repeats dropped, into one float64 table with a row
-    per method of `METHODS`; a set's cells compare its columns of a row
-    with the method's threshold. A NaN/Inf window raises ValueError naming
-    its set and its index there; a reconstruction that turns NaN/Inf is
-    named by its index among the distinct windows.
+    window, and each AN set is its A set with some windows noised), so the
+    baseline components, the embedding and every detector run once over
+    `suite.distinct()`'s windows. `scores` is float64 (len(METHODS), m) with
+    a row per method, `thresholds` holds each method's threshold, and
+    `columns[key]` is the column of each window of that set. A NaN/Inf
+    window raises ValueError naming its set and its index there; a
+    reconstruction that turns NaN/Inf is named by its column.
     """
     if t2v_model is None or recon_model is None:
         raise ValueError("missing trained model")
@@ -114,30 +97,38 @@ def run_benchmark(suite: TestSuite, t2v_model: TrainedModel, recon_model: Traine
     missing = [k for k in detect.KINDS if k not in detectors]
     if missing:
         raise ValueError(f"missing detectors: {missing}")
-
-    sets = [suite.sets[key] for key in TestSuite.KEYS]
-    for key, windows in zip(TestSuite.KEYS, sets):
-        bad = first_nonfinite(windows.data)
+    for key in TestSuite.KEYS:
+        bad = first_nonfinite(suite.sets[key].data)
         if bad is not None:
             raise ValueError(f"{key} window {bad} contains NaN/Inf")
-    distinct, inverse = _distinct([w for windows in sets for w in windows.data])
 
-    base_scores = combine_components(score_components_many(recon_model, distinct), recon_calib)
-    embeddings = embed_many(t2v_model, distinct)
+    windows, columns = suite.distinct()
+    base_scores = combine_components(score_components_many(recon_model, windows), recon_calib)
+    embeddings = embed_many(t2v_model, windows)
     scores = np.array([base_scores, *(detect.score_many(detectors[kind], embeddings)
                                       for kind in detect.KINDS)], dtype=np.float64)
-    thresholds = [recon_calib.threshold, *(detectors[kind].threshold for kind in detect.KINDS)]
+    thresholds = np.array([recon_calib.threshold,
+                           *(detectors[kind].threshold for kind in detect.KINDS)])
+    return scores, thresholds, columns
 
+
+def run_benchmark(suite: TestSuite, t2v_model: TrainedModel, recon_model: TrainedModel,
+                  recon_calib: ScoreCalibration,
+                  detectors: dict[str, detect.DetectorModel],
+                  config_digest: str = "", seeds: dict | None = None) -> EvalReport:
+    """Evaluate the baseline plus every detector over all four test sets:
+    each cell counts a set's columns of `score_table`'s row for the method
+    above that method's threshold against the set's labels."""
+    scores, thresholds, columns = score_table(suite, t2v_model, recon_model, recon_calib,
+                                              detectors)
     results: dict[str, dict[str, dict]] = {method: {} for method in METHODS}
     composition = {}
-    start = 0
-    for key, windows in zip(TestSuite.KEYS, sets):
-        cols = inverse[start:start + len(windows)]
-        start += len(windows)
+    for key in TestSuite.KEYS:
+        windows = suite.sets[key]
         composition[key] = _set_composition(windows)
-        for method, row, threshold in zip(METHODS, scores, thresholds):
-            results[method][key] = _entry(confusion(row[cols] > threshold, windows.anomalous))
-
+        flags = scores[:, columns[key]] > thresholds[:, None]
+        for method, preds in zip(METHODS, flags):
+            results[method][key] = _entry(confusion(preds, windows.anomalous))
     return EvalReport(results, composition, config_digest, dict(seeds or {}))
 
 

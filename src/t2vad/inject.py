@@ -59,6 +59,17 @@ class TestSuite:
         if missing:
             raise ValueError(f"missing test sets: {missing}")
 
+    def distinct(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """(windows, columns): each distinct window of the sets, keyed by its
+        exact bytes, stacked once in order of first appearance over KEYS, and
+        for each set the row of `windows` of each of its windows, so that
+        `windows[columns[key]]` equals `sets[key].data`."""
+        seen: dict[bytes, tuple[int, np.ndarray]] = {}
+        columns = {key: np.array([seen.setdefault(w.tobytes(), (len(seen), w))[0]
+                                  for w in self.sets[key].data], dtype=np.intp)
+                   for key in self.KEYS}
+        return np.array([w for _, w in seen.values()]), columns
+
 
 def inject_step(x: np.ndarray, features, onset: int, magnitude_per_feature) -> np.ndarray:
     """Add a persistent offset to every row >= onset of the selected features."""

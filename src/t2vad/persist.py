@@ -17,9 +17,9 @@ copy of a payload or of the whole text is held; the bytes are those of
 likewise holds the file's text once: it hashes the text in pieces and
 decodes each payload a chunk at a time into the array it returns.
 
-The test suite stores each distinct window of its four sets once, in a
-top-level `windows` block; each set lists the `rows` of that block it
-holds.
+The test suite stores `TestSuite.distinct()` as it is: each distinct
+window of its four sets once, in a top-level `windows` block, and for each
+set the `rows` of that block it holds.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from . import ndtensor as nd
 from .autoenc import AEConfig, ScoreCalibration, TrainedModel
 from .detect import KINDS, DetectorConfig, DetectorModel
-from .evaluate import METHODS, EvalReport, _distinct
+from .evaluate import METHODS, EvalReport
 from .inject import TestSuite
 from .pipeline import Corpus, WindowSet
 from .t2v import T2VLayer
@@ -353,19 +353,14 @@ def load_corpus(path: str) -> Corpus:
 
 
 def save_testsuite(path: str, suite: TestSuite) -> None:
-    """Each distinct window of the sets (by exact bytes, in order of first
-    appearance) goes into one `windows` block; each set stores its `rows`."""
-    distinct, inverse = _distinct([w for ws in suite.sets.values() for w in ws.data])
-    sets, start = {}, 0
-    for key, ws in suite.sets.items():
-        sets[key] = {**_windows_block(ws), "rows": inverse[start:start + len(ws)].tolist()}
-        start += len(ws)
+    windows, columns = suite.distinct()
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "testsuite",
         "seed": suite.seed,
-        "sets": sets,
-        "windows": distinct,
+        "sets": {key: {**_windows_block(suite.sets[key]), "rows": rows.tolist()}
+                 for key, rows in columns.items()},
+        "windows": windows,
     }
     atomic_write_json(path, doc)
 

@@ -196,7 +196,7 @@ def test_criterion_5_detector_sanity():
     assert abs(alpha.sum() - 1.0) < 1e-6
     # free SVs sit on the boundary to within the solver tolerance, so count
     # only points clearly outside it as the nu-bounded outlier fraction
-    nu_fraction = float(np.mean(ocsvm.train_scores > TOL))
+    nu_fraction = float(np.mean(detect.score_many(ocsvm, inliers) > TOL))
     assert nu_fraction <= NU + 0.02
 
     assert detect.average_path_length(2) == 1.0

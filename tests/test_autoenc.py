@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from t2vad import autoenc
 from t2vad import ndtensor as nd
-from t2vad.autoenc import (SCORE_CHUNK, AEConfig, ScoreCalibration, SearchSpace,
-                           build_recon_ae, build_t2v_ae, calibrate, combine_components,
-                           embed_many, feasible_encoder_layers, hyper_search,
-                           score_components_many, train, validation_dtw)
+from t2vad.autoenc import (SCORE_CHUNK, AEConfig, ScoreCalibration, build_recon_ae,
+                           build_t2v_ae, calibrate, combine_components, embed_many,
+                           feasible_encoder_layers, hyper_search, score_components_many, train,
+                           validation_dtw)
 from t2vad.dtw import dtw_batch
 from t2vad.rng import make_rng
-
-TINY_SPACE = SearchSpace(k=(2, 4), layers=(1, 2), kernels=(3,), filters=(4,),
-                         epochs=(2, 3), batches=(8,))
 
 
 def constant_windows(n, value=0.7, f=6):
@@ -385,33 +383,43 @@ def test_score_components_many_rejects_wrong_shape(small_e2e):
 # hyperparameter search
 # ---------------------------------------------------------------------------
 
-def test_search_single_trial_is_best(small_corpus):
+@pytest.fixture
+def tiny_space(monkeypatch):
+    """A search space small enough to train in a test."""
+    for name, value in (("SEARCH_K", (2, 4)), ("SEARCH_LAYERS", (1, 2)),
+                        ("SEARCH_KERNELS", (3,)), ("SEARCH_FILTERS", (4,)),
+                        ("SEARCH_EPOCHS", (2, 3)), ("SEARCH_BATCHES", (8,))):
+        monkeypatch.setattr(autoenc, name, value)
+
+
+def test_search_single_trial_is_best(small_corpus, tiny_space):
     windows = small_corpus.train_windows.data[:20]
-    res = hyper_search(windows, "t2v", n_trials=1, master_seed=17, space=TINY_SPACE)
+    res = hyper_search(windows, "t2v", n_trials=1, master_seed=17)
     assert res.best_index == 0
     assert res.best_score == res.trials[0][1]
 
 
-def test_search_deterministic(small_corpus):
+def test_search_deterministic(small_corpus, tiny_space):
     windows = small_corpus.train_windows.data[:20]
-    a = hyper_search(windows, "t2v", 3, master_seed=18, space=TINY_SPACE)
-    b = hyper_search(windows, "t2v", 3, master_seed=18, space=TINY_SPACE)
+    a = hyper_search(windows, "t2v", 3, master_seed=18)
+    b = hyper_search(windows, "t2v", 3, master_seed=18)
     assert [(c, s) for c, s in a.trials] == [(c, s) for c, s in b.trials]
 
 
-def test_search_argmin_at_most_median(small_corpus):
+def test_search_argmin_at_most_median(small_corpus, tiny_space):
     windows = small_corpus.train_windows.data[:20]
-    res = hyper_search(windows, "t2v", 6, master_seed=19, space=TINY_SPACE)
+    res = hyper_search(windows, "t2v", 6, master_seed=19)
     scores = [s for _, s in res.trials]
     assert res.best_score <= np.median(scores)
     assert res.best_score == min(scores)
 
 
-def test_search_reconstruction_variant_clamps_layers(small_corpus):
+def test_search_reconstruction_variant_clamps_layers(small_corpus, tiny_space, monkeypatch):
     windows = small_corpus.train_windows.data[:20]
-    space = SearchSpace(k=(2, 3), layers=(3, 4), kernels=(3,), filters=(4,),
-                        epochs=(2, 2), batches=(8,))
-    res = hyper_search(windows, "reconstruction", 2, master_seed=20, space=space)
+    for name, value in (("SEARCH_K", (2, 3)), ("SEARCH_LAYERS", (3, 4)),
+                        ("SEARCH_EPOCHS", (2, 2))):
+        monkeypatch.setattr(autoenc, name, value)
+    res = hyper_search(windows, "reconstruction", 2, master_seed=20)
     for cfg, _ in res.trials:
         assert 100 % (cfg.encoder_stride ** cfg.encoder_layers) == 0
 

@@ -27,6 +27,14 @@ def gaussian_blob(n=200, d=8, seed=0, shift=0.0):
     return rng.normal(size=(n, d)) + shift
 
 
+def fit_scores(model, x):
+    """The scores of the training embeddings `x` that `detect.fit` took
+    `model`'s threshold from: LOF's in-sample values, else `score_many`."""
+    spec = detect.KINDS[model.kind]
+    z = (x - model.scaler_mean) / model.scaler_std
+    return (spec.train_scores or spec.score)(model.state, z)
+
+
 # ---------------------------------------------------------------------------
 # pca
 # ---------------------------------------------------------------------------
@@ -153,12 +161,13 @@ def test_iforest_outliers_rank_top():
     outliers = rng.normal(size=(5, 4)) * 0.1 + 40.0   # 10-sigma-scale separation
     x = np.concatenate([inliers, outliers])
     model = detect.fit(["iforest"], x, CFG)["iforest"]
-    order = np.argsort(model.train_scores)[::-1]
+    order = np.argsort(detect.score_many(model, x))[::-1]
     assert set(order[:5]) == set(range(200, 205))
 
 
 def test_iforest_scores_in_unit_interval(small_e2e):
-    scores = small_e2e["detectors"]["iforest"].train_scores
+    emb = embed_many(small_e2e["t2v_model"], small_e2e["corpus"].train_windows.data)
+    scores = detect.score_many(small_e2e["detectors"]["iforest"], emb)
     assert np.all(scores > 0) and np.all(scores <= 1)
 
 
@@ -317,7 +326,7 @@ def test_lof_needs_more_than_k_points():
 def test_lof_flags_isolated_point():
     x = gaussian_blob(n=150, d=3, seed=7)
     model = detect.fit(["lof"], x, CFG)["lof"]
-    assert detect.score_many(model, x[:1] + 25.0)[0] > np.max(model.train_scores)
+    assert detect.score_many(model, x[:1] + 25.0)[0] > np.max(fit_scores(model, x))
 
 
 def lof_oracle(train, query, k):
@@ -407,7 +416,7 @@ def test_ocsvm_nu_property():
     # within the solver tolerance
     x = gaussian_blob(n=400, d=6, seed=9)
     model = detect.fit(["ocsvm"], x, CFG)["ocsvm"]
-    outlier_fraction = float(np.mean(model.train_scores > TOL))
+    outlier_fraction = float(np.mean(detect.score_many(model, x) > TOL))
     assert outlier_fraction <= ocsvm.NU + 0.02
     at_box = float(np.mean(model.state["alpha_full"] >= model.state["box"] - 1e-9))
     assert at_box <= ocsvm.NU + 0.02     # margin errors are box-bound alphas
@@ -539,7 +548,7 @@ def test_fit_deterministic_per_seed():
     for kind in detect.KINDS:
         a = detect.fit([kind], x, cfg)[kind]
         b = detect.fit([kind], x, cfg)[kind]
-        assert np.array_equal(a.train_scores, b.train_scores), kind
+        assert np.array_equal(fit_scores(a, x), fit_scores(b, x)), kind
         assert a.threshold == b.threshold
 
 
@@ -558,7 +567,7 @@ def test_unknown_kind_rejected():
 
 def test_detector_model_validates_kind():
     with pytest.raises(ValueError, match="unknown detector kind"):
-        DetectorModel("nope", np.zeros(2), np.ones(2), {}, 0.0, np.zeros(3))
+        DetectorModel("nope", np.zeros(2), np.ones(2), {}, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +651,7 @@ def test_degenerate_training_set_fits_finite_or_raises(kind, name):
             detect.fit([kind], x, cfg)
         return
     model = detect.fit([kind], x, cfg)[kind]
-    assert np.isfinite(model.threshold) and np.isfinite(model.train_scores).all()
+    assert np.isfinite(model.threshold) and np.isfinite(fit_scores(model, x)).all()
     assert np.isfinite(detect.score_many(model, x)).all()
 
 
@@ -669,9 +678,10 @@ def test_fit_calls_the_module_level_fit_function_bound_at_call_time(monkeypatch,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(detect, f"fit_{kind}", recording)
-    model = detect.fit([kind], gaussian_blob(n=48, d=6, seed=31))[kind]
+    x = gaussian_blob(n=48, d=6, seed=31)
+    model = detect.fit([kind], x)[kind]
     assert calls == [kind]
-    assert model.train_scores.shape == (48,)
+    assert fit_scores(model, x).shape == (48,)
 
 
 # ---------------------------------------------------------------------------
@@ -717,8 +727,12 @@ def test_fitting_every_kind_on_900_embeddings_holds_one_standardized_copy(traced
 
 
 def test_lof_training_scores_are_the_fitted_lof_values():
-    model = detect.fit(["lof"], gaussian_blob(n=48, d=6, seed=32), CFG)["lof"]
-    assert np.array_equal(model.train_scores, model.state["train_lof"])
+    x = gaussian_blob(n=48, d=6, seed=32)
+    model = detect.fit(["lof"], x, CFG)["lof"]
+    assert model.threshold == detect.fitted_threshold(model.state["train_lof"],
+                                                      CFG.threshold_quantile)
+    assert model.threshold != detect.fitted_threshold(detect.score_many(model, x),
+                                                      CFG.threshold_quantile)
 
 
 @pytest.mark.parametrize("module", ["t2vad", "t2vad.detect"])

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from t2vad import detect, evaluate
 from t2vad.autoenc import combine_components, embed_many, score_components_many
-from t2vad.evaluate import (METHOD_BASELINE, METHODS, Confusion, EvalReport, _distinct,
-                            _entry, confusion, format_report_table, prf1, run_benchmark)
+from t2vad.evaluate import (METHOD_BASELINE, METHODS, Confusion, EvalReport, _entry,
+                            confusion, format_report_table, prf1, run_benchmark, score_table)
 from t2vad.inject import TestSuite
 from t2vad.pipeline import WindowSet
 
@@ -34,7 +34,7 @@ def test_confusion_hand_tallied_eight_elements():
     # manual tally: tp rows 0,4; fp rows 2,5; fn rows 1,6; tn rows 3,7
     c = confusion(preds, labels)
     assert (c.tp, c.fp, c.tn, c.fn) == (2, 2, 2, 2)
-    assert c.total == 8
+    assert c.tp + c.fp + c.tn + c.fn == 8
     assert all(type(n) is int for n in (c.tp, c.fp, c.tn, c.fn))
 
 
@@ -52,7 +52,7 @@ def test_confusion_counts_match_a_per_element_tally(pairs):
     assert c.tp == sum(p and t for p, t in pairs)
     assert c.fp == sum(p and not t for p, t in pairs)
     assert c.fn == sum(t and not p for p, t in pairs)
-    assert c.total == len(pairs)
+    assert c.tp + c.fp + c.tn + c.fn == len(pairs)
 
 
 def test_confusion_rejects_negative():
@@ -266,25 +266,44 @@ def test_nan_window_is_named_by_its_set_and_index_there(small_e2e):
 
 def test_distinct_window_scores_match_the_per_set_scores(small_e2e):
     e = small_e2e
-    sets = [e["suite"].sets[key] for key in TestSuite.KEYS]
-    data = np.concatenate([s.data for s in sets])
-    distinct, inverse = _distinct(data)
-    assert np.array_equal(distinct[inverse], data)
-    embeddings = embed_many(e["t2v_model"], distinct)
-    scores = {"base": combine_components(score_components_many(e["recon_model"], distinct),
-                                         e["calib"]),
-              **{kind: detect.score_many(e["detectors"][kind], embeddings)
-                 for kind in detect.KINDS}}
-    start = 0
-    for s in sets:
-        rows = inverse[start:start + len(s)]
-        start += len(s)
-        per_set = embed_many(e["t2v_model"], s.data)
+    scores, thresholds, columns = score_table(*bench_args(e))
+    assert scores.dtype == np.float64 and scores.shape[0] == len(METHODS)
+    assert list(thresholds) == [e["calib"].threshold,
+                                *(e["detectors"][kind].threshold for kind in detect.KINDS)]
+    for key in TestSuite.KEYS:
+        data = e["suite"].sets[key].data
+        per_set = embed_many(e["t2v_model"], data)
         np.testing.assert_allclose(
-            scores["base"][rows],
-            combine_components(score_components_many(e["recon_model"], s.data), e["calib"]),
+            scores[0, columns[key]],
+            combine_components(score_components_many(e["recon_model"], data), e["calib"]),
             rtol=1e-12)
-        for kind in detect.KINDS:
-            np.testing.assert_allclose(scores[kind][rows],
+        for row, kind in enumerate(detect.KINDS, start=1):
+            np.testing.assert_allclose(scores[row, columns[key]],
                                        detect.score_many(e["detectors"][kind], per_set),
                                        rtol=1e-12)
+
+
+def test_run_benchmark_only_counts_the_score_table(small_e2e, monkeypatch):
+    """Every cell counts `score_table`'s columns of a set above the method's
+    threshold; `run_benchmark` calls no scorer itself."""
+    suite = small_e2e["suite"]
+    columns = suite.distinct()[1]
+    m = 1 + max(int(rows.max()) for rows in columns.values())
+    scores = np.tile(np.arange(m, dtype=np.float64), (len(METHODS), 1)) * \
+        np.arange(1, len(METHODS) + 1)[:, None]
+    thresholds = np.full(len(METHODS), m / 2)
+    monkeypatch.setattr(evaluate, "score_table",
+                        lambda *args: (scores, thresholds, columns))
+
+    def no_scoring(*args):
+        raise AssertionError("run_benchmark scored a window itself")
+
+    for name in ("score_components_many", "combine_components", "embed_many"):
+        monkeypatch.setattr(evaluate, name, no_scoring)
+    monkeypatch.setattr(evaluate.detect, "score_many", no_scoring)
+    report = run_benchmark(*bench_args(small_e2e))
+    for method, row, threshold in zip(METHODS, scores, thresholds):
+        for key in TestSuite.KEYS:
+            preds = row[columns[key]] > threshold
+            assert report.results[method][key] == \
+                _entry(confusion(preds, suite.sets[key].anomalous))

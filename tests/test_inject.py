@@ -257,3 +257,39 @@ def test_step_windows_untouched_before_onset(suite_295, clean_295):
 def test_testsets_reject_a_flat_feature_outside_the_features(flat):
     with pytest.raises(ValueError, match=r"flat features \[-?\d\] lie outside \[0, 6\)"):
         build_testsets(make_windows(range(12)), InjectionSpec(flat_features=flat, seed=0))
+
+
+# ---------------------------------------------------------------------------
+# distinct windows
+# ---------------------------------------------------------------------------
+
+def test_distinct_stacks_each_window_once_and_indexes_every_set(suite_295):
+    windows, columns = suite_295.distinct()
+    assert list(columns) == list(TestSuite.KEYS)
+    for key in TestSuite.KEYS:
+        assert columns[key].dtype == np.intp
+        assert windows[columns[key]].tobytes() == suite_295.sets[key].data.tobytes()
+    assert len({w.tobytes() for w in windows}) == len(windows)
+    assert len(windows) < sum(len(s) for s in suite_295.sets.values())
+
+
+def test_distinct_follows_keys_order_whatever_the_insertion_order():
+    parts = {"A-6F": [1, 2], "AN-6F": [2, 3], "A-4F": [3, 1], "AN-4F": [4]}
+    expected = ({"A-6F": [0, 1], "AN-6F": [1, 2], "A-4F": [2, 0], "AN-4F": [3]},
+                make_windows([1, 2, 3, 4]).data)
+    for order in (TestSuite.KEYS, TestSuite.KEYS[::-1], ("A-4F", "A-6F", "AN-4F", "AN-6F")):
+        suite = TestSuite({key: make_windows(parts[key]) for key in order}, seed=0)
+        windows, columns = suite.distinct()
+        assert {key: rows.tolist() for key, rows in columns.items()} == expected[0]
+        assert windows.tobytes() == expected[1].tobytes()
+
+
+def test_distinct_keys_windows_by_their_exact_bytes():
+    """-0.0 equals 0.0 but has other bytes, so it makes another window."""
+    zero = WindowSet(np.zeros((1, 100, 6)))
+    signed = WindowSet(np.zeros((1, 100, 6)))
+    signed.data[0, 0, 0] = -0.0
+    suite = TestSuite({"A-6F": zero, "AN-6F": signed, "A-4F": zero, "AN-4F": zero}, seed=0)
+    windows, columns = suite.distinct()
+    assert np.array_equal(windows[0], windows[1]) and len(windows) == 2
+    assert [columns[key].tolist() for key in TestSuite.KEYS] == [[0], [1], [0], [0]]
