@@ -17,7 +17,8 @@ far = rng.normal(size=(5, 16)) + 8.0
 
 cfg = detect.DetectorConfig(seed=1)
 print(f"{'kind':<10} {'threshold':>10} {'median normal':>14} {'median far':>11} flagged")
-for kind, model in detect.fit(detect.KINDS, train, cfg).items():
+# `fit` standardizes its input in place, and `train` is scored below: pass a copy
+for kind, model in detect.fit(detect.KINDS, train.copy(), cfg).items():
     normal_scores = detect.score_many(model, train)
     far_scores = detect.score_many(model, far)
     flagged = (far_scores > model.threshold).sum()

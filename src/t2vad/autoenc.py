@@ -189,8 +189,9 @@ class ScoreCalibration:
 
 def score_components_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
     """(B, 3) raw MSE, MAE and DTW of each window in `data` (B, N, F) against
-    its reconstruction. Reconstructions are computed SCORE_CHUNK windows at a
-    time, then one `dtw_batch` call sweeps all B pairs.
+    its reconstruction. The windows are reconstructed and scored SCORE_CHUNK
+    at a time, so only one chunk's reconstructions are held; each pair's DTW
+    is its own sweep, so the chunking changes no bit.
 
     Raises ValueError naming the first window whose values, or whose
     reconstruction, hold a NaN or Inf: such a score compares False against
@@ -201,11 +202,9 @@ def score_components_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
         raise ValueError(f"windows are {data.shape}, model expects (B, {model.n}, {model.f})")
     _finite_windows(data)
     comps = np.empty((len(data), 3))
-    recon = np.empty_like(data)
     for start in range(0, len(data), SCORE_CHUNK):
         x = data[start:start + SCORE_CHUNK]
-        xhat = recon[start:start + len(x)]
-        xhat[...] = model.stack.forward(x)
+        xhat = np.asarray(model.stack.forward(x), dtype=np.float64)
         bad = first_nonfinite(xhat)
         if bad is not None:
             raise ValueError(f"reconstruction of window {start + bad} contains NaN/Inf")
@@ -213,7 +212,7 @@ def score_components_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
         out = comps[start:start + len(x)]
         out[:, 0] = np.mean(diff * diff, axis=1)
         out[:, 1] = np.mean(np.abs(diff), axis=1)
-    comps[:, 2] = dtw_batch(data, recon)
+        out[:, 2] = dtw_batch(x, xhat)
     return comps
 
 

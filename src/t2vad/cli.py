@@ -189,7 +189,8 @@ def cmd_fit_detector(args) -> int:
     cfg = detect.DetectorConfig(threshold_quantile=args.threshold_quantile,
                                 seed=args.seed)
     # every kind is fitted before any file is written, so a failed fit leaves
-    # the files of an earlier run as they were, never a mix of two runs
+    # the files of an earlier run as they were, never a mix of two runs;
+    # `fit` standardizes `emb` in place, so the embeddings are held once
     fitted = detect.fit(kinds, emb, cfg)
     for kind, detector in fitted.items():
         path = args.out if len(kinds) == 1 else _suffixed(args.out, kind)

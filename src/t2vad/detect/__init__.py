@@ -116,7 +116,9 @@ def _finite_rows(x: np.ndarray) -> np.ndarray:
 
 def _transform(model: DetectorModel, x: np.ndarray) -> np.ndarray:
     x = _finite_rows(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    return (x - model.scaler_mean) / model.scaler_std
+    z = x - model.scaler_mean
+    z /= model.scaler_std                   # bitwise (x - mean) / std, one temporary
+    return z
 
 
 def fit(kinds: Collection[str], x: np.ndarray,
@@ -124,29 +126,32 @@ def fit(kinds: Collection[str], x: np.ndarray,
     """{kind: DetectorModel} for each of `kinds` (KINDS keys), fitted on the
     same training (assumed-normal) embeddings `x` (n, d).
 
-    `x` is standardized once, into one array `z` that every kind fits on and
-    that LOF stores as its `x`. `z` is read-only, so a fit that writes into
-    it raises instead of changing what the other kinds see.
+    `fit` takes `x` over rather than copy it: it standardizes the array in
+    place, marks it read-only and fits every kind on it, and LOF stores it
+    as its `x`. A caller that needs its embeddings afterwards passes a copy.
+    Only an `x` that is not a writeable float64 array is copied first. A fit
+    that writes into the read-only array raises instead of changing what
+    the other kinds see.
     """
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown detector kind {kind!r}")
-    x = np.asarray(x, dtype=np.float64)
+    x = np.require(x, np.float64, "W")
     if x.ndim != 2:
         raise ValueError("training data must be (n, d)")
     _finite_rows(x)
 
     mean = x.mean(axis=0)
     std = np.maximum(x.std(axis=0), 1e-12)
-    z = x - mean
-    z /= std                                # bitwise (x - mean) / std
-    z.flags.writeable = False
+    x -= mean
+    x /= std                                # bitwise (x - mean) / std
+    x.flags.writeable = False
 
     fitted = {}
     for kind in kinds:
         spec = KINDS[kind]
-        state = spec.fit(z, derive_seed(cfg.seed, f"detector/{kind}"))
-        train_scores = np.asarray((spec.train_scores or spec.score)(state, z), dtype=np.float64)
+        state = spec.fit(x, derive_seed(cfg.seed, f"detector/{kind}"))
+        train_scores = np.asarray((spec.train_scores or spec.score)(state, x), dtype=np.float64)
         threshold = fitted_threshold(train_scores, cfg.threshold_quantile)
         fitted[kind] = DetectorModel(kind, mean, std, state, threshold, cfg)
     return fitted

@@ -6,8 +6,8 @@ the four evaluation sets. Anomalous is the positive class: True in each
 set's `anomalous` array, and where a score is above its method's
 threshold. The report is a pure function of its inputs: same suite,
 models, detectors and config give an identical report. `score_table`
-scores each distinct window of the four sets once, into one (methods x
-windows) table; `run_benchmark` reads every confusion cell from it.
+scores the suite's one array of distinct windows once, into one (methods
+x windows) table; `run_benchmark` reads every confusion cell from it.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ import numpy as np
 from . import detect
 from .autoenc import (ScoreCalibration, TrainedModel, combine_components, embed_many,
                       score_components_many)
-from .dtw import first_nonfinite
-from .inject import TestSuite
-from .pipeline import WindowSet
+from .inject import TestSet, TestSuite
 
 METHOD_BASELINE = "recon_ae"
 METHODS = (METHOD_BASELINE, *(f"t2v_{kind}" for kind in detect.KINDS))
@@ -68,27 +66,26 @@ def prf1(c: Confusion) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def _set_composition(windows: WindowSet) -> dict:
+def _set_composition(test_set: TestSet) -> dict:
     return {
-        "n": len(windows),
-        "anomalous": int(windows.anomalous.sum()),
-        "noise_tagged": sum(bool(t & {"point_noise", "salt_pepper"}) for t in windows.tags),
+        "n": len(test_set),
+        "anomalous": int(test_set.anomalous.sum()),
+        "noise_tagged": sum(bool(t & {"point_noise", "salt_pepper"}) for t in test_set.tags),
     }
 
 
 def score_table(suite: TestSuite, t2v_model: TrainedModel, recon_model: TrainedModel,
                 recon_calib: ScoreCalibration, detectors: dict[str, detect.DetectorModel]
-                ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """(scores, thresholds, columns): every report score, each computed once.
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(scores, thresholds): every report score, each computed once.
 
-    The sets share most of their windows (the A sets share every clean
-    window, and each AN set is its A set with some windows noised), so the
-    baseline components, the embedding and every detector run once over
-    `suite.distinct()`'s windows. `scores` is float64 (len(METHODS), m) with
-    a row per method, `thresholds` holds each method's threshold, and
-    `columns[key]` is the column of each window of that set. A NaN/Inf
-    window raises ValueError naming its set and its index there; a
-    reconstruction that turns NaN/Inf is named by its column.
+    The baseline components, the embedding and every detector run once over
+    `suite.windows`, the suite's distinct windows. `scores` is float64
+    (len(METHODS), m) with a row per method and a column per window, so a
+    set's scores are the columns at its `rows`; `thresholds` holds each
+    method's threshold. A NaN/Inf window raises ValueError naming the first
+    set in KEYS order that holds one and its index there; a reconstruction
+    that turns NaN/Inf is named by its column.
     """
     if t2v_model is None or recon_model is None:
         raise ValueError("missing trained model")
@@ -97,19 +94,20 @@ def score_table(suite: TestSuite, t2v_model: TrainedModel, recon_model: TrainedM
     missing = [k for k in detect.KINDS if k not in detectors]
     if missing:
         raise ValueError(f"missing detectors: {missing}")
+    windows = suite.windows
+    bad = ~np.isfinite(windows).all(axis=(1, 2))
     for key in TestSuite.KEYS:
-        bad = first_nonfinite(suite.sets[key].data)
-        if bad is not None:
-            raise ValueError(f"{key} window {bad} contains NaN/Inf")
+        hits = np.flatnonzero(bad[suite.sets[key].rows])
+        if hits.size:
+            raise ValueError(f"{key} window {hits[0]} contains NaN/Inf")
 
-    windows, columns = suite.distinct()
     base_scores = combine_components(score_components_many(recon_model, windows), recon_calib)
     embeddings = embed_many(t2v_model, windows)
     scores = np.array([base_scores, *(detect.score_many(detectors[kind], embeddings)
                                       for kind in detect.KINDS)], dtype=np.float64)
     thresholds = np.array([recon_calib.threshold,
                            *(detectors[kind].threshold for kind in detect.KINDS)])
-    return scores, thresholds, columns
+    return scores, thresholds
 
 
 def run_benchmark(suite: TestSuite, t2v_model: TrainedModel, recon_model: TrainedModel,
@@ -119,16 +117,15 @@ def run_benchmark(suite: TestSuite, t2v_model: TrainedModel, recon_model: Traine
     """Evaluate the baseline plus every detector over all four test sets:
     each cell counts a set's columns of `score_table`'s row for the method
     above that method's threshold against the set's labels."""
-    scores, thresholds, columns = score_table(suite, t2v_model, recon_model, recon_calib,
-                                              detectors)
+    scores, thresholds = score_table(suite, t2v_model, recon_model, recon_calib, detectors)
     results: dict[str, dict[str, dict]] = {method: {} for method in METHODS}
     composition = {}
     for key in TestSuite.KEYS:
-        windows = suite.sets[key]
-        composition[key] = _set_composition(windows)
-        flags = scores[:, columns[key]] > thresholds[:, None]
+        test_set = suite.sets[key]
+        composition[key] = _set_composition(test_set)
+        flags = scores[:, test_set.rows] > thresholds[:, None]
         for method, preds in zip(METHODS, flags):
-            results[method][key] = _entry(confusion(preds, windows.anomalous))
+            results[method][key] = _entry(confusion(preds, test_set.anomalous))
     return EvalReport(results, composition, config_digest, dict(seeds or {}))
 
 

@@ -6,19 +6,21 @@ mixture. Two noise kinds (single-point offset, salt-and-pepper extremes)
 are deliberately left normal: a detector should ignore them. From one
 clean test split, `build_testsets` derives the four evaluation sets
 A-6F / AN-6F / A-4F / AN-4F (anomalies on all six or only the four
-non-flat features, with or without noise). Each injector maps an (N, F)
-array to a new one; the set builders put its tag beside the window. The
-onset, period and mixture ranges are module constants; `InjectionSpec`
-holds only what `build-testsets` sets.
+non-flat features, with or without noise), and holds each distinct window
+of the four once. Each injector maps an (N, F) array to a new one; the set
+builders put its tag beside the window. The onset, period and mixture
+ranges are module constants; `InjectionSpec` holds only what
+`build-testsets` sets.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pipeline import WindowSet
+from .pipeline import WindowSet, anomalous_flags
 from .rng import make_rng
 
 
@@ -45,10 +47,42 @@ class InjectionSpec:
 
 
 @dataclass
-class TestSuite:
-    """The four labeled evaluation sets keyed A-6F / AN-6F / A-4F / AN-4F."""
+class TestSet:
+    """One evaluation set: for each of its windows, the row of its suite's
+    `windows` that holds it, its tag set and its origin."""
 
-    sets: dict[str, WindowSet]
+    rows: np.ndarray
+    tags: list
+    origins: list
+
+    __test__ = False            # bare data, despite the pytest-like name
+
+    def __post_init__(self):
+        self.rows = np.asarray(self.rows, dtype=np.intp)
+        self.tags = [frozenset(t) for t in self.tags]
+        self.origins = list(self.origins)
+
+    def __len__(self):
+        return len(self.rows)
+
+    @property
+    def anomalous(self) -> np.ndarray:
+        """(n,) bool: True where a step or spikes tag is set."""
+        return anomalous_flags(self.tags)
+
+
+@dataclass
+class TestSuite:
+    """The four labeled evaluation sets keyed A-6F / AN-6F / A-4F / AN-4F.
+
+    The sets share most of their windows (the A sets share every clean
+    window, and each AN set is its A set with some windows noised), so the
+    suite holds its windows once, in `windows` (m, N, F), and each set
+    holds the rows of `windows` it is made of.
+    """
+
+    windows: np.ndarray
+    sets: dict[str, TestSet]
     seed: int
 
     KEYS = ("A-6F", "AN-6F", "A-4F", "AN-4F")
@@ -59,16 +93,20 @@ class TestSuite:
         if missing:
             raise ValueError(f"missing test sets: {missing}")
 
-    def distinct(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """(windows, columns): each distinct window of the sets, keyed by its
-        exact bytes, stacked once in order of first appearance over KEYS, and
-        for each set the row of `windows` of each of its windows, so that
-        `windows[columns[key]]` equals `sets[key].data`."""
+    @classmethod
+    def from_sets(cls, sets: dict[str, WindowSet], seed: int) -> TestSuite:
+        """The suite of the four WindowSets `sets`: each distinct window,
+        keyed by the SHA-256 of its exact bytes (not by a copy of them), is
+        stacked once in order of first appearance over KEYS, so that
+        `windows[sets[key].rows]` of the result equals `sets[key].data`."""
+        keys = [key for key in cls.KEYS if key in sets]     # a missing key fails in cls()
         seen: dict[bytes, tuple[int, np.ndarray]] = {}
-        columns = {key: np.array([seen.setdefault(w.tobytes(), (len(seen), w))[0]
-                                  for w in self.sets[key].data], dtype=np.intp)
-                   for key in self.KEYS}
-        return np.array([w for _, w in seen.values()]), columns
+        rows = {key: [seen.setdefault(hashlib.sha256(w.tobytes()).digest(), (len(seen), w))[0]
+                      for w in sets[key].data]
+                for key in keys}
+        return cls(np.array([w for _, w in seen.values()]),
+                   {key: TestSet(rows[key], sets[key].tags, sets[key].origins) for key in keys},
+                   seed)
 
 
 def inject_step(x: np.ndarray, features, onset: int, magnitude_per_feature) -> np.ndarray:
@@ -200,4 +238,4 @@ def build_testsets(clean_test: WindowSet, spec: InjectionSpec = InjectionSpec())
         sets[key] = anomalous
         noise_rng = make_rng(spec.seed + 1)
         sets["AN-" + key[2:]] = _inject_noise(anomalous, spec, extremes, noise_rng)
-    return TestSuite(sets, seed=spec.seed)
+    return TestSuite.from_sets(sets, seed=spec.seed)

@@ -17,9 +17,11 @@ copy of a payload or of the whole text is held; the bytes are those of
 likewise holds the file's text once: it hashes the text in pieces and
 decodes each payload a chunk at a time into the array it returns.
 
-The test suite stores `TestSuite.distinct()` as it is: each distinct
-window of its four sets once, in a top-level `windows` block, and for each
-set the `rows` of that block it holds.
+The test suite file stores a `TestSuite` as it is held: its one array of
+distinct windows in a top-level `windows` block, and for each set the
+`rows` of that block it holds, beside its labels, tags and origins. The
+loader decodes the block once and hands it to the suite as it is; no set
+gets a copy of its windows.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from . import ndtensor as nd
 from .autoenc import AEConfig, ScoreCalibration, TrainedModel
 from .detect import KINDS, DetectorConfig, DetectorModel
 from .evaluate import METHODS, EvalReport
-from .inject import TestSuite
-from .pipeline import Corpus, WindowSet
+from .inject import TestSet, TestSuite
+from .pipeline import Corpus, WindowSet, anomalous_flags
 from .t2v import T2VLayer
 
 SCHEMA_VERSION = 1
@@ -295,14 +297,14 @@ def config_digest(config: dict) -> str:
 # corpus / test suite
 # ---------------------------------------------------------------------------
 
-def _labels(windows: WindowSet) -> list[str]:
-    return ["anomalous" if a else "normal" for a in windows.anomalous]
+def _labels(anomalous) -> list[str]:
+    return ["anomalous" if a else "normal" for a in anomalous]
 
 
-def _windows_block(windows: WindowSet) -> dict:
+def _windows_block(windows: WindowSet | TestSet) -> dict:
     """The labels, tags and origins of `windows`; the caller adds their data."""
     return {
-        "labels": _labels(windows),
+        "labels": _labels(windows.anomalous),
         "tags": [sorted(t) for t in windows.tags],
         "origins": windows.origins,
     }
@@ -312,18 +314,19 @@ def _strings(values) -> bool:
     return isinstance(values, list) and all(isinstance(v, str) for v in values)
 
 
-def _windows_from_block(block, data: np.ndarray) -> WindowSet:
-    """`data` as a WindowSet with the labels, tags and origins of `block`."""
+def _tags_origins(block, n: int) -> tuple[list, list]:
+    """The tags and origins `block` holds for its n windows; a SchemaError
+    unless its labels, tags and origins hold a string, a string list and a
+    string for each window and every label agrees with its tags."""
     labels, tags, origins = (_field(block, key, list) for key in ("labels", "tags", "origins"))
-    if not (len(labels) == len(tags) == len(origins) == len(data)
+    if not (len(labels) == len(tags) == len(origins) == n
             and _strings(labels) and _strings(origins) and all(map(_strings, tags))):
         raise SchemaError(f"labels, tags and origins must hold a string, a string list "
-                          f"and a string for each of the {len(data)} windows")
-    windows = WindowSet(data, tags, origins)
-    for i, (stored, derived) in enumerate(zip(labels, _labels(windows))):
+                          f"and a string for each of the {n} windows")
+    for i, (stored, derived) in enumerate(zip(labels, _labels(anomalous_flags(tags)))):
         if stored != derived:
             raise SchemaError(f"window {i}: label {stored!r} inconsistent with tags {tags[i]}")
-    return windows
+    return tags, origins
 
 
 def save_corpus(path: str, corpus: Corpus) -> None:
@@ -347,20 +350,20 @@ def load_corpus(path: str) -> Corpus:
     if not all(type(i) is int for side in split for i in side):
         raise SchemaError(f"{path}: split indices must be integers")
     block = _field(doc, "windows", dict)
-    windows = _windows_from_block(block, decode_array(_field(block, "payload", dict)))
+    data = decode_array(_field(block, "payload", dict))
+    windows = WindowSet(data, *_tags_origins(block, len(data)))
     return _construct(Corpus, {"windows": windows, "train_idx": split[0], "test_idx": split[1],
                                "provenance": _field(doc, "provenance", dict)}, "corpus")
 
 
 def save_testsuite(path: str, suite: TestSuite) -> None:
-    windows, columns = suite.distinct()
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "testsuite",
         "seed": suite.seed,
-        "sets": {key: {**_windows_block(suite.sets[key]), "rows": rows.tolist()}
-                 for key, rows in columns.items()},
-        "windows": windows,
+        "sets": {key: {**_windows_block(test_set), "rows": test_set.rows.tolist()}
+                 for key, test_set in suite.sets.items()},
+        "windows": suite.windows,
     }
     atomic_write_json(path, doc)
 
@@ -375,8 +378,9 @@ def load_testsuite(path: str) -> TestSuite:
         rows = _field(block, "rows", list)
         if not all(type(r) is int and 0 <= r < len(windows) for r in rows):
             raise SchemaError(f"{key} rows must be integers in [0, {len(windows)})")
-        sets[key] = _windows_from_block(block, windows[np.array(rows, dtype=np.intp)])
-    return _construct(TestSuite, {"sets": sets, "seed": _field(doc, "seed", int)}, "test suite")
+        sets[key] = TestSet(rows, *_tags_origins(block, len(rows)))
+    return _construct(TestSuite, {"windows": windows, "sets": sets,
+                                  "seed": _field(doc, "seed", int)}, "test suite")
 
 
 # ---------------------------------------------------------------------------

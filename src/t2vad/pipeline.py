@@ -31,6 +31,12 @@ ANOMALY_TAGS = frozenset({"step", "spikes"})
 MIN_REMAINDER = 10
 
 
+def anomalous_flags(tags) -> np.ndarray:
+    """(n,) bool for n tag sets (any iterables of strings): True where a
+    step or spikes tag is set."""
+    return np.array([not ANOMALY_TAGS.isdisjoint(t) for t in tags], dtype=bool)
+
+
 @dataclass
 class RawSeries:
     """One source file: sorted integer-second timestamps and an (n, F)
@@ -83,7 +89,7 @@ class WindowSet:
     @property
     def anomalous(self) -> np.ndarray:
         """(n,) bool: True where a step or spikes tag is set."""
-        return np.array([bool(t & ANOMALY_TAGS) for t in self.tags], dtype=bool)
+        return anomalous_flags(self.tags)
 
     def subset(self, idx) -> WindowSet:
         """The windows at `idx`, in that order."""

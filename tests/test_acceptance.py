@@ -172,7 +172,7 @@ def test_criterion_5_detector_sanity():
     cfg = detect.DetectorConfig(seed=42)
     f1_by_kind = {}
     for kind in detect.KINDS:
-        model = detect.fit([kind], inliers, cfg)[kind]
+        model = detect.fit([kind], inliers.copy(), cfg)[kind]
         preds = detect.score_many(model, x_all) > model.threshold
         tally = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
         for p, l in zip(preds, labels):
@@ -189,7 +189,7 @@ def test_criterion_5_detector_sanity():
         shifted_scores = detect.score_many(model, inliers + 10.0 * offs)
         assert np.mean(shifted_scores > clean_scores) >= 0.95, kind
 
-    ocsvm = detect.fit(["ocsvm"], inliers, cfg)["ocsvm"]
+    ocsvm = detect.fit(["ocsvm"], inliers.copy(), cfg)["ocsvm"]
     alpha = ocsvm.state["alpha_full"]
     box = ocsvm.state["box"]
     assert np.all(alpha >= -1e-12) and np.all(alpha <= box + 1e-12)

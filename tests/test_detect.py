@@ -160,7 +160,7 @@ def test_iforest_outliers_rank_top():
                               rng.normal(size=(100, 4)) * 0.1 + 2.0])
     outliers = rng.normal(size=(5, 4)) * 0.1 + 40.0   # 10-sigma-scale separation
     x = np.concatenate([inliers, outliers])
-    model = detect.fit(["iforest"], x, CFG)["iforest"]
+    model = detect.fit(["iforest"], x.copy(), CFG)["iforest"]
     order = np.argsort(detect.score_many(model, x))[::-1]
     assert set(order[:5]) == set(range(200, 205))
 
@@ -173,7 +173,7 @@ def test_iforest_scores_in_unit_interval(small_e2e):
 
 def test_iforest_far_point_scores_higher():
     x = gaussian_blob(n=300, d=4, seed=6)
-    model = detect.fit(["iforest"], x, CFG)["iforest"]
+    model = detect.fit(["iforest"], x.copy(), CFG)["iforest"]
     near = detect.score_many(model, x[:1])[0]
     far = detect.score_many(model, x[:1] + 100.0)[0]
     assert far > near
@@ -325,7 +325,7 @@ def test_lof_needs_more_than_k_points():
 
 def test_lof_flags_isolated_point():
     x = gaussian_blob(n=150, d=3, seed=7)
-    model = detect.fit(["lof"], x, CFG)["lof"]
+    model = detect.fit(["lof"], x.copy(), CFG)["lof"]
     assert detect.score_many(model, x[:1] + 25.0)[0] > np.max(fit_scores(model, x))
 
 
@@ -415,7 +415,7 @@ def test_ocsvm_nu_property():
     # count points clearly outside the boundary; free SVs straddle zero
     # within the solver tolerance
     x = gaussian_blob(n=400, d=6, seed=9)
-    model = detect.fit(["ocsvm"], x, CFG)["ocsvm"]
+    model = detect.fit(["ocsvm"], x.copy(), CFG)["ocsvm"]
     outlier_fraction = float(np.mean(detect.score_many(model, x) > TOL))
     assert outlier_fraction <= ocsvm.NU + 0.02
     at_box = float(np.mean(model.state["alpha_full"] >= model.state["box"] - 1e-9))
@@ -424,7 +424,7 @@ def test_ocsvm_nu_property():
 
 def test_ocsvm_score_is_rho_minus_kernel_sum():
     x = gaussian_blob(n=120, d=4, seed=10)
-    model = detect.fit(["ocsvm"], x, CFG)["ocsvm"]
+    model = detect.fit(["ocsvm"], x.copy(), CFG)["ocsvm"]
     state = model.state
     z = (x[0] - model.scaler_mean) / model.scaler_std
     k = rbf_kernel(z[None], state["sv"], state["gamma"])[0]
@@ -546,8 +546,8 @@ def test_fit_deterministic_per_seed():
     x = gaussian_blob(n=120, d=6, seed=18)
     cfg = DetectorConfig(seed=6)
     for kind in detect.KINDS:
-        a = detect.fit([kind], x, cfg)[kind]
-        b = detect.fit([kind], x, cfg)[kind]
+        a = detect.fit([kind], x.copy(), cfg)[kind]
+        b = detect.fit([kind], x.copy(), cfg)[kind]
         assert np.array_equal(fit_scores(a, x), fit_scores(b, x)), kind
         assert a.threshold == b.threshold
 
@@ -650,14 +650,14 @@ def test_degenerate_training_set_fits_finite_or_raises(kind, name):
         with pytest.raises(ValueError, match=error):
             detect.fit([kind], x, cfg)
         return
-    model = detect.fit([kind], x, cfg)[kind]
+    model = detect.fit([kind], x.copy(), cfg)[kind]
     assert np.isfinite(model.threshold) and np.isfinite(fit_scores(model, x)).all()
     assert np.isfinite(detect.score_many(model, x)).all()
 
 
 def test_lof_scores_points_off_an_all_constant_training_set_finite_and_above_the_threshold():
     x = degenerate_sets()["all-constant"]
-    model = detect.fit(["lof"], x, CFG)["lof"]
+    model = detect.fit(["lof"], x.copy(), CFG)["lof"]
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         scores = detect.score_many(model, np.concatenate([x[:2] + 3.0, x[:2] + 1e-9]))
     assert np.isfinite(scores).all() and (scores > model.threshold).all()
@@ -679,7 +679,7 @@ def test_fit_calls_the_module_level_fit_function_bound_at_call_time(monkeypatch,
 
     monkeypatch.setattr(detect, f"fit_{kind}", recording)
     x = gaussian_blob(n=48, d=6, seed=31)
-    model = detect.fit([kind], x)[kind]
+    model = detect.fit([kind], x.copy())[kind]
     assert calls == [kind]
     assert fit_scores(model, x).shape == (48,)
 
@@ -690,21 +690,46 @@ def test_fit_calls_the_module_level_fit_function_bound_at_call_time(monkeypatch,
 
 def test_fitting_every_kind_at_once_saves_the_bytes_of_fitting_each_alone(tmp_path):
     x = gaussian_blob(n=120, d=8, seed=33)
-    together = detect.fit(detect.KINDS, x, CFG)
+    together = detect.fit(detect.KINDS, x.copy(), CFG)
     assert list(together) == list(detect.KINDS)
     for kind, model in together.items():
         save_detector(tmp_path / "together.json", model)
-        save_detector(tmp_path / "alone.json", detect.fit([kind], x, CFG)[kind])
+        save_detector(tmp_path / "alone.json", detect.fit([kind], x.copy(), CFG)[kind])
         assert ((tmp_path / "together.json").read_bytes()
                 == (tmp_path / "alone.json").read_bytes()), kind
 
 
 def test_lof_stores_the_read_only_standardized_matrix():
-    x = gaussian_blob(n=48, d=6, seed=34)
-    model = detect.fit(["lof"], x, CFG)["lof"]
+    """`fit` takes its input over: the caller's array ends standardized,
+    bitwise `(x - mean) / std`, read-only, and it is the one (n, d) array
+    that the fitted detectors hold."""
+    x = gaussian_blob(n=120, d=8, seed=34)
+    mean, std = x.mean(axis=0), np.maximum(x.std(axis=0), 1e-12)
+    expected = (x - mean) / std
+    fitted = detect.fit(detect.KINDS, x, CFG)
+    assert x.tobytes() == expected.tobytes() and not x.flags.writeable
+    assert fitted["lof"].state["x"] is x
+    held = [v for model in fitted.values() for v in model.state.values()
+            if isinstance(v, np.ndarray) and v.shape == x.shape]
+    assert len(held) == 1 and held[0] is x
+
+
+def read_only(x):
+    x.flags.writeable = False
+    return x
+
+
+@pytest.mark.parametrize("make", [lambda x: x.astype(np.float32), np.ndarray.tolist, read_only])
+def test_fit_copies_an_input_it_cannot_standardize_in_place(make):
+    """A float32 array, a list or a read-only array is left as it was."""
+    x = gaussian_blob(n=48, d=6, seed=36)
+    given = make(x.copy())
+    model = detect.fit(["lof"], given, CFG)["lof"]
+    assert np.array_equal(given, make(x.copy()))
     stored = model.state["x"]
-    assert np.array_equal(stored, (x - model.scaler_mean) / model.scaler_std)
-    assert not stored.flags.writeable
+    assert stored.dtype == np.float64 and not stored.flags.writeable
+    assert stored.tobytes() == ((np.asarray(given, dtype=np.float64) - model.scaler_mean)
+                                / model.scaler_std).tobytes()
 
 
 def test_a_fit_that_writes_into_the_standardized_matrix_raises(monkeypatch):
@@ -722,13 +747,15 @@ def test_a_fit_that_writes_into_the_standardized_matrix_raises(monkeypatch):
 
 
 def test_fitting_every_kind_on_900_embeddings_holds_one_standardized_copy(traced_peak):
+    """The input is standardized in place, so it is the one standardized copy:
+    the traced peak is 2.37 x.nbytes, and was 3.37 with a second (n, d) one."""
     x = gaussian_blob(n=900, d=700, seed=35)
-    assert traced_peak(detect.fit, detect.KINDS, x, CFG) < 4.25 * x.nbytes
+    assert traced_peak(detect.fit, detect.KINDS, x, CFG) < 3.0 * x.nbytes
 
 
 def test_lof_training_scores_are_the_fitted_lof_values():
     x = gaussian_blob(n=48, d=6, seed=32)
-    model = detect.fit(["lof"], x, CFG)["lof"]
+    model = detect.fit(["lof"], x.copy(), CFG)["lof"]
     assert model.threshold == detect.fitted_threshold(model.state["train_lof"],
                                                       CFG.threshold_quantile)
     assert model.threshold != detect.fitted_threshold(detect.score_many(model, x),

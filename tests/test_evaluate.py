@@ -167,11 +167,17 @@ def test_report_timestamp_defaults_to_none(small_e2e):
 # scoring each distinct window once
 # ---------------------------------------------------------------------------
 
+def set_windows(suite, key):
+    """The suite's set `key` as a WindowSet of its own copy of its windows."""
+    test_set = suite.sets[key]
+    return WindowSet(suite.windows[test_set.rows], test_set.tags, test_set.origins)
+
+
 def per_set_results(suite, t2v_model, recon_model, calib, detectors):
     """The report grid scored set by set, every window of every set."""
     results = {method: {} for method in METHODS}
     for key in TestSuite.KEYS:
-        windows = suite.sets[key]
+        windows = set_windows(suite, key)
         labels = windows.anomalous
         base = combine_components(score_components_many(recon_model, windows.data), calib)
         results[METHOD_BASELINE][key] = _entry(confusion(base > calib.threshold, labels))
@@ -200,7 +206,7 @@ def test_a_window_scoring_at_its_threshold_counts_as_normal(small_e2e, method):
     threshold is one ulp lower."""
     e = small_e2e
     probe = WindowSet(e["corpus"].test_windows.data[:1])
-    suite = TestSuite({key: probe for key in TestSuite.KEYS}, seed=0)
+    suite = TestSuite.from_sets({key: probe for key in TestSuite.KEYS}, seed=0)
     kind = method.removeprefix("t2v_")
     if method == METHOD_BASELINE:
         score = combine_components(score_components_many(e["recon_model"], probe.data),
@@ -235,7 +241,7 @@ def test_each_distinct_window_is_scored_once_in_first_occurrence_order(small_e2e
                                                                         monkeypatch):
     seen = counted(monkeypatch)
     run_benchmark(*bench_args(small_e2e))
-    windows = [w for key in TestSuite.KEYS for w in small_e2e["suite"].sets[key].data]
+    windows = [w for key in TestSuite.KEYS for w in set_windows(small_e2e["suite"], key).data]
     distinct = []
     for w in windows:
         if not any(np.array_equal(w, d) for d in distinct):
@@ -246,8 +252,8 @@ def test_each_distinct_window_is_scored_once_in_first_occurrence_order(small_e2e
 
 
 def test_four_identical_sets_score_n_windows(small_e2e, monkeypatch):
-    a6f = small_e2e["suite"].sets["A-6F"]
-    same = TestSuite({key: a6f for key in TestSuite.KEYS}, seed=0)
+    a6f = set_windows(small_e2e["suite"], "A-6F")
+    same = TestSuite.from_sets({key: a6f for key in TestSuite.KEYS}, seed=0)
     seen = counted(monkeypatch)
     report = run_benchmark(*bench_args(small_e2e, same))
     assert [len(calls[0]) for calls in seen.values()] == [len(a6f)] * 2
@@ -256,29 +262,43 @@ def test_four_identical_sets_score_n_windows(small_e2e, monkeypatch):
 
 
 def test_nan_window_is_named_by_its_set_and_index_there(small_e2e):
-    sets = dict(small_e2e["suite"].sets)
-    data = sets["AN-4F"].data.copy()
-    data[3, 40, 2] = np.nan
-    sets["AN-4F"] = replace(sets["AN-4F"], data=data)
+    suite = small_e2e["suite"]
+    sets = {key: set_windows(suite, key) for key in TestSuite.KEYS}
+    sets["AN-4F"].data[3, 40, 2] = np.nan
     with pytest.raises(ValueError, match="AN-4F window 3 contains NaN/Inf"):
-        run_benchmark(*bench_args(small_e2e, TestSuite(sets, seed=0)))
+        run_benchmark(*bench_args(small_e2e, TestSuite.from_sets(sets, seed=0)))
+
+
+def test_a_nan_window_shared_by_sets_is_named_by_the_first_set_holding_it(small_e2e):
+    """A window the sets share is stored once; its first holder in KEYS order
+    is named, at its index there."""
+    suite = small_e2e["suite"]
+    first = {key: list(suite.sets[key].rows) for key in TestSuite.KEYS}
+    row = next(r for r in first["A-4F"] if r not in first["A-6F"] and r in first["AN-4F"])
+    windows = suite.windows.copy()
+    windows[row, 0, 0] = np.inf
+    broken = TestSuite(windows, suite.sets, seed=0)
+    with pytest.raises(ValueError, match=f"A-4F window {first['A-4F'].index(row)} "
+                                         "contains NaN/Inf"):
+        run_benchmark(*bench_args(small_e2e, broken))
 
 
 def test_distinct_window_scores_match_the_per_set_scores(small_e2e):
     e = small_e2e
-    scores, thresholds, columns = score_table(*bench_args(e))
-    assert scores.dtype == np.float64 and scores.shape[0] == len(METHODS)
+    scores, thresholds = score_table(*bench_args(e))
+    assert scores.dtype == np.float64 and scores.shape == (len(METHODS), len(e["suite"].windows))
     assert list(thresholds) == [e["calib"].threshold,
                                 *(e["detectors"][kind].threshold for kind in detect.KINDS)]
     for key in TestSuite.KEYS:
-        data = e["suite"].sets[key].data
+        data = set_windows(e["suite"], key).data
+        columns = e["suite"].sets[key].rows
         per_set = embed_many(e["t2v_model"], data)
         np.testing.assert_allclose(
-            scores[0, columns[key]],
+            scores[0, columns],
             combine_components(score_components_many(e["recon_model"], data), e["calib"]),
             rtol=1e-12)
         for row, kind in enumerate(detect.KINDS, start=1):
-            np.testing.assert_allclose(scores[row, columns[key]],
+            np.testing.assert_allclose(scores[row, columns],
                                        detect.score_many(e["detectors"][kind], per_set),
                                        rtol=1e-12)
 
@@ -287,13 +307,11 @@ def test_run_benchmark_only_counts_the_score_table(small_e2e, monkeypatch):
     """Every cell counts `score_table`'s columns of a set above the method's
     threshold; `run_benchmark` calls no scorer itself."""
     suite = small_e2e["suite"]
-    columns = suite.distinct()[1]
-    m = 1 + max(int(rows.max()) for rows in columns.values())
+    m = len(suite.windows)
     scores = np.tile(np.arange(m, dtype=np.float64), (len(METHODS), 1)) * \
         np.arange(1, len(METHODS) + 1)[:, None]
     thresholds = np.full(len(METHODS), m / 2)
-    monkeypatch.setattr(evaluate, "score_table",
-                        lambda *args: (scores, thresholds, columns))
+    monkeypatch.setattr(evaluate, "score_table", lambda *args: (scores, thresholds))
 
     def no_scoring(*args):
         raise AssertionError("run_benchmark scored a window itself")
@@ -304,6 +322,6 @@ def test_run_benchmark_only_counts_the_score_table(small_e2e, monkeypatch):
     report = run_benchmark(*bench_args(small_e2e))
     for method, row, threshold in zip(METHODS, scores, thresholds):
         for key in TestSuite.KEYS:
-            preds = row[columns[key]] > threshold
+            preds = row[suite.sets[key].rows] > threshold
             assert report.results[method][key] == \
                 _entry(confusion(preds, suite.sets[key].anomalous))

@@ -177,6 +177,11 @@ def make_windows(seeds):
                      origins=[f"w{s}" for s in seeds])
 
 
+def set_data(suite, key):
+    """A copy of the windows of the suite's set `key`, in order."""
+    return suite.windows[suite.sets[key].rows]
+
+
 @pytest.fixture(scope="module")
 def clean_295():
     return make_windows(range(1000, 1295))
@@ -212,22 +217,23 @@ def test_noise_only_windows_stay_normal(suite_295):
 def test_every_changed_window_carries_its_tag(clean_295, suite_295):
     for key in ("A-6F", "AN-6F"):
         ws = suite_295.sets[key]
-        changed = (ws.data != clean_295.data).any(axis=(1, 2))
+        changed = (set_data(suite_295, key) != clean_295.data).any(axis=(1, 2))
         tagged = np.array([bool(t) for t in ws.tags])
         np.testing.assert_array_equal(changed, tagged)
         assert ws.origins == clean_295.origins
 
 
 def test_flat_features_untouched_in_4f(clean_295, suite_295):
-    assert np.array_equal(clean_295.data[:, :, 4:], suite_295.sets["A-4F"].data[:, :, 4:])
+    assert np.array_equal(clean_295.data[:, :, 4:], set_data(suite_295, "A-4F")[:, :, 4:])
 
 
 def test_testsets_pure_function(clean_295):
     spec = InjectionSpec(seed=33)
     a = build_testsets(clean_295, spec)
     b = build_testsets(clean_295, spec)
+    assert a.windows.tobytes() == b.windows.tobytes()
     for key in TestSuite.KEYS:
-        assert np.array_equal(a.sets[key].data, b.sets[key].data)
+        assert np.array_equal(a.sets[key].rows, b.sets[key].rows)
         assert a.sets[key].tags == b.sets[key].tags
 
 
@@ -245,7 +251,7 @@ def test_testsets_minimum_size():
 
 def test_step_windows_untouched_before_onset(suite_295, clean_295):
     ws = suite_295.sets["A-6F"]
-    for orig, inj, tags in zip(clean_295.data, ws.data, ws.tags):
+    for orig, inj, tags in zip(clean_295.data, set_data(suite_295, "A-6F"), ws.tags):
         if "step" in tags:
             diff = np.flatnonzero((inj != orig).any(axis=1))
             onset = diff[0]
@@ -263,33 +269,48 @@ def test_testsets_reject_a_flat_feature_outside_the_features(flat):
 # distinct windows
 # ---------------------------------------------------------------------------
 
-def test_distinct_stacks_each_window_once_and_indexes_every_set(suite_295):
-    windows, columns = suite_295.distinct()
-    assert list(columns) == list(TestSuite.KEYS)
+def test_the_suite_stacks_each_window_once_and_indexes_every_set(clean_295, suite_295):
+    """`build_testsets` dedupes the four sets once: each set is rows of the one
+    `windows` array, the A sets share every clean window, and an AN set
+    holds other rows than its A set exactly at its noised windows."""
+    assert list(suite_295.sets) == list(TestSuite.KEYS)
+    assert len({w.tobytes() for w in suite_295.windows}) == len(suite_295.windows)
+    assert len(suite_295.windows) < sum(len(s) for s in suite_295.sets.values())
     for key in TestSuite.KEYS:
-        assert columns[key].dtype == np.intp
-        assert windows[columns[key]].tobytes() == suite_295.sets[key].data.tobytes()
-    assert len({w.tobytes() for w in windows}) == len(windows)
-    assert len(windows) < sum(len(s) for s in suite_295.sets.values())
+        assert suite_295.sets[key].rows.dtype == np.intp
+        assert len(suite_295.sets[key]) == len(clean_295)
+        assert suite_295.sets[key].origins == clean_295.origins
+    clean = suite_295.sets["A-6F"].rows[~suite_295.sets["A-6F"].anomalous]
+    assert np.array_equal(clean, suite_295.sets["A-4F"].rows[~suite_295.sets["A-4F"].anomalous])
+    for a, an in (("A-6F", "AN-6F"), ("A-4F", "AN-4F")):
+        noised = np.array([bool(t & NOISE_TAGS) for t in suite_295.sets[an].tags])
+        assert np.array_equal(suite_295.sets[a].rows != suite_295.sets[an].rows, noised)
 
 
-def test_distinct_follows_keys_order_whatever_the_insertion_order():
+def test_from_sets_follows_keys_order_whatever_the_insertion_order():
     parts = {"A-6F": [1, 2], "AN-6F": [2, 3], "A-4F": [3, 1], "AN-4F": [4]}
     expected = ({"A-6F": [0, 1], "AN-6F": [1, 2], "A-4F": [2, 0], "AN-4F": [3]},
                 make_windows([1, 2, 3, 4]).data)
     for order in (TestSuite.KEYS, TestSuite.KEYS[::-1], ("A-4F", "A-6F", "AN-4F", "AN-6F")):
-        suite = TestSuite({key: make_windows(parts[key]) for key in order}, seed=0)
-        windows, columns = suite.distinct()
-        assert {key: rows.tolist() for key, rows in columns.items()} == expected[0]
-        assert windows.tobytes() == expected[1].tobytes()
+        suite = TestSuite.from_sets({key: make_windows(parts[key]) for key in order}, seed=0)
+        assert {key: s.rows.tolist() for key, s in suite.sets.items()} == expected[0]
+        assert suite.windows.tobytes() == expected[1].tobytes()
+        for key in order:
+            assert suite.sets[key].origins == [f"w{s}" for s in parts[key]]
 
 
-def test_distinct_keys_windows_by_their_exact_bytes():
+def test_from_sets_keys_windows_by_their_exact_bytes():
     """-0.0 equals 0.0 but has other bytes, so it makes another window."""
     zero = WindowSet(np.zeros((1, 100, 6)))
     signed = WindowSet(np.zeros((1, 100, 6)))
     signed.data[0, 0, 0] = -0.0
-    suite = TestSuite({"A-6F": zero, "AN-6F": signed, "A-4F": zero, "AN-4F": zero}, seed=0)
-    windows, columns = suite.distinct()
-    assert np.array_equal(windows[0], windows[1]) and len(windows) == 2
-    assert [columns[key].tolist() for key in TestSuite.KEYS] == [[0], [1], [0], [0]]
+    suite = TestSuite.from_sets({"A-6F": zero, "AN-6F": signed, "A-4F": zero, "AN-4F": zero},
+                                seed=0)
+    assert np.array_equal(suite.windows[0], suite.windows[1]) and len(suite.windows) == 2
+    assert [suite.sets[key].rows.tolist() for key in TestSuite.KEYS] == [[0], [1], [0], [0]]
+
+
+def test_a_suite_missing_a_set_is_rejected():
+    sets = {key: make_windows([1]) for key in TestSuite.KEYS if key != "AN-4F"}
+    with pytest.raises(ValueError, match=r"missing test sets: \['AN-4F'\]"):
+        TestSuite.from_sets(sets, seed=0)

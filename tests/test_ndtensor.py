@@ -362,6 +362,47 @@ def test_conv_input_grad_matches_scatter_property(b, m, k, c_in, c_out, stride, 
     assert np.max(np.abs(got - ref), initial=0.0) < 1e-12
 
 
+# ---------------------------------------------------------------------------
+# the bias and upsample gradients are bitwise the numpy sums they replaced
+# ---------------------------------------------------------------------------
+
+def signed(rng, shape, dtype):
+    """Normal draws with about a fifth of the cells +0.0 or -0.0, as dtype."""
+    x = rng.normal(size=shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    return x.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [1, 2, 7, 100, 3200, 10_000])
+def test_conv_bias_gradient_is_bitwise_the_column_sum(dtype, rows):
+    rng = make_rng(rows)
+    for c_out in range(1, 33):
+        grad_y = signed(rng, (1, rows, c_out), dtype)
+        if c_out > 1:
+            grad_y[0, :, -1] = -0.0             # an all -0.0 column sums to +0.0
+        kernels = np.zeros((c_out, 1, 1), dtype)
+        _, _, grad_bias = nd._conv1d_batch_backward(grad_y, np.zeros((1, rows, 1), dtype),
+                                                    kernels, 1, rows, input_grad=False)
+        assert grad_bias.dtype == dtype
+        assert grad_bias.tobytes() == grad_y[0].sum(axis=0).tobytes(), c_out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("factor", [1, 2, 3, 4])
+def test_upsample_gradient_is_bitwise_the_grouped_sum(dtype, factor):
+    rng = make_rng(factor)
+    for b, n, c in [(32, 100, 16), (3, 12, 5), (1, 4, 1), (2, 8, 1)]:
+        n -= n % factor
+        grad = signed(rng, (b, n, c), dtype)
+        grad[0, :factor] = -0.0                 # a group of -0.0 sums to +0.0
+        given = grad.copy()
+        got, params = nd.Upsample(factor).backward(None, grad)
+        assert params == {} and got.dtype == dtype and grad.tobytes() == given.tobytes()
+        assert got.tobytes() == grad.reshape(b, n // factor, factor, c).sum(axis=2).tobytes()
+
+
 def per_parameter_adam(state, params, grads):
     """Adam over a dict of parameter blocks, one moment pair per block (reference)."""
     state["t"] += 1

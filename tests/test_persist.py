@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from t2vad import detect
 from t2vad.autoenc import combine_components, embed_many, score_components_many, train
 from t2vad.cli import main
-from t2vad.evaluate import run_benchmark
+from t2vad.evaluate import run_benchmark, score_table
 from t2vad.persist import (CHUNK, ChecksumError, SchemaError, atomic_write_json, decode_array,
                            encode_array, load_corpus, load_detector, load_model,
                            load_report, load_testsuite, save_corpus, save_detector,
@@ -184,11 +184,12 @@ def test_testsuite_roundtrip(tmp_path, small_e2e):
     save_testsuite(path, small_e2e["suite"])
     loaded = load_testsuite(path)
     assert loaded.seed == small_e2e["suite"].seed
-    for key, windows in small_e2e["suite"].sets.items():
-        assert loaded.sets[key].data.tobytes() == windows.data.tobytes()
-        assert loaded.sets[key].tags == windows.tags
-        assert loaded.sets[key].origins == windows.origins
-        np.testing.assert_array_equal(loaded.sets[key].anomalous, windows.anomalous)
+    assert loaded.windows.tobytes() == small_e2e["suite"].windows.tobytes()
+    for key, test_set in small_e2e["suite"].sets.items():
+        assert np.array_equal(loaded.sets[key].rows, test_set.rows)
+        assert loaded.sets[key].tags == test_set.tags
+        assert loaded.sets[key].origins == test_set.origins
+        np.testing.assert_array_equal(loaded.sets[key].anomalous, test_set.anomalous)
 
 
 def test_testsuite_file_stores_the_distinct_windows_and_loads_back_to_them(tmp_path,
@@ -196,17 +197,15 @@ def test_testsuite_file_stores_the_distinct_windows_and_loads_back_to_them(tmp_p
     suite = small_e2e["suite"]
     path = tmp_path / "suite.json"
     save_testsuite(path, suite)
-    windows, columns = suite.distinct()
     doc = json.loads(path.read_bytes())
-    assert decode_array(doc["windows"]).tobytes() == windows.tobytes()
+    assert decode_array(doc["windows"]).tobytes() == suite.windows.tobytes()
     assert {key: block["rows"] for key, block in doc["sets"].items()} == \
-        {key: rows.tolist() for key, rows in columns.items()}
+        {key: test_set.rows.tolist() for key, test_set in suite.sets.items()}
     loaded = load_testsuite(path)
-    loaded_windows, loaded_columns = loaded.distinct()
-    assert loaded_windows.tobytes() == windows.tobytes()
-    assert loaded_windows.shape == windows.shape
-    for key in columns:
-        assert np.array_equal(loaded_columns[key], columns[key])
+    assert loaded.windows.tobytes() == suite.windows.tobytes()
+    assert loaded.windows.shape == suite.windows.shape
+    for key, test_set in suite.sets.items():
+        assert np.array_equal(loaded.sets[key].rows, test_set.rows)
     # the file lists the sets in sorted order, not KEYS order; saved again,
     # the loaded suite still writes the same bytes
     save_testsuite(tmp_path / "again.json", loaded)
@@ -857,5 +856,38 @@ def test_suite_round_trip_scores_the_same(tmp_path, small_e2e):
               small_e2e["detectors"])
     assert run_benchmark(load_testsuite(path), *fitted) == run_benchmark(suite, *fitted)
     stored = json.loads(path.read_bytes())["windows"]["shape"]
-    assert stored == list(suite.distinct()[0].shape)
-    assert stored[0] < sum(len(windows) for windows in suite.sets.values())
+    assert stored == list(suite.windows.shape)
+    assert stored[0] < sum(len(test_set) for test_set in suite.sets.values())
+
+
+def test_a_loaded_suite_holds_one_window_array_and_scores_bit_for_bit_as_built(tmp_path,
+                                                                               small_e2e):
+    """The loader keeps the file's one block of distinct windows: no set holds
+    a copy of its windows, and the score table is the built suite's, bitwise."""
+    suite = small_e2e["suite"]
+    path = tmp_path / "suite.json"
+    save_testsuite(path, suite)
+    loaded = load_testsuite(path)
+    arrays = [value for test_set in loaded.sets.values() for value in vars(test_set).values()
+              if isinstance(value, np.ndarray)]
+    assert all(a.ndim == 1 and a.dtype == np.intp for a in arrays) and len(arrays) == 4
+    fitted = (small_e2e["t2v_model"], small_e2e["recon_model"], small_e2e["calib"],
+              small_e2e["detectors"])
+    built, read = score_table(suite, *fitted), score_table(loaded, *fitted)
+    for a, b in zip(built, read):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_loading_and_scoring_a_suite_holds_its_windows_once(tmp_path, small_e2e, traced_peak):
+    """Loading then scoring a suite peaks above scoring the loaded suite by
+    about its one window array (1.19 times its bytes here). A copy of each
+    set's windows, as the loader once made, held 2.58 times; one set's copy
+    alone adds 0.6 times."""
+    path = tmp_path / "suite.json"
+    save_testsuite(path, small_e2e["suite"])
+    fitted = (small_e2e["t2v_model"], small_e2e["recon_model"], small_e2e["calib"],
+              small_e2e["detectors"])
+    loaded = load_testsuite(path)
+    scoring = traced_peak(score_table, loaded, *fitted)
+    both = traced_peak(lambda: score_table(load_testsuite(path), *fitted))
+    assert both - scoring < 1.5 * loaded.windows.nbytes
