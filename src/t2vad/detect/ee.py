@@ -2,11 +2,13 @@
 
 The input is first reduced to its top principal components (at most
 PCA_DIMS); the fitted state keeps that basis and mean, and scoring
-applies the same projection. On the reduced data it finds the h-point
-subset whose covariance has (approximately) minimum determinant, with
-h = floor((n + d + 1) / 2): many random (d+1)-point starts, two
-concentration steps each, then the best few iterated to convergence.
-Scores are Mahalanobis distances under the robust (mu, Sigma).
+applies the same projection. `pca.top_eigh` computes only the kept
+components, by block subspace iteration from a start block of its own
+fixed seed, so `rng` feeds the random starts alone. On the reduced data
+it finds the h-point subset whose covariance has (approximately) minimum
+determinant, with h = floor((n + d + 1) / 2): many random (d+1)-point
+starts, two concentration steps each, then the best few iterated to
+convergence. Scores are Mahalanobis distances under the robust (mu, Sigma).
 """
 
 from __future__ import annotations

@@ -506,6 +506,17 @@ def _decode_value(value):
     return value
 
 
+def _finite_state(state: dict, kind: str) -> dict:
+    """`state`; a SchemaError if a state array or a layer parameter holds
+    NaN/Inf. EE and OCSVM would score every window NaN, which reads as
+    normal, and LOF would score finite but wrong."""
+    for key, value in state.items():
+        values = value.params if isinstance(value, nd.LayerStack) else value
+        if isinstance(values, np.ndarray) and not np.isfinite(values).all():
+            raise SchemaError(f"{kind} state entry {key!r} is not finite")
+    return state
+
+
 def save_detector(path: str, model: DetectorModel) -> None:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -534,8 +545,8 @@ def load_detector(path: str) -> DetectorModel:
     _check_scaling(mean, std, threshold, (mean.size,), "scaler")
     state = {key: _decode_value(value) for key, value in _field(doc, "state", dict).items()
              if key in KINDS[kind].stored}
-    state = _construct(KINDS[kind].checked_state, {"state": state, "dim": mean.size},
-                       f"{kind} state")
+    state = _construct(KINDS[kind].checked_state, {"state": _finite_state(state, kind),
+                                                   "dim": mean.size}, f"{kind} state")
     return DetectorModel(kind, mean, std, state, threshold, config=cfg)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from t2vad import detect
 from t2vad.autoenc import embed_many
-from t2vad.detect import DetectorConfig, DetectorModel, average_path_length, ocsvm
+from t2vad.detect import DetectorConfig, DetectorModel, average_path_length, ocsvm, pca
 from t2vad.detect.deepsvdd import build_network, fit_deep_svdd, score_deep_svdd
 from t2vad.detect.ee import fit_ee, score_ee
 from t2vad.detect.iforest import NODE_ARRAYS, SUBSAMPLE, fit_iforest, score_iforest
@@ -103,15 +103,24 @@ def decaying_blob(n, d, seed):
     return make_rng(seed).normal(size=(n, d)) * np.linspace(3.0, 0.1, d)
 
 
-@pytest.mark.parametrize("n, d, n_dims", [(60, 150, 8), (33, 700, 32), (200, 2000, 32)])
-def test_pca_with_fewer_samples_than_dims_matches_the_covariance_oracle(n, d, n_dims):
-    """The Gram-matrix path: same signs, bases equal to 1e-10, same mean."""
+def separated_blob(n, d, seed):
+    """Variances falling geometrically, so no eigenvalue crowds the top 32."""
+    return make_rng(seed).normal(size=(n, d)) * np.geomspace(1.0, 1e-3, d)
+
+
+@pytest.mark.parametrize("n, d, n_dims", [(60, 150, 8), (33, 700, 32), (200, 2000, 32),
+                                           (200, 8, 4), (700, 700, 32), (900, 700, 32),
+                                           (2655, 700, 32)])
+def test_pca_matches_the_covariance_oracle_on_both_paths(n, d, n_dims):
+    """The Gram path (n < d) and the covariance path: same signs, bases equal
+    to 1e-10, same mean."""
     x = decaying_blob(n, d, seed=n)
     basis, mean = pca_fit(x, n_dims)
     expected, expected_mean = pca_oracle(x, n_dims)
     assert np.array_equal(mean, expected_mean)
     assert np.array_equal(np.sign(basis), np.sign(expected))
     np.testing.assert_allclose(basis, expected, rtol=0, atol=1e-10)
+    assert basis.flags.c_contiguous
 
 
 @pytest.mark.parametrize("n, d, n_dims", [(40, 100, 5), (20, 4, 3), (100, 100, 5)])
@@ -124,14 +133,67 @@ def test_pca_rank_error_matches_the_covariance_oracle(n, d, n_dims):
         pca_fit(x, n_dims)
 
 
-@pytest.mark.parametrize("n, d, n_dims", [(200, 8, 4), (700, 700, 32), (701, 700, 32),
-                                           (800, 700, 32), (900, 700, 32), (2655, 700, 32)])
-def test_pca_with_as_many_samples_as_dims_is_the_covariance_oracle_bitwise(n, d, n_dims):
-    x = decaying_blob(n, d, seed=d)
-    basis, mean = pca_fit(x, n_dims)
-    expected, expected_mean = pca_oracle(x, n_dims)
-    assert np.array_equal(basis, expected) and np.array_equal(mean, expected_mean)
-    assert basis.flags.c_contiguous
+def eigh_sizes(monkeypatch):
+    """The sizes of the matrices later passed to `np.linalg.eigh`."""
+    sizes, eigh = [], np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("n, d", [(900, 700), (2655, 700), (300, 700), (200, 2000)])
+def test_pca_fit_eigendecomposes_only_its_block_on_a_well_separated_spectrum(
+        monkeypatch, n, d):
+    x = separated_blob(n, d, seed=n)
+    sizes = eigh_sizes(monkeypatch)
+    basis, _ = pca_fit(x, 32)
+    assert sizes and max(sizes) == 32 + pca.BLOCK_EXTRA
+    expected, _ = pca_oracle(x, 32)
+    np.testing.assert_allclose(basis, expected, rtol=0, atol=1e-10)
+
+
+def spectrum_matrix(evals, seed):
+    """U diag(evals) U' for a random orthogonal U."""
+    u, _ = np.linalg.qr(make_rng(seed).normal(size=(len(evals), len(evals))))
+    return (u * evals) @ u.T
+
+
+@pytest.mark.parametrize("evals, grown_to", [
+    # 100 eigenvalues within 1e-3 of each other, then a drop: 64 columns stall
+    (np.concatenate([np.linspace(1.0, 0.999, 100), np.linspace(0.01, 0.001, 200)]), 128),
+    # all 300 within 1e-4: every block stalls, up to the whole matrix
+    (1.0 + 1e-4 * make_rng(11).random(300), 300),
+])
+def test_top_eigh_grows_its_block_on_a_clustered_or_flat_spectrum(monkeypatch, evals,
+                                                                  grown_to):
+    a = spectrum_matrix(evals, seed=12)
+    expected = np.linalg.eigvalsh(a)[::-1][:32]
+    sizes = eigh_sizes(monkeypatch)
+    values, vectors = pca.top_eigh(a, 32)
+    assert max(sizes) == grown_to
+    np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(vectors.T @ vectors, np.eye(32), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a @ vectors, vectors * values, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, d", [(900, 700), (200, 2000)])
+def test_two_pca_fits_return_bitwise_equal_bases(n, d):
+    x = decaying_blob(n, d, seed=3)
+    first, second = pca_fit(x, 32), pca_fit(x.copy(), 32)
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+def test_top_eigh_holds_a_few_blocks_where_eigh_holds_the_whole_matrix(traced_peak):
+    """At most eight (m, 32 + BLOCK_EXTRA) blocks (5.7 measured), against the
+    (m, m) eigenvectors a full `eigh` returns."""
+    x = separated_blob(900, 700, seed=7)
+    a = pca._covariance(x, x.mean(axis=0))
+    block = 700 * (32 + pca.BLOCK_EXTRA) * 8
+    assert traced_peak(pca.top_eigh, a, 32) < 8 * block < a.nbytes
+    assert traced_peak(np.linalg.eigh, a) >= a.nbytes
 
 
 def test_pca_fit_peaks_below_two_copies_of_its_input(traced_peak):

@@ -269,6 +269,43 @@ def test_an_older_detector_file_loads_and_scores_bitwise_like_the_fitted_model(
     assert detect.score_many(loaded, emb).tobytes() == detect.score_many(model, emb).tobytes()
 
 
+def set_first_nan(block):
+    """An encoded array block whose first value is NaN."""
+    value = decode_array(block)
+    value.flat[0] = np.nan
+    return encode_array(value)
+
+
+@pytest.mark.parametrize("kind", detect.KINDS)
+def test_a_non_finite_state_array_or_layer_parameter_is_a_schema_error(
+        tmp_path, small_e2e, kind):
+    """NaN in EE's `cov` or OCSVM's `alpha` scored every window NaN (read as
+    normal), and NaN in LOF's `x` scored finite but wrong."""
+    path = tmp_path / "det.json"
+    save_detector(path, small_e2e["detectors"][kind])
+    state = json.loads(path.read_text())["state"]
+    blocks = [(key, None) for key, value in state.items() if isinstance(value, dict)]
+    blocks += [(key, (i, name)) for key, value in state.items() if isinstance(value, list)
+               and value and isinstance(value[0], dict)
+               for i, layer in enumerate(value) for name in layer["params"]]
+    assert len(blocks) >= 2
+
+    def poison(key, where):
+        def edit(doc):
+            if where is None:
+                doc["state"][key] = set_first_nan(doc["state"][key])
+            else:
+                params = doc["state"][key][where[0]]["params"]
+                params[where[1]] = set_first_nan(params[where[1]])
+        return edit
+
+    for key, where in blocks:
+        save_detector(path, small_e2e["detectors"][kind])
+        rewrite(path, poison(key, where))
+        with pytest.raises(SchemaError, match=f"{kind} state entry '{key}' is not finite"):
+            load_detector(path)
+
+
 def test_loaded_model_layers_train_through_the_flat_vector(tmp_path, small_e2e):
     path = tmp_path / "model.json"
     save_model(path, small_e2e["t2v_model"])
