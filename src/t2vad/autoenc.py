@@ -139,7 +139,7 @@ def train(model: TrainedModel, data: np.ndarray) -> TrainedModel:
     return model
 
 
-SCORE_CHUNK = 64   # windows per forward pass: bounds its temporaries, im2col buffers included
+SCORE_CHUNK = 64   # windows per forward pass: bounds its temporaries, conv pad buffers included
 
 
 def _finite_windows(data: np.ndarray) -> np.ndarray:

@@ -69,6 +69,8 @@ def fit_iforest(x: np.ndarray, n_trees: int, subsample: int, rng) -> dict:
     everywhere = np.flatnonzero(distinct)        # usable at every node of >= 2 rows
     tied = np.flatnonzero(~distinct)
     tied_xt = xt[tied]
+    path = [average_path_length(m) for m in range(size + 1)]   # c(m) for every node size
+    integers, uniform = rng.integers, rng.uniform
     nodes: list = []
     roots = []
     for _ in range(n_trees):
@@ -80,7 +82,7 @@ def fit_iforest(x: np.ndarray, n_trees: int, subsample: int, rng) -> dict:
             rows, depth, parent = stack.pop()
             if parent >= 0:
                 nodes[parent][2] = len(nodes)
-            nodes.append([-1, 0.0, -1, average_path_length(len(rows))])
+            nodes.append([-1, 0.0, -1, path[len(rows)]])
             if len(rows) <= 1 or depth >= max_depth:
                 continue
             usable = everywhere
@@ -91,11 +93,11 @@ def fit_iforest(x: np.ndarray, n_trees: int, subsample: int, rng) -> dict:
                 usable = np.flatnonzero(spread)
             if usable.size == 0:
                 continue
-            f = int(usable[rng.integers(usable.size)])
+            f = int(usable[integers(usable.size)])
             column = xt[f, rows]
-            u = float(rng.uniform(column.min(), column.max()))
+            u = float(uniform(column.min(), column.max()))
             mask = column < u
-            if mask.all() or not mask.any():
+            if not 0 < np.count_nonzero(mask) < len(rows):
                 continue
             nodes[-1] = [f, u, -1, 0.0]
             stack.append((rows[~mask], depth + 1, len(nodes) - 1))

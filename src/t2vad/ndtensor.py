@@ -4,11 +4,11 @@ Tensors are plain numpy arrays, row-major: float64 by default, float32 in
 :func:`train_adam`, the one training loop, which runs on a float32 copy of a
 stack (:meth:`LayerStack.astype`). Every buffer a layer or the optimizer
 makes follows the dtype of its input or parameters. The layer vocabulary is
-fixed: conv1d, dense, relu and upsample here, plus the t2v layer in
-:mod:`t2vad.t2v`. Each layer implements an explicit forward that returns a
-cache and a backward that consumes it, so a :class:`LayerStack` can record a
-tape and replay it in exact reverse order. Gradients are checked against
-central finite differences by :func:`grad_check`.
+fixed: conv1d (k shifted matmuls over one padded buffer, no im2col), dense,
+relu and upsample here, plus the t2v layer in :mod:`t2vad.t2v`. Each layer's
+forward returns a cache and its backward consumes it, so a
+:class:`LayerStack` can record a tape and replay it in exact reverse order.
+Gradients are checked against central finite differences by :func:`grad_check`.
 
 Layers operate on batches only: time-series layers take ``(B, N, C)``,
 dense layers take ``(B, D)``. A single window is a batch with B=1.
@@ -37,60 +37,60 @@ class TrainingDiverged(RuntimeError):
 # batched conv kernels
 # ---------------------------------------------------------------------------
 
-def _im2col(x: Tensor, k: int, stride: int) -> Tensor:
-    """(B, N, C) -> (B, N_out, k, C) sliding windows over zero-padded time axis."""
-    b, n, c = x.shape
-    pad = (k - 1) // 2
-    xp = np.zeros((b, n + 2 * pad, c), dtype=x.dtype)
-    xp[:, pad:pad + n, :] = x
-    n_out = n // stride
-    s0, s1, s2 = xp.strides
-    cols = np.lib.stride_tricks.as_strided(
-        xp, shape=(b, n_out, k, c), strides=(s0, s1 * stride, s1, s2), writeable=False
-    )
-    return np.ascontiguousarray(cols)
-
-
 def _conv1d_batch(x: Tensor, kernels: Tensor, bias: Tensor, stride: int):
-    c_out, c_in, k = kernels.shape
-    if stride < 1 or x.shape[1] % stride != 0:
-        raise ValueError(f"time axis {x.shape[1]} not divisible by stride {stride}")
-    cols = _im2col(x, k, stride)                      # (B, N_out, k, C_in)
-    kmat = kernels.transpose(2, 1, 0).reshape(k * c_in, c_out)
-    y = cols.reshape(cols.shape[0], cols.shape[1], k * c_in) @ kmat + bias
-    return y, cols
+    """"Same" conv of (B, N, C_in) as a sum of k shifted GEMMs; returns (y, xp).
 
-
-def _conv1d_batch_backward(grad_y, cols, kernels, stride, in_len, input_grad=True):
-    """Gradients of the batched conv. Returns (grad_x, grad_kernels, grad_bias).
-
-    grad_x is None when input_grad is False. Otherwise it is the "same"
-    convolution of grad_y, zero-dilated back to the input length when the
-    stride is above 1, with the kernels flipped in time and with input and
-    output channels swapped: one im2col and one matmul.
-
-    grad_bias is `np.einsum('ij->j', flat_gy)`, a few times faster than
-    `flat_gy.sum(axis=0)` and bitwise equal to it when C_out >= 2: both then
-    add the rows in order. At C_out = 1 `sum` adds pairwise and the two can
-    differ, so a one-channel conv (no default or searched model has one)
-    keeps `sum`.
+    xp is x zero-padded to P rows per window (N + 2 pad rounded up to a stride
+    multiple), so tap j's input for all windows is one strided view of the
+    flat (B*P, C_in) buffer: y = bias + sum_j xp[j::stride] @ W_j, with no
+    (B, N_out, k*C_in) array. The P/stride - N_out rows after each window's
+    output read the next window and are cut off, so y is a view.
     """
-    c_out, c_in, k = kernels.shape
-    b, n_out, _ = grad_y.shape
-    flat_cols = cols.reshape(b * n_out, k * c_in)
+    (c_out, c_in, k), (b, n, _) = kernels.shape, x.shape
+    if stride < 1 or n % stride != 0:
+        raise ValueError(f"time axis {n} not divisible by stride {stride}")
+    pad, q = (k - 1) // 2, -(-(n + k - 1) // stride)   # q: output rows per window, cut-off too
+    xp = np.zeros((b, q * stride, c_in), dtype=x.dtype)
+    xp[:, pad:pad + n] = x
+    flat, rows = xp.reshape(-1, c_in), b * q - (q - n // stride)
+    w = np.ascontiguousarray(kernels.transpose(2, 1, 0))   # W_j = w[j], (C_in, C_out): BLAS-ready
+    y = np.empty((b, q, c_out), dtype=np.result_type(x, kernels, bias))
+    out, tmp = y.reshape(-1, c_out)[:rows], np.empty((rows, c_out), dtype=y.dtype)
+    out[...] = bias
+    for j in range(k):
+        out += np.matmul(flat[j::stride][:rows], w[j], out=tmp)
+    return y[:, :n // stride], xp
+
+
+def _conv1d_batch_backward(grad_y, xp, kernels, stride, in_len, input_grad=True):
+    """Conv gradients (grad_x, grad_kernels, grad_bias) from the padded input xp.
+
+    gy is grad_y in the forward's row layout, zero in the cut-off rows: tap j's
+    kernel gradient is xp[j::stride].T @ gy, and grad_x adds gy @ W_j.T into a
+    zeroed padded buffer at offset j (stride 2 needs no zero-dilated copy).
+    grad_bias is `np.einsum('ij->j')` of the real grad_y rows, faster than
+    `.sum(axis=0)` and bitwise equal to it when C_out >= 2 (both add rows in
+    order); at C_out = 1 `sum` adds pairwise, so it stays.
+    """
+    (c_out, c_in, k), (b, n_out, _) = kernels.shape, grad_y.shape
+    q, pad = xp.shape[1] // stride, (k - 1) // 2
+    rows, flat = b * q - (q - n_out), xp.reshape(-1, c_in)
+    gyp = np.zeros((b, q, c_out), dtype=grad_y.dtype)
+    gyp[:, :n_out] = grad_y
+    gy = gyp.reshape(-1, c_out)[:rows]
+    grad_w = np.empty((k, c_in, c_out), dtype=np.result_type(xp, grad_y))
+    for j in range(k):
+        np.matmul(flat[j::stride][:rows].T, gy, out=grad_w[j])
     flat_gy = grad_y.reshape(b * n_out, c_out)
-    grad_kmat = flat_cols.T @ flat_gy                  # (k*C_in, C_out)
-    grad_kernels = grad_kmat.reshape(k, c_in, c_out).transpose(2, 1, 0)
     grad_bias = np.einsum("ij->j", flat_gy) if c_out > 1 else flat_gy.sum(axis=0)
     if not input_grad:
-        return None, grad_kernels, grad_bias
-    if stride > 1:
-        dilated = np.zeros((b, in_len, c_out), dtype=grad_y.dtype)
-        dilated[:, ::stride] = grad_y
-        grad_y = dilated
-    kflip = kernels[:, :, ::-1].transpose(2, 0, 1).reshape(k * c_out, c_in)
-    grad_x = _im2col(grad_y, k, 1).reshape(b, in_len, k * c_out) @ kflip
-    return grad_x, grad_kernels, grad_bias
+        return None, grad_w.transpose(2, 1, 0), grad_bias
+    wt = np.ascontiguousarray(kernels.transpose(2, 0, 1))  # W_j.T = wt[j], (C_out, C_in)
+    gxp = np.zeros((len(flat), c_in), dtype=np.result_type(grad_y, kernels))
+    tmp = np.empty((rows, c_in), dtype=gxp.dtype)
+    for j in range(k):
+        gxp[j::stride][:rows] += np.matmul(gy, wt[j], out=tmp)
+    return gxp.reshape(b, -1, c_in)[:, pad:pad + in_len], grad_w.transpose(2, 1, 0), grad_bias
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +139,12 @@ class Conv1d(Layer):
     def forward(self, x):
         if x.ndim != 3 or x.shape[2] != self.c_in:
             raise ValueError(f"conv1d expects (B,N,{self.c_in}), got {x.shape}")
-        y, cols = _conv1d_batch(x, self.kernels, self.bias, self.stride)
-        return y, (cols, x.shape[1])
+        y, xp = _conv1d_batch(x, self.kernels, self.bias, self.stride)
+        return y, (xp, x.shape[1])
 
     def backward(self, cache, grad_out, input_grad=True):
-        cols, in_len = cache
-        gx, gk, gb = _conv1d_batch_backward(grad_out, cols, self.kernels, self.stride,
+        xp, in_len = cache
+        gx, gk, gb = _conv1d_batch_backward(grad_out, xp, self.kernels, self.stride,
                                             in_len, input_grad)
         return gx, {"kernels": gk, "bias": gb}
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,21 +28,23 @@ def naive_matmul(a, b):
     return out
 
 
-def naive_conv1d(x, kernels, bias):
-    """Direct sliding-window summation with explicit zero padding."""
-    n, c_in = x.shape
+def naive_conv1d(x, kernels, bias, stride=1):
+    """Direct sliding-window summation over a (B, N, C_in) batch with explicit
+    zero padding, keeping every stride-th output step."""
+    b, n, c_in = x.shape
     c_out, _, k = kernels.shape
     pad = (k - 1) // 2
-    out = np.zeros((n, c_out))
-    for pos in range(n):
-        for co in range(c_out):
-            acc = bias[co]
-            for t in range(k):
-                src = pos + t - pad
-                if 0 <= src < n:
-                    for ci in range(c_in):
-                        acc += x[src, ci] * kernels[co, ci, t]
-            out[pos, co] = acc
+    out = np.zeros((b, n // stride, c_out))
+    for w in range(b):
+        for pos in range(n // stride):
+            for co in range(c_out):
+                acc = float(bias[co])
+                for t in range(k):
+                    src = pos * stride + t - pad
+                    if 0 <= src < n:
+                        for ci in range(c_in):
+                            acc += float(x[w, src, ci]) * float(kernels[co, ci, t])
+                out[w, pos, co] = acc
     return out
 
 
@@ -126,7 +129,7 @@ def test_conv1d_matches_sliding_window_oracle():
     kernels = rng.normal(size=(3, 2, 3))
     bias = rng.normal(size=3)
     np.testing.assert_allclose(conv1d_one_window(x, kernels, bias),
-                               naive_conv1d(x, kernels, bias), atol=1e-12)
+                               naive_conv1d(x[None], kernels, bias)[0], atol=1e-12)
 
 
 def test_conv1d_even_kernel_rejected():
@@ -362,6 +365,68 @@ def test_conv_input_grad_matches_scatter_property(b, m, k, c_in, c_out, stride, 
     assert np.max(np.abs(got - ref), initial=0.0) < 1e-12
 
 
+CONV_CHANNELS = [(1, 1), (1, 3), (3, 1), (2, 4)]
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_conv_tap_sum_forward_matches_entrywise_oracle(stride, k, dtype, tol):
+    rng = make_rng(100 * stride + k)
+    for b in (1, 3):
+        for c_in, c_out in CONV_CHANNELS:
+            x = rng.normal(size=(b, 4 * stride, c_in)).astype(dtype)
+            kernels = rng.normal(size=(c_out, c_in, k)).astype(dtype)
+            bias = rng.normal(size=c_out).astype(dtype)
+            y, xp = nd._conv1d_batch(x, kernels, bias, stride)
+            assert y.dtype == dtype and xp.dtype == dtype and y.shape == (b, 4, c_out)
+            np.testing.assert_allclose(y, naive_conv1d(x, kernels, bias, stride),
+                                       rtol=tol, atol=tol)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_conv_kernel_gradient_matches_per_tap_einsum(stride, k):
+    rng = make_rng(200 * stride + k)
+    pad = (k - 1) // 2
+    for b in (1, 3):
+        for c_in, c_out in CONV_CHANNELS:
+            x = rng.normal(size=(b, 5 * stride, c_in))
+            layer = nd.Conv1d(c_in, c_out, k, stride=stride, rng=rng)
+            grad_y = rng.normal(size=(b, 5, c_out))
+            _, cache = layer.forward(x)
+            _, grads = layer.backward(cache, grad_y)
+            padded = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+            for t in range(k):
+                taps = padded[:, t:t + 5 * stride:stride]         # (B, N_out, C_in)
+                ref = np.einsum("bni,bno->oi", taps, grad_y)
+                assert np.max(np.abs(grads["kernels"][:, :, t] - ref)) < 1e-12
+            np.testing.assert_allclose(grads["bias"], grad_y.sum(axis=(0, 1)), atol=1e-12)
+
+
+def test_conv_forward_and_backward_build_no_im2col_sized_array():
+    """One float32 step of Conv1d(16, 16, 5) on (32, 100, 16): neither call
+    allocates as much as one (B, N_out, k*C_in) array would take."""
+    layer = nd.LayerStack([nd.Conv1d(16, 16, 5, rng=make_rng(300))], dtype=np.float32).layers[0]
+    x = make_rng(301).normal(size=(32, 100, 16)).astype(np.float32)
+    grad_y = make_rng(302).normal(size=(32, 100, 16)).astype(np.float32)
+    im2col_bytes = 32 * 100 * 5 * 16 * 4
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        y, cache = layer.forward(x)
+        forward_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        grad_x, grads = layer.backward(cache, grad_y)
+        backward_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert y.shape == grad_x.shape == (32, 100, 16) and grads["kernels"].shape == (16, 16, 5)
+    assert forward_peak < im2col_bytes and backward_peak < im2col_bytes, \
+        (forward_peak, backward_peak)
+
+
 # ---------------------------------------------------------------------------
 # the bias and upsample gradients are bitwise the numpy sums they replaced
 # ---------------------------------------------------------------------------
@@ -383,8 +448,9 @@ def test_conv_bias_gradient_is_bitwise_the_column_sum(dtype, rows):
         if c_out > 1:
             grad_y[0, :, -1] = -0.0             # an all -0.0 column sums to +0.0
         kernels = np.zeros((c_out, 1, 1), dtype)
-        _, _, grad_bias = nd._conv1d_batch_backward(grad_y, np.zeros((1, rows, 1), dtype),
-                                                    kernels, 1, rows, input_grad=False)
+        _, xp = nd._conv1d_batch(np.zeros((1, rows, 1), dtype), kernels, np.zeros(c_out, dtype), 1)
+        _, _, grad_bias = nd._conv1d_batch_backward(grad_y, xp, kernels, 1, rows,
+                                                    input_grad=False)
         assert grad_bias.dtype == dtype
         assert grad_bias.tobytes() == grad_y[0].sum(axis=0).tobytes(), c_out
 
