@@ -5,9 +5,9 @@ larger values mean locally sparser than the neighborhood. Query points are
 scored against the fitted training set (novelty style).
 
 The one (n, m) distance matrix is the only full-size array a fit or a score
-builds: the gram expansion is finished in place, BLOCK rows at a time, and
-each row's k nearest neighbors are picked one block of rows at a time, by
-partition rather than a full sort.
+builds: the row norms are squared and the gram expansion is finished in
+place, BLOCK rows at a time, and each row's k nearest neighbors are picked
+one block of rows at a time, by partition rather than a full sort.
 """
 
 from __future__ import annotations
@@ -18,10 +18,21 @@ K = 20                  # neighbors per point
 BLOCK = 256             # rows per block of in-place arithmetic and neighbor selection
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """(a * a).sum(axis=1), bitwise, squaring BLOCK rows at a time."""
+    out = np.empty(len(a))
+    for start in range(0, len(a), BLOCK):
+        rows = a[start:start + BLOCK]
+        out[start:start + BLOCK] = (rows * rows).sum(axis=1)
+    return out
+
+
 def _cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix (len(a), len(b)) via the gram expansion
-    (aa + bb) - 2ab, finished in place in the one `a @ b.T` product."""
-    aa, bb = (a * a).sum(axis=1)[:, None], (b * b).sum(axis=1)[None, :]
+    (aa + bb) - 2ab, finished in place in the one `a @ b.T` product; the
+    row norms are taken once when `b is a`."""
+    aa = _row_norms(a)[:, None]
+    bb = aa.T if b is a else _row_norms(b)[None, :]
     d = a @ b.T
     for start in range(0, len(d), BLOCK):
         rows = d[start:start + BLOCK]

@@ -10,8 +10,9 @@ from t2vad.autoenc import embed_many
 from t2vad.detect import DetectorConfig, DetectorModel, average_path_length, ocsvm, pca
 from t2vad.detect.deepsvdd import build_network, fit_deep_svdd, score_deep_svdd
 from t2vad.detect.ee import fit_ee, score_ee
-from t2vad.detect.iforest import NODE_ARRAYS, SUBSAMPLE, fit_iforest, score_iforest
-from t2vad.detect.lof import BLOCK, _cross_distances, _nearest, fit_lof, score_lof
+from t2vad.detect import iforest
+from t2vad.detect.iforest import NODE_ARRAYS, SUBSAMPLE, TREES, fit_iforest, score_iforest
+from t2vad.detect.lof import BLOCK, _cross_distances, _nearest, _row_norms, fit_lof, score_lof
 from t2vad.detect.ocsvm import TOL, fit_ocsvm, rbf_kernel
 from t2vad.detect.pca import pca_fit, pca_transform
 from t2vad.dtw import dtw_batch
@@ -241,23 +242,43 @@ def test_iforest_far_point_scores_higher():
     assert far > near
 
 
+def draw_table(n, n_trees, subsample, rng):
+    """The forest's draws: every tree's subsample, then the (n_trees,
+    2^max_depth - 1) `pick` and `cut` tables, read by heap position."""
+    size = min(subsample, n)
+    max_depth = int(np.ceil(np.log2(max(size, 2))))
+    samples = [rng.choice(n, size=size, replace=False) for _ in range(n_trees)]
+    pick = rng.random((n_trees, 2 ** max_depth - 1))
+    cut = rng.random((n_trees, 2 ** max_depth - 1))
+    return size, max_depth, samples, pick, cut
+
+
+def table_split(x, pick, cut):
+    """The split a node of rows `x` takes from its table entries by a min/max
+    search over every column, or None if no column varies there."""
+    mins, maxs = x.min(axis=0), x.max(axis=0)
+    usable = np.flatnonzero(maxs > mins)
+    if usable.size == 0:
+        return None
+    f = int(usable[min(int(pick * usable.size), usable.size - 1)])
+    return f, float(mins[f] + (maxs[f] - mins[f]) * cut)
+
+
 def recursive_forest(x, n_trees, subsample, rng):
     """The nested-list forest the flat arrays replaced, with its recursive scorer."""
-    def build(x, depth, max_depth):
+    def build(x, t, h, depth):
         m = len(x)
         if m <= 1 or depth >= max_depth:
             return ["leaf", m]
-        mins, maxs = x.min(axis=0), x.max(axis=0)
-        usable = np.flatnonzero(maxs > mins)
-        if usable.size == 0:
+        chosen = table_split(x, pick[t, h], cut[t, h])
+        if chosen is None:
             return ["leaf", m]
-        f = int(rng.choice(usable))
-        u = float(rng.uniform(mins[f], maxs[f]))
+        f, u = chosen
         mask = x[:, f] < u
         if mask.all() or not mask.any():
             return ["leaf", m]
-        return ["split", f, u, build(x[mask], depth + 1, max_depth),
-                build(x[~mask], depth + 1, max_depth)]
+        return ["split", f, u, build(x[mask], t, 2 * h + 1, depth + 1),
+                build(x[~mask], t, 2 * h + 2, depth + 1)]
 
     def path_lengths(node, q, idx, depth, out):
         if idx.size == 0:
@@ -278,11 +299,8 @@ def recursive_forest(x, n_trees, subsample, rng):
             paths += lengths
         return np.power(2.0, -(paths / len(trees)) / average_path_length(size))
 
-    n = len(x)
-    size = min(subsample, n)
-    max_depth = int(np.ceil(np.log2(max(size, 2))))
-    trees = [build(x[rng.choice(n, size=size, replace=False)], 0, max_depth)
-             for _ in range(n_trees)]
+    size, max_depth, samples, pick, cut = draw_table(len(x), n_trees, subsample, rng)
+    trees = [build(x[rows], t, 0, 0) for t, rows in enumerate(samples)]
     return score
 
 
@@ -304,34 +322,29 @@ def test_flat_forest_scores_are_bitwise_the_recursive_forest(n, d, n_trees, subs
 
 def reference_fit_iforest(x, n_trees, subsample, rng):
     """The forest grown by a min/max search over every column at every node,
-    on row copies: the growth `fit_iforest` must reproduce array for array."""
-    def grow(x, depth, max_depth, nodes):
+    on row copies, node by node in preorder from the same draw table: the
+    growth `fit_iforest` must reproduce array for array."""
+    def grow(x, t, h, depth, nodes):
         at = len(nodes)
         m = len(x)
         nodes.append([-1, 0.0, -1, average_path_length(m)])
         if m <= 1 or depth >= max_depth:
             return at
-        mins = x.min(axis=0)
-        maxs = x.max(axis=0)
-        usable = np.flatnonzero(maxs > mins)
-        if usable.size == 0:
+        chosen = table_split(x, pick[t, h], cut[t, h])
+        if chosen is None:
             return at
-        f = int(rng.choice(usable))
-        u = float(rng.uniform(mins[f], maxs[f]))
+        f, u = chosen
         mask = x[:, f] < u
         if mask.all() or not mask.any():
             return at
-        grow(x[mask], depth + 1, max_depth, nodes)
-        right = grow(x[~mask], depth + 1, max_depth, nodes)
+        grow(x[mask], t, 2 * h + 1, depth + 1, nodes)
+        right = grow(x[~mask], t, 2 * h + 2, depth + 1, nodes)
         nodes[at] = [f, u, right, 0.0]
         return at
 
-    n = len(x)
-    size = min(subsample, n)
-    max_depth = int(np.ceil(np.log2(max(size, 2))))
+    size, max_depth, samples, pick, cut = draw_table(len(x), n_trees, subsample, rng)
     nodes = []
-    roots = [grow(x[rng.choice(n, size=size, replace=False)], 0, max_depth, nodes)
-             for _ in range(n_trees)]
+    roots = [grow(x[rows], t, 0, 0, nodes) for t, rows in enumerate(samples)]
     columns = (np.array(column) for column in zip(*nodes))
     return {**dict(zip(NODE_ARRAYS, columns)), "roots": np.array(roots), "subsample": size}
 
@@ -352,7 +365,14 @@ FOREST_INPUTS = {
     "signed-zeros": signed_zeros,
     "n-below-subsample": lambda: gaussian_blob(n=100, d=6, seed=8),
     "n-2": lambda: gaussian_blob(n=2, d=3, seed=9),
+    "every-feature-tied": lambda: np.repeat(gaussian_blob(n=50, d=64, seed=10), 4, axis=0),
 }
+
+
+def assert_same_forest(state, reference):
+    for key in (*NODE_ARRAYS, "roots"):
+        assert state[key].dtype == reference[key].dtype, key
+        assert np.array_equal(state[key], reference[key]), key
 
 
 @pytest.mark.parametrize("name", FOREST_INPUTS)
@@ -360,10 +380,50 @@ def test_forest_is_array_equal_to_the_full_search_reference(name):
     x = FOREST_INPUTS[name]()
     state = fit_iforest(x, 30, SUBSAMPLE, make_rng(11))
     reference = reference_fit_iforest(x, 30, SUBSAMPLE, make_rng(11))
-    for key in (*NODE_ARRAYS, "roots"):
-        assert state[key].dtype == reference[key].dtype, key
-        assert np.array_equal(state[key], reference[key]), key
+    assert_same_forest(state, reference)
     assert state["subsample"] == reference["subsample"] == min(SUBSAMPLE, len(x))
+
+
+@pytest.mark.parametrize("name", ["random", "every-feature-tied"])
+def test_forest_on_a_subsample_not_a_power_of_two_is_the_reference(name):
+    x = FOREST_INPUTS[name]()
+    state = fit_iforest(x, 30, 77, make_rng(12))      # depth at most 7, tables 127 wide
+    assert_same_forest(state, reference_fit_iforest(x, 30, 77, make_rng(12)))
+    assert state["subsample"] == 77
+
+
+@pytest.mark.parametrize("name", ["every-feature-tied", "one-constant-feature", "signed-zeros"])
+def test_forest_does_not_depend_on_the_block_size(name, monkeypatch):
+    """Blocks of 97 values cut the tied-feature checks into many chunks of
+    nodes and of columns: the forest stays the same."""
+    x = FOREST_INPUTS[name]()
+    state = fit_iforest(x, 30, SUBSAMPLE, make_rng(13))
+    monkeypatch.setattr(iforest, "BLOCK", 97)
+    assert_same_forest(fit_iforest(x, 30, SUBSAMPLE, make_rng(13)), state)
+
+
+def test_forest_draws_do_not_depend_on_the_data():
+    """Every tree's subsample, then the two (trees, 2^8 - 1) tables: the
+    generator ends where a fresh one does after just these draws, however
+    the trees grow."""
+    n, d, n_trees = 300, 6, 20
+    fresh = make_rng(14)
+    for _ in range(n_trees):
+        fresh.choice(n, size=SUBSAMPLE, replace=False)
+    fresh.random((n_trees, 255))
+    fresh.random((n_trees, 255))
+    for x in (gaussian_blob(n=n, d=d, seed=15), np.zeros((n, d)),
+              np.repeat(gaussian_blob(n=n // 3, d=d, seed=16), 3, axis=0)):
+        rng = make_rng(14)
+        fit_iforest(x, n_trees, SUBSAMPLE, rng)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+def test_forest_on_every_feature_tied_holds_at_most_two_copies_of_x(traced_peak):
+    """Rows repeated, so every feature needs the per-node check: it runs in
+    blocks, never as one tied x (trees * subsample) array (143 MB here)."""
+    x = np.repeat(gaussian_blob(n=450, d=700, seed=17), 2, axis=0)
+    assert traced_peak(fit_iforest, x, TREES, SUBSAMPLE, make_rng(0)) <= 2 * x.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +509,12 @@ def test_fit_and_score_lof_equal_the_full_sort_oracle(case):
     for key in ("kdist", "lrd", "train_lof"):
         assert np.array_equal(state[key], expected[key]), key
     assert np.array_equal(score_lof(state, query), expected_scores)
+
+
+def test_row_norms_are_bitwise_the_one_shot_sum_a_block_at_a_time(traced_peak):
+    a = gaussian_blob(n=2 * BLOCK + 37, d=64, seed=23)
+    assert _row_norms(a).tobytes() == (a * a).sum(axis=1).tobytes()
+    assert traced_peak(_row_norms, a) < a.nbytes
 
 
 def test_distance_and_kernel_peak_below_one_and_a_half_matrices(traced_peak):
