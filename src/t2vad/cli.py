@@ -217,8 +217,9 @@ def cmd_build_testsets(args) -> int:
                          seed=derive_seed(args.seed, "inject"))
     suite = build_testsets(corpus.test_windows, spec)
     save_testsuite(_out_path(args.out), suite)
-    for key, ws in suite.sets.items():
-        print(f"{key}: {len(ws)} windows, {ws.anomalous.sum()} anomalous")
+    anomalous = suite.windows.anomalous
+    for key, rows in suite.sets.items():
+        print(f"{key}: {len(rows)} windows, {anomalous[rows].sum()} anomalous")
     return 0
 
 

@@ -2,12 +2,12 @@
 
 Compares the baseline composite-reconstruction detector against the
 embedding path (each one-class detector on top of the embedding AE) over
-the four evaluation sets. Anomalous is the positive class: True in each
-set's `anomalous` array, and where a score is above its method's
+the four evaluation sets. Anomalous is the positive class: True where a
+window's tags make it anomalous, and where a score is above its method's
 threshold. The report is a pure function of its inputs: same suite,
 models, detectors and config give an identical report. `score_table`
-scores the suite's one array of distinct windows once, into one (methods
-x windows) table; `run_benchmark` reads every confusion cell from it.
+scores the suite's windows once, each window once, into one (methods x
+windows) table; `run_benchmark` reads every confusion cell from it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 from . import detect
 from .autoenc import (ScoreCalibration, TrainedModel, combine_components, embed_many,
                       score_components_many)
-from .inject import TestSet, TestSuite
+from .inject import TestSuite
+from .pipeline import NOISE_TAGS, WindowSet
 
 METHOD_BASELINE = "recon_ae"
 METHODS = (METHOD_BASELINE, *(f"t2v_{kind}" for kind in detect.KINDS))
@@ -66,11 +67,12 @@ def prf1(c: Confusion) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def _set_composition(test_set: TestSet) -> dict:
+def _set_composition(windows: WindowSet, rows: np.ndarray) -> dict:
+    """The counts of the set made of the `rows` of `windows`."""
     return {
-        "n": len(test_set),
-        "anomalous": int(test_set.anomalous.sum()),
-        "noise_tagged": sum(bool(t & {"point_noise", "salt_pepper"}) for t in test_set.tags),
+        "n": len(rows),
+        "anomalous": int(windows.anomalous[rows].sum()),
+        "noise_tagged": sum(not NOISE_TAGS.isdisjoint(windows.tags[r]) for r in rows),
     }
 
 
@@ -80,12 +82,12 @@ def score_table(suite: TestSuite, t2v_model: TrainedModel, recon_model: TrainedM
     """(scores, thresholds): every report score, each computed once.
 
     The baseline components, the embedding and every detector run once over
-    `suite.windows`, the suite's distinct windows. `scores` is float64
-    (len(METHODS), m) with a row per method and a column per window, so a
-    set's scores are the columns at its `rows`; `thresholds` holds each
-    method's threshold. A NaN/Inf window raises ValueError naming the first
-    set in KEYS order that holds one and its index there; a reconstruction
-    that turns NaN/Inf is named by its column.
+    the m windows of `suite.windows`. `scores` is float64 (len(METHODS), m)
+    with a row per method and a column per window, so a set's scores are
+    the columns at its rows; `thresholds` holds each method's threshold.
+    A NaN/Inf window raises ValueError naming the first set in KEYS order
+    that holds one and its index there; a reconstruction that turns NaN/Inf
+    is named by its column.
     """
     if t2v_model is None or recon_model is None:
         raise ValueError("missing trained model")
@@ -94,10 +96,10 @@ def score_table(suite: TestSuite, t2v_model: TrainedModel, recon_model: TrainedM
     missing = [k for k in detect.KINDS if k not in detectors]
     if missing:
         raise ValueError(f"missing detectors: {missing}")
-    windows = suite.windows
+    windows = suite.windows.data
     bad = ~np.isfinite(windows).all(axis=(1, 2))
     for key in TestSuite.KEYS:
-        hits = np.flatnonzero(bad[suite.sets[key].rows])
+        hits = np.flatnonzero(bad[suite.sets[key]])
         if hits.size:
             raise ValueError(f"{key} window {hits[0]} contains NaN/Inf")
 
@@ -120,12 +122,13 @@ def run_benchmark(suite: TestSuite, t2v_model: TrainedModel, recon_model: Traine
     scores, thresholds = score_table(suite, t2v_model, recon_model, recon_calib, detectors)
     results: dict[str, dict[str, dict]] = {method: {} for method in METHODS}
     composition = {}
+    anomalous = suite.windows.anomalous
     for key in TestSuite.KEYS:
-        test_set = suite.sets[key]
-        composition[key] = _set_composition(test_set)
-        flags = scores[:, test_set.rows] > thresholds[:, None]
+        rows = suite.sets[key]
+        composition[key] = _set_composition(suite.windows, rows)
+        flags = scores[:, rows] > thresholds[:, None]
         for method, preds in zip(METHODS, flags):
-            results[method][key] = _entry(confusion(preds, test_set.anomalous))
+            results[method][key] = _entry(confusion(preds, anomalous[rows]))
     return EvalReport(results, composition, config_digest, dict(seeds or {}))
 
 

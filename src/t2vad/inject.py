@@ -6,21 +6,22 @@ mixture. Two noise kinds (single-point offset, salt-and-pepper extremes)
 are deliberately left normal: a detector should ignore them. From one
 clean test split, `build_testsets` derives the four evaluation sets
 A-6F / AN-6F / A-4F / AN-4F (anomalies on all six or only the four
-non-flat features, with or without noise), and holds each distinct window
-of the four once. Each injector maps an (N, F) array to a new one; the set
-builders put its tag beside the window. The onset, period and mixture
-ranges are module constants; `InjectionSpec` holds only what
-`build-testsets` sets.
+non-flat features, with or without noise). The suite holds each window
+once, in one `WindowSet` with its tags and origin, and each set is an
+array of rows of it. Each injector maps an (N, F) array to a new one; the
+builder adds that window as a row carrying its base row's tags and origin
+plus the injection's tag. The onset, period and mixture ranges are module
+constants; `InjectionSpec` holds only what `build-testsets` sets.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .pipeline import WindowSet, anomalous_flags
+from .pipeline import NOISE_TAGS, WindowSet
 from .rng import make_rng
 
 
@@ -30,6 +31,7 @@ SPIKE_PERIOD_RANGE = (5, 15)       # inclusive range of the rows between spikes
 GMM_MEANS = (2.0, 4.0, 6.0)
 GMM_STDS = (0.5, 0.5, 0.5)
 GMM_WEIGHTS = (1 / 3, 1 / 3, 1 / 3)
+POINT_NOISE, SALT_PEPPER = sorted(NOISE_TAGS)
 
 
 @dataclass(frozen=True)
@@ -47,42 +49,18 @@ class InjectionSpec:
 
 
 @dataclass
-class TestSet:
-    """One evaluation set: for each of its windows, the row of its suite's
-    `windows` that holds it, its tag set and its origin."""
-
-    rows: np.ndarray
-    tags: list
-    origins: list
-
-    __test__ = False            # bare data, despite the pytest-like name
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.intp)
-        self.tags = [frozenset(t) for t in self.tags]
-        self.origins = list(self.origins)
-
-    def __len__(self):
-        return len(self.rows)
-
-    @property
-    def anomalous(self) -> np.ndarray:
-        """(n,) bool: True where a step or spikes tag is set."""
-        return anomalous_flags(self.tags)
-
-
-@dataclass
 class TestSuite:
     """The four labeled evaluation sets keyed A-6F / AN-6F / A-4F / AN-4F.
 
     The sets share most of their windows (the A sets share every clean
     window, and each AN set is its A set with some windows noised), so the
-    suite holds its windows once, in `windows` (m, N, F), and each set
-    holds the rows of `windows` it is made of.
+    suite holds each window once, with its tags and origin, in the
+    WindowSet `windows`, and each set is an (n,) intp array of the rows of
+    `windows` it is made of.
     """
 
-    windows: np.ndarray
-    sets: dict[str, TestSet]
+    windows: WindowSet
+    sets: dict[str, np.ndarray]
     seed: int
 
     KEYS = ("A-6F", "AN-6F", "A-4F", "AN-4F")
@@ -92,21 +70,7 @@ class TestSuite:
         missing = [k for k in self.KEYS if k not in self.sets]
         if missing:
             raise ValueError(f"missing test sets: {missing}")
-
-    @classmethod
-    def from_sets(cls, sets: dict[str, WindowSet], seed: int) -> TestSuite:
-        """The suite of the four WindowSets `sets`: each distinct window,
-        keyed by the SHA-256 of its exact bytes (not by a copy of them), is
-        stacked once in order of first appearance over KEYS, so that
-        `windows[sets[key].rows]` of the result equals `sets[key].data`."""
-        keys = [key for key in cls.KEYS if key in sets]     # a missing key fails in cls()
-        seen: dict[bytes, tuple[int, np.ndarray]] = {}
-        rows = {key: [seen.setdefault(hashlib.sha256(w.tobytes()).digest(), (len(seen), w))[0]
-                      for w in sets[key].data]
-                for key in keys}
-        return cls(np.array([w for _, w in seen.values()]),
-                   {key: TestSet(rows[key], sets[key].tags, sets[key].origins) for key in keys},
-                   seed)
+        self.sets = {key: np.asarray(rows, dtype=np.intp) for key, rows in self.sets.items()}
 
 
 def inject_step(x: np.ndarray, features, onset: int, magnitude_per_feature) -> np.ndarray:
@@ -180,44 +144,46 @@ def inject_saltpepper(x: np.ndarray, point_prob: float, seed: int,
     return np.where(hit, np.where(salt, hi, lo), x)
 
 
-def _inject_anomalies(windows: WindowSet, spec: InjectionSpec, features, rng) -> WindowSet:
-    n = len(windows)
-    data, tags = windows.data.copy(), list(windows.tags)
+def _anomaly_draws(n: int, spec: InjectionSpec, rng) -> list:
+    """(position, tag, inject) for each of n windows that gets an anomaly, by
+    position; inject(x, features) makes window x anomalous on `features`.
+    The draws do not depend on the windows, so A-6F and A-4F share them."""
+    draws = []
     for i in np.sort(rng.permutation(n)[:int(round(spec.anomaly_fraction * n))]):
         if rng.random() < 0.5:
             onset = int(rng.integers(STEP_ONSET_RANGE[0], STEP_ONSET_RANGE[1] + 1))
-            magnitude = spec.step_alpha * data[i].std(axis=0)[features]
-            data[i] = inject_step(data[i], features, onset, magnitude)
-            tags[i] |= {"step"}
+            draws.append((i, "step", lambda x, features, onset=onset: inject_step(
+                x, features, onset, spec.step_alpha * x.std(axis=0)[features])))
         else:
             period = int(rng.integers(SPIKE_PERIOD_RANGE[0], SPIKE_PERIOD_RANGE[1] + 1))
-            data[i] = inject_spikes(data[i], features, period,
-                                    seed=int(rng.integers(2 ** 62)))
-            tags[i] |= {"spikes"}
-    return WindowSet(data, tags, windows.origins)
+            draws.append((i, "spikes", partial(inject_spikes, period=period,
+                                               seed=int(rng.integers(2 ** 62)))))
+    return draws
 
 
-def _inject_noise(windows: WindowSet, spec: InjectionSpec, extremes, rng) -> WindowSet:
-    n = len(windows)
-    data, tags = windows.data.copy(), list(windows.tags)
+def _noise_draws(n: int, spec: InjectionSpec, extremes, rng) -> list:
+    """(position, tag, inject) for each of n windows that gets noise;
+    inject(x) noises window x. Both AN sets share these draws."""
+    draws = []
     for i in rng.permutation(n)[:int(np.floor(spec.noise_fraction * n))]:
-        if rng.random() < 0.5:
-            data[i] = inject_point_noise(data[i], seed=int(rng.integers(2 ** 62)))
-            tags[i] |= {"point_noise"}
-        else:
-            data[i] = inject_saltpepper(data[i], spec.salt_pepper_prob,
-                                        int(rng.integers(2 ** 62)), *extremes)
-            tags[i] |= {"salt_pepper"}
-    return WindowSet(data, tags, windows.origins)
+        point = rng.random() < 0.5
+        seed = int(rng.integers(2 ** 62))
+        draws.append((i, POINT_NOISE, partial(inject_point_noise, seed=seed)) if point else
+                     (i, SALT_PEPPER, partial(inject_saltpepper, point_prob=spec.salt_pepper_prob,
+                                              seed=seed, lo=extremes[0], hi=extremes[1])))
+    return draws
 
 
 def build_testsets(clean_test: WindowSet, spec: InjectionSpec = InjectionSpec()) -> TestSuite:
     """Construct the four evaluation sets from a clean, all-normal test split.
 
     A-6F injects step/spikes (50/50) into `anomaly_fraction` of windows over
-    all features; A-4F does the same excluding the flat features. AN sets
-    additionally apply point or salt-pepper noise (50/50) to floor(10%) of
-    windows. Pure function of (clean_test, spec). Raises ValueError for a
+    all features; A-4F does the same draws excluding the flat features. AN
+    sets additionally apply point or salt-pepper noise (50/50) to floor(10%)
+    of windows. Each injection adds a window with its base window's tags and
+    origin plus its own tag; a noised clean window is built once, for both
+    AN sets. The suite keeps the windows the sets use, in order of first use
+    over KEYS. Pure function of (clean_test, spec). Raises ValueError for a
     flat feature outside [0, F): it would make A-4F a copy of A-6F.
     """
     if len(clean_test) < 10:
@@ -231,11 +197,36 @@ def build_testsets(clean_test: WindowSet, spec: InjectionSpec = InjectionSpec())
     four = [f for f in all_features if f not in spec.flat_features]
     extremes = (clean_test.data.min(axis=(0, 1)), clean_test.data.max(axis=(0, 1)))
 
+    n = len(clean_test)
+    store = list(clean_test.data)          # every window built, by row; the clean ones are views
+    tags, origins = list(clean_test.tags), list(clean_test.origins)
+
+    def add(window: np.ndarray, base: int, tag: str) -> int:
+        """The new row of `window`, made from row `base` by an injection tagged `tag`."""
+        store.append(window)
+        tags.append(tags[base] | {tag})
+        origins.append(origins[base])
+        return len(store) - 1
+
+    anomalies = _anomaly_draws(n, spec, make_rng(spec.seed))
+    noise = _noise_draws(n, spec, extremes, make_rng(spec.seed + 1))
+    noised = {}     # base row -> its noised row; both AN sets noise a clean row alike
     sets = {}
-    for key, features in (("A-6F", all_features), ("A-4F", four)):
-        rng = make_rng(spec.seed)                  # same anomaly draw for 6F/4F pairing
-        anomalous = _inject_anomalies(clean_test, spec, features, rng)
-        sets[key] = anomalous
-        noise_rng = make_rng(spec.seed + 1)
-        sets["AN-" + key[2:]] = _inject_noise(anomalous, spec, extremes, noise_rng)
-    return TestSuite.from_sets(sets, seed=spec.seed)
+    for width, features in (("6F", all_features), ("4F", four)):
+        rows = np.arange(n)
+        for i, tag, inject in anomalies:
+            rows[i] = add(inject(store[i], features), i, tag)
+        sets["A-" + width] = rows.copy()
+        for i, tag, inject in noise:
+            if rows[i] not in noised:
+                noised[rows[i]] = add(inject(store[rows[i]]), rows[i], tag)
+            rows[i] = noised[rows[i]]
+        sets["AN-" + width] = rows
+
+    used = np.concatenate([sets[key] for key in TestSuite.KEYS])
+    order = used[np.sort(np.unique(used, return_index=True)[1])]    # by first use
+    renumber = np.empty(len(store), dtype=np.intp)
+    renumber[order] = np.arange(len(order))
+    windows = WindowSet(np.array([store[r] for r in order]), [tags[r] for r in order],
+                        [origins[r] for r in order])
+    return TestSuite(windows, {key: renumber[rows] for key, rows in sets.items()}, spec.seed)

@@ -17,11 +17,11 @@ copy of a payload or of the whole text is held; the bytes are those of
 likewise holds the file's text once: it hashes the text in pieces and
 decodes each payload a chunk at a time into the array it returns.
 
-The test suite file stores a `TestSuite` as it is held: its one array of
-distinct windows in a top-level `windows` block, and for each set the
-`rows` of that block it holds, beside its labels, tags and origins. The
-loader decodes the block once and hands it to the suite as it is; no set
-gets a copy of its windows.
+The corpus and test suite files store their windows in one window block:
+the payload with each window's label, tags and origin. The suite file
+stores a `TestSuite` as it is held: its windows in that block, and for
+each set the rows of the block it holds. One reader decodes a window
+block for both loaders; no set gets a copy of its windows.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from . import ndtensor as nd
 from .autoenc import AEConfig, ScoreCalibration, TrainedModel
 from .detect import KINDS, DetectorConfig, DetectorModel
 from .evaluate import METHODS, EvalReport
-from .inject import TestSet, TestSuite
+from .inject import TestSuite
 from .pipeline import Corpus, WindowSet, anomalous_flags
 from .t2v import T2VLayer
 
@@ -301,9 +301,10 @@ def _labels(anomalous) -> list[str]:
     return ["anomalous" if a else "normal" for a in anomalous]
 
 
-def _windows_block(windows: WindowSet | TestSet) -> dict:
-    """The labels, tags and origins of `windows`; the caller adds their data."""
+def _windows_block(windows: WindowSet) -> dict:
+    """The window block of `windows`: their payload, labels, tags and origins."""
     return {
+        "payload": windows.data,
         "labels": _labels(windows.anomalous),
         "tags": [sorted(t) for t in windows.tags],
         "origins": windows.origins,
@@ -314,19 +315,23 @@ def _strings(values) -> bool:
     return isinstance(values, list) and all(isinstance(v, str) for v in values)
 
 
-def _tags_origins(block, n: int) -> tuple[list, list]:
-    """The tags and origins `block` holds for its n windows; a SchemaError
-    unless its labels, tags and origins hold a string, a string list and a
-    string for each window and every label agrees with its tags."""
+def _window_set(block) -> WindowSet:
+    """The WindowSet the window block `block` holds; a SchemaError unless its
+    payload is an (n, N, F) array, its labels, tags and origins hold a
+    string, a string list and a string for each window and every label
+    agrees with its tags."""
+    data = decode_array(_field(block, "payload", dict))
+    if data.ndim != 3:
+        raise SchemaError(f"the window payload is {data.shape}, not (n, N, F)")
     labels, tags, origins = (_field(block, key, list) for key in ("labels", "tags", "origins"))
-    if not (len(labels) == len(tags) == len(origins) == n
+    if not (len(labels) == len(tags) == len(origins) == len(data)
             and _strings(labels) and _strings(origins) and all(map(_strings, tags))):
         raise SchemaError(f"labels, tags and origins must hold a string, a string list "
-                          f"and a string for each of the {n} windows")
+                          f"and a string for each of the {len(data)} windows")
     for i, (stored, derived) in enumerate(zip(labels, _labels(anomalous_flags(tags)))):
         if stored != derived:
             raise SchemaError(f"window {i}: label {stored!r} inconsistent with tags {tags[i]}")
-    return tags, origins
+    return _construct(WindowSet, {"data": data, "tags": tags, "origins": origins}, "windows")
 
 
 def save_corpus(path: str, corpus: Corpus) -> None:
@@ -338,8 +343,7 @@ def save_corpus(path: str, corpus: Corpus) -> None:
         "features": corpus.windows.data.shape[2],
         "provenance": corpus.provenance,
         "split": {"train": corpus.train_idx, "test": corpus.test_idx},
-        "windows": {**_windows_block(corpus.windows),
-                    "payload": corpus.windows.data},
+        "windows": _windows_block(corpus.windows),
     }
     atomic_write_json(path, doc)
 
@@ -349,9 +353,7 @@ def load_corpus(path: str) -> Corpus:
     split = [_field(_field(doc, "split", dict), side, list) for side in ("train", "test")]
     if not all(type(i) is int for side in split for i in side):
         raise SchemaError(f"{path}: split indices must be integers")
-    block = _field(doc, "windows", dict)
-    data = decode_array(_field(block, "payload", dict))
-    windows = WindowSet(data, *_tags_origins(block, len(data)))
+    windows = _window_set(_field(doc, "windows", dict))
     return _construct(Corpus, {"windows": windows, "train_idx": split[0], "test_idx": split[1],
                                "provenance": _field(doc, "provenance", dict)}, "corpus")
 
@@ -361,24 +363,19 @@ def save_testsuite(path: str, suite: TestSuite) -> None:
         "schema_version": SCHEMA_VERSION,
         "kind": "testsuite",
         "seed": suite.seed,
-        "sets": {key: {**_windows_block(test_set), "rows": test_set.rows.tolist()}
-                 for key, test_set in suite.sets.items()},
-        "windows": suite.windows,
+        "sets": {key: rows.tolist() for key, rows in suite.sets.items()},
+        "windows": _windows_block(suite.windows),
     }
     atomic_write_json(path, doc)
 
 
 def load_testsuite(path: str) -> TestSuite:
     doc = load_json_checked(path, "testsuite")
-    windows = decode_array(_field(doc, "windows", dict))
-    if windows.ndim != 3:
-        raise SchemaError(f"{path}: the windows block is {windows.shape}, not (n, N, F)")
-    sets = {}
-    for key, block in _field(doc, "sets", dict).items():
-        rows = _field(block, "rows", list)
-        if not all(type(r) is int and 0 <= r < len(windows) for r in rows):
+    windows = _window_set(_field(doc, "windows", dict))
+    sets = _field(doc, "sets", dict)
+    for key in sets:
+        if not all(type(r) is int and 0 <= r < len(windows) for r in _field(sets, key, list)):
             raise SchemaError(f"{key} rows must be integers in [0, {len(windows)})")
-        sets[key] = TestSet(rows, *_tags_origins(block, len(rows)))
     return _construct(TestSuite, {"windows": windows, "sets": sets,
                                   "seed": _field(doc, "seed", int)}, "test suite")
 

@@ -28,6 +28,7 @@ FLAT_FEATURES = (4, 5)          # the synthetic corpus's near-flat features
 NOISE_STD = 0.05                # synthetic noise on the active features
 FLAT_NOISE_STD = 0.002          # and on the flat ones
 ANOMALY_TAGS = frozenset({"step", "spikes"})
+NOISE_TAGS = frozenset({"point_noise", "salt_pepper"})
 MIN_REMAINDER = 10
 
 

@@ -150,7 +150,7 @@ def test_benchmark_embeds_suite_composition(small_e2e):
     for key in TestSuite.KEYS:
         comp = report.composition[key]
         assert comp["n"] == len(small_e2e["suite"].sets[key])
-        assert comp["anomalous"] == small_e2e["suite"].sets[key].anomalous.sum() > 0
+        assert comp["anomalous"] == set_windows(small_e2e["suite"], key).anomalous.sum() > 0
         assert type(comp["anomalous"]) is int
     assert report.composition["AN-6F"]["noise_tagged"] >= 1
     assert report.composition["A-6F"]["noise_tagged"] == 0
@@ -169,8 +169,7 @@ def test_report_timestamp_defaults_to_none(small_e2e):
 
 def set_windows(suite, key):
     """The suite's set `key` as a WindowSet of its own copy of its windows."""
-    test_set = suite.sets[key]
-    return WindowSet(suite.windows[test_set.rows], test_set.tags, test_set.origins)
+    return suite.windows.subset(suite.sets[key])
 
 
 def per_set_results(suite, t2v_model, recon_model, calib, detectors):
@@ -206,7 +205,7 @@ def test_a_window_scoring_at_its_threshold_counts_as_normal(small_e2e, method):
     threshold is one ulp lower."""
     e = small_e2e
     probe = WindowSet(e["corpus"].test_windows.data[:1])
-    suite = TestSuite.from_sets({key: probe for key in TestSuite.KEYS}, seed=0)
+    suite = TestSuite(probe, {key: [0] for key in TestSuite.KEYS}, seed=0)
     kind = method.removeprefix("t2v_")
     if method == METHOD_BASELINE:
         score = combine_components(score_components_many(e["recon_model"], probe.data),
@@ -253,7 +252,7 @@ def test_each_distinct_window_is_scored_once_in_first_occurrence_order(small_e2e
 
 def test_four_identical_sets_score_n_windows(small_e2e, monkeypatch):
     a6f = set_windows(small_e2e["suite"], "A-6F")
-    same = TestSuite.from_sets({key: a6f for key in TestSuite.KEYS}, seed=0)
+    same = TestSuite(a6f, {key: np.arange(len(a6f)) for key in TestSuite.KEYS}, seed=0)
     seen = counted(monkeypatch)
     report = run_benchmark(*bench_args(small_e2e, same))
     assert [len(calls[0]) for calls in seen.values()] == [len(a6f)] * 2
@@ -262,22 +261,27 @@ def test_four_identical_sets_score_n_windows(small_e2e, monkeypatch):
 
 
 def test_nan_window_is_named_by_its_set_and_index_there(small_e2e):
+    """The NaN window is AN-4F's own copy of its window 3, added as a new row."""
     suite = small_e2e["suite"]
-    sets = {key: set_windows(suite, key) for key in TestSuite.KEYS}
-    sets["AN-4F"].data[3, 40, 2] = np.nan
+    sets = dict(suite.sets, **{"AN-4F": suite.sets["AN-4F"].copy()})
+    nan = suite.windows.subset(sets["AN-4F"][3:4])
+    nan.data[0, 40, 2] = np.nan
+    sets["AN-4F"][3] = len(suite.windows)
+    broken = TestSuite(WindowSet.concat([suite.windows, nan]), sets, seed=0)
     with pytest.raises(ValueError, match="AN-4F window 3 contains NaN/Inf"):
-        run_benchmark(*bench_args(small_e2e, TestSuite.from_sets(sets, seed=0)))
+        run_benchmark(*bench_args(small_e2e, broken))
 
 
 def test_a_nan_window_shared_by_sets_is_named_by_the_first_set_holding_it(small_e2e):
     """A window the sets share is stored once; its first holder in KEYS order
     is named, at its index there."""
     suite = small_e2e["suite"]
-    first = {key: list(suite.sets[key].rows) for key in TestSuite.KEYS}
+    first = {key: list(suite.sets[key]) for key in TestSuite.KEYS}
     row = next(r for r in first["A-4F"] if r not in first["A-6F"] and r in first["AN-4F"])
-    windows = suite.windows.copy()
+    windows = suite.windows.data.copy()
     windows[row, 0, 0] = np.inf
-    broken = TestSuite(windows, suite.sets, seed=0)
+    broken = TestSuite(WindowSet(windows, suite.windows.tags, suite.windows.origins),
+                       suite.sets, seed=0)
     with pytest.raises(ValueError, match=f"A-4F window {first['A-4F'].index(row)} "
                                          "contains NaN/Inf"):
         run_benchmark(*bench_args(small_e2e, broken))
@@ -291,7 +295,7 @@ def test_distinct_window_scores_match_the_per_set_scores(small_e2e):
                                 *(e["detectors"][kind].threshold for kind in detect.KINDS)]
     for key in TestSuite.KEYS:
         data = set_windows(e["suite"], key).data
-        columns = e["suite"].sets[key].rows
+        columns = e["suite"].sets[key]
         per_set = embed_many(e["t2v_model"], data)
         np.testing.assert_allclose(
             scores[0, columns],
@@ -322,6 +326,6 @@ def test_run_benchmark_only_counts_the_score_table(small_e2e, monkeypatch):
     report = run_benchmark(*bench_args(small_e2e))
     for method, row, threshold in zip(METHODS, scores, thresholds):
         for key in TestSuite.KEYS:
-            preds = row[suite.sets[key].rows] > threshold
+            preds = row[suite.sets[key]] > threshold
             assert report.results[method][key] == \
-                _entry(confusion(preds, suite.sets[key].anomalous))
+                _entry(confusion(preds, set_windows(suite, key).anomalous))

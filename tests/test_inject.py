@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from t2vad.inject import (GMM_MEANS, GMM_STDS, GMM_WEIGHTS, InjectionSpec, TestSuite,
-                          build_testsets, inject_point_noise, inject_saltpepper,
-                          inject_spikes, inject_step, sample_spike_amplitudes)
-from t2vad.pipeline import WindowSet
+from t2vad.inject import (GMM_MEANS, GMM_STDS, GMM_WEIGHTS, SPIKE_PERIOD_RANGE,
+                          STEP_ONSET_RANGE, InjectionSpec, TestSuite, build_testsets,
+                          inject_point_noise, inject_saltpepper, inject_spikes, inject_step,
+                          sample_spike_amplitudes)
+from t2vad.pipeline import NOISE_TAGS, WindowSet
 from t2vad.rng import make_rng
-
-NOISE_TAGS = {"point_noise", "salt_pepper"}
 
 
 def make_window(seed=0, flat=(4, 5)):
@@ -177,9 +176,14 @@ def make_windows(seeds):
                      origins=[f"w{s}" for s in seeds])
 
 
+def set_windows(suite, key):
+    """The suite's set `key` as a WindowSet of its own copy of its windows."""
+    return suite.windows.subset(suite.sets[key])
+
+
 def set_data(suite, key):
     """A copy of the windows of the suite's set `key`, in order."""
-    return suite.windows[suite.sets[key].rows]
+    return suite.windows.data[suite.sets[key]]
 
 
 @pytest.fixture(scope="module")
@@ -194,21 +198,21 @@ def suite_295(clean_295):
 
 def test_testsets_anomaly_counts(suite_295):
     for key in TestSuite.KEYS:
-        assert suite_295.sets[key].anomalous.sum() in (147, 148)
+        assert set_windows(suite_295, key).anomalous.sum() in (147, 148)
 
 
 def test_anomaly_only_sets_have_no_noise(suite_295):
     for key in ("A-6F", "A-4F"):
-        assert not any(tags & NOISE_TAGS for tags in suite_295.sets[key].tags)
+        assert not any(tags & NOISE_TAGS for tags in set_windows(suite_295, key).tags)
 
 
 def test_noise_count_is_floor_ten_percent(suite_295):
     for key in ("AN-6F", "AN-4F"):
-        assert sum(bool(tags & NOISE_TAGS) for tags in suite_295.sets[key].tags) == 29
+        assert sum(bool(tags & NOISE_TAGS) for tags in set_windows(suite_295, key).tags) == 29
 
 
 def test_noise_only_windows_stay_normal(suite_295):
-    ws = suite_295.sets["AN-6F"]
+    ws = set_windows(suite_295, "AN-6F")
     for tags, anomalous in zip(ws.tags, ws.anomalous):
         if tags & NOISE_TAGS and not tags & {"step", "spikes"}:
             assert not anomalous
@@ -216,7 +220,7 @@ def test_noise_only_windows_stay_normal(suite_295):
 
 def test_every_changed_window_carries_its_tag(clean_295, suite_295):
     for key in ("A-6F", "AN-6F"):
-        ws = suite_295.sets[key]
+        ws = set_windows(suite_295, key)
         changed = (set_data(suite_295, key) != clean_295.data).any(axis=(1, 2))
         tagged = np.array([bool(t) for t in ws.tags])
         np.testing.assert_array_equal(changed, tagged)
@@ -231,10 +235,10 @@ def test_testsets_pure_function(clean_295):
     spec = InjectionSpec(seed=33)
     a = build_testsets(clean_295, spec)
     b = build_testsets(clean_295, spec)
-    assert a.windows.tobytes() == b.windows.tobytes()
+    assert a.windows.data.tobytes() == b.windows.data.tobytes()
     for key in TestSuite.KEYS:
-        assert np.array_equal(a.sets[key].rows, b.sets[key].rows)
-        assert a.sets[key].tags == b.sets[key].tags
+        assert np.array_equal(a.sets[key], b.sets[key])
+        assert set_windows(a, key).tags == set_windows(b, key).tags
 
 
 def test_testsets_require_clean_normals():
@@ -250,7 +254,7 @@ def test_testsets_minimum_size():
 
 
 def test_step_windows_untouched_before_onset(suite_295, clean_295):
-    ws = suite_295.sets["A-6F"]
+    ws = set_windows(suite_295, "A-6F")
     for orig, inj, tags in zip(clean_295.data, set_data(suite_295, "A-6F"), ws.tags):
         if "step" in tags:
             diff = np.flatnonzero((inj != orig).any(axis=1))
@@ -266,51 +270,93 @@ def test_testsets_reject_a_flat_feature_outside_the_features(flat):
 
 
 # ---------------------------------------------------------------------------
-# distinct windows
+# one store of windows
 # ---------------------------------------------------------------------------
 
 def test_the_suite_stacks_each_window_once_and_indexes_every_set(clean_295, suite_295):
-    """`build_testsets` dedupes the four sets once: each set is rows of the one
-    `windows` array, the A sets share every clean window, and an AN set
+    """`build_testsets` holds each window once: each set is rows of the one
+    `windows` store, the A sets share every clean window, and an AN set
     holds other rows than its A set exactly at its noised windows."""
     assert list(suite_295.sets) == list(TestSuite.KEYS)
-    assert len({w.tobytes() for w in suite_295.windows}) == len(suite_295.windows)
+    assert len({w.tobytes() for w in suite_295.windows.data}) == len(suite_295.windows)
     assert len(suite_295.windows) < sum(len(s) for s in suite_295.sets.values())
     for key in TestSuite.KEYS:
-        assert suite_295.sets[key].rows.dtype == np.intp
+        assert suite_295.sets[key].dtype == np.intp
         assert len(suite_295.sets[key]) == len(clean_295)
-        assert suite_295.sets[key].origins == clean_295.origins
-    clean = suite_295.sets["A-6F"].rows[~suite_295.sets["A-6F"].anomalous]
-    assert np.array_equal(clean, suite_295.sets["A-4F"].rows[~suite_295.sets["A-4F"].anomalous])
+        assert set_windows(suite_295, key).origins == clean_295.origins
+    a6, a4 = (set_windows(suite_295, key) for key in ("A-6F", "A-4F"))
+    clean = suite_295.sets["A-6F"][~a6.anomalous]
+    assert np.array_equal(clean, suite_295.sets["A-4F"][~a4.anomalous])
     for a, an in (("A-6F", "AN-6F"), ("A-4F", "AN-4F")):
-        noised = np.array([bool(t & NOISE_TAGS) for t in suite_295.sets[an].tags])
-        assert np.array_equal(suite_295.sets[a].rows != suite_295.sets[an].rows, noised)
+        noised = np.array([bool(t & NOISE_TAGS) for t in set_windows(suite_295, an).tags])
+        assert np.array_equal(suite_295.sets[a] != suite_295.sets[an], noised)
 
 
-def test_from_sets_follows_keys_order_whatever_the_insertion_order():
-    parts = {"A-6F": [1, 2], "AN-6F": [2, 3], "A-4F": [3, 1], "AN-4F": [4]}
-    expected = ({"A-6F": [0, 1], "AN-6F": [1, 2], "A-4F": [2, 0], "AN-4F": [3]},
-                make_windows([1, 2, 3, 4]).data)
-    for order in (TestSuite.KEYS, TestSuite.KEYS[::-1], ("A-4F", "A-6F", "AN-4F", "AN-6F")):
-        suite = TestSuite.from_sets({key: make_windows(parts[key]) for key in order}, seed=0)
-        assert {key: s.rows.tolist() for key, s in suite.sets.items()} == expected[0]
-        assert suite.windows.tobytes() == expected[1].tobytes()
-        for key in order:
-            assert suite.sets[key].origins == [f"w{s}" for s in parts[key]]
+def reference_suite(clean, spec):
+    """The suite by the byte-keyed dedupe: each of the four sets built in full,
+    by its own seeded draws, then each distinct window, keyed by its exact
+    bytes, stacked once in order of first appearance over KEYS. Returns that
+    (m, N, F) array and each set's rows into it and tags by position."""
+    n, every = len(clean), list(range(clean.data.shape[2]))
+    lo, hi = clean.data.min(axis=(0, 1)), clean.data.max(axis=(0, 1))
+    sets = {}
+    for width, features in (("6F", every), ("4F", [f for f in every
+                                                   if f not in spec.flat_features])):
+        rng, data, tags = make_rng(spec.seed), clean.data.copy(), list(clean.tags)
+        for i in np.sort(rng.permutation(n)[:int(round(spec.anomaly_fraction * n))]):
+            if rng.random() < 0.5:
+                onset = int(rng.integers(STEP_ONSET_RANGE[0], STEP_ONSET_RANGE[1] + 1))
+                data[i] = inject_step(data[i], features, onset,
+                                      spec.step_alpha * data[i].std(axis=0)[features])
+                tags[i] |= {"step"}
+            else:
+                period = int(rng.integers(SPIKE_PERIOD_RANGE[0], SPIKE_PERIOD_RANGE[1] + 1))
+                data[i] = inject_spikes(data[i], features, period, int(rng.integers(2 ** 62)))
+                tags[i] |= {"spikes"}
+        sets["A-" + width] = data.copy(), list(tags)
+        rng = make_rng(spec.seed + 1)
+        for i in rng.permutation(n)[:int(np.floor(spec.noise_fraction * n))]:
+            if rng.random() < 0.5:
+                data[i] = inject_point_noise(data[i], int(rng.integers(2 ** 62)))
+                tags[i] |= {"point_noise"}
+            else:
+                data[i] = inject_saltpepper(data[i], spec.salt_pepper_prob,
+                                            int(rng.integers(2 ** 62)), lo, hi)
+                tags[i] |= {"salt_pepper"}
+        sets["AN-" + width] = data, tags
+    seen = {}
+    rows = {key: [seen.setdefault(w.tobytes(), (len(seen), w))[0] for w in sets[key][0]]
+            for key in TestSuite.KEYS}
+    return (np.array([w for _, w in seen.values()]), rows,
+            {key: sets[key][1] for key in TestSuite.KEYS})
 
 
-def test_from_sets_keys_windows_by_their_exact_bytes():
-    """-0.0 equals 0.0 but has other bytes, so it makes another window."""
-    zero = WindowSet(np.zeros((1, 100, 6)))
-    signed = WindowSet(np.zeros((1, 100, 6)))
-    signed.data[0, 0, 0] = -0.0
-    suite = TestSuite.from_sets({"A-6F": zero, "AN-6F": signed, "A-4F": zero, "AN-4F": zero},
-                                seed=0)
-    assert np.array_equal(suite.windows[0], suite.windows[1]) and len(suite.windows) == 2
-    assert [suite.sets[key].rows.tolist() for key in TestSuite.KEYS] == [[0], [1], [0], [0]]
+@pytest.mark.parametrize("spec", [
+    InjectionSpec(seed=21), InjectionSpec(noise_fraction=1.0, seed=22),
+    InjectionSpec(anomaly_fraction=0.0, seed=23), InjectionSpec(anomaly_fraction=1.0, seed=24),
+    InjectionSpec(flat_features=(3,), seed=25)])
+def test_the_built_suite_is_the_byte_keyed_dedupe_of_its_four_sets(clean_295, spec):
+    """The store holds the windows the sets use, in order of first use over
+    KEYS, as the byte-keyed dedupe of four fully built sets stacks them; the
+    report's byte-identity rests on that order."""
+    suite = build_testsets(clean_295, spec)
+    windows, rows, tags = reference_suite(clean_295, spec)
+    assert suite.windows.data.tobytes() == windows.tobytes()
+    for key in TestSuite.KEYS:
+        assert suite.sets[key].tolist() == rows[key]
+        assert set_windows(suite, key).tags == tags[key]
+        assert set_windows(suite, key).origins == clean_295.origins
+
+
+def test_building_the_suite_holds_little_beyond_its_windows(traced_peak):
+    """At 300 clean windows, building peaks below 2.5 times the bytes of the
+    suite's windows; four full per-set copies deduped afterwards held 3.5."""
+    clean, spec = make_windows(range(2000, 2300)), InjectionSpec(seed=26)
+    suite = build_testsets(clean, spec)
+    assert traced_peak(build_testsets, clean, spec) < 2.5 * suite.windows.data.nbytes
 
 
 def test_a_suite_missing_a_set_is_rejected():
-    sets = {key: make_windows([1]) for key in TestSuite.KEYS if key != "AN-4F"}
+    sets = {key: [0] for key in TestSuite.KEYS if key != "AN-4F"}
     with pytest.raises(ValueError, match=r"missing test sets: \['AN-4F'\]"):
-        TestSuite.from_sets(sets, seed=0)
+        TestSuite(make_windows([1]), sets, seed=0)

@@ -184,12 +184,13 @@ def test_testsuite_roundtrip(tmp_path, small_e2e):
     save_testsuite(path, small_e2e["suite"])
     loaded = load_testsuite(path)
     assert loaded.seed == small_e2e["suite"].seed
-    assert loaded.windows.tobytes() == small_e2e["suite"].windows.tobytes()
-    for key, test_set in small_e2e["suite"].sets.items():
-        assert np.array_equal(loaded.sets[key].rows, test_set.rows)
-        assert loaded.sets[key].tags == test_set.tags
-        assert loaded.sets[key].origins == test_set.origins
-        np.testing.assert_array_equal(loaded.sets[key].anomalous, test_set.anomalous)
+    assert loaded.windows.data.tobytes() == small_e2e["suite"].windows.data.tobytes()
+    for key, rows in small_e2e["suite"].sets.items():
+        test_set, read = small_e2e["suite"].windows.subset(rows), loaded.windows.subset(rows)
+        assert np.array_equal(loaded.sets[key], rows)
+        assert read.tags == test_set.tags
+        assert read.origins == test_set.origins
+        np.testing.assert_array_equal(read.anomalous, test_set.anomalous)
 
 
 def test_testsuite_file_stores_the_distinct_windows_and_loads_back_to_them(tmp_path,
@@ -198,14 +199,13 @@ def test_testsuite_file_stores_the_distinct_windows_and_loads_back_to_them(tmp_p
     path = tmp_path / "suite.json"
     save_testsuite(path, suite)
     doc = json.loads(path.read_bytes())
-    assert decode_array(doc["windows"]).tobytes() == suite.windows.tobytes()
-    assert {key: block["rows"] for key, block in doc["sets"].items()} == \
-        {key: test_set.rows.tolist() for key, test_set in suite.sets.items()}
+    assert decode_array(doc["windows"]["payload"]).tobytes() == suite.windows.data.tobytes()
+    assert doc["sets"] == {key: rows.tolist() for key, rows in suite.sets.items()}
     loaded = load_testsuite(path)
-    assert loaded.windows.tobytes() == suite.windows.tobytes()
-    assert loaded.windows.shape == suite.windows.shape
-    for key, test_set in suite.sets.items():
-        assert np.array_equal(loaded.sets[key].rows, test_set.rows)
+    assert loaded.windows.data.tobytes() == suite.windows.data.tobytes()
+    assert loaded.windows.data.shape == suite.windows.data.shape
+    for key, rows in suite.sets.items():
+        assert np.array_equal(loaded.sets[key], rows)
     # the file lists the sets in sorted order, not KEYS order; saved again,
     # the loaded suite still writes the same bytes
     save_testsuite(tmp_path / "again.json", loaded)
@@ -215,7 +215,7 @@ def test_testsuite_file_stores_the_distinct_windows_and_loads_back_to_them(tmp_p
 def test_window_block_labels_are_derived_from_the_tags(tmp_path, small_e2e):
     path = tmp_path / "suite.json"
     save_testsuite(path, small_e2e["suite"])
-    block = json.loads(path.read_text())["sets"]["AN-6F"]
+    block = json.loads(path.read_text())["windows"]
     assert block["labels"] == ["anomalous" if {"step", "spikes"} & set(tags) else "normal"
                                for tags in block["tags"]]
     assert "anomalous" in block["labels"] and "normal" in block["labels"]
@@ -376,19 +376,50 @@ def test_layer_doc_missing_a_parameter_is_a_schema_error(tmp_path, small_e2e):
 
 
 def relabel_first_anomalous_window_normal(doc):
-    labels = doc["sets"]["A-6F"]["labels"]
+    labels = doc["windows"]["labels"]
     labels[labels.index("anomalous")] = "normal"
 
 
 def set_first_row(value):
-    return lambda d: d["sets"]["AN-6F"]["rows"].__setitem__(0, value(d))
+    return lambda d: d["sets"]["AN-6F"].__setitem__(0, value(d))
+
+
+def per_set_blocks(doc):
+    """Each set's window block: its payload, labels, tags and origins by position."""
+    block = doc["windows"]
+    windows = decode_array(block["payload"])
+    return {key: {"payload": encode_array(windows[rows]),
+                  **{field: [block[field][r] for r in rows]
+                     for field in ("labels", "tags", "origins")}}
+            for key, rows in doc["sets"].items()}
 
 
 def per_set_payloads(doc):
     """The layout before the shared `windows` block: each set held its own payload."""
-    windows = decode_array(doc.pop("windows"))
-    for block in doc["sets"].values():
-        block["payload"] = encode_array(windows[block.pop("rows")])
+    doc["sets"] = per_set_blocks(doc)
+    del doc["windows"]
+
+
+def shared_payload_row_sets(doc):
+    """The layout before the window block: a top-level payload of the distinct
+    windows, and each set its rows beside its labels, tags and origins."""
+    blocks = per_set_blocks(doc)
+    for key, block in blocks.items():
+        block["rows"] = doc["sets"][key]
+        del block["payload"]
+    doc["sets"], doc["windows"] = blocks, doc["windows"]["payload"]
+
+
+def replace_payload(value):
+    """Re-encode the window payload `a` as the array `value(a)`."""
+    return lambda d: d["windows"].update(
+        payload=encode_array(value(decode_array(d["windows"]["payload"]))))
+
+
+# a payload whose shape and data agree, but not on (n, 100, F) windows
+BAD_PAYLOADS = {"a-scalar": (lambda a: a[0, 0, 0], r"is \(\), not \(n, N, F\)"),
+                "of-10-step-windows": (lambda a: a.reshape(len(a), 10, -1),
+                                       r"bad windows: windows must be \(n, 100, F\)")}
 
 
 # (artifact, mutation, message): each mutation, re-checksummed, is a SchemaError
@@ -413,17 +444,20 @@ WINDOW_FIELD_MUTATIONS = {
         "corpus", lambda d: d["split"].update(train=[float(i) for i in d["split"]["train"]]),
         "split indices must be integers"),
     "corpus-split-removed": ("corpus", lambda d: d.pop("split"), "'split'"),
-    "suite-labels-entry-removed": ("testsuite", lambda d: d["sets"]["AN-4F"]["labels"].pop(),
+    "suite-labels-entry-removed": ("testsuite", lambda d: d["windows"]["labels"].pop(),
                                    "labels, tags and origins"),
     "suite-sets-removed": ("testsuite", lambda d: d.pop("sets"), "'sets'"),
     "suite-label-contradicts-tags": ("testsuite", relabel_first_anomalous_window_normal,
                                      "label 'normal' inconsistent"),
     "suite-windows-removed": ("testsuite", lambda d: d.pop("windows"), "'windows'"),
     "suite-of-the-per-set-payload-layout": ("testsuite", per_set_payloads, "'windows'"),
+    "suite-of-the-shared-payload-row-sets-layout": ("testsuite", shared_payload_row_sets,
+                                                    "'payload'"),
     "suite-windows-flattened": (
-        "testsuite", lambda d: d["windows"].update(shape=[math.prod(d["windows"]["shape"])]),
+        "testsuite", lambda d: d["windows"]["payload"].update(
+            shape=[math.prod(d["windows"]["payload"]["shape"])]),
         r"not \(n, N, F\)"),
-    "suite-rows-removed": ("testsuite", lambda d: d["sets"]["A-4F"].pop("rows"), "'rows'"),
+    "suite-rows-removed": ("testsuite", lambda d: d["sets"].update({"A-4F": {}}), "'A-4F'"),
     "suite-rows-entry-a-float": ("testsuite", set_first_row(lambda d: 0.0),
                                  r"AN-6F rows must be integers"),
     "suite-rows-entry-a-boolean": ("testsuite", set_first_row(lambda d: True),
@@ -431,17 +465,21 @@ WINDOW_FIELD_MUTATIONS = {
     "suite-rows-entry-negative": ("testsuite", set_first_row(lambda d: -1),
                                   r"AN-6F rows must be integers"),
     "suite-rows-entry-at-the-distinct-count": (
-        "testsuite", set_first_row(lambda d: d["windows"]["shape"][0]),
+        "testsuite", set_first_row(lambda d: d["windows"]["payload"]["shape"][0]),
         r"AN-6F rows must be integers in \[0, \d+\)"),
-    "suite-rows-shorter-than-labels": ("testsuite", lambda d: d["sets"]["A-6F"]["rows"].pop(),
-                                       "labels, tags and origins"),
+    "suite-origins-shorter-than-windows": ("testsuite", lambda d: d["windows"]["origins"].pop(),
+                                           "labels, tags and origins"),
     "suite-seed-a-boolean": ("testsuite", lambda d: d.update(seed=False), "'seed'"),
     "corpus-split-test-emptied": ("corpus", lambda d: d["split"].update(test=[]),
                                   "bad corpus: split must be disjoint and exhaustive"),
     "suite-set-removed": ("testsuite", lambda d: d["sets"].pop("AN-4F"),
                           r"bad test suite: missing test sets: \['AN-4F'\]"),
-    "suite-windows-data-not-base64": ("testsuite", lambda d: d["windows"].update(data="x"),
-                                      "array data is not base64"),
+    "suite-windows-data-not-base64": (
+        "testsuite", lambda d: d["windows"]["payload"].update(data="x"),
+        "array data is not base64"),
+    **{f"{prefix}-payload-{name}": (kind, replace_payload(value), message)
+       for kind, prefix in (("corpus", "corpus"), ("testsuite", "suite"))
+       for name, (value, message) in BAD_PAYLOADS.items()},
 }
 
 
@@ -892,9 +930,9 @@ def test_suite_round_trip_scores_the_same(tmp_path, small_e2e):
     fitted = (small_e2e["t2v_model"], small_e2e["recon_model"], small_e2e["calib"],
               small_e2e["detectors"])
     assert run_benchmark(load_testsuite(path), *fitted) == run_benchmark(suite, *fitted)
-    stored = json.loads(path.read_bytes())["windows"]["shape"]
-    assert stored == list(suite.windows.shape)
-    assert stored[0] < sum(len(test_set) for test_set in suite.sets.values())
+    stored = json.loads(path.read_bytes())["windows"]["payload"]["shape"]
+    assert stored == list(suite.windows.data.shape)
+    assert stored[0] < sum(len(rows) for rows in suite.sets.values())
 
 
 def test_a_loaded_suite_holds_one_window_array_and_scores_bit_for_bit_as_built(tmp_path,
@@ -905,8 +943,7 @@ def test_a_loaded_suite_holds_one_window_array_and_scores_bit_for_bit_as_built(t
     path = tmp_path / "suite.json"
     save_testsuite(path, suite)
     loaded = load_testsuite(path)
-    arrays = [value for test_set in loaded.sets.values() for value in vars(test_set).values()
-              if isinstance(value, np.ndarray)]
+    arrays = list(loaded.sets.values())
     assert all(a.ndim == 1 and a.dtype == np.intp for a in arrays) and len(arrays) == 4
     fitted = (small_e2e["t2v_model"], small_e2e["recon_model"], small_e2e["calib"],
               small_e2e["detectors"])
@@ -927,4 +964,4 @@ def test_loading_and_scoring_a_suite_holds_its_windows_once(tmp_path, small_e2e,
     loaded = load_testsuite(path)
     scoring = traced_peak(score_table, loaded, *fitted)
     both = traced_peak(lambda: score_table(load_testsuite(path), *fitted))
-    assert both - scoring < 1.5 * loaded.windows.nbytes
+    assert both - scoring < 1.5 * loaded.windows.data.nbytes
