@@ -31,7 +31,7 @@ print(f"embedding AE   loss: {t2v_model.loss_curve[0]:.4f} -> "
 recon_cfg = AEConfig(variant="reconstruction", encoder_layers=2, epochs=12,
                      batch=16, seed=2)
 recon_model = train(build_recon_ae(recon_cfg, 100, 6), corpus.train_windows.data)
-strides = [layer.stride for layer in recon_model.stack.layers if layer.kind == "conv1d"]
+strides = [layer.stride for layer in recon_model.stack.layers if isinstance(layer, nd.Conv1d)]
 print(f"baseline AE    loss: {recon_model.loss_curve[0]:.4f} -> "
       f"{recon_model.loss_curve[-1]:.4f} "
       f"(bottleneck {recon_model.n // math.prod(strides)} steps)")

@@ -52,6 +52,8 @@ class AEConfig:
             raise ValueError("K must be >= 2")
         if self.decoder_layers < 1 or self.encoder_layers < 1:
             raise ValueError("layer counts must be >= 1")
+        if min(self.filters, self.kernel, self.encoder_stride) < 1:
+            raise ValueError("filters, kernel size and encoder stride must be >= 1")
         if self.kernel % 2 == 0:
             raise ValueError("kernel size must be odd")
         if self.epochs < 1 or self.batch < 1:

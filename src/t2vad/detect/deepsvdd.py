@@ -9,7 +9,8 @@ mean of the initial float64 forward pass and stays frozen; bias-free
 layers rule out the trivial constant-map solution, and a collapse guard
 shifts a center that lands on the origin.
 The fitted state holds the float64 net, the center and the mean objective
-of each epoch (`loss_curve`).
+of each epoch (`loss_curve`). A file stores the net as its flat parameter
+vector; `checked_state` rebuilds the WIDTHS net and fills the vector in.
 
 EPOCHS is 30 because at this learning rate Adam turns unstable late in
 training. Over 100 epochs the objective rises for whole stretches and ends
@@ -71,15 +72,18 @@ def fit_deep_svdd(x: np.ndarray, widths, epochs: int, batch: int, lr: float,
 
 
 def checked_state(state: dict, dim: int) -> dict:
-    """A one-class network read from a file; ValueError unless its `layers`
-    map (B, dim) inputs to (B, w) outputs for a (w,) `center`."""
-    layers, center = state.get("layers"), state.get("center")
-    if not (isinstance(layers, nd.LayerStack) and isinstance(center, np.ndarray)
-            and center.ndim == 1
-            and layers.forward(np.zeros((1, dim))).shape == (1, len(center))):
-        raise ValueError(f"deep_svdd state needs layers mapping (B, {dim}) inputs "
-                         "to the width of a 1-D center")
-    return state
+    """A one-class network read from a file: `state` with its `layers`, the
+    parameter vector of `build_network(dim, WIDTHS)`, filled into that net.
+    ValueError unless the vector fits the net and `center` is (WIDTHS[-1],)."""
+    net = build_network(dim, WIDTHS, None)
+    params, center = state.get("layers"), state.get("center")
+    if not (isinstance(params, np.ndarray) and params.shape == net.params.shape
+            and isinstance(center, np.ndarray) and center.shape == (WIDTHS[-1],)):
+        raise ValueError(f"deep_svdd state needs the {net.params.size} parameters of a "
+                         f"{dim} -> {' -> '.join(map(str, WIDTHS))} net and a "
+                         f"({WIDTHS[-1]},) center")
+    net.params[...] = params
+    return {**state, "layers": net}
 
 
 def score_deep_svdd(state: dict, x: np.ndarray) -> np.ndarray:

@@ -9,6 +9,9 @@ relu and upsample here, plus the t2v layer in :mod:`t2vad.t2v`. Each layer's
 forward returns a cache and its backward consumes it, so a
 :class:`LayerStack` can record a tape and replay it in exact reverse order.
 Gradients are checked against central finite differences by :func:`grad_check`.
+A layer carries no description of itself for storage: a saved network is its
+stack's flat ``params`` vector, and the builders in :mod:`t2vad.autoenc` and
+:mod:`t2vad.detect.deepsvdd` rebuild its layers from their settings.
 
 Layers operate on batches only: time-series layers take ``(B, N, C)``,
 dense layers take ``(B, D)``. A single window is a batch with B=1.
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -105,8 +107,6 @@ class Layer:
     returns None in its place.
     """
 
-    kind: str = ""
-
     def params(self) -> dict[str, Tensor]:
         return {}
 
@@ -116,18 +116,13 @@ class Layer:
     def backward(self, cache, grad_out: Tensor, input_grad: bool = True):
         raise NotImplementedError
 
-    def hyperparams(self) -> dict[str, Any]:
-        return {}
-
 
 class Conv1d(Layer):
-    kind = "conv1d"
-
     def __init__(self, c_in: int, c_out: int, k: int, stride: int = 1,
                  rng: np.random.Generator | None = None):
         if k % 2 == 0:
             raise ValueError(f"kernel size must be odd for same padding, got {k}")
-        self.c_in, self.c_out, self.k, self.stride = c_in, c_out, k, stride
+        self.c_in, self.stride = c_in, stride
         scale = 1.0 / np.sqrt(c_in * k)
         self.kernels = (np.zeros((c_out, c_in, k)) if rng is None
                         else rng.uniform(-scale, scale, size=(c_out, c_in, k)))
@@ -148,17 +143,12 @@ class Conv1d(Layer):
                                             in_len, input_grad)
         return gx, {"kernels": gk, "bias": gb}
 
-    def hyperparams(self):
-        return {"c_in": self.c_in, "c_out": self.c_out, "k": self.k, "stride": self.stride}
-
 
 class Dense(Layer):
     """Bias-free x @ weight (Deep SVDD's layer)."""
 
-    kind = "dense"
-
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator | None = None):
-        self.d_in, self.d_out = d_in, d_out
+        self.d_in = d_in
         scale = 1.0 / np.sqrt(d_in)
         self.weight = (np.zeros((d_in, d_out)) if rng is None
                        else rng.uniform(-scale, scale, size=(d_in, d_out)))
@@ -175,13 +165,8 @@ class Dense(Layer):
         x = cache
         return (grad_out @ self.weight.T if input_grad else None), {"weight": x.T @ grad_out}
 
-    def hyperparams(self):
-        return {"d_in": self.d_in, "d_out": self.d_out}
-
 
 class ReLU(Layer):
-    kind = "relu"
-
     def forward(self, x):
         return np.maximum(x, 0.0), x
 
@@ -191,8 +176,6 @@ class ReLU(Layer):
 
 class Upsample(Layer):
     """Nearest-neighbor repetition along the time axis by an integer factor."""
-
-    kind = "upsample"
 
     def __init__(self, factor: int):
         if factor < 1:
@@ -210,9 +193,6 @@ class Upsample(Layer):
         for j in range(1, self.factor):
             grad_in += grad_out[:, j::self.factor]
         return grad_in, {}
-
-    def hyperparams(self):
-        return {"factor": self.factor}
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,12 @@ the payload with each window's label, tags and origin. The suite file
 stores a `TestSuite` as it is held: its windows in that block, and for
 each set the rows of the block it holds. One reader decodes a window
 block for both loaders; no set gets a copy of its windows.
+
+A model file stores its `AEConfig` and its network's flat parameter vector
+`params`, nothing about the layers: the loader rebuilds the network from
+the config with `autoenc.build_model` and fills the vector in, so the
+config is the one description of the architecture. A Deep SVDD detector
+stores its net the same way, and `deepsvdd.checked_state` rebuilds it.
 """
 
 from __future__ import annotations
@@ -38,12 +44,11 @@ from dataclasses import asdict
 import numpy as np
 
 from . import ndtensor as nd
-from .autoenc import AEConfig, ScoreCalibration, TrainedModel
+from .autoenc import AEConfig, ScoreCalibration, TrainedModel, build_model
 from .detect import KINDS, DetectorConfig, DetectorModel
 from .evaluate import METHODS, EvalReport
 from .inject import TestSuite
 from .pipeline import Corpus, WindowSet, anomalous_flags
-from .t2v import T2VLayer
 
 SCHEMA_VERSION = 1
 
@@ -384,37 +389,6 @@ def load_testsuite(path: str) -> TestSuite:
 # models
 # ---------------------------------------------------------------------------
 
-LAYERS = {cls.kind: cls for cls in (T2VLayer, nd.Conv1d, nd.Dense, nd.ReLU, nd.Upsample)}
-
-
-def _layer_doc(layer: nd.Layer) -> dict:
-    return {
-        "kind": layer.kind,
-        "hyperparams": layer.hyperparams(),
-        "params": layer.params(),
-    }
-
-
-def _layer_from_doc(doc: dict) -> nd.Layer:
-    """Rebuild a layer as ``cls(**hyperparams)`` and fill in its parameters."""
-    kind = _field(doc, "kind", str)
-    cls = LAYERS.get(kind)
-    if cls is None:
-        raise SchemaError(f"unknown layer kind {kind!r}")
-    layer = _construct(cls, _field(doc, "hyperparams", dict), f"{kind} hyperparameters")
-    params, stored = layer.params(), _field(doc, "params", dict)
-    if set(stored) != set(params):
-        raise SchemaError(f"{kind} layer has parameters {sorted(stored)}, "
-                          f"expected {sorted(params)}")
-    for name, enc in stored.items():
-        value = decode_array(enc)
-        if value.shape != params[name].shape:
-            raise SchemaError(f"{kind} parameter {name!r} is {value.shape}, "
-                              f"expected {params[name].shape}")
-        params[name][...] = value
-    return layer
-
-
 def save_model(path: str, model: TrainedModel,
                calibration: ScoreCalibration | None = None) -> None:
     doc = {
@@ -425,7 +399,7 @@ def save_model(path: str, model: TrainedModel,
         "f": model.f,
         "config": asdict(model.config),
         "loss_curve": model.loss_curve,
-        "layers": [_layer_doc(layer) for layer in model.stack.layers],
+        "params": model.stack.params,
         "calibration": None if calibration is None else {
             "means": calibration.means,
             "stds": calibration.stds,
@@ -447,31 +421,22 @@ def _check_scaling(mean: np.ndarray, std: np.ndarray, threshold: float, shape: t
                           f"stds and a finite threshold")
 
 
-def _working_stack(stack: nd.LayerStack, variant: str, n: int, f: int) -> nd.LayerStack:
-    """`stack`; a SchemaError unless it holds parameters, maps a (1, n, f) window
-    to (1, n, f) and, for a t2v model, starts with its T2VLayer."""
-    if variant == "t2v" and not (stack.layers and isinstance(stack.layers[0], T2VLayer)):
-        raise SchemaError("a t2v model's first layer must be a t2v layer")
-    try:
-        shape = stack.forward(np.zeros((1, n, f))).shape
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"model layers do not chain: {exc}") from None
-    if stack.params.size == 0 or shape != (1, n, f):
-        raise SchemaError(f"model layers map (1, {n}, {f}) windows to {shape}, "
-                          f"with {stack.params.size} parameters")
-    return stack
-
-
 def load_model(path: str) -> tuple[TrainedModel, ScoreCalibration | None]:
-    """Keys it does not read (older files' `val_dtw`, `encoder_strides`) are ignored."""
+    """The network is rebuilt from `config` by `autoenc.build_model`, and
+    `params` must hold exactly its parameter vector. Keys it does not read
+    (older files' `val_dtw`, `encoder_strides`) are ignored."""
     doc = load_json_checked(path, "model")
     cfg = _construct(AEConfig, _field(doc, "config", dict), "model config")
     n, f = _field(doc, "n", int), _field(doc, "f", int)
     if min(n, f) < 1:
         raise SchemaError(f"{path}: window shape n={n}, f={f} is not positive")
-    stack = nd.LayerStack([_layer_from_doc(d) for d in _field(doc, "layers", list)])
-    model = TrainedModel(cfg, _working_stack(stack, cfg.variant, n, f), n, f,
-                         _field(doc, "loss_curve", list))
+    model = _construct(build_model, {"cfg": cfg, "n": n, "f": f}, "model config")
+    params = decode_array(_field(doc, "params", dict))
+    if params.shape != model.stack.params.shape:
+        raise SchemaError(f"{path}: model params are {params.shape}, the network its "
+                          f"config builds has {model.stack.params.shape}")
+    model.stack.params[...] = params
+    model.loss_curve = _field(doc, "loss_curve", list)
     c = _field(doc, "calibration", (dict, _NONE))
     calib = None if c is None else _construct(ScoreCalibration, {
         **{key: decode_array(_field(c, key, dict)) for key in ("means", "stds")},
@@ -487,29 +452,23 @@ def load_model(path: str) -> tuple[TrainedModel, ScoreCalibration | None]:
 # ---------------------------------------------------------------------------
 
 def _encode_value(value):
-    """One rule for every detector state: a layer stack becomes its layer docs,
-    anything else (an array, say) is stored as is."""
-    if isinstance(value, nd.LayerStack):
-        return [_layer_doc(layer) for layer in value.layers]
-    return value
+    """One rule for every detector state: a layer stack is stored as its
+    parameter vector, anything else (an array, say) as is."""
+    return value.params if isinstance(value, nd.LayerStack) else value
 
 
 def _decode_value(value):
-    """Inverse of `_encode_value`: no other detector state value is an object."""
-    if isinstance(value, dict):
-        return decode_array(value)
-    if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
-        return nd.LayerStack([_layer_from_doc(d) for d in value])
-    return value
+    """Inverse of `_encode_value` up to the stack, which the detector's
+    `checked_state` rebuilds: no other detector state value is an object."""
+    return decode_array(value) if isinstance(value, dict) else value
 
 
 def _finite_state(state: dict, kind: str) -> dict:
-    """`state`; a SchemaError if a state array or a layer parameter holds
-    NaN/Inf. EE and OCSVM would score every window NaN, which reads as
-    normal, and LOF would score finite but wrong."""
+    """`state`; a SchemaError if a state array (a network's parameter vector
+    too) holds NaN/Inf. EE and OCSVM would score every window NaN, which
+    reads as normal, and LOF would score finite but wrong."""
     for key, value in state.items():
-        values = value.params if isinstance(value, nd.LayerStack) else value
-        if isinstance(values, np.ndarray) and not np.isfinite(values).all():
+        if isinstance(value, np.ndarray) and not np.isfinite(value).all():
             raise SchemaError(f"{kind} state entry {key!r} is not finite")
     return state
 

@@ -27,8 +27,6 @@ class T2VLayer(Layer):
     entrywise oracle for one window.
     """
 
-    kind = "t2v"
-
     def __init__(self, n: int, f: int, k: int, rng: np.random.Generator | None = None):
         if k < 2:
             raise ValueError(f"embedding width K must be >= 2, got {k}")
@@ -68,9 +66,6 @@ class T2VLayer(Layer):
         if not input_grad:
             return None, grads
         return g_lin @ self.w0.T + g_pre @ self.w.T, grads
-
-    def hyperparams(self):
-        return {"n": self.n, "f": self.f, "k": self.k}
 
 
 def t2v_forward_reference(layer: T2VLayer, x: Tensor) -> Tensor:

@@ -2,11 +2,12 @@ import tracemalloc
 
 import pytest
 
-from t2vad import detect
+from t2vad import detect, ndtensor
 from t2vad.autoenc import (AEConfig, build_recon_ae, build_t2v_ae, calibrate,
                            embed_many, train)
 from t2vad.inject import InjectionSpec, build_testsets
 from t2vad.pipeline import SynthParams, synth_generate
+from t2vad.t2v import T2VLayer
 
 
 @pytest.fixture(scope="session")
@@ -54,3 +55,16 @@ def traced_peak():
         finally:
             tracemalloc.stop()
     return peak
+
+
+@pytest.fixture(scope="session")
+def layer_classes():
+    """Every subclass of `ndtensor.Layer`, at any depth: the classes a network
+    can be built from, each of which needs its own test cases."""
+    found, todo = set(), [ndtensor.Layer]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        found.update(subclasses)
+        todo += subclasses
+    assert T2VLayer in found
+    return found

@@ -56,7 +56,7 @@ def test_t2v_ae_wrong_variant():
 def test_recon_ae_bottleneck_25():
     cfg = AEConfig(variant="reconstruction", encoder_layers=2, seed=3)
     model = build_recon_ae(cfg, 100, 6)
-    strides = [layer.stride for layer in model.stack.layers if layer.kind == "conv1d"]
+    strides = [layer.stride for layer in model.stack.layers if isinstance(layer, nd.Conv1d)]
     assert 100 // math.prod(strides) == 25
     x = make_rng(1).normal(size=(100, 6))
     assert model.stack.forward(x[None]).shape == (1, 100, 6)
@@ -67,7 +67,7 @@ def test_recon_ae_identity_kernel():
                    filters=1, kernel=1, seed=4)
     model = build_recon_ae(cfg, 100, 1)
     for layer in model.stack.layers:
-        if layer.kind == "conv1d":
+        if isinstance(layer, nd.Conv1d):
             layer.kernels[...] = 1.0
             layer.bias[...] = 0.0
     x = np.abs(make_rng(2).normal(size=(100, 1)))   # positive: ReLU transparent

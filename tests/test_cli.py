@@ -421,6 +421,24 @@ def test_train_rejects_a_threshold_quantile_outside_0_1_before_training(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("variant", ["t2v", "reconstruction"])
+@pytest.mark.parametrize("flag, value", [("--filters", "0"), ("--filters", "-2"),
+                                         ("--kernel", "-1")])
+def test_train_rejects_filters_or_kernel_below_1_without_a_traceback(
+        workdir, tmp_path, capsys, variant, flag, value):
+    """These sizes used to reach numpy: an OverflowError traceback from the
+    weight draw and a divide-by-zero warning, or numpy's negative-dimensions
+    message."""
+    out = tmp_path / "m.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["train", "--corpus", workdir / "corpus.json", "--variant", variant,
+                    flag, value, "--epochs", 1, "--out", out]) == 1
+    assert capsys.readouterr().err == ("error: filters, kernel size and encoder stride "
+                                       "must be >= 1\n")
+    assert not out.exists()
+
+
 # Each field of the three settings dataclasses, and the flag that sets it.
 # A field without a flag is a setting no command can reach: make it a
 # module constant instead, or give it a flag and an entry here.

@@ -32,3 +32,34 @@ def test_package_imports_only_numpy_the_standard_library_and_itself():
     foreign = {str(path.relative_to(PACKAGE)): sorted(imported_roots(path.read_text()) - ALLOWED)
                for path in modules}
     assert {name: roots for name, roots in foreign.items() if roots} == {}
+
+
+def unused_imports(source: str) -> set[str]:
+    """Names that `source` imports but never reads; a name listed in its
+    `__all__` counts as read. `from __future__` features are not names."""
+    tree = ast.parse(source)
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return imported - read
+
+
+def test_unused_imports_sees_every_import_form():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "from typing import Any, Callable\nfrom . import dtw, rng as r\n"
+              "__all__ = ['dtw']\n\ndef f(x: Callable):\n    Any = np.zeros(r)\n")
+    assert unused_imports(source) == {"os", "Any"}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    leftovers = {str(path.relative_to(PACKAGE)): sorted(unused_imports(path.read_text()))
+                 for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: names for name, names in leftovers.items() if names} == {}

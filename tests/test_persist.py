@@ -284,24 +284,15 @@ def test_a_non_finite_state_array_or_layer_parameter_is_a_schema_error(
     path = tmp_path / "det.json"
     save_detector(path, small_e2e["detectors"][kind])
     state = json.loads(path.read_text())["state"]
-    blocks = [(key, None) for key, value in state.items() if isinstance(value, dict)]
-    blocks += [(key, (i, name)) for key, value in state.items() if isinstance(value, list)
-               and value and isinstance(value[0], dict)
-               for i, layer in enumerate(value) for name in layer["params"]]
+    blocks = [key for key, value in state.items() if isinstance(value, dict)]
     assert len(blocks) >= 2
 
-    def poison(key, where):
-        def edit(doc):
-            if where is None:
-                doc["state"][key] = set_first_nan(doc["state"][key])
-            else:
-                params = doc["state"][key][where[0]]["params"]
-                params[where[1]] = set_first_nan(params[where[1]])
-        return edit
+    def poison(key):
+        return lambda doc: doc["state"].update({key: set_first_nan(doc["state"][key])})
 
-    for key, where in blocks:
+    for key in blocks:
         save_detector(path, small_e2e["detectors"][kind])
-        rewrite(path, poison(key, where))
+        rewrite(path, poison(key))
         with pytest.raises(SchemaError, match=f"{kind} state entry '{key}' is not finite"):
             load_detector(path)
 
@@ -339,40 +330,6 @@ def test_unknown_detector_kind_is_a_schema_error(tmp_path, small_e2e):
     rewrite(path, lambda doc: doc.update(detector="bogus"))
     with pytest.raises(SchemaError, match="unknown detector kind 'bogus'"):
         load_detector(path)
-
-
-def test_model_with_a_flatten_layer_is_a_schema_error(tmp_path, small_e2e):
-    # the t2v AE used to run t2v -> flatten -> reshape -> conv
-    path = tmp_path / "model.json"
-    save_model(path, small_e2e["t2v_model"])
-    old_layers = [{"kind": "flatten", "hyperparams": {}, "params": {}},
-                  {"kind": "reshape", "hyperparams": {"n": 100, "k": 7}, "params": {}}]
-
-    def insert_old_layers(doc):
-        doc["layers"][1:1] = old_layers
-
-    rewrite(path, insert_old_layers)
-    with pytest.raises(SchemaError, match="unknown layer kind 'flatten'"):
-        load_model(path)
-
-
-@pytest.mark.parametrize("section", ["hyperparams", "params"])
-def test_layer_doc_with_an_unknown_parameter_name_is_a_schema_error(
-        tmp_path, small_e2e, section):
-    path = tmp_path / "model.json"
-    save_model(path, small_e2e["t2v_model"])
-    extra = 3 if section == "hyperparams" else encode_array(np.zeros(2))
-    rewrite(path, lambda doc: doc["layers"][1][section].update(bogus=extra))
-    with pytest.raises(SchemaError, match="bogus"):
-        load_model(path)
-
-
-def test_layer_doc_missing_a_parameter_is_a_schema_error(tmp_path, small_e2e):
-    path = tmp_path / "model.json"
-    save_model(path, small_e2e["t2v_model"])
-    rewrite(path, lambda doc: doc["layers"][0]["params"].pop("w0"))
-    with pytest.raises(SchemaError, match="w0"):
-        load_model(path)
 
 
 def relabel_first_anomalous_window_normal(doc):
@@ -557,6 +514,21 @@ def shorten_state_array(key):
     return lambda d: d["state"].update({key: encode_array(decode_array(d["state"][key])[:-1])})
 
 
+def replace_params(value):
+    """Re-encode a model's parameter vector `p` as the array `value(p)`."""
+    return lambda d: d.update(params=encode_array(value(decode_array(d["params"]))))
+
+
+def per_layer_params(block):
+    """A network as the files before `params` stored it: a list of layer
+    documents (kind, hyperparameters, parameter arrays), here one."""
+    return [{"kind": "dense", "hyperparams": {}, "params": {"weight": block}}]
+
+
+def per_layer_model(doc):
+    doc["layers"] = per_layer_params(doc.pop("params"))
+
+
 def nested_trees(doc):
     """The pre-flat-array iforest state: nested JSON tree lists."""
     doc["state"] = {"trees": [["leaf", 1], ["split", 0, 0.5, ["leaf", 2], ["leaf", 1]]],
@@ -596,29 +568,40 @@ ARTIFACT_FIELD_MUTATIONS = {
         "corpus.json", lambda d: d["windows"]["payload"].update(
             data=d["windows"]["payload"]["data"][:-4]),
         r"array data holds 287997 bytes, not the 288000"),
-    "t2v-layers-removed": ("t2v.json", lambda d: d.pop("layers"), "'layers'"),
+    "t2v-params-removed": ("t2v.json", lambda d: d.pop("params"), "'params'"),
+    "t2v-of-the-per-layer-format": ("t2v.json", per_layer_model, "'params'"),
     "t2v-config-removed": ("t2v.json", lambda d: d.pop("config"), "'config'"),
     "t2v-config-unknown-key": ("t2v.json", lambda d: d["config"].update(bogus=1), "bogus"),
     "t2v-n-a-string": ("t2v.json", lambda d: d.update(n="100"), "'n'"),
-    "t2v-layer-kind-removed": ("t2v.json", lambda d: d["layers"][0].pop("kind"), "'kind'"),
-    "t2v-layers-empty": ("t2v.json", lambda d: d.update(layers=[]),
-                         "first layer must be a t2v layer"),
-    "t2v-first-layer-removed": ("t2v.json", lambda d: d["layers"].pop(0),
-                                "first layer must be a t2v layer"),
     "t2v-n-zero": ("t2v.json", lambda d: d.update(n=0), "n=0, f=6 is not positive"),
     "t2v-f-negative": ("t2v.json", lambda d: d.update(f=-1), "n=100, f=-1 is not positive"),
-    "t2v-parameter-shape-broadcastable": (
-        "t2v.json", lambda d: d["layers"][0]["params"]["b0"]["shape"].pop(),
-        r"t2v parameter 'b0' is \(100,\), expected \(100, 1\)"),
-    "t2v-parameter-data-not-base64": (
-        "t2v.json", lambda d: d["layers"][0]["params"]["w"].update(data="A" * 7 + "!"),
+    "t2v-params-one-entry-short": (
+        "t2v.json", replace_params(lambda p: p[:-1]),
+        r"model params are \(3099,\), the network its config builds has \(3100,\)"),
+    "t2v-params-a-matrix": ("t2v.json", replace_params(lambda p: p[None]),
+                            r"model params are \(1, \d+\)"),
+    "t2v-params-data-not-base64": (
+        "t2v.json", lambda d: d["params"].update(data="A" * 7 + "!"),
         "array data is not base64"),
-    "recon-layers-empty": ("recon.json", lambda d: d.update(layers=[]),
-                           r"map \(1, 100, 6\) windows to \(1, 100, 6\), with 0 parameters"),
-    "recon-first-layer-removed": ("recon.json", lambda d: d["layers"].pop(0),
-                                  "model layers do not chain"),
-    "recon-last-layer-removed": ("recon.json", lambda d: d["layers"].pop(),
-                                 r"map \(1, 100, 6\) windows to \(1, 100, 16\)"),
+    "t2v-config-of-another-network": (
+        "t2v.json", lambda d: d["config"].update(k=12, decoder_layers=4),
+        "the network its config builds has"),
+    "t2v-config-filters-zero": (
+        "t2v.json", lambda d: d["config"].update(filters=0),
+        "bad model config: filters, kernel size and encoder stride must be >= 1"),
+    "t2v-config-kernel-minus-1": (
+        "t2v.json", lambda d: d["config"].update(kernel=-1),
+        "bad model config: filters, kernel size and encoder stride must be >= 1"),
+    "recon-of-the-per-layer-format": ("recon.json", per_layer_model, "'params'"),
+    "recon-params-one-entry-long": (
+        "recon.json", replace_params(lambda p: np.append(p, 0.0)),
+        r"model params are \(3575,\), the network its config builds has \(3574,\)"),
+    "recon-config-encoder-layers-6": (
+        "recon.json", lambda d: d["config"].update(encoder_layers=6),
+        "bad model config: window length 100 not divisible by total stride 64"),
+    "recon-config-encoder-stride-zero": (
+        "recon.json", lambda d: d["config"].update(encoder_stride=0),
+        "bad model config: filters, kernel size and encoder stride must be >= 1"),
     "recon-calibration-means-removed": (
         "recon.json", lambda d: d["calibration"].pop("means"), "'means'"),
     "recon-calibration-threshold-removed": (
@@ -668,10 +651,15 @@ ARTIFACT_FIELD_MUTATIONS = {
     "detector-config-with-a-retired-fit-setting": (
         "det.lof.json", lambda d: d["config"].update(lof_k=20),
         "bad detector config: .*unexpected keyword argument 'lof_k'"),
-    "detector-dense-layer-with-a-retired-use-bias": (
+    "detector-deep-svdd-params-one-entry-short": (
+        "det.deep_svdd.json", shorten_state_array("layers"),
+        r"deep_svdd state needs the 93696 parameters of a 700 -> 128 -> 32 net"),
+    "detector-deep-svdd-center-one-entry-short": (
+        "det.deep_svdd.json", shorten_state_array("center"), r"and a \(32,\) center"),
+    "detector-deep-svdd-of-the-per-layer-format": (
         "det.deep_svdd.json",
-        lambda d: d["state"]["layers"][0]["hyperparams"].update(use_bias=False),
-        "bad dense hyperparameters: .*unexpected keyword argument 'use_bias'"),
+        lambda d: d["state"].update(layers=per_layer_params(d["state"]["layers"])),
+        "deep_svdd state needs"),
     "detector-threshold-nan": ("det.ocsvm.json", lambda d: d.update(threshold=math.nan),
                                "scaler needs .* a finite threshold"),
     "detector-scaler-std-broadcastable": (

@@ -12,7 +12,6 @@ import pytest
 from t2vad import ndtensor as nd
 from t2vad.autoenc import AEConfig, build_recon_ae, build_t2v_ae, train
 from t2vad.detect.deepsvdd import build_network, fit_deep_svdd
-from t2vad.persist import LAYERS
 from t2vad.rng import make_rng
 from t2vad.t2v import T2VLayer
 
@@ -51,8 +50,8 @@ def assert_close(got, ref):
     np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-4 * np.abs(ref).max())
 
 
-def test_cases_cover_every_layer_kind():
-    assert {layer_case(name, make_rng(0))[0].kind for name in CASES} == set(LAYERS)
+def test_cases_cover_every_layer_kind(layer_classes):
+    assert {type(layer_case(name, make_rng(0))[0]) for name in CASES} == layer_classes
 
 
 @pytest.mark.parametrize("name", CASES)
