@@ -9,9 +9,9 @@ on elementwise MSE, on a float32 copy of the stack; DTW is used only to
 score candidate configurations (it is not differentiable, so it never
 enters the loss).
 
-The baseline flags anomalies by a composite reconstruction score: the sum
-of z-normalized MSE, MAE and DTW components, each standardized by
-training-set statistics, and thresholded by every detector's rule.
+The baseline flags anomalies by its windows' reconstruction components
+(MSE, MAE, DTW): `calibrate` fits them as the `detect.BASELINE` kind, which
+standardizes, sums and thresholds them by every detector's rule.
 
 Every function takes windows as a batch `(B, N, F)`; one window is `x[None]`.
 """
@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import detect
 from . import ndtensor as nd
-from .detect import checked_quantile, fitted_threshold
 from .dtw import dtw_batch, first_nonfinite
 from .rng import make_rng
 from .t2v import T2VLayer
@@ -170,24 +170,8 @@ def embed_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# composite reconstruction score (baseline anomaly detector)
+# reconstruction components (baseline anomaly detector)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ScoreCalibration:
-    """Training-set mean/std for each raw component (MSE, MAE, DTW) and the
-    decision threshold (a quantile in (0, 1) of calibrated training scores)."""
-
-    means: np.ndarray
-    stds: np.ndarray
-    threshold: float
-    threshold_quantile: float
-
-    def __post_init__(self):
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.stds = np.asarray(self.stds, dtype=np.float64)
-        checked_quantile(self.threshold_quantile)
-
 
 def score_components_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
     """(B, 3) raw MSE, MAE and DTW of each window in `data` (B, N, F) against
@@ -219,22 +203,11 @@ def score_components_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
 
 
 def calibrate(model: TrainedModel, data: np.ndarray,
-              threshold_quantile: float = 0.99) -> ScoreCalibration:
-    """Component statistics and threshold from the training windows `data`."""
-    comps = score_components_many(model, data)
-    means = comps.mean(axis=0)
-    stds = np.maximum(comps.std(axis=0), 1e-12)
-    scores = ((comps - means) / stds).sum(axis=1)
-    return ScoreCalibration(means, stds, fitted_threshold(scores, threshold_quantile),
-                            threshold_quantile)
-
-
-def combine_components(comps: np.ndarray, calib: ScoreCalibration) -> np.ndarray:
-    """(B,) baseline scores of the (B, 3) raw components: each component
-    z-normalized by training stats, then summed; higher = more anomalous."""
-    if calib is None:
-        raise ValueError("missing score calibration")
-    return ((np.asarray(comps, dtype=np.float64) - calib.means) / calib.stds).sum(axis=-1)
+              threshold_quantile: float = 0.99) -> detect.DetectorModel:
+    """The baseline detector, fitted on the components of the training windows
+    `data`; `detect.score_many` scores a (B, 3) component array with it."""
+    cfg = detect.DetectorConfig(threshold_quantile=threshold_quantile)
+    return detect.fit([detect.BASELINE], score_components_many(model, data), cfg)[detect.BASELINE]
 
 
 # ---------------------------------------------------------------------------

@@ -164,13 +164,12 @@ def cmd_search(args) -> int:
 
 def cmd_train(args) -> int:
     detect.checked_quantile(args.threshold_quantile)   # before any loading or training
-    data = _train_data(args.corpus)
-    n, f = data.shape[1:]
     cfg = AEConfig(variant=args.variant, k=args.k, decoder_layers=args.decoder_layers,
                    encoder_layers=args.encoder_layers, filters=args.filters,
                    kernel=args.kernel, epochs=args.epochs, batch=args.batch,
                    lr=args.lr, seed=derive_seed(args.seed, f"train/{args.variant}"))
-    model = train(build_model(cfg, n, f), data)
+    data = _train_data(args.corpus)
+    model = train(build_model(cfg, *data.shape[1:]), data)
     calib = None
     if args.variant == "reconstruction":
         calib = calibrate(model, data, args.threshold_quantile)

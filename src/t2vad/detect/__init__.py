@@ -6,10 +6,13 @@ them by PCA inside its own fit and score. Every fit setting is a constant
 in its detector's module (iforest.TREES, lof.K, ocsvm.NU, ...);
 `DetectorConfig` holds only what `fit-detector` sets. Scores are oriented
 so that higher means more anomalous. The threshold rule is written once,
-here, and serves the reconstruction baseline too: `checked_quantile`
-admits a quantile q in (0, 1), `fitted_threshold` is the q-quantile of a
-method's fit-time scores, and a window scoring strictly above it is
-anomalous. So comparisons between methods are apples-to-apples.
+here: `checked_quantile` admits a quantile q in (0, 1), `fitted_threshold`
+is the q-quantile of a method's fit-time scores, and a window scoring
+strictly above it is anomalous. The reconstruction baseline is a sixth
+kind, `BASELINE`, in `SPECS` but not in `KINDS`: it fits nothing and
+scores a window by the sum of its standardized (MSE, MAE, DTW)
+components, so `fit` and `score_many` run the same standardize, score
+and threshold path for all six methods.
 """
 
 from __future__ import annotations
@@ -62,9 +65,15 @@ KINDS = {
         score_deep_svdd, deepsvdd.checked_state, ("layers", "center", "loss_curve")),
 }
 
+# The baseline's "embedding" is a window's three reconstruction components.
+BASELINE = "recon_ae"
+SPECS = {**KINDS, BASELINE: Kind(lambda z, seed: {}, lambda state, z: z.sum(axis=1),
+                                 lambda state, dim: state, ())}
+
 __all__ = [
-    "KINDS", "DetectorConfig", "DetectorModel", "fit", "score_many", "checked_quantile",
-    "fitted_threshold", "average_path_length", "fit_deep_svdd", "default_gamma", "rbf_kernel",
+    "KINDS", "BASELINE", "SPECS", "DetectorConfig", "DetectorModel", "fit", "score_many",
+    "checked_quantile", "fitted_threshold", "average_path_length", "fit_deep_svdd",
+    "default_gamma", "rbf_kernel",
 ]
 
 
@@ -102,7 +111,7 @@ class DetectorModel:
     config: DetectorConfig = field(default_factory=DetectorConfig)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in SPECS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
 
 
@@ -123,8 +132,9 @@ def _transform(model: DetectorModel, x: np.ndarray) -> np.ndarray:
 
 def fit(kinds: Collection[str], x: np.ndarray,
         cfg: DetectorConfig = DetectorConfig()) -> dict[str, DetectorModel]:
-    """{kind: DetectorModel} for each of `kinds` (KINDS keys), fitted on the
-    same training (assumed-normal) embeddings `x` (n, d).
+    """{kind: DetectorModel} for each of `kinds` (SPECS keys), fitted on the
+    same training (assumed-normal) embeddings `x` (n, d); the baseline's
+    `x` is the (n, 3) reconstruction components of its training windows.
 
     `fit` takes `x` over rather than copy it: it standardizes the array in
     place, marks it read-only and fits every kind on it, and LOF stores it
@@ -134,7 +144,7 @@ def fit(kinds: Collection[str], x: np.ndarray,
     the other kinds see.
     """
     for kind in kinds:
-        if kind not in KINDS:
+        if kind not in SPECS:
             raise ValueError(f"unknown detector kind {kind!r}")
     x = np.require(x, np.float64, "W")
     if x.ndim != 2:
@@ -149,7 +159,7 @@ def fit(kinds: Collection[str], x: np.ndarray,
 
     fitted = {}
     for kind in kinds:
-        spec = KINDS[kind]
+        spec = SPECS[kind]
         state = spec.fit(x, derive_seed(cfg.seed, f"detector/{kind}"))
         train_scores = np.asarray((spec.train_scores or spec.score)(state, x), dtype=np.float64)
         threshold = fitted_threshold(train_scores, cfg.threshold_quantile)
@@ -159,4 +169,4 @@ def fit(kinds: Collection[str], x: np.ndarray,
 
 def score_many(model: DetectorModel, x: np.ndarray) -> np.ndarray:
     """(n,) anomaly scores of the (n, d) embeddings `x`; higher = more anomalous."""
-    return KINDS[model.kind].score(model.state, _transform(model, x))
+    return SPECS[model.kind].score(model.state, _transform(model, x))

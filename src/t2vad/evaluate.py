@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detect
-from .autoenc import (ScoreCalibration, TrainedModel, combine_components, embed_many,
-                      score_components_many)
+from .autoenc import TrainedModel, embed_many, score_components_many
 from .inject import TestSuite
 from .pipeline import NOISE_TAGS, WindowSet
 
-METHOD_BASELINE = "recon_ae"
+METHOD_BASELINE = detect.BASELINE
 METHODS = (METHOD_BASELINE, *(f"t2v_{kind}" for kind in detect.KINDS))
 
 
@@ -77,7 +76,7 @@ def _set_composition(windows: WindowSet, rows: np.ndarray) -> dict:
 
 
 def score_table(suite: TestSuite, t2v_model: TrainedModel, recon_model: TrainedModel,
-                recon_calib: ScoreCalibration, detectors: dict[str, detect.DetectorModel]
+                recon_calib: detect.DetectorModel, detectors: dict[str, detect.DetectorModel]
                 ) -> tuple[np.ndarray, np.ndarray]:
     """(scores, thresholds): every report score, each computed once.
 
@@ -103,7 +102,7 @@ def score_table(suite: TestSuite, t2v_model: TrainedModel, recon_model: TrainedM
         if hits.size:
             raise ValueError(f"{key} window {hits[0]} contains NaN/Inf")
 
-    base_scores = combine_components(score_components_many(recon_model, windows), recon_calib)
+    base_scores = detect.score_many(recon_calib, score_components_many(recon_model, windows))
     embeddings = embed_many(t2v_model, windows)
     scores = np.array([base_scores, *(detect.score_many(detectors[kind], embeddings)
                                       for kind in detect.KINDS)], dtype=np.float64)
@@ -113,7 +112,7 @@ def score_table(suite: TestSuite, t2v_model: TrainedModel, recon_model: TrainedM
 
 
 def run_benchmark(suite: TestSuite, t2v_model: TrainedModel, recon_model: TrainedModel,
-                  recon_calib: ScoreCalibration,
+                  recon_calib: detect.DetectorModel,
                   detectors: dict[str, detect.DetectorModel],
                   config_digest: str = "", seeds: dict | None = None) -> EvalReport:
     """Evaluate the baseline plus every detector over all four test sets:

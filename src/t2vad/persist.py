@@ -44,8 +44,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import ndtensor as nd
-from .autoenc import AEConfig, ScoreCalibration, TrainedModel, build_model
-from .detect import KINDS, DetectorConfig, DetectorModel
+from .autoenc import AEConfig, TrainedModel, build_model
+from .detect import BASELINE, KINDS, DetectorConfig, DetectorModel
 from .evaluate import METHODS, EvalReport
 from .inject import TestSuite
 from .pipeline import Corpus, WindowSet, anomalous_flags
@@ -390,7 +390,7 @@ def load_testsuite(path: str) -> TestSuite:
 # ---------------------------------------------------------------------------
 
 def save_model(path: str, model: TrainedModel,
-               calibration: ScoreCalibration | None = None) -> None:
+               calibration: DetectorModel | None = None) -> None:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "model",
@@ -401,10 +401,10 @@ def save_model(path: str, model: TrainedModel,
         "loss_curve": model.loss_curve,
         "params": model.stack.params,
         "calibration": None if calibration is None else {
-            "means": calibration.means,
-            "stds": calibration.stds,
+            "means": calibration.scaler_mean,
+            "stds": calibration.scaler_std,
             "threshold": calibration.threshold,
-            "threshold_quantile": calibration.threshold_quantile,
+            "threshold_quantile": calibration.config.threshold_quantile,
         },
     }
     atomic_write_json(path, doc)
@@ -421,10 +421,11 @@ def _check_scaling(mean: np.ndarray, std: np.ndarray, threshold: float, shape: t
                           f"stds and a finite threshold")
 
 
-def load_model(path: str) -> tuple[TrainedModel, ScoreCalibration | None]:
+def load_model(path: str) -> tuple[TrainedModel, DetectorModel | None]:
     """The network is rebuilt from `config` by `autoenc.build_model`, and
-    `params` must hold exactly its parameter vector. Keys it does not read
-    (older files' `val_dtw`, `encoder_strides`) are ignored."""
+    `params` must hold exactly its parameter vector. A `calibration` loads
+    as the baseline's `DetectorModel`. Keys it does not read (older files'
+    `val_dtw`, `encoder_strides`) are ignored."""
     doc = load_json_checked(path, "model")
     cfg = _construct(AEConfig, _field(doc, "config", dict), "model config")
     n, f = _field(doc, "n", int), _field(doc, "f", int)
@@ -438,13 +439,13 @@ def load_model(path: str) -> tuple[TrainedModel, ScoreCalibration | None]:
     model.stack.params[...] = params
     model.loss_curve = _field(doc, "loss_curve", list)
     c = _field(doc, "calibration", (dict, _NONE))
-    calib = None if c is None else _construct(ScoreCalibration, {
-        **{key: decode_array(_field(c, key, dict)) for key in ("means", "stds")},
-        **{key: _field(c, key, _NUMBER) for key in ("threshold", "threshold_quantile")}},
-        "calibration")
-    if calib is not None:
-        _check_scaling(calib.means, calib.stds, calib.threshold, (3,), "calibration")
-    return model, calib
+    if c is None:
+        return model, None
+    means, stds = (decode_array(_field(c, key, dict)) for key in ("means", "stds"))
+    threshold, q = (_field(c, key, _NUMBER) for key in ("threshold", "threshold_quantile"))
+    calib_cfg = _construct(DetectorConfig, {"threshold_quantile": q}, "calibration")
+    _check_scaling(means, stds, threshold, (3,), "calibration")
+    return model, DetectorModel(BASELINE, means, stds, {}, threshold, calib_cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from t2vad import autoenc
+from t2vad import autoenc, detect
 from t2vad import ndtensor as nd
-from t2vad.autoenc import (SCORE_CHUNK, AEConfig, ScoreCalibration, build_recon_ae,
-                           build_t2v_ae, calibrate, combine_components, embed_many,
-                           feasible_encoder_layers, hyper_search, score_components_many, train,
-                           validation_dtw)
+from t2vad.autoenc import (SCORE_CHUNK, AEConfig, build_recon_ae, build_t2v_ae, calibrate,
+                           embed_many, feasible_encoder_layers, hyper_search,
+                           score_components_many, train, validation_dtw)
+from t2vad.evaluate import run_benchmark
 from t2vad.dtw import dtw_batch
 from t2vad.rng import make_rng
 
@@ -267,33 +267,33 @@ def test_recon_score_zero_at_component_means(small_e2e):
     model = small_e2e["recon_model"]
     w = small_e2e["corpus"].train_windows.data[0]
     calib = calibrate(model, w[None])    # single window: means are its components
-    score = combine_components(score_components_many(model, w[None]), calib)[0]
+    score = detect.score_many(calib, score_components_many(model, w[None]))[0]
     assert score == pytest.approx(0.0, abs=1e-6)
 
 
 def test_recon_score_training_mean_near_zero(small_e2e):
     model = small_e2e["recon_model"]
     calib = small_e2e["calib"]
-    scores = combine_components(
-        score_components_many(model, small_e2e["corpus"].train_windows.data), calib)
+    scores = detect.score_many(
+        calib, score_components_many(model, small_e2e["corpus"].train_windows.data))
     assert abs(np.mean(scores)) < 0.1
 
 
 def test_recon_score_monotone_in_each_component():
-    calib = ScoreCalibration(np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.0, 2.0]),
-                             threshold=0.0, threshold_quantile=0.99)
-    base = combine_components(np.array([[1.0, 2.0, 3.0]]), calib)[0]
+    calib = detect.DetectorModel(detect.BASELINE, np.array([1.0, 2.0, 3.0]),
+                                 np.array([0.5, 1.0, 2.0]), {}, 0.0)
+    base = detect.score_many(calib, np.array([[1.0, 2.0, 3.0]]))[0]
     for i in range(3):
         comps = np.array([[1.0, 2.0, 3.0]])
         comps[0, i] += 0.7
-        assert combine_components(comps, calib)[0] > base
+        assert detect.score_many(calib, comps)[0] > base
 
 
 def test_recon_score_requires_calibration(small_e2e):
-    with pytest.raises(ValueError, match="calibration"):
-        combine_components(
-            score_components_many(small_e2e["recon_model"], small_e2e["corpus"].windows.data[:1]),
-            None)
+    e = small_e2e
+    with pytest.raises(ValueError, match="missing baseline score calibration"):
+        run_benchmark(e["suite"], e["t2v_model"], e["recon_model"], recon_calib=None,
+                      detectors=e["detectors"])
 
 
 def test_big_step_scores_above_training_quantile(small_e2e):
@@ -305,9 +305,9 @@ def test_big_step_scores_above_training_quantile(small_e2e):
     from t2vad.inject import inject_step
     spiked = inject_step(w, list(range(6)), onset=30,
                          magnitude_per_feature=10.0 * sigma)
-    train_scores = combine_components(score_components_many(model, corpus.train_windows.data),
-                                      calib)
-    spiked_score = combine_components(score_components_many(model, spiked[None]), calib)[0]
+    train_scores = detect.score_many(calib,
+                                     score_components_many(model, corpus.train_windows.data))
+    spiked_score = detect.score_many(calib, score_components_many(model, spiked[None]))[0]
     assert spiked_score > np.quantile(train_scores, 0.99)
 
 
@@ -345,10 +345,44 @@ def test_calibrate_threshold_independent_of_chunking(small_e2e):
     stds = np.maximum(comps.std(axis=0), 1e-12)
     scores = ((comps - means) / stds).sum(axis=1)
     assert calib.threshold == float(np.quantile(scores, 0.99))
-    assert np.array_equal(calib.means, means) and np.array_equal(calib.stds, stds)
-    assert np.array_equal(combine_components(comps, calib),
-                          [combine_components(score_components_many(model, w[None]), calib)[0]
+    assert np.array_equal(calib.scaler_mean, means) and np.array_equal(calib.scaler_std, stds)
+    assert np.array_equal(detect.score_many(calib, comps),
+                          [detect.score_many(calib, score_components_many(model, w[None]))[0]
                            for w in windows])
+
+
+def written_out_baseline(comps, q=0.99):
+    """The baseline rule on the (n, 3) components, written out on its own:
+    (means, stds, training scores, threshold)."""
+    means = comps.mean(0)
+    stds = np.maximum(comps.std(0), 1e-12)
+    scores = ((comps - means) / stds).sum(1)
+    return means, stds, scores, np.quantile(scores, q)
+
+
+# hand-made components whose MAE column is constant: its std is floored at 1e-12
+ONE_CONSTANT_COLUMN = np.array([[1.0, 5.0, 2.0], [2.0, 5.0, 3.5], [4.0, 5.0, 1.0],
+                                [0.5, 5.0, 9.0], [3.0, 5.0, 4.0]])
+
+
+@pytest.mark.parametrize("case", ["training-windows", "one-window", "one-constant-column"])
+def test_calibrate_and_score_many_are_bitwise_the_written_out_rule(small_e2e, monkeypatch,
+                                                                    case):
+    model = small_e2e["recon_model"]
+    data = small_e2e["corpus"].train_windows.data[:1 if case == "one-window" else None]
+    if case == "one-constant-column":
+        comps = ONE_CONSTANT_COLUMN
+        monkeypatch.setattr(autoenc, "score_components_many", lambda model, data: comps.copy())
+    else:
+        comps = score_components_many(model, data)
+    means, stds, scores, threshold = written_out_baseline(comps)
+    calib = calibrate(model, data)
+    assert calib.scaler_mean.tobytes() == means.tobytes()
+    assert calib.scaler_std.tobytes() == stds.tobytes()
+    assert detect.score_many(calib, comps).tobytes() == scores.tobytes()
+    assert calib.threshold == threshold
+    floored = {"training-windows": [], "one-window": [0, 1, 2], "one-constant-column": [1]}
+    assert list(np.flatnonzero(stds == 1e-12)) == floored[case]
 
 
 @pytest.mark.parametrize("quantile", [0, 1.0, 1.5, -0.1])

@@ -79,6 +79,9 @@ def test_docs_list_exactly_the_parser_subcommands():
 
 def test_unknown_flag_exits_2():
     assert run(["generate", "--seed", 1, "--out", "x.json", "--bogus"]) == 2
+    # the baseline is no embedding detector: --kind offers the five and `all`
+    assert run(["fit-detector", "--corpus", "c.json", "--model", "m.json",
+                "--kind", "recon_ae", "--out", "d.json"]) == 2
 
 
 def test_missing_artifact_names_it(workdir, capsys):
@@ -434,6 +437,15 @@ def test_train_rejects_filters_or_kernel_below_1_without_a_traceback(
         warnings.simplefilter("error")
         assert run(["train", "--corpus", workdir / "corpus.json", "--variant", variant,
                     flag, value, "--epochs", 1, "--out", out]) == 1
+    assert capsys.readouterr().err == ("error: filters, kernel size and encoder stride "
+                                       "must be >= 1\n")
+    assert not out.exists()
+
+
+def test_train_checks_its_ae_settings_before_it_reads_the_corpus(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run(["train", "--corpus", tmp_path / "nope.json", "--variant", "t2v",
+                "--filters", "0", "--out", out]) == 1
     assert capsys.readouterr().err == ("error: filters, kernel size and encoder stride "
                                        "must be >= 1\n")
     assert not out.exists()

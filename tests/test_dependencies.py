@@ -4,7 +4,8 @@ import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "t2vad"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "t2vad"
 ALLOWED = {"numpy", "t2vad", *sys.stdlib_module_names}
 
 
@@ -60,6 +61,8 @@ def test_unused_imports_sees_every_import_form():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    leftovers = {str(path.relative_to(PACKAGE)): sorted(unused_imports(path.read_text()))
-                 for path in sorted(PACKAGE.rglob("*.py"))}
+    """The package, its tests and its demos."""
+    leftovers = {str(path.relative_to(ROOT)): sorted(unused_imports(path.read_text()))
+                 for tree in (PACKAGE, ROOT / "tests", ROOT / "demos")
+                 for path in sorted(tree.rglob("*.py"))}
     assert {name: names for name, names in leftovers.items() if names} == {}

@@ -819,7 +819,7 @@ def test_fit_calls_the_module_level_fit_function_bound_at_call_time(monkeypatch,
 def test_fitting_every_kind_at_once_saves_the_bytes_of_fitting_each_alone(tmp_path):
     x = gaussian_blob(n=120, d=8, seed=33)
     together = detect.fit(detect.KINDS, x.copy(), CFG)
-    assert list(together) == list(detect.KINDS)
+    assert list(together) == list(detect.KINDS) == ["iforest", "lof", "ocsvm", "ee", "deep_svdd"]
     for kind, model in together.items():
         save_detector(tmp_path / "together.json", model)
         save_detector(tmp_path / "alone.json", detect.fit([kind], x.copy(), CFG)[kind])

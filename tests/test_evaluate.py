@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from t2vad import detect, evaluate
-from t2vad.autoenc import combine_components, embed_many, score_components_many
+from t2vad.autoenc import embed_many, score_components_many
 from t2vad.evaluate import (METHOD_BASELINE, METHODS, Confusion, EvalReport, _entry,
                             confusion, format_report_table, prf1, run_benchmark, score_table)
 from t2vad.inject import TestSuite
@@ -77,9 +77,9 @@ def test_prf1_table_formats_like_reference_row():
     # a perfect-precision row renders as 1 / 0.99 / 0.99
     entry = {"precision": 1.0, "recall": 0.99, "f1": 0.99,
              "confusion": {"tp": 99, "fp": 0, "tn": 100, "fn": 1}}
-    results = {m: {k: entry for k in TestSuite.KEYS}
-               for m in ("recon_ae", "t2v_iforest", "t2v_ee", "t2v_ocsvm",
-                         "t2v_lof", "t2v_deep_svdd")}
+    assert METHODS == ("recon_ae", "t2v_iforest", "t2v_lof", "t2v_ocsvm", "t2v_ee",
+                       "t2v_deep_svdd")
+    results = {m: {k: entry for k in TestSuite.KEYS} for m in METHODS}
     table = format_report_table(EvalReport(results, {}))
     row = [line for line in table.splitlines() if line.startswith("A-6F")][0]
     cells = [c.strip() for c in row.replace("|", " ").split()]
@@ -178,7 +178,7 @@ def per_set_results(suite, t2v_model, recon_model, calib, detectors):
     for key in TestSuite.KEYS:
         windows = set_windows(suite, key)
         labels = windows.anomalous
-        base = combine_components(score_components_many(recon_model, windows.data), calib)
+        base = detect.score_many(calib, score_components_many(recon_model, windows.data))
         results[METHOD_BASELINE][key] = _entry(confusion(base > calib.threshold, labels))
         embeddings = embed_many(t2v_model, windows.data)
         for kind in detect.KINDS:
@@ -208,8 +208,8 @@ def test_a_window_scoring_at_its_threshold_counts_as_normal(small_e2e, method):
     suite = TestSuite(probe, {key: [0] for key in TestSuite.KEYS}, seed=0)
     kind = method.removeprefix("t2v_")
     if method == METHOD_BASELINE:
-        score = combine_components(score_components_many(e["recon_model"], probe.data),
-                                   e["calib"])[0]
+        score = detect.score_many(e["calib"],
+                                  score_components_many(e["recon_model"], probe.data))[0]
     else:
         score = detect.score_many(e["detectors"][kind],
                                   embed_many(e["t2v_model"], probe.data))[0]
@@ -299,7 +299,7 @@ def test_distinct_window_scores_match_the_per_set_scores(small_e2e):
         per_set = embed_many(e["t2v_model"], data)
         np.testing.assert_allclose(
             scores[0, columns],
-            combine_components(score_components_many(e["recon_model"], data), e["calib"]),
+            detect.score_many(e["calib"], score_components_many(e["recon_model"], data)),
             rtol=1e-12)
         for row, kind in enumerate(detect.KINDS, start=1):
             np.testing.assert_allclose(scores[row, columns],
@@ -320,7 +320,7 @@ def test_run_benchmark_only_counts_the_score_table(small_e2e, monkeypatch):
     def no_scoring(*args):
         raise AssertionError("run_benchmark scored a window itself")
 
-    for name in ("score_components_many", "combine_components", "embed_many"):
+    for name in ("score_components_many", "embed_many"):
         monkeypatch.setattr(evaluate, name, no_scoring)
     monkeypatch.setattr(evaluate.detect, "score_many", no_scoring)
     report = run_benchmark(*bench_args(small_e2e))

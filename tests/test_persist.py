@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from t2vad import detect
-from t2vad.autoenc import combine_components, embed_many, score_components_many, train
+from t2vad.autoenc import embed_many, score_components_many, train
 from t2vad.cli import main
 from t2vad.evaluate import run_benchmark, score_table
 from t2vad.persist import (CHUNK, ChecksumError, SchemaError, atomic_write_json, decode_array,
@@ -112,10 +112,15 @@ def test_model_roundtrip_with_calibration(tmp_path, small_e2e):
     path = tmp_path / "recon.json"
     save_model(path, small_e2e["recon_model"], small_e2e["calib"])
     loaded, calib = load_model(path)
+    fitted = small_e2e["calib"]
+    assert (calib.kind, calib.state, calib.threshold, calib.config) == \
+        (fitted.kind, fitted.state, fitted.threshold, fitted.config)
+    assert calib.scaler_mean.tobytes() == fitted.scaler_mean.tobytes()
+    assert calib.scaler_std.tobytes() == fitted.scaler_std.tobytes()
     w = small_e2e["corpus"].test_windows.data[:1]
     assert np.array_equal(
-        combine_components(score_components_many(loaded, w), calib),
-        combine_components(score_components_many(small_e2e["recon_model"], w), small_e2e["calib"]))
+        detect.score_many(calib, score_components_many(loaded, w)),
+        detect.score_many(small_e2e["calib"], score_components_many(small_e2e["recon_model"], w)))
 
 
 @pytest.mark.parametrize("name", ["t2v_model", "recon_model"])
@@ -615,6 +620,8 @@ ARTIFACT_FIELD_MUTATIONS = {
     "recon-calibration-threshold-quantile-one": (
         "recon.json", lambda d: d["calibration"].update(threshold_quantile=1.0),
         r"bad calibration: threshold quantile must be in \(0, 1\)"),
+    "detector-kind-the-baseline": ("det.lof.json", lambda d: d.update(detector="recon_ae"),
+                                   "unknown detector kind 'recon_ae'"),
     "detector-scaler-std-shape-removed": (
         "det.deep_svdd.json", lambda d: d["scaler_std"].pop("shape"), "'shape'"),
     "detector-state-removed": ("det.lof.json", lambda d: d.pop("state"), "'state'"),
