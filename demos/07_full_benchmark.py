@@ -32,6 +32,6 @@ cfg = detect.DetectorConfig(seed=3)
 detectors = detect.fit(detect.KINDS, embeddings, cfg)
 
 suite = build_testsets(corpus.test_windows, InjectionSpec(seed=4))
-report = run_benchmark(suite, t2v_model, recon_model, calib, detectors)
+report = run_benchmark(suite, t2v_model, recon_model, {detect.BASELINE: calib, **detectors})
 print()
 print(format_report_table(report))

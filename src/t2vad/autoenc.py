@@ -179,9 +179,10 @@ def score_components_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
     at a time, so only one chunk's reconstructions are held; each pair's DTW
     is its own sweep, so the chunking changes no bit.
 
-    Raises ValueError naming the first window whose values, or whose
-    reconstruction, hold a NaN or Inf: such a score compares False against
-    any threshold and would silently read as normal.
+    Raises ValueError naming the first window whose values, reconstruction
+    or components (which overflow on finite windows of large values) hold a
+    NaN or Inf: such a score compares False against any threshold and would
+    silently read as normal.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 3 or data.shape[1:] != (model.n, model.f):
@@ -199,6 +200,10 @@ def score_components_many(model: TrainedModel, data: np.ndarray) -> np.ndarray:
         out[:, 0] = np.mean(diff * diff, axis=1)
         out[:, 1] = np.mean(np.abs(diff), axis=1)
         out[:, 2] = dtw_batch(x, xhat)
+        bad = first_nonfinite(out)
+        if bad is not None:
+            raise ValueError(f"components of window {start + bad} overflow: "
+                             f"{out[bad].tolist()}")
     return comps
 
 

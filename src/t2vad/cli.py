@@ -231,14 +231,14 @@ def cmd_evaluate(args) -> int:
     if calib is None:
         raise CommandError(f"{args.recon_model} carries no score calibration "
                            "(train it with --variant reconstruction)")
-    detectors, paths = {}, {}
+    detectors, paths = {detect.BASELINE: calib}, {}
     for path in args.detectors:
         model = load_detector(_require(path, "detector"))
         if model.kind in paths:
             raise CommandError(f"{paths[model.kind]} and {path} are both {model.kind} detectors")
         detectors[model.kind], paths[model.kind] = model, path
     effective = _effective(args)
-    report = run_benchmark(suite, t2v_model, recon_model, calib, detectors,
+    report = run_benchmark(suite, t2v_model, recon_model, detectors,
                            config_digest=config_digest(effective),
                            seeds={"master_seed": args.seed})
     if args.stamp:

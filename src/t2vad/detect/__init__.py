@@ -1,18 +1,19 @@
 """Five one-class detectors behind a uniform fit/score/threshold contract.
 
 All detectors consume z-standardized embeddings (per-dimension training
-statistics, stored with the model); the envelope detector (EE) reduces
-them by PCA inside its own fit and score. Every fit setting is a constant
-in its detector's module (iforest.TREES, lof.K, ocsvm.NU, ...);
-`DetectorConfig` holds only what `fit-detector` sets. Scores are oriented
-so that higher means more anomalous. The threshold rule is written once,
-here: `checked_quantile` admits a quantile q in (0, 1), `fitted_threshold`
-is the q-quantile of a method's fit-time scores, and a window scoring
-strictly above it is anomalous. The reconstruction baseline is a sixth
-kind, `BASELINE`, in `SPECS` but not in `KINDS`: it fits nothing and
+statistics, stored with the model, which must be finite and as wide as
+what is scored); EE reduces them by PCA inside its own fit and score.
+Every fit setting is a constant in its detector's module (iforest.TREES,
+lof.K, ocsvm.NU, ...); `DetectorConfig` holds only what `fit-detector`
+sets. Scores are oriented so that higher means more anomalous. The
+threshold rule is written once, here: `checked_quantile` admits a
+quantile q in (0, 1), `fitted_threshold` is the q-quantile of a method's
+fit-time scores, and a window scoring strictly above it is anomalous. The
+reconstruction baseline is a sixth kind, `BASELINE`, first in `SPECS`
+(the report's method order) but not in `KINDS`: it fits nothing and
 scores a window by the sum of its standardized (MSE, MAE, DTW)
-components, so `fit` and `score_many` run the same standardize, score
-and threshold path for all six methods.
+components, so `fit` and `score_many` run the same standardize, score and
+threshold path for all six methods.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ KINDS = {
 
 # The baseline's "embedding" is a window's three reconstruction components.
 BASELINE = "recon_ae"
-SPECS = {**KINDS, BASELINE: Kind(lambda z, seed: {}, lambda state, z: z.sum(axis=1),
-                                 lambda state, dim: state, ())}
+SPECS = {BASELINE: Kind(lambda z, seed: {}, lambda state, z: z.sum(axis=1),
+                        lambda state, dim: state, ()), **KINDS}
 
 __all__ = [
     "KINDS", "BASELINE", "SPECS", "DetectorConfig", "DetectorModel", "fit", "score_many",
@@ -125,6 +126,8 @@ def _finite_rows(x: np.ndarray) -> np.ndarray:
 
 def _transform(model: DetectorModel, x: np.ndarray) -> np.ndarray:
     x = _finite_rows(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    if x.shape[1] != model.scaler_mean.size:   # a (1,) scaler would broadcast silently
+        raise ValueError(f"{model.kind} input is {x.shape}, its scaler {model.scaler_mean.shape}")
     z = x - model.scaler_mean
     z /= model.scaler_std                   # bitwise (x - mean) / std, one temporary
     return z
@@ -147,12 +150,16 @@ def fit(kinds: Collection[str], x: np.ndarray,
         if kind not in SPECS:
             raise ValueError(f"unknown detector kind {kind!r}")
     x = np.require(x, np.float64, "W")
-    if x.ndim != 2:
-        raise ValueError("training data must be (n, d)")
+    if x.ndim != 2 or not x.size:
+        raise ValueError(f"training data must be a non-empty (n, d) array, not {x.shape}")
     _finite_rows(x)
 
-    mean = x.mean(axis=0)
-    std = np.maximum(x.std(axis=0), 1e-12)
+    with np.errstate(over="ignore"):        # an overflow raises below, by feature
+        mean, std = x.mean(axis=0), x.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:                            # else every standardized value would be 0
+        raise ValueError(f"feature {bad[0]}: training mean or std is not finite")
+    std = np.maximum(std, 1e-12)
     x -= mean
     x /= std                                # bitwise (x - mean) / std
     x.flags.writeable = False

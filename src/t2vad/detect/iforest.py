@@ -67,7 +67,7 @@ def _tied_features(x: np.ndarray) -> np.ndarray:
     step = max(1, BLOCK // max(n, 1))
     distinct = np.empty(d, dtype=bool)
     for start in range(0, d, step):
-        block = np.ascontiguousarray(x[:, start:start + step].T)   # each column sorts in place
+        block = np.array(x[:, start:start + step].T, order="C")   # a copy: it sorts in place
         block.sort(axis=1)
         distinct[start:start + step] = (block[:, 1:] > block[:, :-1]).all(axis=1)
     return np.flatnonzero(~distinct)
@@ -146,6 +146,8 @@ def fit_iforest(x: np.ndarray, n_trees: int, subsample: int, rng) -> dict:
     """
     x = np.ascontiguousarray(x)
     n = len(x)
+    if n < 2:                       # c(1) = 0 would score every window NaN
+        raise ValueError(f"the isolation forest needs at least 2 training points, got {n}")
     size = min(subsample, n)
     max_depth = int(math.ceil(math.log2(max(size, 2))))
     tied = _tied_features(x)
@@ -206,8 +208,8 @@ def checked_state(state: dict, dim: int) -> dict:
     if not all(isinstance(v, np.ndarray) and v.ndim == 1 and np.isfinite(v).all()
                for v in arrays.values()):
         raise ValueError(f"iforest state needs finite 1-D arrays {sorted(arrays)}")
-    if type(state.get("subsample")) is not int or state["subsample"] < 1:
-        raise ValueError("iforest subsample must be a positive integer")
+    if type(state.get("subsample")) is not int or state["subsample"] < 2:
+        raise ValueError("iforest subsample must be an integer >= 2")
     n_nodes = len(arrays["feature"])
     if any(len(arrays[key]) != n_nodes for key in NODE_ARRAYS):
         raise ValueError(f"iforest node arrays {list(NODE_ARRAYS)} differ in length")

@@ -21,8 +21,7 @@ from .autoenc import TrainedModel, embed_many, score_components_many
 from .inject import TestSuite
 from .pipeline import NOISE_TAGS, WindowSet
 
-METHOD_BASELINE = detect.BASELINE
-METHODS = (METHOD_BASELINE, *(f"t2v_{kind}" for kind in detect.KINDS))
+METHODS = tuple(kind if kind == detect.BASELINE else f"t2v_{kind}" for kind in detect.SPECS)
 
 
 @dataclass(frozen=True)
@@ -76,23 +75,20 @@ def _set_composition(windows: WindowSet, rows: np.ndarray) -> dict:
 
 
 def score_table(suite: TestSuite, t2v_model: TrainedModel, recon_model: TrainedModel,
-                recon_calib: detect.DetectorModel, detectors: dict[str, detect.DetectorModel]
-                ) -> tuple[np.ndarray, np.ndarray]:
+                detectors: dict[str, detect.DetectorModel]) -> tuple[np.ndarray, np.ndarray]:
     """(scores, thresholds): every report score, each computed once.
 
-    The baseline components, the embedding and every detector run once over
-    the m windows of `suite.windows`. `scores` is float64 (len(METHODS), m)
-    with a row per method and a column per window, so a set's scores are
-    the columns at its rows; `thresholds` holds each method's threshold.
-    A NaN/Inf window raises ValueError naming the first set in KEYS order
-    that holds one and its index there; a reconstruction that turns NaN/Inf
-    is named by its column.
+    The baseline components, the embedding and each `SPECS` kind's model in
+    `detectors` run once over the m windows of `suite.windows`. `scores` is
+    float64 (len(METHODS), m), a row per method in SPECS order and a column
+    per window, so a set's scores are the columns at its rows; `thresholds`
+    holds each method's. A NaN/Inf window raises ValueError naming the first
+    set in KEYS order that holds one and its index there; a reconstruction
+    that turns NaN/Inf is named by its column.
     """
     if t2v_model is None or recon_model is None:
         raise ValueError("missing trained model")
-    if recon_calib is None:
-        raise ValueError("missing baseline score calibration")
-    missing = [k for k in detect.KINDS if k not in detectors]
+    missing = [k for k in detect.SPECS if k not in detectors]
     if missing:
         raise ValueError(f"missing detectors: {missing}")
     windows = suite.windows.data
@@ -102,23 +98,22 @@ def score_table(suite: TestSuite, t2v_model: TrainedModel, recon_model: TrainedM
         if hits.size:
             raise ValueError(f"{key} window {hits[0]} contains NaN/Inf")
 
-    base_scores = detect.score_many(recon_calib, score_components_many(recon_model, windows))
+    components = score_components_many(recon_model, windows)
     embeddings = embed_many(t2v_model, windows)
-    scores = np.array([base_scores, *(detect.score_many(detectors[kind], embeddings)
-                                      for kind in detect.KINDS)], dtype=np.float64)
-    thresholds = np.array([recon_calib.threshold,
-                           *(detectors[kind].threshold for kind in detect.KINDS)])
+    scores = np.array([detect.score_many(detectors[kind],
+                                         components if kind == detect.BASELINE else embeddings)
+                       for kind in detect.SPECS], dtype=np.float64)
+    thresholds = np.array([detectors[kind].threshold for kind in detect.SPECS])
     return scores, thresholds
 
 
 def run_benchmark(suite: TestSuite, t2v_model: TrainedModel, recon_model: TrainedModel,
-                  recon_calib: detect.DetectorModel,
                   detectors: dict[str, detect.DetectorModel],
                   config_digest: str = "", seeds: dict | None = None) -> EvalReport:
     """Evaluate the baseline plus every detector over all four test sets:
     each cell counts a set's columns of `score_table`'s row for the method
     above that method's threshold against the set's labels."""
-    scores, thresholds = score_table(suite, t2v_model, recon_model, recon_calib, detectors)
+    scores, thresholds = score_table(suite, t2v_model, recon_model, detectors)
     results: dict[str, dict[str, dict]] = {method: {} for method in METHODS}
     composition = {}
     anomalous = suite.windows.anomalous
@@ -146,7 +141,7 @@ def _entry(c: Confusion) -> dict:
 # ---------------------------------------------------------------------------
 
 _METHOD_TITLES = {
-    METHOD_BASELINE: "Reconstruction AE (baseline)",
+    detect.BASELINE: "Reconstruction AE (baseline)",
     "t2v_iforest": "T2V embeddings + IF",
     "t2v_ee": "T2V embeddings + EE",
     "t2v_ocsvm": "T2V embeddings + OCSVM",
@@ -155,7 +150,7 @@ _METHOD_TITLES = {
 }
 
 _BANDS = [
-    (METHOD_BASELINE, "t2v_iforest"),
+    (detect.BASELINE, "t2v_iforest"),
     ("t2v_ee", "t2v_ocsvm"),
     ("t2v_lof", "t2v_deep_svdd"),
 ]

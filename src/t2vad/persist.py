@@ -28,6 +28,8 @@ A model file stores its `AEConfig` and its network's flat parameter vector
 the config with `autoenc.build_model` and fills the vector in, so the
 config is the one description of the architecture. A Deep SVDD detector
 stores its net the same way, and `deepsvdd.checked_state` rebuilds it.
+A model's `calibration` is the baseline's detector document (kind
+`recon_ae`, empty `state`), written and read as a detector file's is.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import ndtensor as nd
 from .autoenc import AEConfig, TrainedModel, build_model
-from .detect import BASELINE, KINDS, DetectorConfig, DetectorModel
+from .detect import BASELINE, KINDS, SPECS, DetectorConfig, DetectorModel
 from .evaluate import METHODS, EvalReport
 from .inject import TestSuite
 from .pipeline import Corpus, WindowSet, anomalous_flags
@@ -400,32 +402,16 @@ def save_model(path: str, model: TrainedModel,
         "config": asdict(model.config),
         "loss_curve": model.loss_curve,
         "params": model.stack.params,
-        "calibration": None if calibration is None else {
-            "means": calibration.scaler_mean,
-            "stds": calibration.scaler_std,
-            "threshold": calibration.threshold,
-            "threshold_quantile": calibration.config.threshold_quantile,
-        },
+        "calibration": None if calibration is None else _detector_doc(calibration),
     }
     atomic_write_json(path, doc)
 
 
-def _check_scaling(mean: np.ndarray, std: np.ndarray, threshold: float, shape: tuple,
-                   what: str) -> None:
-    """A SchemaError unless `mean` and `std` are finite arrays of `shape`, `std`
-    is positive and `threshold` finite. Otherwise scores would broadcast or turn
-    NaN, and a NaN score or threshold reads as normal."""
-    if not (mean.shape == std.shape == shape and np.isfinite(mean).all()
-            and np.isfinite(std).all() and (std > 0).all() and math.isfinite(threshold)):
-        raise SchemaError(f"{what} needs finite {shape} means, positive finite {shape} "
-                          f"stds and a finite threshold")
-
-
 def load_model(path: str) -> tuple[TrainedModel, DetectorModel | None]:
     """The network is rebuilt from `config` by `autoenc.build_model`, and
-    `params` must hold exactly its parameter vector. A `calibration` loads
-    as the baseline's `DetectorModel`. Keys it does not read (older files'
-    `val_dtw`, `encoder_strides`) are ignored."""
+    `params` must hold exactly its parameter vector. A `calibration` is a
+    detector document of the baseline's kind. Keys it does not read (older
+    files' `val_dtw`, `encoder_strides`) are ignored."""
     doc = load_json_checked(path, "model")
     cfg = _construct(AEConfig, _field(doc, "config", dict), "model config")
     n, f = _field(doc, "n", int), _field(doc, "f", int)
@@ -439,13 +425,7 @@ def load_model(path: str) -> tuple[TrainedModel, DetectorModel | None]:
     model.stack.params[...] = params
     model.loss_curve = _field(doc, "loss_curve", list)
     c = _field(doc, "calibration", (dict, _NONE))
-    if c is None:
-        return model, None
-    means, stds = (decode_array(_field(c, key, dict)) for key in ("means", "stds"))
-    threshold, q = (_field(c, key, _NUMBER) for key in ("threshold", "threshold_quantile"))
-    calib_cfg = _construct(DetectorConfig, {"threshold_quantile": q}, "calibration")
-    _check_scaling(means, stds, threshold, (3,), "calibration")
-    return model, DetectorModel(BASELINE, means, stds, {}, threshold, calib_cfg)
+    return model, None if c is None else _detector(c, path, (BASELINE,))
 
 
 # ---------------------------------------------------------------------------
@@ -474,37 +454,51 @@ def _finite_state(state: dict, kind: str) -> dict:
     return state
 
 
-def save_detector(path: str, model: DetectorModel) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "detector",
+def _detector_doc(model: DetectorModel) -> dict:
+    """The fields a `DetectorModel` is stored as, in a detector file and in a
+    model file's `calibration` alike."""
+    return {
         "detector": model.kind,
         "scaler_mean": model.scaler_mean,
         "scaler_std": model.scaler_std,
         "threshold": model.threshold,
         "config": asdict(model.config),
-        "state": {key: _encode_value(model.state[key]) for key in KINDS[model.kind].stored},
+        "state": {key: _encode_value(model.state[key]) for key in SPECS[model.kind].stored},
     }
-    atomic_write_json(path, doc)
 
 
-def load_detector(path: str) -> DetectorModel:
-    """A `config` key that `DetectorConfig` lacks (an older file's `svdd_lr`,
-    say) is a SchemaError. State entries outside the kind's `stored` tuple
-    and a top-level `train_scores` (older files carry both) are ignored."""
-    doc = load_json_checked(path, "detector")
+def save_detector(path: str, model: DetectorModel) -> None:
+    atomic_write_json(path, {"schema_version": SCHEMA_VERSION, "kind": "detector",
+                             **_detector_doc(model)})
+
+
+def _detector(doc, path: str, kinds) -> DetectorModel:
+    """`doc`'s `DetectorModel`; a SchemaError unless its kind is in `kinds`, its
+    scaler mean and std are finite and of one 1-D shape, the std positive and
+    the threshold finite (a NaN score or threshold reads as normal), and
+    `DetectorConfig` has every `config` key (an old file's `svdd_lr` fails).
+    State entries outside the kind's `stored` tuple and a top-level
+    `train_scores` (older files carry both) are ignored."""
     kind = _field(doc, "detector", str)
-    if kind not in KINDS:
+    if kind not in kinds:
         raise SchemaError(f"{path}: unknown detector kind {kind!r}")
     cfg = _construct(DetectorConfig, _field(doc, "config", dict), "detector config")
     mean, std = (decode_array(_field(doc, key, dict)) for key in ("scaler_mean", "scaler_std"))
     threshold = _field(doc, "threshold", _NUMBER)
-    _check_scaling(mean, std, threshold, (mean.size,), "scaler")
+    shape = (mean.size,)
+    if not (mean.shape == std.shape == shape and np.isfinite(mean).all()
+            and np.isfinite(std).all() and (std > 0).all() and math.isfinite(threshold)):
+        raise SchemaError(f"scaler needs finite {shape} means, positive finite {shape} "
+                          f"stds and a finite threshold")
     state = {key: _decode_value(value) for key, value in _field(doc, "state", dict).items()
-             if key in KINDS[kind].stored}
-    state = _construct(KINDS[kind].checked_state, {"state": _finite_state(state, kind),
+             if key in SPECS[kind].stored}
+    state = _construct(SPECS[kind].checked_state, {"state": _finite_state(state, kind),
                                                    "dim": mean.size}, f"{kind} state")
     return DetectorModel(kind, mean, std, state, threshold, config=cfg)
+
+
+def load_detector(path: str) -> DetectorModel:
+    return _detector(load_json_checked(path, "detector"), path, KINDS)
 
 
 # ---------------------------------------------------------------------------

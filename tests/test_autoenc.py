@@ -291,9 +291,18 @@ def test_recon_score_monotone_in_each_component():
 
 def test_recon_score_requires_calibration(small_e2e):
     e = small_e2e
-    with pytest.raises(ValueError, match="missing baseline score calibration"):
-        run_benchmark(e["suite"], e["t2v_model"], e["recon_model"], recon_calib=None,
-                      detectors=e["detectors"])
+    with pytest.raises(ValueError, match=r"missing detectors: \['recon_ae'\]"):
+        run_benchmark(e["suite"], e["t2v_model"], e["recon_model"], detectors=e["detectors"])
+
+
+def test_components_that_overflow_are_named_by_their_window(small_e2e, monkeypatch):
+    """A finite window scaled by 1e160 reconstructs finite, but its MSE and DTW
+    overflow: the error names that window, in a later chunk too."""
+    monkeypatch.setattr(autoenc, "SCORE_CHUNK", 2)
+    data = small_e2e["corpus"].test_windows.data[:4].copy()
+    data[3] *= 1e160
+    with pytest.raises(ValueError, match=r"components of window 3 overflow: \[inf"):
+        score_components_many(small_e2e["recon_model"], data)
 
 
 def test_big_step_scores_above_training_quantile(small_e2e):

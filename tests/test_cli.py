@@ -1,6 +1,9 @@
 import argparse
+import importlib
 import json
+import math
 import re
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -14,6 +17,9 @@ from t2vad.detect import DetectorConfig, deepsvdd
 from t2vad.inject import InjectionSpec
 from t2vad.persist import load_corpus, load_report
 from t2vad.pipeline import SynthParams
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(args):
@@ -94,7 +100,7 @@ def test_missing_artifact_names_it(workdir, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
-def test_evaluate_and_report(workdir, capsys):
+def test_evaluate_and_report(workdir, capsys, monkeypatch):
     out = workdir / "report.json"
     code = run(["evaluate", "--suite", workdir / "suite.json",
                 "--t2v-model", workdir / "t2v.json",
@@ -110,6 +116,20 @@ def test_evaluate_and_report(workdir, capsys):
     assert run(["report", "--report", out]) == 0
     text = capsys.readouterr().out
     assert "Reconstruction AE (baseline)" in text and "AN-4F" in text
+
+    # the benchmark's output checks read these files as JSON: a format change
+    # that breaks them fails here first
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    workloads = importlib.import_module("workloads")
+    results = workloads._load(str(out))["results"]
+    split = workloads._load(str(workdir / "corpus.json"))["split"]
+    assert workloads.grid_present(results)
+    assert workloads.totals_match(results, len(split["test"]))
+    assert all(math.isfinite(workloads._load(str(p))["threshold"])
+               for p in detector_paths(workdir))
+    assert all(isinstance(workloads._load(str(workdir / name))["loss_curve"], list)
+               for name in ("t2v.json", "recon.json"))
 
 
 @pytest.mark.parametrize("text", ["[]", "3", "null"])

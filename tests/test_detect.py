@@ -31,7 +31,7 @@ def gaussian_blob(n=200, d=8, seed=0, shift=0.0):
 def fit_scores(model, x):
     """The scores of the training embeddings `x` that `detect.fit` took
     `model`'s threshold from: LOF's in-sample values, else `score_many`."""
-    spec = detect.KINDS[model.kind]
+    spec = detect.SPECS[model.kind]
     z = (x - model.scaler_mean) / model.scaler_std
     return (spec.train_scores or spec.score)(model.state, z)
 
@@ -742,26 +742,43 @@ def test_an_empty_batch_gives_an_empty_result(small_e2e, what):
 # ---------------------------------------------------------------------------
 
 def degenerate_sets(d=6):
-    """name -> (n, d) training set; the sizes are each kind's minimum n and one below
-    it: LOF k+1 (k=20), Deep SVDD 32, EE d+1 (PCA keeps all d dims here)."""
+    """name -> (n, d) training set. The sizes are each kind's minimum n and one
+    below it: LOF k+1 (k=20), Deep SVDD 32, EE d+1 (PCA keeps all d dims
+    here), the isolation forest 2, and 1 for OCSVM and the baseline."""
+    signed_zero = np.where(np.arange(48)[:, None] % 2, -0.0, 0.0)
     sets = {"duplicated-rows": np.repeat(gaussian_blob(n=24, d=d, seed=40), 2, axis=0),
             "one-constant-feature": np.where(np.arange(d) == 2, 1.5, gaussian_blob(48, d, 41)),
-            "all-constant": np.full((48, d), 0.7)}
-    for n in (21, 20, 32, 31, d + 1, d):
+            "all-constant": np.full((48, d), 0.7),
+            "d=1": gaussian_blob(48, 1, 42),
+            "near-1e154": 1e154 * gaussian_blob(48, d, 43),
+            "near-1e-300": 1e-300 * gaussian_blob(48, d, 44),
+            "signed-zero-column": np.where(np.arange(d) == 1, signed_zero,
+                                           gaussian_blob(48, d, 45))}
+    for n in (21, 20, 32, 31, d + 1, d, 2, 1, 0):
         sets[f"n={n}"] = gaussian_blob(n=n, d=d, seed=n)
     return sets
 
 
 def expected_error(kind, name, n):
-    """The ValueError a kind raises on a degenerate set, or None if it must fit."""
+    """The ValueError a kind raises on a degenerate set, or None if it must fit.
+
+    Near 1e-300 every std is floored at 1e-12, so LOF, OCSVM and Deep SVDD
+    score every row the same: finite, so within the contract.
+    """
+    if n == 0:
+        return r"non-empty \(n, d\) array, not \(0, 6\)"
+    if name == "near-1e154":        # the std overflows
+        return "feature 0: training mean or std is not finite"
+    if kind == "iforest" and n < 2:
+        return "at least 2 training points, got 1"
     if kind == "lof" and n <= 20:
         return "more than k=20"
     if kind == "deep_svdd" and n < 32:
         return "at least 32"
     if kind == "ee":
-        if name == "all-constant":
+        if name in ("all-constant", "near-1e-300"):
             return "covariance rank 0 < requested dims 6"
-        if name == "one-constant-feature":
+        if name in ("one-constant-feature", "signed-zero-column"):
             return "covariance rank 5 < requested dims 6"
         if n <= 6:
             return "need more than 6 samples"
@@ -769,7 +786,7 @@ def expected_error(kind, name, n):
 
 
 @pytest.mark.parametrize("name", degenerate_sets())
-@pytest.mark.parametrize("kind", detect.KINDS)
+@pytest.mark.parametrize("kind", detect.SPECS)
 def test_degenerate_training_set_fits_finite_or_raises(kind, name):
     x = degenerate_sets()[name]
     cfg = DetectorConfig(seed=0)
@@ -781,6 +798,32 @@ def test_degenerate_training_set_fits_finite_or_raises(kind, name):
     model = detect.fit([kind], x.copy(), cfg)[kind]
     assert np.isfinite(model.threshold) and np.isfinite(fit_scores(model, x)).all()
     assert np.isfinite(detect.score_many(model, x)).all()
+
+
+@pytest.mark.parametrize("kind, name", [
+    (kind, name) for kind in detect.SPECS for name, x in degenerate_sets().items()
+    if expected_error(kind, name, len(x)) is None])
+def test_no_fit_writes_into_its_writeable_input(kind, name):
+    """Each kind's own fit, given a writeable array, leaves it as it was."""
+    x = degenerate_sets()[name]
+    given = x.copy()
+    detect.SPECS[kind].fit(given, 0)
+    assert given.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("kind", detect.SPECS)
+def test_score_many_rejects_input_of_another_width(kind):
+    """Rows narrower or wider than the scaler raise, naming both shapes; a (1,)
+    scaler does not broadcast over wider rows."""
+    x = gaussian_blob(n=48, d=6, seed=37)
+    model = detect.fit([kind], x.copy(), CFG)[kind]
+    for width in (5, 7):
+        with pytest.raises(ValueError, match=rf"{kind} input is \(4, {width}\), "
+                                             r"its scaler \(6,\)"):
+            detect.score_many(model, gaussian_blob(4, width, 38))
+    narrow = detect.fit([kind], x[:, :1].copy(), CFG)[kind]
+    with pytest.raises(ValueError, match=rf"{kind} input is \(48, 6\), its scaler \(1,\)"):
+        detect.score_many(narrow, x)
 
 
 def test_lof_scores_points_off_an_all_constant_training_set_finite_and_above_the_threshold():

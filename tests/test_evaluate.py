@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from t2vad import detect, evaluate
 from t2vad.autoenc import embed_many, score_components_many
-from t2vad.evaluate import (METHOD_BASELINE, METHODS, Confusion, EvalReport, _entry,
-                            confusion, format_report_table, prf1, run_benchmark, score_table)
+from t2vad.evaluate import (METHODS, Confusion, EvalReport, _entry, confusion,
+                            format_report_table, prf1, run_benchmark, score_table)
 from t2vad.inject import TestSuite
 from t2vad.pipeline import WindowSet
 
@@ -109,9 +109,7 @@ def test_adding_true_positive_never_decreases_recall(tp, fp, tn, fn):
 # ---------------------------------------------------------------------------
 
 def test_benchmark_grid_has_72_numbers(small_e2e):
-    report = run_benchmark(small_e2e["suite"], small_e2e["t2v_model"],
-                           small_e2e["recon_model"], small_e2e["calib"],
-                           small_e2e["detectors"])
+    report = run_benchmark(*bench_args(small_e2e))
     count = sum(1 for method in report.results.values()
                 for entry in method.values()
                 for metric in ("precision", "recall", "f1")
@@ -121,8 +119,8 @@ def test_benchmark_grid_has_72_numbers(small_e2e):
 
 def test_benchmark_deterministic(small_e2e):
     kw = dict(suite=small_e2e["suite"], t2v_model=small_e2e["t2v_model"],
-              recon_model=small_e2e["recon_model"], recon_calib=small_e2e["calib"],
-              detectors=small_e2e["detectors"], config_digest="abc")
+              recon_model=small_e2e["recon_model"], detectors=all_detectors(small_e2e),
+              config_digest="abc")
     a = run_benchmark(**kw)
     b = run_benchmark(**kw)
     assert a.results == b.results
@@ -130,23 +128,21 @@ def test_benchmark_deterministic(small_e2e):
 
 
 def test_benchmark_missing_detector_rejected(small_e2e):
-    partial = dict(small_e2e["detectors"])
+    partial = all_detectors(small_e2e)
     del partial["lof"]
     with pytest.raises(ValueError, match="missing detectors.*lof"):
         run_benchmark(small_e2e["suite"], small_e2e["t2v_model"],
-                      small_e2e["recon_model"], small_e2e["calib"], partial)
+                      small_e2e["recon_model"], partial)
 
 
 def test_benchmark_missing_model_rejected(small_e2e):
     with pytest.raises(ValueError, match="missing trained model"):
         run_benchmark(small_e2e["suite"], None, small_e2e["recon_model"],
-                      small_e2e["calib"], small_e2e["detectors"])
+                      all_detectors(small_e2e))
 
 
 def test_benchmark_embeds_suite_composition(small_e2e):
-    report = run_benchmark(small_e2e["suite"], small_e2e["t2v_model"],
-                           small_e2e["recon_model"], small_e2e["calib"],
-                           small_e2e["detectors"])
+    report = run_benchmark(*bench_args(small_e2e))
     for key in TestSuite.KEYS:
         comp = report.composition[key]
         assert comp["n"] == len(small_e2e["suite"].sets[key])
@@ -157,9 +153,7 @@ def test_benchmark_embeds_suite_composition(small_e2e):
 
 
 def test_report_timestamp_defaults_to_none(small_e2e):
-    report = run_benchmark(small_e2e["suite"], small_e2e["t2v_model"],
-                           small_e2e["recon_model"], small_e2e["calib"],
-                           small_e2e["detectors"])
+    report = run_benchmark(*bench_args(small_e2e))
     assert report.timestamp is None
 
 
@@ -172,14 +166,15 @@ def set_windows(suite, key):
     return suite.windows.subset(suite.sets[key])
 
 
-def per_set_results(suite, t2v_model, recon_model, calib, detectors):
+def per_set_results(suite, t2v_model, recon_model, detectors):
     """The report grid scored set by set, every window of every set."""
     results = {method: {} for method in METHODS}
     for key in TestSuite.KEYS:
         windows = set_windows(suite, key)
         labels = windows.anomalous
+        calib = detectors[detect.BASELINE]
         base = detect.score_many(calib, score_components_many(recon_model, windows.data))
-        results[METHOD_BASELINE][key] = _entry(confusion(base > calib.threshold, labels))
+        results[detect.BASELINE][key] = _entry(confusion(base > calib.threshold, labels))
         embeddings = embed_many(t2v_model, windows.data)
         for kind in detect.KINDS:
             model = detectors[kind]
@@ -188,9 +183,14 @@ def per_set_results(suite, t2v_model, recon_model, calib, detectors):
     return results
 
 
+def all_detectors(e2e):
+    """The model of every `detect.SPECS` kind: the baseline's calibration and
+    the five detectors."""
+    return {detect.BASELINE: e2e["calib"], **e2e["detectors"]}
+
+
 def bench_args(e2e, suite=None):
-    return (suite or e2e["suite"], e2e["t2v_model"], e2e["recon_model"], e2e["calib"],
-            e2e["detectors"])
+    return suite or e2e["suite"], e2e["t2v_model"], e2e["recon_model"], all_detectors(e2e)
 
 
 def test_benchmark_equals_the_per_set_loop(small_e2e):
@@ -207,19 +207,12 @@ def test_a_window_scoring_at_its_threshold_counts_as_normal(small_e2e, method):
     probe = WindowSet(e["corpus"].test_windows.data[:1])
     suite = TestSuite(probe, {key: [0] for key in TestSuite.KEYS}, seed=0)
     kind = method.removeprefix("t2v_")
-    if method == METHOD_BASELINE:
-        score = detect.score_many(e["calib"],
-                                  score_components_many(e["recon_model"], probe.data))[0]
-    else:
-        score = detect.score_many(e["detectors"][kind],
-                                  embed_many(e["t2v_model"], probe.data))[0]
+    scores, _ = score_table(*bench_args(e, suite))
+    score = scores[METHODS.index(method), 0]
     for threshold, fp_tn in ((score, (0, 1)), (np.nextafter(score, -np.inf), (1, 0))):
-        calib, detectors = e["calib"], dict(e["detectors"])
-        if method == METHOD_BASELINE:
-            calib = replace(calib, threshold=threshold)
-        else:
-            detectors[kind] = replace(detectors[kind], threshold=threshold)
-        report = run_benchmark(suite, e["t2v_model"], e["recon_model"], calib, detectors)
+        detectors = all_detectors(e)
+        detectors[kind] = replace(detectors[kind], threshold=threshold)
+        report = run_benchmark(suite, e["t2v_model"], e["recon_model"], detectors)
         for key in TestSuite.KEYS:
             counts = report.results[method][key]["confusion"]
             assert (counts["tp"], counts["fn"], counts["fp"], counts["tn"]) == (0, 0, *fp_tn)

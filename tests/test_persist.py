@@ -123,6 +123,34 @@ def test_model_roundtrip_with_calibration(tmp_path, small_e2e):
         detect.score_many(small_e2e["calib"], score_components_many(small_e2e["recon_model"], w)))
 
 
+def test_a_calibration_is_stored_as_a_detector_file_is(saved_artifacts):
+    """recon.json's `calibration` holds a detector file's fields, less its header."""
+    calibration = json.loads((saved_artifacts / "recon.json").read_bytes())["calibration"]
+    detector = json.loads((saved_artifacts / "det.lof.json").read_bytes())
+    assert sorted(calibration) == sorted(set(detector) - {"checksum", "kind", "schema_version"})
+    assert (calibration["detector"], calibration["state"]) == (detect.BASELINE, {})
+
+
+def test_a_one_component_calibration_round_trips_and_scores_only_its_width(tmp_path,
+                                                                           small_e2e):
+    """A baseline fitted on one component loads with its (1,) scaler arrays;
+    scoring the (m, 3) components with it is a ValueError, not the (1,)
+    scaler broadcast over three columns."""
+    recon = small_e2e["recon_model"]
+    comps = score_components_many(recon, small_e2e["corpus"].train_windows.data)
+    one = detect.fit([detect.BASELINE], comps[:, :1])[detect.BASELINE]
+    path = tmp_path / "recon.json"
+    save_model(path, recon, one)
+    _, calib = load_model(path)
+    assert calib.scaler_mean.shape == calib.scaler_std.shape == (1,)
+    assert (calib.threshold, calib.config) == (one.threshold, one.config)
+    assert detect.score_many(calib, comps[:, :1]).tobytes() == \
+        detect.score_many(one, comps[:, :1]).tobytes()
+    with pytest.raises(ValueError, match=rf"recon_ae input is \({len(comps)}, 3\), "
+                                         r"its scaler \(1,\)"):
+        detect.score_many(calib, comps)
+
+
 @pytest.mark.parametrize("name", ["t2v_model", "recon_model"])
 def test_model_file_with_the_dropped_fields_still_loads(tmp_path, small_e2e, name):
     """Older model files carry `val_dtw` and `encoder_strides`; the loader ignores them."""
@@ -457,7 +485,8 @@ def saved_artifacts(tmp_path_factory, small_e2e):
         save_detector(d / f"det.{kind}.json", model)
     save_report(d / "report.json", run_benchmark(
         small_e2e["suite"], small_e2e["t2v_model"], small_e2e["recon_model"],
-        small_e2e["calib"], small_e2e["detectors"], "digest", {"master_seed": 0}))
+        {detect.BASELINE: small_e2e["calib"], **small_e2e["detectors"]}, "digest",
+        {"master_seed": 0}))
     return d
 
 
@@ -608,18 +637,21 @@ ARTIFACT_FIELD_MUTATIONS = {
         "recon.json", lambda d: d["config"].update(encoder_stride=0),
         "bad model config: filters, kernel size and encoder stride must be >= 1"),
     "recon-calibration-means-removed": (
-        "recon.json", lambda d: d["calibration"].pop("means"), "'means'"),
+        "recon.json", lambda d: d["calibration"].pop("scaler_mean"), "'scaler_mean'"),
     "recon-calibration-threshold-removed": (
         "recon.json", lambda d: d["calibration"].pop("threshold"), "'threshold'"),
     "recon-calibration-means-broadcastable": (
-        "recon.json", lambda d: d["calibration"].update(means=encode_array(np.zeros(1))),
-        r"calibration needs finite \(3,\) means"),
+        "recon.json", lambda d: d["calibration"].update(scaler_mean=encode_array(np.zeros(1))),
+        r"scaler needs finite \(1,\) means, positive finite \(1,\) stds"),
     "recon-calibration-threshold-nan": (
         "recon.json", lambda d: d["calibration"].update(threshold=math.nan),
-        "calibration needs .* a finite threshold"),
+        "scaler needs .* a finite threshold"),
     "recon-calibration-threshold-quantile-one": (
-        "recon.json", lambda d: d["calibration"].update(threshold_quantile=1.0),
-        r"bad calibration: threshold quantile must be in \(0, 1\)"),
+        "recon.json", lambda d: d["calibration"]["config"].update(threshold_quantile=1.0),
+        r"bad detector config: threshold quantile must be in \(0, 1\)"),
+    "recon-calibration-of-a-detector-kind": (
+        "recon.json", lambda d: d["calibration"].update(detector="lof"),
+        "unknown detector kind 'lof'"),
     "detector-kind-the-baseline": ("det.lof.json", lambda d: d.update(detector="recon_ae"),
                                    "unknown detector kind 'recon_ae'"),
     "detector-scaler-std-shape-removed": (
@@ -694,6 +726,8 @@ ARTIFACT_FIELD_MUTATIONS = {
             "feature", 0, d["scaler_mean"]["shape"][0])(d), "out of range"),
     "iforest-feature-not-an-integer": ("det.iforest.json", set_forest_entry("feature", 0, 0.25),
                                        "non-integer"),
+    "iforest-subsample-one": ("det.iforest.json", lambda d: d["state"].update(subsample=1),
+                              "subsample must be an integer >= 2"),
     "iforest-roots-out-of-range": ("det.iforest.json", set_forest_entry("roots", 1, -1),
                                    "out of range"),
     "iforest-path-nan": ("det.iforest.json", set_forest_entry("path", 0, np.nan), "finite"),
@@ -922,8 +956,8 @@ def test_suite_round_trip_scores_the_same(tmp_path, small_e2e):
     suite = small_e2e["suite"]
     path = tmp_path / "suite.json"
     save_testsuite(path, suite)
-    fitted = (small_e2e["t2v_model"], small_e2e["recon_model"], small_e2e["calib"],
-              small_e2e["detectors"])
+    fitted = (small_e2e["t2v_model"], small_e2e["recon_model"],
+              {detect.BASELINE: small_e2e["calib"], **small_e2e["detectors"]})
     assert run_benchmark(load_testsuite(path), *fitted) == run_benchmark(suite, *fitted)
     stored = json.loads(path.read_bytes())["windows"]["payload"]["shape"]
     assert stored == list(suite.windows.data.shape)
@@ -940,8 +974,8 @@ def test_a_loaded_suite_holds_one_window_array_and_scores_bit_for_bit_as_built(t
     loaded = load_testsuite(path)
     arrays = list(loaded.sets.values())
     assert all(a.ndim == 1 and a.dtype == np.intp for a in arrays) and len(arrays) == 4
-    fitted = (small_e2e["t2v_model"], small_e2e["recon_model"], small_e2e["calib"],
-              small_e2e["detectors"])
+    fitted = (small_e2e["t2v_model"], small_e2e["recon_model"],
+              {detect.BASELINE: small_e2e["calib"], **small_e2e["detectors"]})
     built, read = score_table(suite, *fitted), score_table(loaded, *fitted)
     for a, b in zip(built, read):
         assert a.tobytes() == b.tobytes()
@@ -954,8 +988,8 @@ def test_loading_and_scoring_a_suite_holds_its_windows_once(tmp_path, small_e2e,
     alone adds 0.6 times."""
     path = tmp_path / "suite.json"
     save_testsuite(path, small_e2e["suite"])
-    fitted = (small_e2e["t2v_model"], small_e2e["recon_model"], small_e2e["calib"],
-              small_e2e["detectors"])
+    fitted = (small_e2e["t2v_model"], small_e2e["recon_model"],
+              {detect.BASELINE: small_e2e["calib"], **small_e2e["detectors"]})
     loaded = load_testsuite(path)
     scoring = traced_peak(score_table, loaded, *fitted)
     both = traced_peak(lambda: score_table(load_testsuite(path), *fitted))
