@@ -34,42 +34,61 @@ from .ocsvm import default_gamma, fit_ocsvm, rbf_kernel, score_ocsvm
 
 
 class Kind(NamedTuple):
-    """How one detector kind fits, scores, checks a state read from a file,
-    reports its training scores and which state entries its file stores."""
+    """How one detector kind fits and scores, and the form of each state entry
+    its file stores: a tuple of dimension names is a finite float array with
+    one axis per name, each name of one size across the state (`"dim"` is
+    the scaler width); `int` an int, `float` a finite number and `list` a
+    list of finite numbers, each number within float64's range and JSON
+    true/false no number. `check` takes a state read from a file and the
+    sizes its names took, and checks what no form can say."""
 
     fit: Callable            # (z, seed) -> state
     score: Callable          # (state, z) -> scores, higher = more anomalous
-    checked_state: Callable  # (state, dim) -> state read from a file, or ValueError
-    stored: tuple            # the state entries a detector file holds
+    stored: dict             # {entry: form} of the state a detector file holds
+    check: Callable = lambda state, sizes: state   # (state, sizes) -> state read from a file
     train_scores: Callable | None = None   # (state, z) -> scores; None: score(state, z)
+
+
+def _require(state: dict, ok: bool, kind: str, key: str, want: str) -> dict:
+    """`state`; a ValueError naming its entry `key` unless `ok`."""
+    if not ok:
+        raise ValueError(f"{kind} state entries [{key!r}] are missing or misshapen (want {want})")
+    return state
 
 
 # The fit entries look `fit_<kind>` up in this module when called, so a
 # wrapper later bound to that name (a profiler's, say) sees every fit.
-# `stored` is what scoring and `checked_state` read, plus the `iterations`
-# and `loss_curve` diagnostics.
+# `stored` is what scoring and `check` read, plus the `iterations` and
+# `loss_curve` diagnostics.
 KINDS = {
     "iforest": Kind(
         lambda z, seed: fit_iforest(z, iforest.TREES, iforest.SUBSAMPLE, make_rng(seed)),
-        score_iforest, iforest.checked_state, (*iforest.NODE_ARRAYS, "roots", "subsample")),
+        score_iforest, {**dict.fromkeys(iforest.NODE_ARRAYS, ("nodes",)), "roots": ("trees",),
+                        "subsample": int}, iforest.checked_state),
     "lof": Kind(
-        lambda z, seed: fit_lof(z, lof.K), score_lof, lof.checked_state,
-        ("x", "k", "kdist", "lrd"), train_scores=lambda state, z: state["train_lof"]),
-    "ocsvm": Kind(lambda z, seed: fit_ocsvm(z, ocsvm.NU), score_ocsvm,
-                  ocsvm.checked_state, ("sv", "alpha", "rho", "gamma", "iterations")),
+        lambda z, seed: fit_lof(z, lof.K), score_lof,
+        {"x": ("n", "dim"), "k": int, "kdist": ("n",), "lrd": ("n",)},
+        lambda state, sizes: _require(state, 1 <= state["k"] < sizes["n"], "lof", "k",
+                                      "k in [1, n)"),
+        train_scores=lambda state, z: state["train_lof"]),
+    "ocsvm": Kind(
+        lambda z, seed: fit_ocsvm(z, ocsvm.NU), score_ocsvm,
+        {"sv": ("s", "dim"), "alpha": ("s",), "rho": float, "gamma": float, "iterations": int},
+        lambda state, sizes: _require(state, state["gamma"] > 0, "ocsvm", "gamma",
+                                      "gamma > 0")),
     "ee": Kind(
-        lambda z, seed: fit_ee(z, ee.PCA_DIMS, ee.N_STARTS, make_rng(seed)),
-        score_ee, ee.checked_state, ("pca_basis", "pca_mean", "mu", "cov")),
+        lambda z, seed: fit_ee(z, ee.PCA_DIMS, ee.N_STARTS, make_rng(seed)), score_ee,
+        {"pca_basis": ("dim", "k"), "pca_mean": ("dim",), "mu": ("k",), "cov": ("k", "k")}),
     "deep_svdd": Kind(
         lambda z, seed: fit_deep_svdd(z, deepsvdd.WIDTHS, deepsvdd.EPOCHS, deepsvdd.BATCH,
                                       deepsvdd.LR, deepsvdd.WEIGHT_DECAY, seed),
-        score_deep_svdd, deepsvdd.checked_state, ("layers", "center", "loss_curve")),
+        score_deep_svdd, {"layers": ("params",), "center": ("out",), "loss_curve": list},
+        deepsvdd.checked_state),
 }
 
 # The baseline's "embedding" is a window's three reconstruction components.
 BASELINE = "recon_ae"
-SPECS = {BASELINE: Kind(lambda z, seed: {}, lambda state, z: z.sum(axis=1),
-                        lambda state, dim: state, ()), **KINDS}
+SPECS = {BASELINE: Kind(lambda z, seed: {}, lambda state, z: z.sum(axis=1), {}), **KINDS}
 
 __all__ = [
     "KINDS", "BASELINE", "SPECS", "DetectorConfig", "DetectorModel", "fit", "score_many",

@@ -10,7 +10,8 @@ layers rule out the trivial constant-map solution, and a collapse guard
 shifts a center that lands on the origin.
 The fitted state holds the float64 net, the center and the mean objective
 of each epoch (`loss_curve`). A file stores the net as its flat parameter
-vector; `checked_state` rebuilds the WIDTHS net and fills the vector in.
+vector; its kind's `check`, `checked_state`, rebuilds the WIDTHS net and
+fills the vector in.
 
 EPOCHS is 30 because at this learning rate Adam turns unstable late in
 training. Over 100 epochs the objective rises for whole stretches and ends
@@ -71,18 +72,16 @@ def fit_deep_svdd(x: np.ndarray, widths, epochs: int, batch: int, lr: float,
     return {"layers": net, "center": center, "loss_curve": loss_curve}
 
 
-def checked_state(state: dict, dim: int) -> dict:
+def checked_state(state: dict, sizes: dict) -> dict:
     """A one-class network read from a file: `state` with its `layers`, the
     parameter vector of `build_network(dim, WIDTHS)`, filled into that net.
     ValueError unless the vector fits the net and `center` is (WIDTHS[-1],)."""
-    net = build_network(dim, WIDTHS, None)
-    params, center = state.get("layers"), state.get("center")
-    if not (isinstance(params, np.ndarray) and params.shape == net.params.shape
-            and isinstance(center, np.ndarray) and center.shape == (WIDTHS[-1],)):
+    net = build_network(sizes["dim"], WIDTHS, None)
+    if (sizes["params"], sizes["out"]) != (net.params.size, WIDTHS[-1]):
         raise ValueError(f"deep_svdd state needs the {net.params.size} parameters of a "
-                         f"{dim} -> {' -> '.join(map(str, WIDTHS))} net and a "
+                         f"{sizes['dim']} -> {' -> '.join(map(str, WIDTHS))} net and a "
                          f"({WIDTHS[-1]},) center")
-    net.params[...] = params
+    net.params[...] = state["layers"]
     return {**state, "layers": net}
 
 

@@ -83,20 +83,6 @@ def fit_ee(x: np.ndarray, pca_dims: int, n_starts: int, rng) -> dict:
     return {"pca_basis": basis, "pca_mean": mean, "mu": best_mu, "cov": cov}
 
 
-def checked_state(state: dict, dim: int) -> dict:
-    """An envelope read from a file; ValueError unless it holds a (dim, k) PCA
-    basis, a (dim,) PCA mean, a (k,) location and a (k, k) scatter."""
-    mu = state.get("mu")
-    k = len(mu) if isinstance(mu, np.ndarray) and mu.ndim == 1 else -1
-    shapes = {"pca_basis": (dim, k), "pca_mean": (dim,), "mu": (k,), "cov": (k, k)}
-    bad = [key for key, shape in shapes.items()
-           if not (isinstance(state.get(key), np.ndarray) and state[key].shape == shape)]
-    if bad:
-        raise ValueError(f"ee state arrays {bad} are missing or misshapen "
-                         f"(want pca_basis ({dim}, k), pca_mean ({dim},), mu (k,), cov (k, k))")
-    return state
-
-
 def score_ee(state: dict, x: np.ndarray) -> np.ndarray:
     x = pca_transform(x, state["pca_basis"], state["pca_mean"])
     return np.sqrt(np.maximum(_mahalanobis_sq(x, state["mu"], state["cov"]), 0.0))

@@ -198,28 +198,22 @@ def fit_iforest(x: np.ndarray, n_trees: int, subsample: int, rng) -> dict:
     return {**out, "roots": roots, "subsample": size}
 
 
-def checked_state(state: dict, dim: int) -> dict:
-    """A forest read from a file, with integer index arrays; ValueError unless
-    its node arrays are 1-D, of one length and finite, and every node index
-    points where a fitted forest's can: a leaf has feature and right -1; a
-    split has a feature below `dim` and a right child after its left child
-    (the next node), so every walk from a root ends at a leaf."""
-    arrays = {key: state.get(key) for key in NODE_ARRAYS + ("roots",)}
-    if not all(isinstance(v, np.ndarray) and v.ndim == 1 and np.isfinite(v).all()
-               for v in arrays.values()):
-        raise ValueError(f"iforest state needs finite 1-D arrays {sorted(arrays)}")
-    if type(state.get("subsample")) is not int or state["subsample"] < 2:
+def checked_state(state: dict, sizes: dict) -> dict:
+    """A forest read from a file, its node arrays of one length, with integer
+    index arrays; ValueError unless `subsample` is at least 2 and every node
+    index points where a fitted forest's can: a leaf has feature and right
+    -1; a split has a feature below the scaler width and a right child after
+    its left child (the next node), so every walk from a root ends at a leaf."""
+    if state["subsample"] < 2:
         raise ValueError("iforest subsample must be an integer >= 2")
-    n_nodes = len(arrays["feature"])
-    if any(len(arrays[key]) != n_nodes for key in NODE_ARRAYS):
-        raise ValueError(f"iforest node arrays {list(NODE_ARRAYS)} differ in length")
-    ints = {key: arrays[key].astype(np.int64) for key in ("feature", "right", "roots")}
-    if any((ints[key] != arrays[key]).any() for key in ints):
+    ints = {key: state[key].astype(np.int64) for key in ("feature", "right", "roots")}
+    if any((ints[key] != state[key]).any() for key in ints):
         raise ValueError("iforest feature, right or roots holds a non-integer")
     feature, right, roots = ints["feature"], ints["right"], ints["roots"]
+    n_nodes = sizes["nodes"]
     valid = np.where(right >= 0,
                      (np.arange(n_nodes) + 1 < right) & (right < n_nodes)
-                     & (feature >= 0) & (feature < dim),
+                     & (feature >= 0) & (feature < sizes["dim"]),
                      (right == -1) & (feature == -1))
     if not (valid.all() and ((roots >= 0) & (roots < n_nodes)).all()):
         raise ValueError("iforest feature, right or roots index out of range")

@@ -75,24 +75,6 @@ def fit_lof(x: np.ndarray, k: int) -> dict:
     return {"x": x, "k": k, "kdist": kdist, "lrd": lrd, "train_lof": train_lof}
 
 
-def checked_state(state: dict, dim: int) -> dict:
-    """A LOF model read from a file; ValueError unless it holds n training
-    rows `x` (n, dim), their (n,) k-distances `kdist` and densities `lrd`,
-    and an integer k in [1, n)."""
-    x = state.get("x")
-    n = len(x) if isinstance(x, np.ndarray) and x.ndim == 2 else -1
-    shapes = {"x": (n, dim), "kdist": (n,), "lrd": (n,)}
-    bad = [key for key, shape in shapes.items()
-           if not (isinstance(state.get(key), np.ndarray) and state[key].shape == shape)]
-    k = state.get("k")
-    if not (type(k) is int and 1 <= k < n):
-        bad.append("k")
-    if bad:
-        raise ValueError(f"lof state entries {bad} are missing or misshapen "
-                         f"(want x (n, {dim}), kdist (n,), lrd (n,), k in [1, n))")
-    return state
-
-
 def score_lof(state: dict, x: np.ndarray) -> np.ndarray:
     k = state["k"]
     d = _cross_distances(x, state["x"])

@@ -101,23 +101,6 @@ def fit_ocsvm(x: np.ndarray, nu: float) -> dict:
     }
 
 
-def checked_state(state: dict, dim: int) -> dict:
-    """An OCSVM read from a file; ValueError unless it holds s support
-    vectors `sv` (s, dim), their (s,) weights `alpha`, a finite number `rho`
-    and a finite `gamma` > 0."""
-    sv = state.get("sv")
-    s = len(sv) if isinstance(sv, np.ndarray) and sv.ndim == 2 else -1
-    shapes = {"sv": (s, dim), "alpha": (s,)}
-    bad = [key for key, shape in shapes.items()
-           if not (isinstance(state.get(key), np.ndarray) and state[key].shape == shape)]
-    bad += [key for key, low in (("rho", -np.inf), ("gamma", 0.0))
-            if not (type(state.get(key)) in (int, float) and low < state[key] < np.inf)]
-    if bad:
-        raise ValueError(f"ocsvm state entries {bad} are missing or misshapen "
-                         f"(want sv (s, {dim}), alpha (s,), finite rho, positive gamma)")
-    return state
-
-
 def score_ocsvm(state: dict, x: np.ndarray) -> np.ndarray:
     k = rbf_kernel(x, state["sv"], state["gamma"])
     return state["rho"] - k @ state["alpha"]

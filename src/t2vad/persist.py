@@ -27,9 +27,10 @@ A model file stores its `AEConfig` and its network's flat parameter vector
 `params`, nothing about the layers: the loader rebuilds the network from
 the config with `autoenc.build_model` and fills the vector in, so the
 config is the one description of the architecture. A Deep SVDD detector
-stores its net the same way, and `deepsvdd.checked_state` rebuilds it.
+stores its net the same way, and its kind's `check` rebuilds it.
 A model's `calibration` is the baseline's detector document (kind
 `recon_ae`, empty `state`), written and read as a detector file's is.
+`_state` holds each detector state to its kind's `stored` forms and `check`.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import asdict
 
@@ -425,7 +427,7 @@ def load_model(path: str) -> tuple[TrainedModel, DetectorModel | None]:
     model.stack.params[...] = params
     model.loss_curve = _field(doc, "loss_curve", list)
     c = _field(doc, "calibration", (dict, _NONE))
-    return model, None if c is None else _detector(c, path, (BASELINE,))
+    return model, None if c is None else _detector(c, f"{path}: calibration", (BASELINE,))
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +440,36 @@ def _encode_value(value):
     return value.params if isinstance(value, nd.LayerStack) else value
 
 
-def _decode_value(value):
-    """Inverse of `_encode_value` up to the stack, which the detector's
-    `checked_state` rebuilds: no other detector state value is an object."""
-    return decode_array(value) if isinstance(value, dict) else value
+def _of_form(value, form, sizes: dict) -> bool:
+    """Whether a decoded state entry has `form` (see `detect.Kind`); an array
+    form binds each dimension name it meets first in `sizes`."""
+    if isinstance(form, tuple):
+        return (isinstance(value, np.ndarray) and value.ndim == len(form)
+                and all(sizes.setdefault(n, size) == size for n, size in zip(form, value.shape)))
+    if form is list:
+        return isinstance(value, list) and all(_of_form(v, float, sizes) for v in value)
+    return _is(value, _NUMBER if form is float else form) and abs(value) <= sys.float_info.max
 
 
-def _finite_state(state: dict, kind: str) -> dict:
-    """`state`; a SchemaError if a state array (a network's parameter vector
-    too) holds NaN/Inf. EE and OCSVM would score every window NaN, which
-    reads as normal, and LOF would score finite but wrong."""
+def _state(kind: str, entries: dict, dim: int) -> dict:
+    """The `stored` entries of a `kind` detector's state read from a file,
+    array blocks decoded; a SchemaError unless each has its form, every array
+    is finite (a NaN would score every EE or OCSVM window NaN, which reads as
+    normal) and the kind's `check` passes."""
+    forms, sizes = SPECS[kind].stored, {"dim": dim}
+    state = {key: decode_array(value) if isinstance(value, dict) else value
+             for key, value in entries.items() if key in forms}
+    bad = [key for key, form in forms.items()
+           if not (key in state and _of_form(state[key], form, sizes))]
+    if bad:
+        want = ", ".join(f"{key} ({', '.join(form)})" if isinstance(form, tuple)
+                         else f"{key} {form.__name__}" for key, form in forms.items())
+        raise SchemaError(f"{kind} state entries {bad} are missing or misshapen "
+                          f"(want {want}; dim {dim})")
     for key, value in state.items():
         if isinstance(value, np.ndarray) and not np.isfinite(value).all():
             raise SchemaError(f"{kind} state entry {key!r} is not finite")
-    return state
+    return _construct(SPECS[kind].check, {"state": state, "sizes": sizes}, f"{kind} state")
 
 
 def _detector_doc(model: DetectorModel) -> dict:
@@ -468,32 +486,38 @@ def _detector_doc(model: DetectorModel) -> dict:
 
 
 def save_detector(path: str, model: DetectorModel) -> None:
+    """A ValueError, and no file, for a kind outside `KINDS`: the baseline is
+    stored in its model's `calibration`."""
+    if model.kind not in KINDS:
+        raise ValueError(f"no detector file holds a {model.kind!r} model: "
+                         f"the kinds are {list(KINDS)}")
     atomic_write_json(path, {"schema_version": SCHEMA_VERSION, "kind": "detector",
                              **_detector_doc(model)})
 
 
-def _detector(doc, path: str, kinds) -> DetectorModel:
-    """`doc`'s `DetectorModel`; a SchemaError unless its kind is in `kinds`, its
-    scaler mean and std are finite and of one 1-D shape, the std positive and
-    the threshold finite (a NaN score or threshold reads as normal), and
-    `DetectorConfig` has every `config` key (an old file's `svdd_lr` fails).
-    State entries outside the kind's `stored` tuple and a top-level
-    `train_scores` (older files carry both) are ignored."""
-    kind = _field(doc, "detector", str)
-    if kind not in kinds:
-        raise SchemaError(f"{path}: unknown detector kind {kind!r}")
-    cfg = _construct(DetectorConfig, _field(doc, "config", dict), "detector config")
-    mean, std = (decode_array(_field(doc, key, dict)) for key in ("scaler_mean", "scaler_std"))
-    threshold = _field(doc, "threshold", _NUMBER)
-    shape = (mean.size,)
-    if not (mean.shape == std.shape == shape and np.isfinite(mean).all()
-            and np.isfinite(std).all() and (std > 0).all() and math.isfinite(threshold)):
-        raise SchemaError(f"scaler needs finite {shape} means, positive finite {shape} "
-                          f"stds and a finite threshold")
-    state = {key: _decode_value(value) for key, value in _field(doc, "state", dict).items()
-             if key in SPECS[kind].stored}
-    state = _construct(SPECS[kind].checked_state, {"state": _finite_state(state, kind),
-                                                   "dim": mean.size}, f"{kind} state")
+def _detector(doc, where: str, kinds) -> DetectorModel:
+    """`doc`'s `DetectorModel`; a SchemaError led by `where` unless its kind
+    is in `kinds`, its scaler mean and std are finite and of one 1-D shape,
+    the std positive and the threshold finite (a NaN score or threshold reads
+    as normal), `DetectorConfig` has every `config` key (an old file's
+    `svdd_lr` fails) and `_state` admits its `state`. State entries outside
+    the kind's `stored` forms and a top-level `train_scores` (older files
+    carry both) are ignored."""
+    try:
+        kind = _field(doc, "detector", str)
+        if kind not in kinds:
+            raise SchemaError(f"unknown detector kind {kind!r}")
+        cfg = _construct(DetectorConfig, _field(doc, "config", dict), "detector config")
+        mean, std = (decode_array(_field(doc, key, dict)) for key in ("scaler_mean", "scaler_std"))
+        threshold = _field(doc, "threshold", _NUMBER)
+        shape = (mean.size,)
+        if not (mean.shape == std.shape == shape and np.isfinite(mean).all()
+                and np.isfinite(std).all() and (std > 0).all() and _of_form(threshold, float, {})):
+            raise SchemaError(f"scaler needs finite {shape} means, positive finite {shape} "
+                              f"stds and a finite threshold")
+        state = _state(kind, _field(doc, "state", dict), mean.size)
+    except SchemaError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
     return DetectorModel(kind, mean, std, state, threshold, config=cfg)
 
 

@@ -514,6 +514,66 @@ def test_bad_window_or_split_field_is_a_schema_error_and_exit_1(
     assert err.startswith("error: ") and re.search(message, err)
 
 
+def state_form_mutations():
+    """(kind, entry, case, edit of the state) for every stored entry of every
+    kind: the entry removed, and by its form, an array with one axis more,
+    or `true` or a string in place of a number or list."""
+    for kind, spec in detect.KINDS.items():
+        for key, form in spec.stored.items():
+            yield kind, key, "removed", lambda state, key=key: state.pop(key)
+            if isinstance(form, tuple):
+                yield kind, key, "one-axis-more", lambda state, key=key: state.update(
+                    {key: encode_array(decode_array(state[key])[..., None])})
+            else:
+                for case, value in (("true", True), ("a-string", "many")):
+                    yield kind, key, case, lambda state, key=key, value=value: state.update(
+                        {key: value})
+
+
+STATE_FORM_MUTATIONS = {f"{kind}-{key}-{case}": (kind, key, edit)
+                        for kind, key, case, edit in state_form_mutations()}
+
+
+@pytest.mark.parametrize("name", STATE_FORM_MUTATIONS)
+def test_a_stored_entry_out_of_its_form_is_a_schema_error_naming_it(
+        tmp_path, saved_artifacts, name):
+    """The diagnostics too: scoring never reads OCSVM's `iterations` or Deep
+    SVDD's `loss_curve`, so only their forms keep `"many"` out of them."""
+    kind, key, edit = STATE_FORM_MUTATIONS[name]
+    path = tmp_path / "det.json"
+    path.write_bytes((saved_artifacts / f"det.{kind}.json").read_bytes())
+    rewrite(path, lambda doc: edit(doc["state"]))
+    with pytest.raises(SchemaError, match=rf"{kind} state entries \[{key!r}\] are missing"):
+        load_detector(path)
+
+
+def test_a_baseline_model_is_no_detector_file(tmp_path, small_e2e):
+    """The baseline is stored in its model's `calibration`; a detector file
+    of it would not load."""
+    with pytest.raises(ValueError, match="'recon_ae'"):
+        save_detector(tmp_path / "det.json", small_e2e["calib"])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("file, mutate, block", [
+    ("recon.json", lambda d: d["calibration"].pop("detector"), "calibration: "),
+    ("det.lof.json", lambda d: d.pop("state"), ""),
+])
+def test_a_schema_error_in_a_detector_document_names_its_file_and_block(
+        tmp_path, saved_artifacts, capsys, file, mutate, block):
+    d = saved_artifacts
+    path = tmp_path / file
+    path.write_bytes((d / file).read_bytes())
+    rewrite(path, mutate)
+    detectors = [path if f"det.{k}.json" == file else d / f"det.{k}.json" for k in detect.KINDS]
+    argv = ["evaluate", "--suite", d / "testsuite.json", "--t2v-model", d / "t2v.json",
+            "--recon-model", path if file == "recon.json" else d / "recon.json",
+            "--out", tmp_path / "report.json", "--detectors", *detectors]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {block}field ")
+
+
 def test_unmutated_artifacts_run_through_the_cli(tmp_path, saved_artifacts):
     d = saved_artifacts
     assert main(["evaluate", "--suite", str(d / "testsuite.json"),
@@ -663,11 +723,13 @@ ARTIFACT_FIELD_MUTATIONS = {
                                     "'threshold'"),
     "detector-pca-basis-removed-from-the-ee-state": (
         "det.ee.json", lambda d: d["state"].pop("pca_basis"),
-        r"ee state arrays \['pca_basis'\]"),
+        r"ee state entries \['pca_basis'\]"),
     "detector-center-removed-from-the-deep-svdd-state": (
-        "det.deep_svdd.json", lambda d: d["state"].pop("center"), "deep_svdd state needs"),
+        "det.deep_svdd.json", lambda d: d["state"].pop("center"),
+        r"deep_svdd state entries \['center'\]"),
     "detector-layers-removed-from-the-deep-svdd-state": (
-        "det.deep_svdd.json", lambda d: d["state"].pop("layers"), "deep_svdd state needs"),
+        "det.deep_svdd.json", lambda d: d["state"].pop("layers"),
+        r"deep_svdd state entries \['layers'\]"),
     "detector-kdist-removed-from-the-lof-state": (
         "det.lof.json", lambda d: d["state"].pop("kdist"), r"lof state entries \['kdist'\]"),
     "detector-k-removed-from-the-lof-state": (
@@ -698,7 +760,7 @@ ARTIFACT_FIELD_MUTATIONS = {
     "detector-deep-svdd-of-the-per-layer-format": (
         "det.deep_svdd.json",
         lambda d: d["state"].update(layers=per_layer_params(d["state"]["layers"])),
-        "deep_svdd state needs"),
+        r"deep_svdd state entries \['layers'\]"),
     "detector-threshold-nan": ("det.ocsvm.json", lambda d: d.update(threshold=math.nan),
                                "scaler needs .* a finite threshold"),
     "detector-scaler-std-broadcastable": (
@@ -709,8 +771,14 @@ ARTIFACT_FIELD_MUTATIONS = {
             0 * decode_array(d["scaler_std"]))), "positive finite"),
     "detector-threshold-a-boolean": ("det.ocsvm.json", lambda d: d.update(threshold=True),
                                      "'threshold'"),
+    "detector-threshold-past-the-float-range": (
+        "det.ocsvm.json", lambda d: d.update(threshold=10 ** 400),
+        "scaler needs .* a finite threshold"),
+    "detector-rho-past-the-float-range": (
+        "det.ocsvm.json", lambda d: d["state"].update(rho=-10 ** 400),
+        r"ocsvm state entries \['rho'\]"),
     "iforest-node-array-shorter": ("det.iforest.json", shorten_state_array("right"),
-                                   "differ in length"),
+                                   r"iforest state entries \['right'\]"),
     "iforest-right-past-the-last-node": (
         "det.iforest.json", set_forest_entry("right", 0, 10 ** 6), "out of range"),
     "iforest-right-not-an-integer": ("det.iforest.json", set_forest_entry("right", 0, 1.5),
@@ -732,8 +800,10 @@ ARTIFACT_FIELD_MUTATIONS = {
                                    "out of range"),
     "iforest-path-nan": ("det.iforest.json", set_forest_entry("path", 0, np.nan), "finite"),
     "iforest-threshold-removed": ("det.iforest.json", lambda d: d["state"].pop("threshold"),
-                                  "finite 1-D arrays"),
-    "iforest-nested-trees": ("det.iforest.json", nested_trees, "finite 1-D arrays"),
+                                  r"iforest state entries \['threshold'\]"),
+    "iforest-nested-trees": ("det.iforest.json", nested_trees,
+                             r"iforest state entries \['feature', 'threshold', 'right', "
+                             r"'path', 'roots'\]"),
     "report-results-removed": ("report.json", lambda d: d.pop("results"), "'results'"),
     "report-cell-f1-removed": (
         "report.json", lambda d: d["results"]["t2v_lof"]["AN-4F"].pop("f1"), "t2v_lof AN-4F"),
