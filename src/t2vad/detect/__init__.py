@@ -35,12 +35,10 @@ from .ocsvm import default_gamma, fit_ocsvm, rbf_kernel, score_ocsvm
 
 class Kind(NamedTuple):
     """How one detector kind fits and scores, and the form of each state entry
-    its file stores: a tuple of dimension names is a finite float array with
-    one axis per name, each name of one size across the state (`"dim"` is
-    the scaler width); `int` an int, `float` a finite number and `list` a
-    list of finite numbers, each number within float64's range and JSON
-    true/false no number. `check` takes a state read from a file and the
-    sizes its names took, and checks what no form can say."""
+    its file stores, in the form language of `persist._read` (`"dim"` is the
+    scaler width; `persist.FORMS` holds the forms of every file's fields).
+    `check` takes a state read from a file and the sizes its names took, and
+    checks what no form can say."""
 
     fit: Callable            # (z, seed) -> state
     score: Callable          # (state, z) -> scores, higher = more anomalous
@@ -52,7 +50,7 @@ class Kind(NamedTuple):
 def _require(state: dict, ok: bool, kind: str, key: str, want: str) -> dict:
     """`state`; a ValueError naming its entry `key` unless `ok`."""
     if not ok:
-        raise ValueError(f"{kind} state entries [{key!r}] are missing or misshapen (want {want})")
+        raise ValueError(f"{kind} {key} is out of range (want {want})")
     return state
 
 
@@ -82,7 +80,7 @@ KINDS = {
     "deep_svdd": Kind(
         lambda z, seed: fit_deep_svdd(z, deepsvdd.WIDTHS, deepsvdd.EPOCHS, deepsvdd.BATCH,
                                       deepsvdd.LR, deepsvdd.WEIGHT_DECAY, seed),
-        score_deep_svdd, {"layers": ("params",), "center": ("out",), "loss_curve": list},
+        score_deep_svdd, {"layers": ("params",), "center": ("out",), "loss_curve": [float]},
         deepsvdd.checked_state),
 }
 

@@ -9,34 +9,32 @@ check reads the bytes as stored: a file that is valid JSON but was
 reformatted (re-indented, say) fails it too. Writes are atomic (temp
 file + rename): a failed command leaves no partial output.
 
-The save functions hand the writer their arrays as they are. It streams
-the text into the file and the hash as it goes, base64-encoding each
-array payload a chunk at a time straight from the array's memory, so no
-copy of a payload or of the whole text is held; the bytes are those of
-`json.dumps` of the document with `encode_array` blocks. The loader
-likewise holds the file's text once: it hashes the text in pieces and
-decodes each payload a chunk at a time into the array it returns.
+The writer streams the text into the file and the hash as it goes, each
+array payload base64-encoded a chunk at a time straight from the array's
+memory: no copy of a payload or of the whole text is held, and the bytes
+are those of `json.dumps` of the document with `encode_array` blocks. The
+loader holds the file's text once, hashes it in pieces and decodes each
+payload a chunk at a time into the array it returns.
 
-The corpus and test suite files store their windows in one window block:
-the payload with each window's label, tags and origin. The suite file
-stores a `TestSuite` as it is held: its windows in that block, and for
-each set the rows of the block it holds. One reader decodes a window
-block for both loaders; no set gets a copy of its windows.
-
-A model file stores its `AEConfig` and its network's flat parameter vector
-`params`, nothing about the layers: the loader rebuilds the network from
-the config with `autoenc.build_model` and fills the vector in, so the
-config is the one description of the architecture. A Deep SVDD detector
-stores its net the same way, and its kind's `check` rebuilds it.
-A model's `calibration` is the baseline's detector document (kind
-`recon_ae`, empty `state`), written and read as a detector file's is.
-`_state` holds each detector state to its kind's `stored` forms and `check`.
+Every field a file holds is declared once, with its form, in `FORMS` (a
+detector's state in `detect.SPECS`), and one reader, `_read`, holds each
+document to its form: a `SchemaError` gives the file and the field's
+dotted path (`results.t2v_lof.AN-4F.f1`). A loader reads fields only from
+the reader's output and checks beside it what no form can say. The
+corpus and suite files share one window block; the suite stores each set
+as rows of it, so no set gets a copy of its windows. A model file holds
+its `AEConfig` and its network's flat parameter vector `params`: the
+loader rebuilds the network from the config with `autoenc.build_model`
+(and a Deep SVDD state's net in its kind's `check`). A model's
+`calibration` is the baseline's detector document (kind `recon_ae`,
+empty `state`), written and read as a detector file's is.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
+import contextlib
 import hashlib
 import json
 import math
@@ -52,7 +50,7 @@ from .autoenc import AEConfig, TrainedModel, build_model
 from .detect import BASELINE, KINDS, SPECS, DetectorConfig, DetectorModel
 from .evaluate import METHODS, EvalReport
 from .inject import TestSuite
-from .pipeline import Corpus, WindowSet, anomalous_flags
+from .pipeline import WINDOW_STEPS, Corpus, WindowSet, anomalous_flags
 
 SCHEMA_VERSION = 1
 
@@ -65,37 +63,123 @@ class ChecksumError(ValueError):
     """Stored checksum does not match the document content."""
 
 
+class Either(tuple):
+    """The form of a value of any of the forms it holds (see `_read`)."""
+
+
 # ---------------------------------------------------------------------------
-# primitives
+# every file's forms, their reader, array blocks and checked JSON files
 # ---------------------------------------------------------------------------
 
-_NUMBER = (int, float)
-_NONE = type(None)
+CONFIG = {str: Either((str, float))}    # a dataclass's fields: it rejects unknown keys
+WINDOWS = {"payload": ("n", "N", "F"), "labels": ["n", str], "tags": ["n", [str]],
+           "origins": ["n", str]}
+DETECTOR = {"detector": str, "config": CONFIG, "scaler_mean": ("dim",),
+            "scaler_std": ("dim",), "threshold": float, "state": dict}
+COUNTS = dict.fromkeys(("n", "anomalous", "noise_tagged"), int)
+CELL = {**dict.fromkeys(("precision", "recall", "f1"), float),
+        "confusion": dict.fromkeys(("tp", "fp", "tn", "fn"), int)}
+FORMS = {
+    "corpus": {"windows": WINDOWS, "n_windows": "n", "steps": "N", "features": "F",
+               "split": {"train": [int], "test": [int]}, "provenance": dict},
+    "testsuite": {"windows": WINDOWS, "sets": {str: [int]}, "seed": int},
+    "model": {"config": CONFIG, "variant": str, "n": int, "f": int, "loss_curve": [float],
+              "params": ("params",), "calibration": Either((None, DETECTOR))},
+    "detector": DETECTOR,
+    "report": {"config_digest": str, "seeds": {str: int}, "timestamp": Either((None, str)),
+               "composition": dict.fromkeys(TestSuite.KEYS, COUNTS),
+               "results": dict.fromkeys(METHODS, dict.fromkeys(TestSuite.KEYS, CELL))},
+}
+
+_MAX = sys.float_info.max
+_SCALARS = {    # each scalar form: what its value is, and the test of one
+    None: ("null", lambda v: v is None),
+    str: ("a string", lambda v: type(v) is str),
+    dict: ("an object", lambda v: type(v) is dict),
+    int: ("an integer within float64's range", lambda v: type(v) is int and abs(v) <= _MAX),
+    float: ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= _MAX),
+}
 
 
-def _is(value, kind) -> bool:
-    """isinstance(value, kind), except that JSON true/false is no int or float."""
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+def _at(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
 
 
-def _field(doc, key: str, kind):
-    """doc[key]; a SchemaError unless `doc` is an object holding a `kind` there.
+def _test(form):
+    """The test of a value of a scalar form, or of a list of one; else None."""
+    if form is None or isinstance(form, type):
+        return _SCALARS[form][1]
+    inner = _test(form[0]) if isinstance(form, list) and len(form) == 1 else None
+    return inner and (lambda v: type(v) is list and all(map(inner, v)))
 
-    `kind` is a type or a tuple of types, as for `_is`.
+
+def _read(value, form, path: str, sizes: dict):
+    """`value`, as `json.loads` gave it, held to `form`, with every array
+    block decoded and every fixed-key object cut to its form's keys; a
+    SchemaError naming the first field, by its dotted path below `path`,
+    that lacks its form. The forms: a tuple of dimension names is a finite
+    float array block with one axis per name, each name of one size in
+    `sizes` (bound where first met), and a name alone an int of that size;
+    `int` is an int, `float` a finite number, `str`, `dict` and `None` a
+    string, any object and null (every number within float64's range; JSON
+    true/false is no number); `[form]` is a list of `form` entries and
+    `[name, form]` one of `name` entries; `{key: form, ...}` an object
+    holding those keys (others ignored), `{str: form}` one of any keys; and
+    `Either((form, ...))` a value of any of its forms, tried in order.
     """
-    if not (isinstance(doc, dict) and key in doc and _is(doc[key], kind)):
-        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
-        raise SchemaError(f"field {key!r} is missing or not a {names}")
-    return doc[key]
+    if isinstance(form, Either):
+        for alternative in form[:-1]:
+            with contextlib.suppress(SchemaError):
+                return _read(value, alternative, path, sizes)
+        return _read(value, form[-1], path, sizes)
+    if isinstance(form, str):
+        if sizes.setdefault(form, _read(value, int, path, sizes)) != value:
+            raise SchemaError(f"field {path!r} is {value}, not {form} = {sizes[form]}")
+        return value
+    if isinstance(form, tuple):
+        a = decode_array(value, path)
+        if a.ndim != len(form) or any(sizes.setdefault(name, size) != size
+                                      for name, size in zip(form, a.shape)):
+            bound = ", ".join(f"{n} = {sizes[n]}" for n in form if n in sizes)
+            raise SchemaError(f"field {path!r} is {a.shape}, not ({', '.join(form)}"
+                              f"{',' * (len(form) == 1)})" + (bound and f" with {bound}"))
+        if not np.isfinite(a).all():
+            raise SchemaError(f"field {path!r} is not finite")
+        return a
+    if isinstance(form, list):
+        *size, entry = form
+        if type(value) is not list:
+            raise SchemaError(f"field {path!r} is not a list")
+        if size and sizes.setdefault(size[0], len(value)) != len(value):
+            raise SchemaError(f"field {path!r} holds {len(value)} entries, "
+                              f"not {size[0]} = {sizes[size[0]]}")
+        test = _test(entry)
+        if test is None:
+            return [_read(v, entry, _at(path, i), sizes) for i, v in enumerate(value)]
+        for i in (i for i, v in enumerate(value) if not test(v)):     # one flat pass
+            _read(value[i], entry, _at(path, i), sizes)     # raises, naming the entry
+        return value
+    if isinstance(form, dict):
+        if type(value) is not dict:
+            raise SchemaError(f"field {path!r} is not an object")
+        if str in form:
+            return {key: _read(v, form[str], _at(path, key), sizes) for key, v in value.items()}
+        missing = next((key for key in form if key not in value), None)
+        if missing is not None:
+            raise SchemaError(f"field {_at(path, missing)!r} is missing")
+        return {key: _read(value[key], f, _at(path, key), sizes) for key, f in form.items()}
+    what, ok = _SCALARS[form]
+    if not ok(value):
+        raise SchemaError(f"field {path!r} is not {what}")
+    return value
 
 
-def _construct(cls, fields: dict, what: str):
-    """cls(**fields); a SchemaError when a field is unknown or its value is rejected."""
+def _construct(cls, fields: dict, path: str):
+    """cls(**fields); a SchemaError naming the field at `path` if it raises."""
     try:
         return cls(**fields)
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad {what}: {exc}") from None
+        raise SchemaError(f"field {path!r}: {exc}") from None
 
 
 def encode_array(a: np.ndarray) -> dict:
@@ -109,17 +193,19 @@ def encode_array(a: np.ndarray) -> dict:
     }
 
 
-def decode_array(d: dict) -> np.ndarray:
-    """Inverse of `encode_array`; a SchemaError unless `d` holds a strict base64
-    `data` string whose length matches an integer `shape` list.
+def decode_array(d: dict, path: str = "") -> np.ndarray:
+    """Inverse of `encode_array`; a SchemaError naming the field at `path`
+    unless `d` holds a strict base64 `data` string whose length matches a
+    `shape` list of non-negative integers.
 
     The payload is decoded CHUNK bytes at a time straight into the result,
     so no whole decoded or re-encoded copy of it is held.
     """
-    shape = _field(d, "shape", list)
-    if not all(type(s) is int and s >= 0 for s in shape):
-        raise SchemaError(f"array shape {shape} is not a list of non-negative integers")
-    data = _field(d, "data", str)
+    block = _read(d, {"shape": [int], "data": str}, path, {})
+    shape, data = block["shape"], block["data"]
+    if min(shape, default=0) < 0:
+        raise SchemaError(f"field {_at(path, 'shape')!r} is {shape}, not a list of "
+                          f"non-negative integers")
     size = 8 * math.prod(shape)
     # only a string of this length can hold `size` bytes; any other is decoded
     # just to tell bad base64 from a wrong length
@@ -132,9 +218,9 @@ def decode_array(d: dict) -> np.ndarray:
                 buf[held:held + len(raw)] = np.frombuffer(raw, dtype=np.uint8)
             held += len(raw)
     except ValueError as exc:   # a bad character or length, or a non-ASCII string
-        raise SchemaError(f"array data is not base64: {exc}") from None
+        raise SchemaError(f"field {_at(path, 'data')!r} is not base64: {exc}") from None
     if held != size:
-        raise SchemaError(f"array data holds {held} bytes, not the "
+        raise SchemaError(f"field {_at(path, 'data')!r} holds {held} bytes, not the "
                           f"{size} its shape {shape} needs")
     return out.astype(np.float64, copy=False).reshape(shape)
 
@@ -275,8 +361,8 @@ def load_json_checked(path: str, expected_kind: str) -> dict:
     if doc.get("kind") != expected_kind:
         raise SchemaError(f"{path}: expected a {expected_kind} file, got {doc.get('kind')!r}")
     if doc.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaError(f"{path}: schema version {doc.get('schema_version')} "
-                          f"unsupported (want {SCHEMA_VERSION})")
+        raise SchemaError(f"{path}: field 'schema_version': schema version "
+                          f"{doc.get('schema_version')} unsupported (want {SCHEMA_VERSION})")
     stored = doc.get(_CHECKSUM)
     if not (isinstance(stored, str) and stored.isascii()):
         raise ChecksumError(f"{path}: no checksum string")
@@ -298,6 +384,22 @@ def load_json_checked(path: str, expected_kind: str) -> dict:
     return doc
 
 
+@contextlib.contextmanager
+def _document(path: str, kind: str):
+    """The `kind` file at `path` as `_read` holds it to `FORMS[kind]`; each
+    SchemaError in it or in the `with` block is led by `path`."""
+    doc = load_json_checked(path, kind)
+    try:
+        yield _read(doc, FORMS[kind], "", {"N": WINDOW_STEPS})     # every window's length
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+
+
+def _write(path: str, kind: str, fields: dict) -> None:
+    """Write `fields` as a `kind` file of this schema version."""
+    atomic_write_json(path, {"schema_version": SCHEMA_VERSION, "kind": kind, **fields})
+
+
 def config_digest(config: dict) -> str:
     return hashlib.sha256(_canonical(config).encode()).hexdigest()[:16]
 
@@ -312,81 +414,53 @@ def _labels(anomalous) -> list[str]:
 
 def _windows_block(windows: WindowSet) -> dict:
     """The window block of `windows`: their payload, labels, tags and origins."""
-    return {
-        "payload": windows.data,
-        "labels": _labels(windows.anomalous),
-        "tags": [sorted(t) for t in windows.tags],
-        "origins": windows.origins,
-    }
+    return {"payload": windows.data, "labels": _labels(windows.anomalous),
+            "tags": [sorted(t) for t in windows.tags], "origins": windows.origins}
 
 
-def _strings(values) -> bool:
-    return isinstance(values, list) and all(isinstance(v, str) for v in values)
-
-
-def _window_set(block) -> WindowSet:
-    """The WindowSet the window block `block` holds; a SchemaError unless its
-    payload is an (n, N, F) array, its labels, tags and origins hold a
-    string, a string list and a string for each window and every label
-    agrees with its tags."""
-    data = decode_array(_field(block, "payload", dict))
-    if data.ndim != 3:
-        raise SchemaError(f"the window payload is {data.shape}, not (n, N, F)")
-    labels, tags, origins = (_field(block, key, list) for key in ("labels", "tags", "origins"))
-    if not (len(labels) == len(tags) == len(origins) == len(data)
-            and _strings(labels) and _strings(origins) and all(map(_strings, tags))):
-        raise SchemaError(f"labels, tags and origins must hold a string, a string list "
-                          f"and a string for each of the {len(data)} windows")
-    for i, (stored, derived) in enumerate(zip(labels, _labels(anomalous_flags(tags)))):
-        if stored != derived:
-            raise SchemaError(f"window {i}: label {stored!r} inconsistent with tags {tags[i]}")
-    return _construct(WindowSet, {"data": data, "tags": tags, "origins": origins}, "windows")
+def _window_set(block: dict) -> WindowSet:
+    """The WindowSet of a window block `_read` returned; a SchemaError unless
+    every label agrees with its tags."""
+    labels, tags = block["labels"], block["tags"]
+    derived = _labels(anomalous_flags(tags))
+    for i in (i for i, label in enumerate(labels) if label != derived[i]):
+        raise SchemaError(f"field 'windows.labels.{i}': label {labels[i]!r} "
+                          f"inconsistent with tags {tags[i]}")
+    return _construct(WindowSet, {"data": block["payload"], "tags": tags,
+                                  "origins": block["origins"]}, "windows.payload")
 
 
 def save_corpus(path: str, corpus: Corpus) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "corpus",
-        "n_windows": len(corpus.windows),
-        "steps": corpus.windows.data.shape[1],
-        "features": corpus.windows.data.shape[2],
-        "provenance": corpus.provenance,
-        "split": {"train": corpus.train_idx, "test": corpus.test_idx},
-        "windows": _windows_block(corpus.windows),
-    }
-    atomic_write_json(path, doc)
+    n, steps, features = corpus.windows.data.shape
+    _write(path, "corpus", {"n_windows": n, "steps": steps, "features": features,
+                            "provenance": corpus.provenance,
+                            "split": {"train": corpus.train_idx, "test": corpus.test_idx},
+                            "windows": _windows_block(corpus.windows)})
 
 
 def load_corpus(path: str) -> Corpus:
-    doc = load_json_checked(path, "corpus")
-    split = [_field(_field(doc, "split", dict), side, list) for side in ("train", "test")]
-    if not all(type(i) is int for side in split for i in side):
-        raise SchemaError(f"{path}: split indices must be integers")
-    windows = _window_set(_field(doc, "windows", dict))
-    return _construct(Corpus, {"windows": windows, "train_idx": split[0], "test_idx": split[1],
-                               "provenance": _field(doc, "provenance", dict)}, "corpus")
+    with _document(path, "corpus") as doc:
+        return _construct(Corpus, {"windows": _window_set(doc["windows"]),
+                                   "train_idx": doc["split"]["train"],
+                                   "test_idx": doc["split"]["test"],
+                                   "provenance": doc["provenance"]}, "split")
 
 
 def save_testsuite(path: str, suite: TestSuite) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "testsuite",
-        "seed": suite.seed,
-        "sets": {key: rows.tolist() for key, rows in suite.sets.items()},
-        "windows": _windows_block(suite.windows),
-    }
-    atomic_write_json(path, doc)
+    _write(path, "testsuite", {"seed": suite.seed, "windows": _windows_block(suite.windows),
+                               "sets": {key: rows.tolist() for key, rows in suite.sets.items()}})
 
 
 def load_testsuite(path: str) -> TestSuite:
-    doc = load_json_checked(path, "testsuite")
-    windows = _window_set(_field(doc, "windows", dict))
-    sets = _field(doc, "sets", dict)
-    for key in sets:
-        if not all(type(r) is int and 0 <= r < len(windows) for r in _field(sets, key, list)):
-            raise SchemaError(f"{key} rows must be integers in [0, {len(windows)})")
-    return _construct(TestSuite, {"windows": windows, "sets": sets,
-                                  "seed": _field(doc, "seed", int)}, "test suite")
+    """Each set's rows must lie below the window count."""
+    with _document(path, "testsuite") as doc:
+        windows = _window_set(doc["windows"])
+        for key, rows in doc["sets"].items():
+            for i in (i for i, r in enumerate(rows) if not 0 <= r < len(windows)):
+                raise SchemaError(f"field 'sets.{key}.{i}' is {rows[i]}, "
+                                  f"not in [0, {len(windows)})")
+        return _construct(TestSuite, {"windows": windows, "sets": doc["sets"],
+                                      "seed": doc["seed"]}, "sets")
 
 
 # ---------------------------------------------------------------------------
@@ -395,94 +469,48 @@ def load_testsuite(path: str) -> TestSuite:
 
 def save_model(path: str, model: TrainedModel,
                calibration: DetectorModel | None = None) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "model",
-        "variant": model.config.variant,
-        "n": model.n,
-        "f": model.f,
-        "config": asdict(model.config),
-        "loss_curve": model.loss_curve,
+    _write(path, "model", {
+        "variant": model.config.variant, "n": model.n, "f": model.f,
+        "config": asdict(model.config), "loss_curve": model.loss_curve,
         "params": model.stack.params,
-        "calibration": None if calibration is None else _detector_doc(calibration),
-    }
-    atomic_write_json(path, doc)
+        "calibration": None if calibration is None else _detector_doc(calibration)})
 
 
 def load_model(path: str) -> tuple[TrainedModel, DetectorModel | None]:
-    """The network is rebuilt from `config` by `autoenc.build_model`, and
-    `params` must hold exactly its parameter vector. A `calibration` is a
-    detector document of the baseline's kind. Keys it does not read (older
-    files' `val_dtw`, `encoder_strides`) are ignored."""
-    doc = load_json_checked(path, "model")
-    cfg = _construct(AEConfig, _field(doc, "config", dict), "model config")
-    n, f = _field(doc, "n", int), _field(doc, "f", int)
-    if min(n, f) < 1:
-        raise SchemaError(f"{path}: window shape n={n}, f={f} is not positive")
-    model = _construct(build_model, {"cfg": cfg, "n": n, "f": f}, "model config")
-    params = decode_array(_field(doc, "params", dict))
-    if params.shape != model.stack.params.shape:
-        raise SchemaError(f"{path}: model params are {params.shape}, the network its "
-                          f"config builds has {model.stack.params.shape}")
-    model.stack.params[...] = params
-    model.loss_curve = _field(doc, "loss_curve", list)
-    c = _field(doc, "calibration", (dict, _NONE))
-    return model, None if c is None else _detector(c, f"{path}: calibration", (BASELINE,))
+    """`variant` must be the config's, `n` and `f` positive and `params` the
+    vector of the network `autoenc.build_model` builds from `config`. A
+    `calibration` is a detector document of the baseline's kind."""
+    with _document(path, "model") as doc:
+        cfg = _construct(AEConfig, doc["config"], "config")
+        if doc["variant"] != cfg.variant:
+            raise SchemaError(f"field 'variant' is {doc['variant']!r}, "
+                              f"not the config's {cfg.variant!r}")
+        for key in (key for key in ("n", "f") if doc[key] < 1):
+            raise SchemaError(f"field {key!r} is {doc[key]}, not positive")
+        model = _construct(build_model, {"cfg": cfg, "n": doc["n"], "f": doc["f"]}, "config")
+        if doc["params"].shape != model.stack.params.shape:
+            raise SchemaError(f"field 'params' is {doc['params'].shape}, the network its "
+                              f"config builds has {model.stack.params.shape}")
+        model.stack.params[...] = doc["params"]
+        model.loss_curve = doc["loss_curve"]
+        c = doc["calibration"]
+        return model, None if c is None else _detector(c, (BASELINE,), "calibration.")
 
 
 # ---------------------------------------------------------------------------
 # detectors
 # ---------------------------------------------------------------------------
 
-def _encode_value(value):
-    """One rule for every detector state: a layer stack is stored as its
-    parameter vector, anything else (an array, say) as is."""
-    return value.params if isinstance(value, nd.LayerStack) else value
-
-
-def _of_form(value, form, sizes: dict) -> bool:
-    """Whether a decoded state entry has `form` (see `detect.Kind`); an array
-    form binds each dimension name it meets first in `sizes`."""
-    if isinstance(form, tuple):
-        return (isinstance(value, np.ndarray) and value.ndim == len(form)
-                and all(sizes.setdefault(n, size) == size for n, size in zip(form, value.shape)))
-    if form is list:
-        return isinstance(value, list) and all(_of_form(v, float, sizes) for v in value)
-    return _is(value, _NUMBER if form is float else form) and abs(value) <= sys.float_info.max
-
-
-def _state(kind: str, entries: dict, dim: int) -> dict:
-    """The `stored` entries of a `kind` detector's state read from a file,
-    array blocks decoded; a SchemaError unless each has its form, every array
-    is finite (a NaN would score every EE or OCSVM window NaN, which reads as
-    normal) and the kind's `check` passes."""
-    forms, sizes = SPECS[kind].stored, {"dim": dim}
-    state = {key: decode_array(value) if isinstance(value, dict) else value
-             for key, value in entries.items() if key in forms}
-    bad = [key for key, form in forms.items()
-           if not (key in state and _of_form(state[key], form, sizes))]
-    if bad:
-        want = ", ".join(f"{key} ({', '.join(form)})" if isinstance(form, tuple)
-                         else f"{key} {form.__name__}" for key, form in forms.items())
-        raise SchemaError(f"{kind} state entries {bad} are missing or misshapen "
-                          f"(want {want}; dim {dim})")
-    for key, value in state.items():
-        if isinstance(value, np.ndarray) and not np.isfinite(value).all():
-            raise SchemaError(f"{kind} state entry {key!r} is not finite")
-    return _construct(SPECS[kind].check, {"state": state, "sizes": sizes}, f"{kind} state")
-
-
 def _detector_doc(model: DetectorModel) -> dict:
     """The fields a `DetectorModel` is stored as, in a detector file and in a
-    model file's `calibration` alike."""
-    return {
-        "detector": model.kind,
-        "scaler_mean": model.scaler_mean,
-        "scaler_std": model.scaler_std,
-        "threshold": model.threshold,
-        "config": asdict(model.config),
-        "state": {key: _encode_value(model.state[key]) for key in SPECS[model.kind].stored},
-    }
+    model file's `calibration` alike. A layer stack in its state is stored
+    as its parameter vector, anything else (an array, say) as is."""
+    state = {key: model.state[key] for key in SPECS[model.kind].stored}
+    return {"detector": model.kind, "scaler_mean": model.scaler_mean,
+            "scaler_std": model.scaler_std, "threshold": model.threshold,
+            "config": asdict(model.config),
+            "state": {key: value.params if isinstance(value, nd.LayerStack) else value
+                      for key, value in state.items()}}
 
 
 def save_detector(path: str, model: DetectorModel) -> None:
@@ -491,38 +519,31 @@ def save_detector(path: str, model: DetectorModel) -> None:
     if model.kind not in KINDS:
         raise ValueError(f"no detector file holds a {model.kind!r} model: "
                          f"the kinds are {list(KINDS)}")
-    atomic_write_json(path, {"schema_version": SCHEMA_VERSION, "kind": "detector",
-                             **_detector_doc(model)})
+    _write(path, "detector", _detector_doc(model))
 
 
-def _detector(doc, where: str, kinds) -> DetectorModel:
-    """`doc`'s `DetectorModel`; a SchemaError led by `where` unless its kind
-    is in `kinds`, its scaler mean and std are finite and of one 1-D shape,
-    the std positive and the threshold finite (a NaN score or threshold reads
-    as normal), `DetectorConfig` has every `config` key (an old file's
-    `svdd_lr` fails) and `_state` admits its `state`. State entries outside
-    the kind's `stored` forms and a top-level `train_scores` (older files
-    carry both) are ignored."""
-    try:
-        kind = _field(doc, "detector", str)
-        if kind not in kinds:
-            raise SchemaError(f"unknown detector kind {kind!r}")
-        cfg = _construct(DetectorConfig, _field(doc, "config", dict), "detector config")
-        mean, std = (decode_array(_field(doc, key, dict)) for key in ("scaler_mean", "scaler_std"))
-        threshold = _field(doc, "threshold", _NUMBER)
-        shape = (mean.size,)
-        if not (mean.shape == std.shape == shape and np.isfinite(mean).all()
-                and np.isfinite(std).all() and (std > 0).all() and _of_form(threshold, float, {})):
-            raise SchemaError(f"scaler needs finite {shape} means, positive finite {shape} "
-                              f"stds and a finite threshold")
-        state = _state(kind, _field(doc, "state", dict), mean.size)
-    except SchemaError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
-    return DetectorModel(kind, mean, std, state, threshold, config=cfg)
+def _detector(doc: dict, kinds, at: str = "") -> DetectorModel:
+    """The `DetectorModel` of a detector document `_read` returned, its fields
+    at `at`; a SchemaError unless its kind is in `kinds`, the scaler std is
+    positive, `DetectorConfig` takes its `config` (an old file's `svdd_lr`
+    fails) and its `state` has its kind's `stored` forms and passes its
+    `check`. A NaN array would score every EE or OCSVM window NaN (normal)."""
+    kind = doc["detector"]
+    if kind not in kinds:
+        raise SchemaError(f"field '{at}detector': unknown detector kind {kind!r}")
+    cfg = _construct(DetectorConfig, doc["config"], f"{at}config")
+    if not (doc["scaler_std"] > 0).all():
+        raise SchemaError(f"field '{at}scaler_std' is not positive")
+    sizes = {"dim": doc["scaler_mean"].size}
+    state = _read(doc["state"], SPECS[kind].stored, f"{at}state", sizes)
+    state = _construct(SPECS[kind].check, {"state": state, "sizes": sizes}, f"{at}state")
+    return DetectorModel(kind, doc["scaler_mean"], doc["scaler_std"], state, doc["threshold"],
+                         config=cfg)
 
 
 def load_detector(path: str) -> DetectorModel:
-    return _detector(load_json_checked(path, "detector"), path, KINDS)
+    with _document(path, "detector") as doc:
+        return _detector(doc, KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -530,54 +551,15 @@ def load_detector(path: str) -> DetectorModel:
 # ---------------------------------------------------------------------------
 
 def save_report(path: str, report: EvalReport) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "report",
-        "config_digest": report.config_digest,
-        "seeds": report.seeds,
-        "composition": report.composition,
-        "results": report.results,
-        "timestamp": report.timestamp,
-    }
-    atomic_write_json(path, doc)
-
-
-def _results(doc) -> dict:
-    """doc["results"]; a SchemaError unless every method x test set cell holds
-    numeric precision, recall and f1 and integer confusion counts."""
-    results = _field(doc, "results", dict)
-    for method in METHODS:
-        for key in TestSuite.KEYS:
-            cell = _field(_field(results, method, dict), key, dict)
-            counts = _field(cell, "confusion", dict)
-            if not (all(_is(cell.get(m), _NUMBER) for m in ("precision", "recall", "f1"))
-                    and all(type(counts.get(c)) is int for c in ("tp", "fp", "tn", "fn"))):
-                raise SchemaError(f"results {method} {key}: bad precision/recall/f1/confusion")
-    return results
-
-
-def _composition(doc) -> dict:
-    """doc["composition"]; a SchemaError unless every test set holds integer
-    `n`, `anomalous` and `noise_tagged` counts, the latter two at most `n`."""
-    composition = _field(doc, "composition", dict)
-    for key in TestSuite.KEYS:
-        entry = _field(composition, key, dict)
-        counts = [_field(entry, c, int) for c in ("n", "anomalous", "noise_tagged")]
-        if not (min(counts) >= 0 and max(counts[1:]) <= counts[0]):
-            raise SchemaError(f"composition {key}: bad n/anomalous/noise_tagged counts")
-    return composition
-
-
-def _seeds(doc) -> dict:
-    """doc["seeds"]; a SchemaError unless every value in it is an integer."""
-    seeds = _field(doc, "seeds", dict)
-    for key in seeds:
-        _field(seeds, key, int)
-    return seeds
+    _write(path, "report", asdict(report))
 
 
 def load_report(path: str) -> EvalReport:
-    doc = load_json_checked(path, "report")
-    return EvalReport(_results(doc), _composition(doc),
-                      _field(doc, "config_digest", str), _seeds(doc),
-                      _field(doc, "timestamp", (str, _NONE)))
+    """Each test set's counts must lie in [0, n]."""
+    with _document(path, "report") as doc:
+        for key, counts in doc["composition"].items():
+            for name, count in counts.items():
+                if not 0 <= count <= counts["n"]:
+                    raise SchemaError(f"field 'composition.{key}.{name}' is {count}, "
+                                      f"not in [0, n = {counts['n']}]")
+        return EvalReport(**doc)

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from t2vad import detect
 from t2vad.autoenc import embed_many, score_components_many, train
 from t2vad.cli import main
-from t2vad.evaluate import run_benchmark, score_table
-from t2vad.persist import (CHUNK, ChecksumError, SchemaError, atomic_write_json, decode_array,
-                           encode_array, load_corpus, load_detector, load_model,
+from t2vad.evaluate import format_report_table, run_benchmark, score_table
+from t2vad.persist import (CHUNK, FORMS, ChecksumError, Either, SchemaError, atomic_write_json,
+                           decode_array, encode_array, load_corpus, load_detector, load_model,
                            load_report, load_testsuite, save_corpus, save_detector,
                            save_model, save_report, save_testsuite)
 from t2vad.persist import _base64_pieces
@@ -326,7 +326,7 @@ def test_a_non_finite_state_array_or_layer_parameter_is_a_schema_error(
     for key in blocks:
         save_detector(path, small_e2e["detectors"][kind])
         rewrite(path, poison(key))
-        with pytest.raises(SchemaError, match=f"{kind} state entry '{key}' is not finite"):
+        with pytest.raises(SchemaError, match=f"field 'state.{key}' is not finite"):
             load_detector(path)
 
 
@@ -409,64 +409,66 @@ def replace_payload(value):
 # a payload whose shape and data agree, but not on (n, 100, F) windows
 BAD_PAYLOADS = {"a-scalar": (lambda a: a[0, 0, 0], r"is \(\), not \(n, N, F\)"),
                 "of-10-step-windows": (lambda a: a.reshape(len(a), 10, -1),
-                                       r"bad windows: windows must be \(n, 100, F\)")}
+                                       r"field 'windows\.payload' is \(\d+, 10, \d+\), "
+                                       r"not \(n, N, F\) with n = \d+, N = 100")}
 
 
 # (artifact, mutation, message): each mutation, re-checksummed, is a SchemaError
 WINDOW_FIELD_MUTATIONS = {
     "corpus-labels-entry-removed": ("corpus", lambda d: d["windows"]["labels"].pop(),
-                                    "labels, tags and origins"),
+                                    "field 'windows.labels' holds 59 entries"),
     "corpus-windows-removed": ("corpus", lambda d: d.pop("windows"), "'windows'"),
     "corpus-tags-entry-5": ("corpus", lambda d: d["windows"]["tags"].__setitem__(0, 5),
-                            "labels, tags and origins"),
+                            "field 'windows.tags.0' is not a list"),
     "corpus-tags-entry-holds-an-int": (
         "corpus", lambda d: d["windows"]["tags"].__setitem__(0, [5]),
-        "labels, tags and origins"),
+        "field 'windows.tags.0.0' is not a string"),
     "corpus-origins-entry-not-a-string": (
         "corpus", lambda d: d["windows"]["origins"].__setitem__(2, None),
-        "labels, tags and origins"),
+        "field 'windows.origins.2' is not a string"),
     "corpus-labels-not-a-list": ("corpus", lambda d: d["windows"].update(labels="normal"),
-                                 "'labels'"),
+                                 "'windows.labels'"),
     "corpus-label-contradicts-tags": (
         "corpus", lambda d: d["windows"]["labels"].__setitem__(3, "anomalous"),
-        "window 3: label 'anomalous' inconsistent"),
+        "field 'windows.labels.3': label 'anomalous' inconsistent"),
     "corpus-float-split-train": (
         "corpus", lambda d: d["split"].update(train=[float(i) for i in d["split"]["train"]]),
-        "split indices must be integers"),
+        "field 'split.train.0' is not an integer"),
     "corpus-split-removed": ("corpus", lambda d: d.pop("split"), "'split'"),
     "suite-labels-entry-removed": ("testsuite", lambda d: d["windows"]["labels"].pop(),
-                                   "labels, tags and origins"),
+                                   "field 'windows.labels' holds"),
     "suite-sets-removed": ("testsuite", lambda d: d.pop("sets"), "'sets'"),
     "suite-label-contradicts-tags": ("testsuite", relabel_first_anomalous_window_normal,
                                      "label 'normal' inconsistent"),
     "suite-windows-removed": ("testsuite", lambda d: d.pop("windows"), "'windows'"),
     "suite-of-the-per-set-payload-layout": ("testsuite", per_set_payloads, "'windows'"),
     "suite-of-the-shared-payload-row-sets-layout": ("testsuite", shared_payload_row_sets,
-                                                    "'payload'"),
+                                                    "'windows.payload' is missing"),
     "suite-windows-flattened": (
         "testsuite", lambda d: d["windows"]["payload"].update(
             shape=[math.prod(d["windows"]["payload"]["shape"])]),
         r"not \(n, N, F\)"),
-    "suite-rows-removed": ("testsuite", lambda d: d["sets"].update({"A-4F": {}}), "'A-4F'"),
+    "suite-rows-removed": ("testsuite", lambda d: d["sets"].update({"A-4F": {}}),
+                           "field 'sets.A-4F' is not a list"),
     "suite-rows-entry-a-float": ("testsuite", set_first_row(lambda d: 0.0),
-                                 r"AN-6F rows must be integers"),
+                                 "field 'sets.AN-6F.0' is not an integer"),
     "suite-rows-entry-a-boolean": ("testsuite", set_first_row(lambda d: True),
-                                   r"AN-6F rows must be integers"),
+                                   "field 'sets.AN-6F.0' is not an integer"),
     "suite-rows-entry-negative": ("testsuite", set_first_row(lambda d: -1),
-                                  r"AN-6F rows must be integers"),
+                                  r"field 'sets\.AN-6F\.0' is -1, not in \[0, \d+\)"),
     "suite-rows-entry-at-the-distinct-count": (
         "testsuite", set_first_row(lambda d: d["windows"]["payload"]["shape"][0]),
-        r"AN-6F rows must be integers in \[0, \d+\)"),
+        r"field 'sets\.AN-6F\.0' is (\d+), not in \[0, \1\)"),
     "suite-origins-shorter-than-windows": ("testsuite", lambda d: d["windows"]["origins"].pop(),
-                                           "labels, tags and origins"),
+                                           "field 'windows.origins' holds"),
     "suite-seed-a-boolean": ("testsuite", lambda d: d.update(seed=False), "'seed'"),
     "corpus-split-test-emptied": ("corpus", lambda d: d["split"].update(test=[]),
-                                  "bad corpus: split must be disjoint and exhaustive"),
+                                  "field 'split': split must be disjoint and exhaustive"),
     "suite-set-removed": ("testsuite", lambda d: d["sets"].pop("AN-4F"),
-                          r"bad test suite: missing test sets: \['AN-4F'\]"),
+                          r"field 'sets': missing test sets: \['AN-4F'\]"),
     "suite-windows-data-not-base64": (
         "testsuite", lambda d: d["windows"]["payload"].update(data="x"),
-        "array data is not base64"),
+        "field 'windows.payload.data' is not base64"),
     **{f"{prefix}-payload-{name}": (kind, replace_payload(value), message)
        for kind, prefix in (("corpus", "corpus"), ("testsuite", "suite"))
        for name, (value, message) in BAD_PAYLOADS.items()},
@@ -543,7 +545,7 @@ def test_a_stored_entry_out_of_its_form_is_a_schema_error_naming_it(
     path = tmp_path / "det.json"
     path.write_bytes((saved_artifacts / f"det.{kind}.json").read_bytes())
     rewrite(path, lambda doc: edit(doc["state"]))
-    with pytest.raises(SchemaError, match=rf"{kind} state entries \[{key!r}\] are missing"):
+    with pytest.raises(SchemaError, match=rf"field 'state\.{key}' is "):
         load_detector(path)
 
 
@@ -555,12 +557,12 @@ def test_a_baseline_model_is_no_detector_file(tmp_path, small_e2e):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("file, mutate, block", [
-    ("recon.json", lambda d: d["calibration"].pop("detector"), "calibration: "),
-    ("det.lof.json", lambda d: d.pop("state"), ""),
+@pytest.mark.parametrize("file, mutate, field", [
+    ("recon.json", lambda d: d["calibration"].pop("detector"), "calibration.detector"),
+    ("det.lof.json", lambda d: d.pop("state"), "state"),
 ])
 def test_a_schema_error_in_a_detector_document_names_its_file_and_block(
-        tmp_path, saved_artifacts, capsys, file, mutate, block):
+        tmp_path, saved_artifacts, capsys, file, mutate, field):
     d = saved_artifacts
     path = tmp_path / file
     path.write_bytes((d / file).read_bytes())
@@ -571,7 +573,7 @@ def test_a_schema_error_in_a_detector_document_names_its_file_and_block(
             "--out", tmp_path / "report.json", "--detectors", *detectors]
     capsys.readouterr()
     assert main([str(a) for a in argv]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {path}: {block}field ")
+    assert capsys.readouterr().err.startswith(f"error: {path}: field '{field}' ")
 
 
 def test_unmutated_artifacts_run_through_the_cli(tmp_path, saved_artifacts):
@@ -629,6 +631,11 @@ def nested_trees(doc):
                     "subsample": doc["state"]["subsample"]}
 
 
+def set_metric(metric, value):
+    """Set one report cell's `metric` to `value`."""
+    return lambda d: d["results"]["t2v_lof"]["AN-4F"].update({metric: value})
+
+
 # the nine detector settings that became module constants, at their old values
 OLD_CONFIG_SETTINGS = {
     "iforest_subsample": 256, "ocsvm_gamma": None, "ocsvm_tol": 1e-4,
@@ -641,117 +648,127 @@ OLD_CONFIG_SETTINGS = {
 # block, re-checksummed, is a SchemaError when loaded and exit 1 in the CLI
 ARTIFACT_FIELD_MUTATIONS = {
     "corpus-payload-data-removed": ("corpus.json", lambda d: d["windows"]["payload"].pop("data"),
-                                    "'data'"),
+                                    "field 'windows.payload.data' is missing"),
     "corpus-payload-shape-removed": (
-        "corpus.json", lambda d: d["windows"]["payload"].pop("shape"), "'shape'"),
+        "corpus.json", lambda d: d["windows"]["payload"].pop("shape"),
+        "field 'windows.payload.shape' is missing"),
     "corpus-payload-shape-too-short": ("corpus.json", set_first_shape_entry(5),
-                                       "array data holds .* bytes"),
+                                       "field 'windows.payload.data' holds .* bytes"),
     "corpus-payload-shape-float": ("corpus.json", set_first_shape_entry(60.0),
-                                   "not a list of non-negative integers"),
+                                   "field 'windows.payload.shape.0' is not an integer"),
     "corpus-payload-data-padding-mid-string": (
-        "corpus.json", set_payload_character(1001, "="), "array data is not base64"),
+        "corpus.json", set_payload_character(1001, "="),
+        "field 'windows.payload.data' is not base64"),
     "corpus-payload-data-padding-ending-a-chunk": (
-        "corpus.json", set_payload_character(STEP - 1, "="), "array data is not base64"),
+        "corpus.json", set_payload_character(STEP - 1, "="),
+        "field 'windows.payload.data' is not base64"),
     "corpus-payload-data-padding-starting-a-chunk": (
-        "corpus.json", set_payload_character(STEP, "="), "array data is not base64"),
+        "corpus.json", set_payload_character(STEP, "="),
+        "field 'windows.payload.data' is not base64"),
     "corpus-payload-data-non-alphabet-character": (
-        "corpus.json", set_payload_character(2 * STEP + 7, "-"), "array data is not base64"),
+        "corpus.json", set_payload_character(2 * STEP + 7, "-"),
+        "field 'windows.payload.data' is not base64"),
     "corpus-payload-data-non-ascii-character": (
-        "corpus.json", set_payload_character(7, "é"), "array data is not base64"),
+        "corpus.json", set_payload_character(7, "é"), "field 'windows.payload.data' is not base64"),
     "corpus-payload-data-one-group-short": (
         "corpus.json", lambda d: d["windows"]["payload"].update(
             data=d["windows"]["payload"]["data"][:-4]),
-        r"array data holds 287997 bytes, not the 288000"),
+        r"field 'windows\.payload\.data' holds 287997 bytes, not the 288000"),
     "t2v-params-removed": ("t2v.json", lambda d: d.pop("params"), "'params'"),
     "t2v-of-the-per-layer-format": ("t2v.json", per_layer_model, "'params'"),
     "t2v-config-removed": ("t2v.json", lambda d: d.pop("config"), "'config'"),
     "t2v-config-unknown-key": ("t2v.json", lambda d: d["config"].update(bogus=1), "bogus"),
     "t2v-n-a-string": ("t2v.json", lambda d: d.update(n="100"), "'n'"),
-    "t2v-n-zero": ("t2v.json", lambda d: d.update(n=0), "n=0, f=6 is not positive"),
-    "t2v-f-negative": ("t2v.json", lambda d: d.update(f=-1), "n=100, f=-1 is not positive"),
+    "t2v-n-zero": ("t2v.json", lambda d: d.update(n=0), "field 'n' is 0, not positive"),
+    "t2v-f-negative": ("t2v.json", lambda d: d.update(f=-1), "field 'f' is -1, not positive"),
     "t2v-params-one-entry-short": (
         "t2v.json", replace_params(lambda p: p[:-1]),
-        r"model params are \(3099,\), the network its config builds has \(3100,\)"),
+        r"field 'params' is \(3099,\), the network its config builds has \(3100,\)"),
     "t2v-params-a-matrix": ("t2v.json", replace_params(lambda p: p[None]),
-                            r"model params are \(1, \d+\)"),
+                            r"field 'params' is \(1, \d+\), not \(params,\)"),
     "t2v-params-data-not-base64": (
         "t2v.json", lambda d: d["params"].update(data="A" * 7 + "!"),
-        "array data is not base64"),
+        "field 'params.data' is not base64"),
     "t2v-config-of-another-network": (
         "t2v.json", lambda d: d["config"].update(k=12, decoder_layers=4),
         "the network its config builds has"),
     "t2v-config-filters-zero": (
         "t2v.json", lambda d: d["config"].update(filters=0),
-        "bad model config: filters, kernel size and encoder stride must be >= 1"),
+        "field 'config': filters, kernel size and encoder stride must be >= 1"),
     "t2v-config-kernel-minus-1": (
         "t2v.json", lambda d: d["config"].update(kernel=-1),
-        "bad model config: filters, kernel size and encoder stride must be >= 1"),
+        "field 'config': filters, kernel size and encoder stride must be >= 1"),
     "recon-of-the-per-layer-format": ("recon.json", per_layer_model, "'params'"),
     "recon-params-one-entry-long": (
         "recon.json", replace_params(lambda p: np.append(p, 0.0)),
-        r"model params are \(3575,\), the network its config builds has \(3574,\)"),
+        r"field 'params' is \(3575,\), the network its config builds has \(3574,\)"),
     "recon-config-encoder-layers-6": (
         "recon.json", lambda d: d["config"].update(encoder_layers=6),
-        "bad model config: window length 100 not divisible by total stride 64"),
+        "field 'config': window length 100 not divisible by total stride 64"),
     "recon-config-encoder-stride-zero": (
         "recon.json", lambda d: d["config"].update(encoder_stride=0),
-        "bad model config: filters, kernel size and encoder stride must be >= 1"),
+        "field 'config': filters, kernel size and encoder stride must be >= 1"),
     "recon-calibration-means-removed": (
-        "recon.json", lambda d: d["calibration"].pop("scaler_mean"), "'scaler_mean'"),
+        "recon.json", lambda d: d["calibration"].pop("scaler_mean"),
+        "field 'calibration.scaler_mean' is missing"),
     "recon-calibration-threshold-removed": (
-        "recon.json", lambda d: d["calibration"].pop("threshold"), "'threshold'"),
+        "recon.json", lambda d: d["calibration"].pop("threshold"),
+        "field 'calibration.threshold' is missing"),
     "recon-calibration-means-broadcastable": (
         "recon.json", lambda d: d["calibration"].update(scaler_mean=encode_array(np.zeros(1))),
-        r"scaler needs finite \(1,\) means, positive finite \(1,\) stds"),
+        r"field 'calibration\.scaler_std' is \(3,\), not \(dim,\) with dim = 1"),
     "recon-calibration-threshold-nan": (
         "recon.json", lambda d: d["calibration"].update(threshold=math.nan),
-        "scaler needs .* a finite threshold"),
+        "field 'calibration.threshold' is not a finite number"),
     "recon-calibration-threshold-quantile-one": (
         "recon.json", lambda d: d["calibration"]["config"].update(threshold_quantile=1.0),
-        r"bad detector config: threshold quantile must be in \(0, 1\)"),
+        r"field 'calibration\.config': threshold quantile must be in \(0, 1\)"),
     "recon-calibration-of-a-detector-kind": (
         "recon.json", lambda d: d["calibration"].update(detector="lof"),
         "unknown detector kind 'lof'"),
     "detector-kind-the-baseline": ("det.lof.json", lambda d: d.update(detector="recon_ae"),
                                    "unknown detector kind 'recon_ae'"),
     "detector-scaler-std-shape-removed": (
-        "det.deep_svdd.json", lambda d: d["scaler_std"].pop("shape"), "'shape'"),
+        "det.deep_svdd.json", lambda d: d["scaler_std"].pop("shape"),
+        "field 'scaler_std.shape' is missing"),
     "detector-state-removed": ("det.lof.json", lambda d: d.pop("state"), "'state'"),
     "detector-state-center-shape-removed": (
-        "det.deep_svdd.json", lambda d: d["state"]["center"].pop("shape"), "'shape'"),
+        "det.deep_svdd.json", lambda d: d["state"]["center"].pop("shape"),
+        "field 'state.center.shape' is missing"),
     "detector-threshold-a-string": ("det.ocsvm.json", lambda d: d.update(threshold="0.5"),
                                     "'threshold'"),
     "detector-pca-basis-removed-from-the-ee-state": (
         "det.ee.json", lambda d: d["state"].pop("pca_basis"),
-        r"ee state entries \['pca_basis'\]"),
+        "field 'state.pca_basis' is missing"),
     "detector-center-removed-from-the-deep-svdd-state": (
         "det.deep_svdd.json", lambda d: d["state"].pop("center"),
-        r"deep_svdd state entries \['center'\]"),
+        "field 'state.center' is missing"),
     "detector-layers-removed-from-the-deep-svdd-state": (
         "det.deep_svdd.json", lambda d: d["state"].pop("layers"),
-        r"deep_svdd state entries \['layers'\]"),
+        "field 'state.layers' is missing"),
     "detector-kdist-removed-from-the-lof-state": (
-        "det.lof.json", lambda d: d["state"].pop("kdist"), r"lof state entries \['kdist'\]"),
+        "det.lof.json", lambda d: d["state"].pop("kdist"), "field 'state.kdist' is missing"),
     "detector-k-removed-from-the-lof-state": (
-        "det.lof.json", lambda d: d["state"].pop("k"), r"lof state entries \['k'\]"),
+        "det.lof.json", lambda d: d["state"].pop("k"), "field 'state.k' is missing"),
     "detector-rho-removed-from-the-ocsvm-state": (
-        "det.ocsvm.json", lambda d: d["state"].pop("rho"), r"ocsvm state entries \['rho'\]"),
+        "det.ocsvm.json", lambda d: d["state"].pop("rho"), "field 'state.rho' is missing"),
     "detector-gamma-negative-in-the-ocsvm-state": (
         "det.ocsvm.json", lambda d: d["state"].update(gamma=-1),
-        r"ocsvm state entries \['gamma'\]"),
+        r"field 'state': ocsvm gamma is out of range \(want gamma > 0\)"),
     "detector-alpha-shorter-than-the-ocsvm-support-vectors": (
-        "det.ocsvm.json", shorten_state_array("alpha"), r"ocsvm state entries \['alpha'\]"),
+        "det.ocsvm.json", shorten_state_array("alpha"),
+        r"field 'state\.alpha' is \(\d+,\), not \(s,\) with s = \d+"),
     "detector-config-unknown-key": (
         "det.iforest.json", lambda d: d["config"].update(bogus=1), "bogus"),
     "detector-config-threshold-quantile-one": (
         "det.lof.json", lambda d: d["config"].update(threshold_quantile=1.0),
-        r"bad detector config: threshold quantile must be in \(0, 1\)"),
+        r"field 'config': threshold quantile must be in \(0, 1\)"),
     "detector-config-of-an-old-file": (
         "det.deep_svdd.json", lambda d: d["config"].update(OLD_CONFIG_SETTINGS),
-        "bad detector config: .*unexpected keyword"),
+        "field 'config.ee_support_fraction' is not a finite number"),
     "detector-config-with-a-retired-fit-setting": (
         "det.lof.json", lambda d: d["config"].update(lof_k=20),
-        "bad detector config: .*unexpected keyword argument 'lof_k'"),
+        "field 'config': .*unexpected keyword argument 'lof_k'"),
     "detector-deep-svdd-params-one-entry-short": (
         "det.deep_svdd.json", shorten_state_array("layers"),
         r"deep_svdd state needs the 93696 parameters of a 700 -> 128 -> 32 net"),
@@ -760,25 +777,26 @@ ARTIFACT_FIELD_MUTATIONS = {
     "detector-deep-svdd-of-the-per-layer-format": (
         "det.deep_svdd.json",
         lambda d: d["state"].update(layers=per_layer_params(d["state"]["layers"])),
-        r"deep_svdd state entries \['layers'\]"),
+        "field 'state.layers' is not an object"),
     "detector-threshold-nan": ("det.ocsvm.json", lambda d: d.update(threshold=math.nan),
-                               "scaler needs .* a finite threshold"),
+                               "field 'threshold' is not a finite number"),
     "detector-scaler-std-broadcastable": (
         "det.lof.json", lambda d: d.update(scaler_std=encode_array(np.ones(1))),
-        r"scaler needs finite \(\d+,\) means, positive finite \(\d+,\) stds"),
+        r"field 'scaler_std' is \(1,\), not \(dim,\) with dim = \d+"),
     "detector-scaler-std-zero": (
         "det.ee.json", lambda d: d.update(scaler_std=encode_array(
-            0 * decode_array(d["scaler_std"]))), "positive finite"),
+            0 * decode_array(d["scaler_std"]))), "field 'scaler_std' is not positive"),
     "detector-threshold-a-boolean": ("det.ocsvm.json", lambda d: d.update(threshold=True),
                                      "'threshold'"),
     "detector-threshold-past-the-float-range": (
         "det.ocsvm.json", lambda d: d.update(threshold=10 ** 400),
-        "scaler needs .* a finite threshold"),
+        "field 'threshold' is not a finite number"),
     "detector-rho-past-the-float-range": (
         "det.ocsvm.json", lambda d: d["state"].update(rho=-10 ** 400),
-        r"ocsvm state entries \['rho'\]"),
+        "field 'state.rho' is not a finite number"),
     "iforest-node-array-shorter": ("det.iforest.json", shorten_state_array("right"),
-                                   r"iforest state entries \['right'\]"),
+                                   r"field 'state\.right' is \(\d+,\), "
+                                   r"not \(nodes,\) with nodes = \d+"),
     "iforest-right-past-the-last-node": (
         "det.iforest.json", set_forest_entry("right", 0, 10 ** 6), "out of range"),
     "iforest-right-not-an-integer": ("det.iforest.json", set_forest_entry("right", 0, 1.5),
@@ -800,40 +818,74 @@ ARTIFACT_FIELD_MUTATIONS = {
                                    "out of range"),
     "iforest-path-nan": ("det.iforest.json", set_forest_entry("path", 0, np.nan), "finite"),
     "iforest-threshold-removed": ("det.iforest.json", lambda d: d["state"].pop("threshold"),
-                                  r"iforest state entries \['threshold'\]"),
+                                  "field 'state.threshold' is missing"),
     "iforest-nested-trees": ("det.iforest.json", nested_trees,
-                             r"iforest state entries \['feature', 'threshold', 'right', "
-                             r"'path', 'roots'\]"),
+                             "field 'state.feature' is missing"),
     "report-results-removed": ("report.json", lambda d: d.pop("results"), "'results'"),
     "report-cell-f1-removed": (
-        "report.json", lambda d: d["results"]["t2v_lof"]["AN-4F"].pop("f1"), "t2v_lof AN-4F"),
-    "report-method-removed": ("report.json", lambda d: d["results"].pop("t2v_ee"), "'t2v_ee'"),
+        "report.json", lambda d: d["results"]["t2v_lof"]["AN-4F"].pop("f1"),
+        "field 'results.t2v_lof.AN-4F.f1' is missing"),
+    "report-method-removed": ("report.json", lambda d: d["results"].pop("t2v_ee"),
+                              "field 'results.t2v_ee' is missing"),
     "report-timestamp-a-number": ("report.json", lambda d: d.update(timestamp=5), "'timestamp'"),
     "report-composition-removed": ("report.json", lambda d: d.pop("composition"),
                                    "'composition'"),
     "report-composition-set-removed": (
-        "report.json", lambda d: d["composition"].pop("AN-6F"), "'AN-6F'"),
+        "report.json", lambda d: d["composition"].pop("AN-6F"),
+        "field 'composition.AN-6F' is missing"),
     "report-composition-set-not-an-object": (
-        "report.json", lambda d: d["composition"].update({"A-4F": 5}), "'A-4F'"),
+        "report.json", lambda d: d["composition"].update({"A-4F": 5}),
+        "field 'composition.A-4F' is not an object"),
     "report-composition-n-a-float": (
-        "report.json", lambda d: d["composition"]["A-6F"].update(n=150.0), "'n'"),
+        "report.json", lambda d: d["composition"]["A-6F"].update(n=150.0),
+        "field 'composition.A-6F.n' is not an integer"),
     "report-composition-n-removed": (
-        "report.json", lambda d: d["composition"]["A-6F"].pop("n"), "'n'"),
+        "report.json", lambda d: d["composition"]["A-6F"].pop("n"),
+        "field 'composition.A-6F.n' is missing"),
     "report-composition-count-a-boolean": (
         "report.json", lambda d: d["composition"]["AN-4F"].update(noise_tagged=True),
-        "'noise_tagged'"),
+        "field 'composition.AN-4F.noise_tagged' is not an integer"),
     "report-composition-anomalous-above-n": (
         "report.json", lambda d: d["composition"]["AN-6F"].update(
-            anomalous=d["composition"]["AN-6F"]["n"] + 1), "composition AN-6F"),
+            anomalous=d["composition"]["AN-6F"]["n"] + 1),
+        r"field 'composition\.AN-6F\.anomalous' is \d+, not in \[0, n = \d+\]"),
     "report-composition-noise-tagged-negative": (
         "report.json", lambda d: d["composition"]["A-4F"].update(noise_tagged=-1),
-        "composition A-4F"),
+        r"field 'composition\.A-4F\.noise_tagged' is -1, not in \[0, n = \d+\]"),
     "report-seeds-value-a-boolean": (
-        "report.json", lambda d: d["seeds"].update(master_seed=True), "'master_seed'"),
+        "report.json", lambda d: d["seeds"].update(master_seed=True),
+        "field 'seeds.master_seed' is not an integer"),
     "report-seeds-value-a-float": (
-        "report.json", lambda d: d["seeds"].update(master_seed=0.0), "'master_seed'"),
+        "report.json", lambda d: d["seeds"].update(master_seed=0.0),
+        "field 'seeds.master_seed' is not an integer"),
     "report-seeds-value-a-string": (
-        "report.json", lambda d: d["seeds"].update(master_seed="0"), "'master_seed'"),
+        "report.json", lambda d: d["seeds"].update(master_seed="0"),
+        "field 'seeds.master_seed' is not an integer"),
+    # `t2vad report` formats every metric: one past float64's range would raise
+    # an OverflowError there, and a NaN one would print "nan"
+    **{f"report-{metric}-{name}": (
+        "report.json", set_metric(metric, value),
+        rf"field 'results\.t2v_lof\.AN-4F\.{metric}' is not a finite number")
+       for metric in ("f1", "recall")
+       for name, value in (("past-the-float-range", 10 ** 400), ("nan", math.nan))},
+    "t2v-loss-curve-of-a-string-and-null": (
+        "t2v.json", lambda d: d.update(loss_curve=["x", None]),
+        r"field 'loss_curve\.0' is not a finite number"),
+    "t2v-loss-curve-infinite": ("t2v.json", lambda d: d["loss_curve"].append(math.inf),
+                                r"field 'loss_curve\.\d+' is not a finite number"),
+    # the corpus header must give its payload's shape, a model's variant its config's
+    "corpus-n-windows-one-short": (
+        "corpus.json", lambda d: d.update(n_windows=d["n_windows"] - 1),
+        "field 'n_windows' is 59, not n = 60"),
+    "corpus-steps-not-the-window-length": ("corpus.json", lambda d: d.update(steps=50),
+                                           "field 'steps' is 50, not N = 100"),
+    "corpus-features-one-short": ("corpus.json", lambda d: d.update(features=5),
+                                  "field 'features' is 5, not F = 6"),
+    "corpus-features-removed": ("corpus.json", lambda d: d.pop("features"),
+                                "field 'features' is missing"),
+    "t2v-variant-not-the-config-variant": (
+        "t2v.json", lambda d: d.update(variant="reconstruction"),
+        "field 'variant' is 'reconstruction', not the config's 't2v'"),
 }
 
 
@@ -888,6 +940,37 @@ def test_every_artifact_is_written_as_canonical_json(saved_artifacts, file):
     """The invariant the raw-byte checksum rests on."""
     blob = (saved_artifacts / file).read_bytes()
     assert blob == canonical(blob)
+
+
+def undeclared(value, form, path=""):
+    """The dotted path of each key of `value`, at any fixed-key level of
+    `form`, that `form` does not declare."""
+    if isinstance(form, Either):
+        return [p for alt in form if type(alt) is type(value) for p in undeclared(value, alt, path)]
+    if isinstance(form, list):
+        return [p for i, v in enumerate(value) for p in undeclared(v, form[-1], f"{path}{i}.")]
+    if not isinstance(form, dict):
+        return []
+    if str in form:
+        return [p for k, v in value.items() for p in undeclared(v, form[str], f"{path}{k}.")]
+    return [f"{path}{k}" for k in value if k not in form] + [
+        p for k in form if k in value for p in undeclared(value[k], form[k], f"{path}{k}.")]
+
+
+@pytest.mark.parametrize("file", LOADERS)
+def test_every_key_a_writer_writes_is_declared_in_the_forms(saved_artifacts, file):
+    """Every field a save function writes, at every fixed-key level and in
+    every detector state, has a form that loading holds it to."""
+    doc = json.loads((saved_artifacts / file).read_bytes())
+    kind = doc.pop("kind")
+    del doc["schema_version"], doc["checksum"]
+    assert undeclared(doc, FORMS[kind]) == []
+    assert undeclared({**doc, "extra": {"a": 1}}, FORMS[kind]) == ["extra"]
+    for block in (doc, doc.get("calibration")):
+        if isinstance(block, dict) and "detector" in block:
+            stored = detect.SPECS[block["detector"]].stored
+            assert undeclared(block["state"], stored) == []
+            assert undeclared({**block["state"], "extra": 1}, stored) == ["extra"]
 
 
 @pytest.mark.parametrize("doc", [{}, {"a": 1}, {"z": [2]}, {"a": 1, "z": {"b": None}}])
@@ -991,7 +1074,7 @@ def test_one_flipped_byte_anywhere_never_loads(tmp_path_factory, saved_artifacts
 
 
 DROP = object()
-OTHER_VALUES = [DROP, None, True, -1, 0.5, "x", [], {}]
+OTHER_VALUES = [DROP, None, True, -1, 0.5, "x", [], {}, 10 ** 400, math.nan]
 
 
 @pytest.mark.parametrize("file", LOADERS)
@@ -1000,8 +1083,9 @@ OTHER_VALUES = [DROP, None, True, -1, 0.5, "x", [], {}]
 def test_one_field_dropped_or_retyped_anywhere_loads_or_is_a_schema_error(
         tmp_path_factory, saved_artifacts, file, data):
     """Drop one field at any depth, or set it to a value of another JSON
-    type or -1, and re-checksum: the loader returns or raises SchemaError,
-    never anything else. Each step down picks a member or entry of the
+    type, -1, a number past float64's range or NaN, and re-checksum: the
+    loader returns or raises SchemaError, never anything else, and a report
+    that loads prints. Each step down picks a member or entry of the
     current object or list, and goes on down with probability 1/2."""
     doc = json.loads((saved_artifacts / file).read_bytes())
     parent, key = doc, data.draw(st.sampled_from(sorted(doc)))
@@ -1017,9 +1101,11 @@ def test_one_field_dropped_or_retyped_anywhere_loads_or_is_a_schema_error(
     path = tmp_path_factory.getbasetemp() / f"mutated.{file}"
     atomic_write_json(str(path), doc)
     try:
-        LOADERS[file](path)
+        loaded = LOADERS[file](path)
     except SchemaError:
-        pass
+        return
+    if file == "report.json":
+        format_report_table(loaded)
 
 
 def test_suite_round_trip_scores_the_same(tmp_path, small_e2e):
