@@ -105,14 +105,6 @@ def _at(path: str, key) -> str:
     return f"{path}.{key}" if path else str(key)
 
 
-def _test(form):
-    """The test of a value of a scalar form, or of a list of one; else None."""
-    if form is None or isinstance(form, type):
-        return _SCALARS[form][1]
-    inner = _test(form[0]) if isinstance(form, list) and len(form) == 1 else None
-    return inner and (lambda v: type(v) is list and all(map(inner, v)))
-
-
 def _read(value, form, path: str, sizes: dict):
     """`value`, as `json.loads` gave it, held to `form`, with every array
     block decoded and every fixed-key object cut to its form's keys; a
@@ -153,12 +145,7 @@ def _read(value, form, path: str, sizes: dict):
         if size and sizes.setdefault(size[0], len(value)) != len(value):
             raise SchemaError(f"field {path!r} holds {len(value)} entries, "
                               f"not {size[0]} = {sizes[size[0]]}")
-        test = _test(entry)
-        if test is None:
-            return [_read(v, entry, _at(path, i), sizes) for i, v in enumerate(value)]
-        for i in (i for i, v in enumerate(value) if not test(v)):     # one flat pass
-            _read(value[i], entry, _at(path, i), sizes)     # raises, naming the entry
-        return value
+        return [_read(v, entry, _at(path, i), sizes) for i, v in enumerate(value)]
     if isinstance(form, dict):
         if type(value) is not dict:
             raise SchemaError(f"field {path!r} is not an object")
@@ -193,10 +180,10 @@ def encode_array(a: np.ndarray) -> dict:
     }
 
 
-def decode_array(d: dict, path: str = "") -> np.ndarray:
+def decode_array(d: dict, path: str = "array") -> np.ndarray:
     """Inverse of `encode_array`; a SchemaError naming the field at `path`
-    unless `d` holds a strict base64 `data` string whose length matches a
-    `shape` list of non-negative integers.
+    (by default `array`) unless `d` holds a strict base64 `data` string
+    whose length matches a `shape` list of non-negative integers.
 
     The payload is decoded CHUNK bytes at a time straight into the result,
     so no whole decoded or re-encoded copy of it is held.
@@ -414,8 +401,12 @@ def _labels(anomalous) -> list[str]:
 
 def _windows_block(windows: WindowSet) -> dict:
     """The window block of `windows`: their payload, labels, tags and origins."""
-    return {"payload": windows.data, "labels": _labels(windows.anomalous),
-            "tags": [sorted(t) for t in windows.tags], "origins": windows.origins}
+    return {
+        "payload": windows.data,
+        "labels": _labels(windows.anomalous),
+        "tags": [sorted(t) for t in windows.tags],
+        "origins": windows.origins,
+    }
 
 
 def _window_set(block: dict) -> WindowSet:
@@ -431,11 +422,14 @@ def _window_set(block: dict) -> WindowSet:
 
 
 def save_corpus(path: str, corpus: Corpus) -> None:
-    n, steps, features = corpus.windows.data.shape
-    _write(path, "corpus", {"n_windows": n, "steps": steps, "features": features,
-                            "provenance": corpus.provenance,
-                            "split": {"train": corpus.train_idx, "test": corpus.test_idx},
-                            "windows": _windows_block(corpus.windows)})
+    _write(path, "corpus", {
+        "n_windows": len(corpus.windows),
+        "steps": corpus.windows.data.shape[1],
+        "features": corpus.windows.data.shape[2],
+        "provenance": corpus.provenance,
+        "split": {"train": corpus.train_idx, "test": corpus.test_idx},
+        "windows": _windows_block(corpus.windows),
+    })
 
 
 def load_corpus(path: str) -> Corpus:
@@ -447,8 +441,11 @@ def load_corpus(path: str) -> Corpus:
 
 
 def save_testsuite(path: str, suite: TestSuite) -> None:
-    _write(path, "testsuite", {"seed": suite.seed, "windows": _windows_block(suite.windows),
-                               "sets": {key: rows.tolist() for key, rows in suite.sets.items()}})
+    _write(path, "testsuite", {
+        "seed": suite.seed,
+        "sets": {key: rows.tolist() for key, rows in suite.sets.items()},
+        "windows": _windows_block(suite.windows),
+    })
 
 
 def load_testsuite(path: str) -> TestSuite:
@@ -470,10 +467,14 @@ def load_testsuite(path: str) -> TestSuite:
 def save_model(path: str, model: TrainedModel,
                calibration: DetectorModel | None = None) -> None:
     _write(path, "model", {
-        "variant": model.config.variant, "n": model.n, "f": model.f,
-        "config": asdict(model.config), "loss_curve": model.loss_curve,
+        "variant": model.config.variant,
+        "n": model.n,
+        "f": model.f,
+        "config": asdict(model.config),
+        "loss_curve": model.loss_curve,
         "params": model.stack.params,
-        "calibration": None if calibration is None else _detector_doc(calibration)})
+        "calibration": None if calibration is None else _detector_doc(calibration),
+    })
 
 
 def load_model(path: str) -> tuple[TrainedModel, DetectorModel | None]:
@@ -506,11 +507,15 @@ def _detector_doc(model: DetectorModel) -> dict:
     model file's `calibration` alike. A layer stack in its state is stored
     as its parameter vector, anything else (an array, say) as is."""
     state = {key: model.state[key] for key in SPECS[model.kind].stored}
-    return {"detector": model.kind, "scaler_mean": model.scaler_mean,
-            "scaler_std": model.scaler_std, "threshold": model.threshold,
-            "config": asdict(model.config),
-            "state": {key: value.params if isinstance(value, nd.LayerStack) else value
-                      for key, value in state.items()}}
+    return {
+        "detector": model.kind,
+        "scaler_mean": model.scaler_mean,
+        "scaler_std": model.scaler_std,
+        "threshold": model.threshold,
+        "config": asdict(model.config),
+        "state": {key: value.params if isinstance(value, nd.LayerStack) else value
+                  for key, value in state.items()},
+    }
 
 
 def save_detector(path: str, model: DetectorModel) -> None:

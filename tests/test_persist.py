@@ -39,6 +39,17 @@ def test_array_codec_roundtrip_across_chunk_boundaries(size):
     assert decoded.flags.writeable and decoded.flags.c_contiguous
 
 
+@pytest.mark.parametrize("block, match", [
+    ([1.0], "field 'array' is not an object"),
+    ({"data": ""}, "field 'array.shape' is missing"),
+    ({"shape": [-1], "data": ""}, r"field 'array\.shape' is \[-1\], not a list of non-negative"),
+    ({"shape": [1], "data": "AA=="}, "field 'array.data' holds 1 bytes, not the 8"),
+])
+def test_a_bad_array_block_outside_a_file_is_named_array(block, match):
+    with pytest.raises(SchemaError, match=match):
+        decode_array(block)
+
+
 # '=' after a whole group: b64decode(validate=True) skips it, a canonical payload has none
 EXCESS_PADDING = ("AAAA=", "AAAA==", "AAAA===")
 
