@@ -20,11 +20,11 @@ import os
 import sys
 from dataclasses import asdict
 
-from . import detect
+from . import autoenc, detect
 from .autoenc import AEConfig, build_model, calibrate, embed_many, hyper_search, train
 from .inject import InjectionSpec, build_testsets
-from .persist import (atomic_write_json, config_digest, load_corpus, load_detector,
-                      load_model, load_report, load_testsuite, save_corpus,
+from .persist import (SCHEMA_VERSION, atomic_write_json, config_digest, load_corpus,
+                      load_detector, load_model, load_report, load_testsuite, save_corpus,
                       save_detector, save_model, save_report, save_testsuite)
 from .pipeline import (SynthParams, WindowSet, auto_resample_width, clean, load_csv,
                        resample, split, synth_generate, windowize)
@@ -147,7 +147,7 @@ def cmd_search(args) -> int:
     result = hyper_search(_train_data(args.corpus), args.variant, args.trials,
                           master_seed=derive_seed(args.seed, f"search/{args.variant}"))
     doc = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "kind": "search",
         "variant": args.variant,
         "effective_config": _effective(args),
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="random hyperparameter search (DTW objective)")
     common(p)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--variant", choices=["t2v", "reconstruction"], default="t2v")
+    p.add_argument("--variant", choices=autoenc.VARIANTS, default="t2v")
     p.add_argument("--trials", type=int, default=30)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_search)
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one autoencoder variant")
     common(p)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--variant", choices=["t2v", "reconstruction"], default="t2v")
+    p.add_argument("--variant", choices=autoenc.VARIANTS, default="t2v")
     p.add_argument("--k", type=int, default=7)
     p.add_argument("--decoder-layers", type=int, default=3)
     p.add_argument("--encoder-layers", type=int, default=2)

@@ -61,8 +61,8 @@ def _require(state: dict, ok: bool, kind: str, key: str, want: str) -> dict:
 KINDS = {
     "iforest": Kind(
         lambda z, seed: fit_iforest(z, iforest.TREES, iforest.SUBSAMPLE, make_rng(seed)),
-        score_iforest, {**dict.fromkeys(iforest.NODE_ARRAYS, ("nodes",)), "roots": ("trees",),
-                        "subsample": int}, iforest.checked_state),
+        score_iforest, {"feature": ("nodes",), "value": ("nodes",), "subsample": int},
+        iforest.checked_state),
     "lof": Kind(
         lambda z, seed: fit_lof(z, lof.K), score_lof,
         {"x": ("n", "dim"), "k": int, "kdist": ("n",), "lrd": ("n",)},

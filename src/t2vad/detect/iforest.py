@@ -5,25 +5,27 @@ trees, m the per-tree subsample size and c(m) the expected path length of an
 unsuccessful BST search: c(m) = 2 H(m-1) - 2(m-1)/m. Harmonic numbers are
 exact up to a cached bound so c(2) == 1 exactly.
 
-The fitted forest is stored as flat per-node arrays in preorder: `feature`,
-`threshold`, `right` (-1 at a leaf) and `path` = c(leaf size), plus each
-tree's root node in `roots`. A split's left child is the next node, so no
-`left` array is stored. Scoring advances every (tree, window) pair
-one level per step, at most ceil(log2(subsample)) steps, and adds the
-per-tree path lengths in tree order, so a score is bitwise that of a
-recursive descent of each tree in turn.
+The fitted forest is stored as two per-node arrays in breadth-first order
+over all trees: the roots in tree order, then the children of each split,
+left before right. `feature` is the split feature (-1 at a leaf) and
+`value` a split's threshold or a leaf's c(size). With T trees and S
+splits (T = nodes - 2 S), the children of the j-th split are nodes
+T + 2j and T + 2j + 1, so no pointer is stored. Scoring advances every
+(tree, window) pair one level per step, at most ceil(log2(subsample))
+steps, and adds the per-tree path lengths in tree order, so a score is
+bitwise that of a recursive descent of each tree in turn.
 
 The forest grows one depth level at a time, all trees at once. The rows
 of one depth's nodes lie end to end in one array of row indices, so a
 level is a few whole-level array operations: pick every node's feature,
 gather that column for every row of every node, take each node's range
-by `reduceat`, and split every node's rows by one mask into the next
-depth's array. The draws are a table, not a stream: after every tree's
-subsample, two (trees, 2^max_depth - 1) `rng.random` arrays `pick` and
-`cut`, read at each node's heap position (root 0, children 2h + 1 and
-2h + 2). So the forest is a function of the data and the table alone,
-whatever order its nodes grow in. The nodes are then placed in the
-preorder layout above from their subtree sizes.
+by `reduceat`, and sort every split's rows, left child's then right
+child's, into the next depth's array. The draws are a table, not a
+stream: after every tree's subsample, two (trees, 2^max_depth - 1)
+`rng.random` arrays `pick` and `cut`, read at each node's heap position
+(root 0, children 2h + 1 and 2h + 2). So the forest is a function of the
+data and the table alone, whatever order its nodes grow in. The levels,
+laid end to end, are the stored layout above.
 
 A feature whose training values are all distinct (no two equal, -0.0 ==
 0.0 included) differs within any node of two or more distinct rows, so it
@@ -55,9 +57,6 @@ def average_path_length(m: int) -> float:
     else:
         h = math.log(m - 1) + _EULER_GAMMA
     return 2.0 * h - 2.0 * (m - 1) / m
-
-
-NODE_ARRAYS = ("feature", "threshold", "right", "path")
 
 
 def _tied_features(x: np.ndarray) -> np.ndarray:
@@ -113,9 +112,9 @@ def _pick_features(d, tied, tied_x, rows, offsets, count, pick) -> np.ndarray:
 def _split(x, tied, tied_x, rows, count, pick, cut):
     """The split of each node of `count` >= 2 rows, laid end to end in
     `rows`, by its table entries `pick` and `cut`: its feature (-1 if it
-    stays a leaf), threshold and left child's size, and the rows of the
-    children of the nodes that split: every left child's, then every right
-    child's, in node order."""
+    stays a leaf) and threshold, and the sizes and rows of the children of
+    the nodes that split, in node order: each split's left child's, then
+    its right child's."""
     offsets = np.cumsum(count) - count
     member = np.repeat(np.arange(len(count)), count)
     feature = _pick_features(x.shape[1], tied, tied_x, rows, offsets, count, pick)
@@ -127,21 +126,20 @@ def _split(x, tied, tied_x, rows, count, pick, cut):
     split = (n_left > 0) & (n_left < count)
     feature[~split] = -1
     kept = split[member]
-    return (feature, np.where(split, threshold, 0.0), n_left,
-            np.concatenate([rows[left & kept], rows[~left & kept]]))
+    child = (2 * member + ~left)[kept]           # node j's left child 2j, right child 2j + 1
+    return (feature, threshold, np.column_stack([n_left, count - n_left])[split].ravel(),
+            rows[kept][np.argsort(child, kind="stable")])
 
 
 def fit_iforest(x: np.ndarray, n_trees: int, subsample: int, rng) -> dict:
     """`n_trees` isolation trees, each grown on `subsample` rows of `x` (n, d)
-    drawn without replacement, as flat preorder node arrays.
+    drawn without replacement, as the breadth-first node arrays above.
 
-    A node is [feature, threshold, right, path]: a leaf has feature and
-    right -1 and path c(its size); a split has path 0 and its left subtree
-    right after it. The node at heap position h of tree t (children 2h + 1
-    and 2h + 2) splits on the floor(pick[t, h] * c)-th, clamped to c - 1,
-    of its c usable features (values not all equal there) in ascending
-    order, at lo + (hi - lo) * cut[t, h] between that feature's min and max
-    there; `pick` and `cut` are two (n_trees, 2^max_depth - 1) `rng.random`
+    The node at heap position h of tree t (children 2h + 1 and 2h + 2)
+    splits on the floor(pick[t, h] * c)-th, clamped to c - 1, of its c
+    usable features (values not all equal there) in ascending order, at
+    lo + (hi - lo) * cut[t, h] between that feature's min and max there;
+    `pick` and `cut` are two (n_trees, 2^max_depth - 1) `rng.random`
     tables drawn after every tree's subsample.
     """
     x = np.ascontiguousarray(x)
@@ -155,88 +153,72 @@ def fit_iforest(x: np.ndarray, n_trees: int, subsample: int, rng) -> dict:
     rows = np.concatenate([rng.choice(n, size=size, replace=False) for _ in range(n_trees)])
     pick = rng.random((n_trees, 2 ** max_depth - 1))
     cut = rng.random((n_trees, 2 ** max_depth - 1))
-    # one depth's nodes: a split's children are the next depth's nodes r
-    # (left) and len(splits) + r (right) for the r-th split; `rows` holds the
-    # rows of the nodes of two or more, end to end
+    leaf_path = np.array([average_path_length(m) for m in range(size + 1)])   # c(m) for every node size
+    # one depth's nodes: the r-th split's children are the next depth's nodes
+    # 2r (left) and 2r + 1 (right); `rows` holds the rows of the nodes of two
+    # or more, end to end
     tree, heap, count = np.arange(n_trees), np.zeros(n_trees, dtype=np.int64), np.full(n_trees, size)
-    levels = []          # per depth: feature, threshold, count, the nodes that split
+    levels = []          # per depth: feature, value
     for depth in range(max_depth + 1):
         feature, threshold = np.full(len(tree), -1), np.zeros(len(tree))
-        n_left = np.zeros(len(tree), dtype=np.int64)
         grow = (count >= 2) & (depth < max_depth)
         if not grow.all():
             rows = rows[np.repeat(grow, count)]
         grow = np.flatnonzero(grow)
         if grow.size:
             cell = tree[grow] * pick.shape[1] + heap[grow]
-            feature[grow], threshold[grow], n_left[grow], rows = _split(
+            feature[grow], threshold[grow], children, rows = _split(
                 x, tied, tied_x, rows, count[grow], pick.take(cell), cut.take(cell))
+        levels.append((feature, np.where(feature >= 0, threshold, leaf_path[count])))
         splits = np.flatnonzero(feature >= 0)
-        levels.append((feature, threshold, count, splits))
         if not splits.size:
             break
-        tree = np.tile(tree[splits], 2)
-        heap = np.concatenate([2 * heap[splits] + 1, 2 * heap[splits] + 2])
-        count = np.concatenate([n_left[splits], count[splits] - n_left[splits]])
-    # preorder: every node's subtree size bottom up, then its place top down
-    sizes = [np.zeros(0, dtype=np.int64)]
-    for feature, _, _, splits in reversed(levels):
-        below = sizes[0]
-        sizes.insert(0, np.ones(len(feature), dtype=np.int64))
-        sizes[0][splits] += below[:len(splits)] + below[len(splits):]
-    leaf_path = np.array([average_path_length(m) for m in range(size + 1)])   # c(m) for every node size
-    n_nodes = sum(map(len, sizes))
-    out = {"feature": np.full(n_nodes, -1), "threshold": np.zeros(n_nodes),
-           "right": np.full(n_nodes, -1), "path": np.zeros(n_nodes)}
-    place = roots = np.cumsum(sizes[0]) - sizes[0]
-    for depth, (feature, threshold, count, splits) in enumerate(levels):
-        out["feature"][place], out["threshold"][place] = feature, threshold
-        out["path"][place] = np.where(feature < 0, leaf_path[count], 0.0)
-        left = place[splits] + 1                   # a split's left subtree comes right after it
-        out["right"][place[splits]] = right = left + sizes[depth + 1][:len(splits)]
-        place = np.concatenate([left, right])
-    return {**out, "roots": roots, "subsample": size}
+        tree = np.repeat(tree[splits], 2)
+        heap = (2 * heap[splits, None] + [1, 2]).ravel()
+        count = children
+    feature, value = map(np.concatenate, zip(*levels))
+    return {"feature": feature, "value": value, "subsample": size}
 
 
 def checked_state(state: dict, sizes: dict) -> dict:
-    """A forest read from a file, its node arrays of one length, with integer
-    index arrays; ValueError unless `subsample` is at least 2 and every node
-    index points where a fitted forest's can: a leaf has feature and right
-    -1; a split has a feature below the scaler width and a right child after
-    its left child (the next node), so every walk from a root ends at a leaf."""
+    """A forest read from a file, with an integer `feature`; ValueError unless
+    `subsample` is at least 2, every feature is -1 (a leaf) or below the
+    scaler width, the nodes outnumber twice the splits (T >= 1) and no leaf
+    value, a c(size), is negative. Then every reachable split's children lie
+    after it, so every walk ends at a leaf, and every score is finite."""
     if state["subsample"] < 2:
         raise ValueError("iforest subsample must be an integer >= 2")
-    ints = {key: state[key].astype(np.int64) for key in ("feature", "right", "roots")}
-    if any((ints[key] != state[key]).any() for key in ints):
-        raise ValueError("iforest feature, right or roots holds a non-integer")
-    feature, right, roots = ints["feature"], ints["right"], ints["roots"]
-    n_nodes = sizes["nodes"]
-    valid = np.where(right >= 0,
-                     (np.arange(n_nodes) + 1 < right) & (right < n_nodes)
-                     & (feature >= 0) & (feature < sizes["dim"]),
-                     (right == -1) & (feature == -1))
-    if not (valid.all() and ((roots >= 0) & (roots < n_nodes)).all()):
-        raise ValueError("iforest feature, right or roots index out of range")
-    return {**state, **ints}
+    feature = state["feature"].astype(np.int64)
+    if (feature != state["feature"]).any():
+        raise ValueError("iforest feature holds a non-integer")
+    if not ((feature >= -1) & (feature < sizes["dim"])).all():
+        raise ValueError("iforest feature out of range (want -1 or a feature below dim)")
+    if sizes["nodes"] <= 2 * np.count_nonzero(feature >= 0):
+        raise ValueError("iforest has no room for a tree (want more nodes than twice the splits)")
+    if (state["value"][feature < 0] < 0).any():
+        raise ValueError("iforest leaf value is negative (want c(size) >= 0)")
+    return {**state, "feature": feature}
 
 
 def score_iforest(state: dict, x: np.ndarray) -> np.ndarray:
     """2^(-mean path / c(subsample)): every (tree, window) pair descends one
     level per step; the per-tree lengths are added in tree order."""
-    feature, threshold, right = (state[k] for k in ("feature", "threshold", "right"))
-    n_trees, n = len(state["roots"]), len(x)
-    node = np.repeat(state["roots"], n)          # pair t * n + i: tree t, window i
+    feature, value = state["feature"], state["value"]
+    split = feature >= 0
+    n_trees, n = len(feature) - 2 * np.count_nonzero(split), len(x)
+    left = n_trees + 2 * (np.cumsum(split) - split)   # j-th split's children: T + 2j, T + 2j + 1
+    node = np.repeat(np.arange(n_trees), n)          # pair t * n + i: tree t, window i
     row = np.tile(np.arange(n), n_trees)
     depth = np.zeros(n_trees * n, dtype=np.int64)
-    live = np.flatnonzero(right[node] >= 0)
+    live = np.flatnonzero(split[node])
     level = 0
     while live.size:
         level += 1
         at = node[live]
-        node[live] = np.where(x[row[live], feature[at]] < threshold[at], at + 1, right[at])
+        node[live] = left[at] + (x[row[live], feature[at]] >= value[at])
         depth[live] = level
-        live = live[right[node[live]] >= 0]
-    lengths = (depth + state["path"][node]).reshape(n_trees, n)
+        live = live[split[node[live]]]
+    lengths = (depth + value[node]).reshape(n_trees, n)
     paths = np.zeros(n)
     for tree_lengths in lengths:
         paths += tree_lengths

@@ -93,10 +93,8 @@ def fit_ocsvm(x: np.ndarray, nu: float) -> dict:
     return {
         "sv": x[support].copy(),
         "alpha": alpha[support].copy(),
-        "alpha_full": alpha,        # in memory only, for dual-constraint checks
         "rho": rho,
         "gamma": gamma,
-        "box": c,
         "iterations": iterations,
     }
 

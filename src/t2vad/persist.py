@@ -83,7 +83,7 @@ FORMS = {
     "corpus": {"windows": WINDOWS, "n_windows": "n", "steps": "N", "features": "F",
                "split": {"train": [int], "test": [int]}, "provenance": dict},
     "testsuite": {"windows": WINDOWS, "sets": {str: [int]}, "seed": int},
-    "model": {"config": CONFIG, "variant": str, "n": int, "f": int, "loss_curve": [float],
+    "model": {"config": CONFIG, "variant": str, "n": "N", "f": int, "loss_curve": [float],
               "params": ("params",), "calibration": Either((None, DETECTOR))},
     "detector": DETECTOR,
     "report": {"config_digest": str, "seeds": {str: int}, "timestamp": Either((None, str)),
@@ -478,16 +478,16 @@ def save_model(path: str, model: TrainedModel,
 
 
 def load_model(path: str) -> tuple[TrainedModel, DetectorModel | None]:
-    """`variant` must be the config's, `n` and `f` positive and `params` the
-    vector of the network `autoenc.build_model` builds from `config`. A
-    `calibration` is a detector document of the baseline's kind."""
+    """`variant` must be the config's, `n` the window length, `f` positive and
+    `params` the vector of the network `autoenc.build_model` builds from
+    `config`. A `calibration` is a detector document of the baseline's kind."""
     with _document(path, "model") as doc:
         cfg = _construct(AEConfig, doc["config"], "config")
         if doc["variant"] != cfg.variant:
             raise SchemaError(f"field 'variant' is {doc['variant']!r}, "
                               f"not the config's {cfg.variant!r}")
-        for key in (key for key in ("n", "f") if doc[key] < 1):
-            raise SchemaError(f"field {key!r} is {doc[key]}, not positive")
+        if doc["f"] < 1:
+            raise SchemaError(f"field 'f' is {doc['f']}, not positive")
         model = _construct(build_model, {"cfg": cfg, "n": doc["n"], "f": doc["f"]}, "config")
         if doc["params"].shape != model.stack.params.shape:
             raise SchemaError(f"field 'params' is {doc['params'].shape}, the network its "

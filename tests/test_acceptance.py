@@ -190,8 +190,8 @@ def test_criterion_5_detector_sanity():
         assert np.mean(shifted_scores > clean_scores) >= 0.95, kind
 
     ocsvm = detect.fit(["ocsvm"], inliers.copy(), cfg)["ocsvm"]
-    alpha = ocsvm.state["alpha_full"]
-    box = ocsvm.state["box"]
+    alpha = ocsvm.state["alpha"]            # the support vectors' weights; every other is 0
+    box = 1.0 / (NU * len(inliers))
     assert np.all(alpha >= -1e-12) and np.all(alpha <= box + 1e-12)
     assert abs(alpha.sum() - 1.0) < 1e-6
     # free SVs sit on the boundary to within the solver tolerance, so count

@@ -1,9 +1,12 @@
 import importlib
 import re
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from t2vad import detect
 from t2vad.autoenc import embed_many
@@ -11,7 +14,7 @@ from t2vad.detect import DetectorConfig, DetectorModel, average_path_length, ocs
 from t2vad.detect.deepsvdd import build_network, fit_deep_svdd, score_deep_svdd
 from t2vad.detect.ee import fit_ee, score_ee
 from t2vad.detect import iforest
-from t2vad.detect.iforest import NODE_ARRAYS, SUBSAMPLE, TREES, fit_iforest, score_iforest
+from t2vad.detect.iforest import SUBSAMPLE, TREES, checked_state, fit_iforest, score_iforest
 from t2vad.detect.lof import BLOCK, _cross_distances, _nearest, _row_norms, fit_lof, score_lof
 from t2vad.detect.ocsvm import TOL, fit_ocsvm, rbf_kernel
 from t2vad.detect.pca import pca_fit, pca_transform
@@ -312,41 +315,36 @@ def test_flat_forest_scores_are_bitwise_the_recursive_forest(n, d, n_trees, subs
                                                              duplicates):
     x = np.repeat(gaussian_blob(n=n // duplicates, d=d, seed=n), duplicates, axis=0)
     state = fit_iforest(x, n_trees, subsample, make_rng(7))
-    on_a_split = np.repeat(state["threshold"][state["right"] >= 0][:, None], d, axis=1)
+    split = state["feature"] >= 0
+    on_a_split = np.repeat(state["value"][split][:, None], d, axis=1)
     queries = np.concatenate([x, gaussian_blob(n=50, d=d, seed=1, shift=0.5) * 3.0, on_a_split])
     recursive_score = recursive_forest(x, n_trees, subsample, make_rng(7))
     assert score_iforest(state, queries).tolist() == recursive_score(queries).tolist()
-    assert ((state["right"] == -1) & (state["path"] > 0)).any()    # a leaf of size > 1
-    assert len(state["roots"]) == n_trees and state["roots"][0] == 0
+    assert (~split & (state["value"] > 0)).any()    # a leaf of size > 1
+    assert len(split) - 2 * split.sum() == n_trees
 
 
 def reference_fit_iforest(x, n_trees, subsample, rng):
     """The forest grown by a min/max search over every column at every node,
-    on row copies, node by node in preorder from the same draw table: the
-    growth `fit_iforest` must reproduce array for array."""
-    def grow(x, t, h, depth, nodes):
-        at = len(nodes)
-        m = len(x)
-        nodes.append([-1, 0.0, -1, average_path_length(m)])
-        if m <= 1 or depth >= max_depth:
-            return at
-        chosen = table_split(x, pick[t, h], cut[t, h])
-        if chosen is None:
-            return at
-        f, u = chosen
-        mask = x[:, f] < u
-        if mask.all() or not mask.any():
-            return at
-        grow(x[mask], t, 2 * h + 1, depth + 1, nodes)
-        right = grow(x[~mask], t, 2 * h + 2, depth + 1, nodes)
-        nodes[at] = [f, u, right, 0.0]
-        return at
-
+    on row copies, node by node breadth-first from the same draw table (a
+    FIFO queue seeded with every tree's root in tree order): the growth
+    `fit_iforest` must reproduce array for array."""
     size, max_depth, samples, pick, cut = draw_table(len(x), n_trees, subsample, rng)
+    queue = deque((x[rows], t, 0, 0) for t, rows in enumerate(samples))
     nodes = []
-    roots = [grow(x[rows], t, 0, 0, nodes) for t, rows in enumerate(samples)]
-    columns = (np.array(column) for column in zip(*nodes))
-    return {**dict(zip(NODE_ARRAYS, columns)), "roots": np.array(roots), "subsample": size}
+    while queue:
+        x, t, h, depth = queue.popleft()
+        m = len(x)
+        chosen = table_split(x, pick[t, h], cut[t, h]) if m > 1 and depth < max_depth else None
+        mask = x[:, chosen[0]] < chosen[1] if chosen else np.ones(m, dtype=bool)
+        if mask.all() or not mask.any():
+            nodes.append([-1, average_path_length(m)])
+            continue
+        nodes.append(list(chosen))
+        queue.append((x[mask], t, 2 * h + 1, depth + 1))
+        queue.append((x[~mask], t, 2 * h + 2, depth + 1))
+    feature, value = (np.array(column) for column in zip(*nodes))
+    return {"feature": feature, "value": value, "subsample": size}
 
 
 def signed_zeros(n=300, d=5):
@@ -370,7 +368,7 @@ FOREST_INPUTS = {
 
 
 def assert_same_forest(state, reference):
-    for key in (*NODE_ARRAYS, "roots"):
+    for key in ("feature", "value"):
         assert state[key].dtype == reference[key].dtype, key
         assert np.array_equal(state[key], reference[key]), key
 
@@ -424,6 +422,32 @@ def test_forest_on_every_feature_tied_holds_at_most_two_copies_of_x(traced_peak)
     blocks, never as one tied x (trees * subsample) array (143 MB here)."""
     x = np.repeat(gaussian_blob(n=450, d=700, seed=17), 2, axis=0)
     assert traced_peak(fit_iforest, x, TREES, SUBSAMPLE, make_rng(0)) <= 2 * x.nbytes
+
+
+QUERIES = np.concatenate([gaussian_blob(n=30, d=3, seed=18) * 4.0, np.zeros((1, 3))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(feature=st.lists(st.integers(-4, 2).map(lambda f: max(f, -1)), min_size=1, max_size=40),
+       data=st.data())
+def test_any_forest_the_check_admits_scores_finite_values(feature, data):
+    """Any integer `feature` in [-1, dim) with more nodes than twice the
+    splits is a whole forest: every walk from a root ends at a leaf. With
+    no more nodes than that there is no tree, and with a negative leaf
+    value (c(size) never is) a score could overflow: the check refuses."""
+    value = data.draw(st.lists(st.sampled_from([-1e300, -1.0, 0.0, 0.5, 1.0, 1e300])
+                               | st.floats(-9, 9), min_size=len(feature), max_size=len(feature)))
+    state = {"feature": np.array(feature, dtype=np.float64), "value": np.array(value),
+             "subsample": 8}
+    sizes = {"nodes": len(feature), "dim": 3}
+    if len(feature) <= 2 * sum(f >= 0 for f in feature):
+        with pytest.raises(ValueError, match="no room for a tree"):
+            checked_state(state, sizes)
+    elif any(f < 0 and v < 0 for f, v in zip(feature, value)):
+        with pytest.raises(ValueError, match="leaf value is negative"):
+            checked_state(state, sizes)
+    else:
+        assert np.isfinite(score_iforest(checked_state(state, sizes), QUERIES)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +556,8 @@ def test_distance_and_kernel_peak_below_one_and_a_half_matrices(traced_peak):
 def test_ocsvm_dual_constraints_hold():
     x = gaussian_blob(n=300, d=6, seed=8)
     model = detect.fit(["ocsvm"], x, CFG)["ocsvm"]
-    alpha = model.state["alpha_full"]
-    box = model.state["box"]
+    alpha = model.state["alpha"]            # the support vectors' weights; every other is 0
+    box = 1.0 / (ocsvm.NU * len(x))
     assert np.all(alpha >= -1e-12)
     assert np.all(alpha <= box + 1e-12)
     assert abs(alpha.sum() - 1.0) < 1e-6
@@ -546,7 +570,7 @@ def test_ocsvm_nu_property():
     model = detect.fit(["ocsvm"], x.copy(), CFG)["ocsvm"]
     outlier_fraction = float(np.mean(detect.score_many(model, x) > TOL))
     assert outlier_fraction <= ocsvm.NU + 0.02
-    at_box = float(np.mean(model.state["alpha_full"] >= model.state["box"] - 1e-9))
+    at_box = float(np.sum(model.state["alpha"] >= 1.0 / (ocsvm.NU * len(x)) - 1e-9) / len(x))
     assert at_box <= ocsvm.NU + 0.02     # margin errors are box-bound alphas
 
 
@@ -853,6 +877,15 @@ def test_fit_calls_the_module_level_fit_function_bound_at_call_time(monkeypatch,
     model = detect.fit([kind], x.copy())[kind]
     assert calls == [kind]
     assert fit_scores(model, x).shape == (48,)
+
+
+@pytest.mark.parametrize("kind", detect.KINDS)
+def test_a_fitted_state_holds_exactly_what_its_file_stores(kind):
+    """A fitted model and its reloaded copy hold the same state entries; the
+    one extra is LOF's in-sample `train_lof`, which `train_scores` reads."""
+    state = detect.fit([kind], gaussian_blob(n=48, d=6, seed=35), CFG)[kind].state
+    extra = {"train_lof"} if kind == "lof" else set()
+    assert set(state) == set(detect.KINDS[kind].stored) | extra
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,21 @@ def test_model_file_with_the_dropped_fields_still_loads(tmp_path, small_e2e, nam
     assert np.array_equal(loaded.stack.forward(x), small_e2e[name].stack.forward(x))
 
 
+def test_a_model_of_another_window_length_fails_before_its_network_is_built(
+        tmp_path, saved_artifacts, traced_peak):
+    """`n` is the window length: a crafted t2v.json with n = 4,000,000 is a
+    SchemaError naming `n`, not a network of 28 million parameters built
+    first and then refused."""
+    path = tmp_path / "t2v.json"
+    path.write_bytes((saved_artifacts / "t2v.json").read_bytes())
+    rewrite(path, lambda d: d.update(n=4_000_000))
+
+    def load():
+        with pytest.raises(SchemaError, match="field 'n' is 4000000, not N = 100"):
+            load_model(path)
+    assert traced_peak(load) < 2 ** 20
+
+
 def test_model_header_is_human_readable(tmp_path, small_e2e):
     path = tmp_path / "model.json"
     save_model(path, small_e2e["t2v_model"])
@@ -636,6 +651,17 @@ def per_layer_model(doc):
     doc["layers"] = per_layer_params(doc.pop("params"))
 
 
+def preorder_forest(doc):
+    """The forest as files stored it before the breadth-first layout: preorder
+    node arrays with a right-child pointer and each tree's root, here one
+    tree of one split."""
+    doc["state"] = {"feature": encode_array(np.array([0.0, -1, -1])),
+                    "threshold": encode_array(np.array([0.5, 0, 0])),
+                    "right": encode_array(np.array([2.0, -1, -1])),
+                    "path": encode_array(np.array([0.0, 1, 1])),
+                    "roots": encode_array(np.zeros(1)), "subsample": doc["state"]["subsample"]}
+
+
 def nested_trees(doc):
     """The pre-flat-array iforest state: nested JSON tree lists."""
     doc["state"] = {"trees": [["leaf", 1], ["split", 0, 0.5, ["leaf", 2], ["leaf", 1]]],
@@ -690,7 +716,7 @@ ARTIFACT_FIELD_MUTATIONS = {
     "t2v-config-removed": ("t2v.json", lambda d: d.pop("config"), "'config'"),
     "t2v-config-unknown-key": ("t2v.json", lambda d: d["config"].update(bogus=1), "bogus"),
     "t2v-n-a-string": ("t2v.json", lambda d: d.update(n="100"), "'n'"),
-    "t2v-n-zero": ("t2v.json", lambda d: d.update(n=0), "field 'n' is 0, not positive"),
+    "t2v-n-zero": ("t2v.json", lambda d: d.update(n=0), "field 'n' is 0, not N = 100"),
     "t2v-f-negative": ("t2v.json", lambda d: d.update(f=-1), "field 'f' is -1, not positive"),
     "t2v-params-one-entry-short": (
         "t2v.json", replace_params(lambda p: p[:-1]),
@@ -805,19 +831,18 @@ ARTIFACT_FIELD_MUTATIONS = {
     "detector-rho-past-the-float-range": (
         "det.ocsvm.json", lambda d: d["state"].update(rho=-10 ** 400),
         "field 'state.rho' is not a finite number"),
-    "iforest-node-array-shorter": ("det.iforest.json", shorten_state_array("right"),
-                                   r"field 'state\.right' is \(\d+,\), "
+    "iforest-node-array-shorter": ("det.iforest.json", shorten_state_array("value"),
+                                   r"field 'state\.value' is \(\d+,\), "
                                    r"not \(nodes,\) with nodes = \d+"),
-    "iforest-right-past-the-last-node": (
-        "det.iforest.json", set_forest_entry("right", 0, 10 ** 6), "out of range"),
-    "iforest-right-not-an-integer": ("det.iforest.json", set_forest_entry("right", 0, 1.5),
-                                     "non-integer"),
-    "iforest-right-at-the-left-child": ("det.iforest.json", set_forest_entry("right", 0, 1),
-                                        "out of range"),
-    "iforest-split-feature-minus-1": ("det.iforest.json", set_forest_entry("feature", 0, -1),
-                                      "out of range"),
-    "iforest-right-below-minus-1": ("det.iforest.json", set_forest_entry("right", 0, -2),
-                                    "out of range"),
+    "iforest-no-room-for-a-tree": (
+        "det.iforest.json", lambda d: d["state"].update(feature=encode_array(
+            np.zeros(d["state"]["feature"]["shape"]))), "no room for a tree"),
+    "iforest-feature-minus-2": ("det.iforest.json", set_forest_entry("feature", 0, -2),
+                                "out of range"),
+    "iforest-one-split-and-one-leaf": (      # nodes == 2 * splits: tree 0's children are 2, 3
+        "det.iforest.json", lambda d: d["state"].update(
+            feature=encode_array(np.array([0.0, -1])), value=encode_array(np.array([0.5, 1]))),
+        "no room for a tree"),
     "iforest-feature-at-the-dimension": (
         "det.iforest.json", lambda d: set_forest_entry(
             "feature", 0, d["scaler_mean"]["shape"][0])(d), "out of range"),
@@ -825,11 +850,13 @@ ARTIFACT_FIELD_MUTATIONS = {
                                        "non-integer"),
     "iforest-subsample-one": ("det.iforest.json", lambda d: d["state"].update(subsample=1),
                               "subsample must be an integer >= 2"),
-    "iforest-roots-out-of-range": ("det.iforest.json", set_forest_entry("roots", 1, -1),
-                                   "out of range"),
-    "iforest-path-nan": ("det.iforest.json", set_forest_entry("path", 0, np.nan), "finite"),
-    "iforest-threshold-removed": ("det.iforest.json", lambda d: d["state"].pop("threshold"),
-                                  "field 'state.threshold' is missing"),
+    "iforest-value-nan": ("det.iforest.json", set_forest_entry("value", 0, np.nan), "finite"),
+    "iforest-last-leaf-value-negative": (       # the last node is always a leaf
+        "det.iforest.json", set_forest_entry("value", -1, -5000.0), "leaf value is negative"),
+    "iforest-value-removed": ("det.iforest.json", lambda d: d["state"].pop("value"),
+                              "field 'state.value' is missing"),
+    "iforest-preorder-layout": ("det.iforest.json", preorder_forest,
+                                "field 'state.value' is missing"),
     "iforest-nested-trees": ("det.iforest.json", nested_trees,
                              "field 'state.feature' is missing"),
     "report-results-removed": ("report.json", lambda d: d.pop("results"), "'results'"),
@@ -898,6 +925,21 @@ ARTIFACT_FIELD_MUTATIONS = {
         "t2v.json", lambda d: d.update(variant="reconstruction"),
         "field 'variant' is 'reconstruction', not the config's 't2v'"),
 }
+
+
+def test_a_forest_whose_split_became_a_leaf_still_loads_and_scores(tmp_path, saved_artifacts):
+    """Children are implicit, so a split made a leaf leaves its subtree
+    unreachable, not dangling: the forest loads and scores finite values."""
+    path = tmp_path / "det.iforest.json"
+    path.write_bytes((saved_artifacts / "det.iforest.json").read_bytes())
+
+    def root_made_a_leaf(doc):
+        set_forest_entry("feature", 0, -1)(doc)
+        set_forest_entry("value", 0, 1.0)(doc)        # c(2): no leaf value is negative
+    rewrite(path, root_made_a_leaf)
+    model = load_detector(path)
+    assert model.state["feature"][0] == -1
+    assert np.isfinite(detect.score_many(model, np.tile(model.scaler_mean, (3, 1)))).all()
 
 
 @pytest.mark.parametrize("name", ARTIFACT_FIELD_MUTATIONS)
